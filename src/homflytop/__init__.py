@@ -9,6 +9,8 @@ special alternating link.  An independent skein-recursion HOMFLY oracle for
 small diagrams lets every identity be checked exactly.
 """
 
+from types import ModuleType as _ModuleType
+
 from .laurent import Laurent1, Laurent2, conway_and_alexander
 from .planegraph import (
     GraphInputError,
@@ -18,12 +20,12 @@ from .planegraph import (
     SignedBlock,
     SignedBlockGraph,
     parse_plane_graph,
-    trace_faces,
     build_dual,
     overlay_dot,
     dual_subgraph,
     check_strong_connectivity,
     biconnected_blocks,
+    block_subgraph,
 )
 from .arborescence import (
     ArbNode,
@@ -69,8 +71,6 @@ from .homfly import (
     UNLINK_FACTOR,
     decorated_subgraph_at,
     median_diagram,
-    seifert_count,
-    writhe,
     homfly_skein,
     top_coefficient,
     top_via_tree,
@@ -82,5 +82,9 @@ from .homfly import (
 from .verify import VerifyReport, verify_graph
 from .gen import random_plane_bipartite, corpus, corpus_documents
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

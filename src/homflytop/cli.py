@@ -18,6 +18,7 @@ from .planegraph import (
     overlay_dot,
     check_strong_connectivity,
     biconnected_blocks,
+    block_subgraph,
 )
 from .arborescence import build_arb_tree, clocked_arborescence
 from .rootpolytope import (
@@ -324,14 +325,19 @@ def cmd_homfly(args) -> int:
 
 def cmd_homogeneous(args) -> int:
     g, dual, doc = _load(args, with_document=True)
-    signs = [int(s) for s in doc.get("signs", [1] * g.n_edges)]
+    try:
+        signs = [int(s) for s in doc.get("signs", [1] * g.n_edges)]
+    except (TypeError, ValueError) as exc:
+        raise GraphInputError(f"malformed signs: {exc}") from exc
     if len(signs) != g.n_edges:
         raise GraphInputError("signs list must cover every edge")
+    if any(s not in (1, -1) for s in signs):
+        raise GraphInputError("every sign must be 1 or -1")
     names = list(g.e_vertices) + list(g.v_vertices)
     blocks = biconnected_blocks(names, list(g.edges), signs)
     pos, neg = [], []
     for block in blocks.blocks:
-        sub = _block_subgraph(g, block.edge_ids)
+        sub = block_subgraph(g, block.edge_ids)
         sub_dual = build_dual(sub, kappa_edge=0)
         _, p = parking_for_dual(sub_dual)
         (pos if block.sign > 0 else neg).append(p)
@@ -357,26 +363,6 @@ def cmd_homogeneous(args) -> int:
     return 0
 
 
-def _block_subgraph(g, edge_ids):
-    from .planegraph import PlaneBipartiteGraph
-
-    keep = set(edge_ids)
-    edge_map = {c: i for i, c in enumerate(sorted(keep))}
-    touched = g.incident_vertices(keep)
-    edges = [g.edges[c] for c in sorted(keep)]
-    rotations = {
-        x: [edge_map[c] for c in g.rotations[x] if c in keep]
-        for x in g.rotations
-        if x in touched
-    }
-    return PlaneBipartiteGraph(
-        [e for e in g.e_vertices if e in touched],
-        [v for v in g.v_vertices if v in touched],
-        edges,
-        rotations,
-    )
-
-
 def cmd_verify(args) -> int:
     g, dual = _load(args)
     report = verify_graph(g, dual, cap=args.cap)
@@ -392,6 +378,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.max_edges < 1:
+        raise GraphInputError("--max-edges must be at least 1")
     docs = genmod.corpus_documents(args.seed, args.count, max_edges=args.max_edges)
     for doc in docs:
         print(json.dumps(doc, sort_keys=True))
@@ -417,7 +405,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (GraphInputError, CrossingCapExceeded, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphInputError, CrossingCapExceeded, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
     except InvariantError as exc:

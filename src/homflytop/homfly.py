@@ -421,14 +421,6 @@ def median_diagram(
     return LinkDiagram(signs, tuple(succ), over, free)
 
 
-def seifert_count(d: LinkDiagram) -> int:
-    return d.seifert_circle_count()
-
-
-def writhe(d: LinkDiagram) -> int:
-    return d.writhe()
-
-
 # -- the skein oracle ---------------------------------------------------------
 
 

@@ -16,40 +16,65 @@ def _clean(items):
     return {e: c for e, c in items if c != 0}
 
 
-class Laurent1:
-    """Laurent polynomial in one variable with integer coefficients.
+def _terms(text: str):
+    """Split the text of a polynomial into (coefficient, [(name, power)]) terms.
 
-    The variable name is display metadata only; equality compares the
-    coefficient maps.
+    Terms are joined by `+` or `-`; each is a product, joined by `*`, of
+    integers, bare names and powers `name^k`.
+    """
+    for chunk in text.strip().replace("- ", "+ -").split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign, chunk = -1, chunk[1:].strip()
+        coeff, powers = 1, []
+        for p in (q.strip() for q in chunk.split("*")):
+            if not p:
+                continue
+            if "^" in p:
+                name, k = p.split("^")
+                powers.append((name.strip(), int(k)))
+            elif p.lstrip("-").isdigit():
+                coeff *= int(p)
+            else:
+                powers.append((p, 1))
+        yield sign * coeff, powers
+
+
+class _Laurent:
+    """The sparse-ring core shared by both flavours.
+
+    A flavour sets ``_ONE`` (the exponent of the constant term) and
+    ``_DEFAULT`` (its default variable names), and writes its own
+    ``__mul__``, the skein's hot loop, and ``__str__``.  Values of different
+    flavours never compare equal and never mix in arithmetic.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs", "_names")
 
-    def __init__(self, coeffs=None, var: str = "x"):
+    def __init__(self, coeffs=None, names=None):
         object.__setattr__(self, "coeffs", _clean((coeffs or {}).items()))
-        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "_names", self._DEFAULT if names is None else names)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Laurent1 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, var: str = "x") -> "Laurent1":
-        return cls({}, var)
+    def zero(cls, names=None):
+        return cls({}, names)
 
     @classmethod
-    def const(cls, c: int, var: str = "x") -> "Laurent1":
-        return cls({0: c}, var)
-
-    @classmethod
-    def term(cls, c: int, e: int, var: str = "x") -> "Laurent1":
-        return cls({e: c}, var)
+    def const(cls, c: int, names=None):
+        return cls({cls._ONE: c}, names)
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return Laurent1.const(other, self.var)
-        if isinstance(other, Laurent1):
+            return self.const(other, self._names)
+        if isinstance(other, type(self)):
             return other
-        if isinstance(other, Laurent2):
+        if isinstance(other, _Laurent):
             raise TypeError("cannot mix one- and two-variable Laurent polynomials")
         return NotImplemented
 
@@ -60,12 +85,12 @@ class Laurent1:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return Laurent1(out, self.var)
+        return type(self)(out, self._names)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent1({e: -c for e, c in self.coeffs.items()}, self.var)
+        return type(self)({e: -c for e, c in self.coeffs.items()}, self._names)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -76,23 +101,10 @@ class Laurent1:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Laurent1(out, self.var)
-
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        result = Laurent1.const(1, self.var)
+        result = self.const(1, self._names)
         base = self
         while k:
             if k & 1:
@@ -103,8 +115,8 @@ class Laurent1:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Laurent1.const(other)
-        if not isinstance(other, Laurent1):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -117,11 +129,44 @@ class Laurent1:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __repr__(self):
+        return str(self)
+
+
+class Laurent1(_Laurent):
+    """Laurent polynomial in one variable with integer coefficients.
+
+    The variable name is display metadata only; equality compares the
+    coefficient maps.
+    """
+
+    __slots__ = ()
+    _ONE = 0
+    _DEFAULT = "x"
+
+    @property
+    def var(self) -> str:
+        return self._names
+
+    @classmethod
+    def term(cls, c: int, e: int, var: str = "x") -> "Laurent1":
+        return cls({e: c}, var)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out: dict[int, int] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return Laurent1(out, self._names)
+
+    __rmul__ = __mul__
+
     def degree(self):
         return max(self.coeffs) if self.coeffs else None
-
-    def min_degree(self):
-        return min(self.coeffs) if self.coeffs else None
 
     def eval_int(self, x: int) -> int:
         """Exact evaluation at an integer.
@@ -167,105 +212,36 @@ class Laurent1:
             parts.append(str(c) if e == 0 else f"{c}*{self.var}^{e}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    __repr__ = __str__
-
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "Laurent1":
-        """Inverse of str(); accepts terms `c`, `x^k` and `c*x^k`."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(var or "x")
+        """Inverse of str(); accepts terms `c`, `x^k` and `c*x^k`.
+
+        The variable is ``var`` if given, else the first name in the text.
+        """
         out: dict[int, int] = {}
-        seen_var = None
-        for chunk in text.replace("- ", "+ -").split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coeff, exp = _parse_term_1(chunk)
-            if exp is not None:
-                name, k = exp
-                seen_var = seen_var or name
-                out[k] = out.get(k, 0) + coeff
-            else:
-                out[0] = out.get(0, 0) + coeff
-        return cls(out, var or seen_var or "x")
+        for coeff, powers in _terms(text):
+            e = 0
+            for name, k in powers:
+                var = var or name
+                e += k
+            out[e] = out.get(e, 0) + coeff
+        return cls(out, var)
 
 
-def _parse_term_1(chunk: str):
-    sign = 1
-    if chunk.startswith("-"):
-        sign, chunk = -1, chunk[1:].strip()
-    pieces = [p.strip() for p in chunk.split("*")]
-    coeff = 1
-    exp = None
-    for p in pieces:
-        if not p:
-            continue
-        if "^" in p:
-            name, k = p.split("^")
-            exp = (name.strip(), int(k))
-        elif p.lstrip("-").isdigit():
-            coeff *= int(p)
-        else:
-            exp = (p, 1)
-    return sign * coeff, exp
-
-
-class Laurent2:
+class Laurent2(_Laurent):
     """Laurent polynomial in two variables (by default v and z)."""
 
-    __slots__ = ("coeffs", "vars")
+    __slots__ = ()
+    _ONE = (0, 0)
+    _DEFAULT = ("v", "z")
 
-    def __init__(self, coeffs=None, vars: tuple[str, str] = ("v", "z")):
-        object.__setattr__(self, "coeffs", _clean((coeffs or {}).items()))
-        object.__setattr__(self, "vars", vars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Laurent2 is immutable")
-
-    @classmethod
-    def zero(cls, vars=("v", "z")) -> "Laurent2":
-        return cls({}, vars)
-
-    @classmethod
-    def const(cls, c: int, vars=("v", "z")) -> "Laurent2":
-        return cls({(0, 0): c}, vars)
+    @property
+    def vars(self) -> tuple[str, str]:
+        return self._names
 
     @classmethod
     def term(cls, c: int, a: int, b: int, vars=("v", "z")) -> "Laurent2":
         return cls({(a, b): c}, vars)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return Laurent2.const(other, self.vars)
-        if isinstance(other, Laurent2):
-            return other
-        if isinstance(other, Laurent1):
-            raise TypeError("cannot mix one- and two-variable Laurent polynomials")
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Laurent2(out, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent2({e: -c for e, c in self.coeffs.items()}, self.vars)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -276,37 +252,9 @@ class Laurent2:
             for (a2, b2), c2 in other.coeffs.items():
                 e = (a1 + a2, b1 + b2)
                 out[e] = out.get(e, 0) + c1 * c2
-        return Laurent2(out, self.vars)
+        return Laurent2(out, self._names)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        result = Laurent2.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Laurent2.const(other)
-        if not isinstance(other, Laurent2):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def max_degree_second(self):
         """Largest exponent of the second variable (z); None for 0."""
@@ -357,43 +305,20 @@ class Laurent2:
                 parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
-    __repr__ = __str__
-
     @classmethod
     def parse(cls, text: str, vars: tuple[str, str] = ("v", "z")) -> "Laurent2":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(vars)
+        """Inverse of str(); names other than the two variables are rejected."""
         out: dict[tuple[int, int], int] = {}
-        for chunk in text.replace("- ", "+ -").split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            sign = 1
-            if chunk.startswith("-"):
-                sign, chunk = -1, chunk[1:].strip()
-            coeff, a, b = 1, 0, 0
-            for p in (q.strip() for q in chunk.split("*")):
-                if not p:
-                    continue
-                if "^" in p:
-                    name, k = p.split("^")
-                    name = name.strip()
-                    if name == vars[0]:
-                        a += int(k)
-                    elif name == vars[1]:
-                        b += int(k)
-                    else:
-                        raise ValueError(f"unknown variable {name!r}")
-                elif p.lstrip("-").isdigit():
-                    coeff *= int(p)
-                elif p == vars[0]:
-                    a += 1
-                elif p == vars[1]:
-                    b += 1
+        for coeff, powers in _terms(text):
+            a = b = 0
+            for name, k in powers:
+                if name == vars[0]:
+                    a += k
+                elif name == vars[1]:
+                    b += k
                 else:
-                    raise ValueError(f"cannot parse term piece {p!r}")
-            out[(a, b)] = out.get((a, b), 0) + sign * coeff
+                    raise ValueError(f"unknown variable {name!r}")
+            out[(a, b)] = out.get((a, b), 0) + coeff
         return cls(out, vars)
 
 

@@ -68,15 +68,8 @@ class PlaneBipartiteGraph:
         c, direction = dart
         return self.edges[c][direction]
 
-    def dart_head(self, dart: Dart) -> str:
-        c, direction = dart
-        return self.edges[c][1 - direction]
-
     def face_of(self, dart: Dart) -> int:
         return self._face_of[dart]
-
-    def vertex_edges(self, x: str) -> tuple[int, ...]:
-        return self.rotations[x]
 
     def is_e_vertex(self, x: str) -> bool:
         return x in self._e_set
@@ -134,14 +127,6 @@ class PlaneBipartiteGraph:
                     stack.append(y)
         if len(seen) != self.n_vertices:
             raise GraphInputError("graph is not connected")
-
-    def _rotation_next(self, dart: Dart) -> Dart:
-        """Next dart out of the same tail vertex, counterclockwise."""
-        x = self.dart_tail(dart)
-        rot = self.rotations[x]
-        i = self._rot_index[(x, dart[0])]
-        c = rot[(i + 1) % len(rot)]
-        return (c, 0 if x in self._e_set else 1)
 
     def _rotation_prev(self, dart: Dart) -> Dart:
         x = self.dart_tail(dart)
@@ -245,12 +230,6 @@ class DualDigraph:
     def arcs(self) -> list[tuple[int, int]]:
         return list(zip(self.tail, self.head))
 
-    def out_edges(self, r: int) -> list[int]:
-        return [c for c in range(self.n_edges) if self.tail[c] == r]
-
-    def in_edges(self, r: int) -> list[int]:
-        return [c for c in range(self.n_edges) if self.head[c] == r]
-
     def with_root(self, r0: int, kappa: int) -> "DualDigraph":
         if self.head[kappa] != r0:
             raise GraphInputError(
@@ -265,17 +244,6 @@ class DualDigraph:
     def admissible_pairs(self) -> list[tuple[int, int]]:
         """All (r0, kappa) pairs: every edge points at exactly one root."""
         return [(self.head[c], c) for c in range(self.n_edges)]
-
-    def to_dot(self) -> str:
-        lines = ["digraph Gdual {"]
-        for r in range(self.n_vertices):
-            mark = " (r0)" if r == self.r0 else ""
-            lines.append(f'  r{r} [label="r{r}{mark}"];')
-        for c in range(self.n_edges):
-            style = ' style=bold' if c == self.kappa else ""
-            lines.append(f'  r{self.tail[c]} -> r{self.head[c]} [label="{c}"{style}];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def build_dual(
@@ -354,11 +322,12 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
         rotations = {
             str(x): [int(c) for c in r] for x, r in document["rotation"].items()
         }
+        kappa = document.get("kappa")
+        kappa = None if kappa is None else int(kappa)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed document: {exc}") from exc
     g = PlaneBipartiteGraph(e_vertices, v_vertices, edges, rotations)
 
-    kappa = document.get("kappa")
     r0 = None
     if "r0" in document:
         try:
@@ -371,15 +340,34 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
         if not 0 <= c < g.n_edges:
             raise GraphInputError(f"r0 dart edge {c} out of range")
         r0 = g.face_of((c, 0 if direction == "ev" else 1))
-    if kappa is not None and not 0 <= int(kappa) < g.n_edges:
+    if kappa is not None and not 0 <= kappa < g.n_edges:
         raise GraphInputError(f"kappa {kappa} out of range")
-    dual = build_dual(g, r0, int(kappa) if kappa is not None else None)
+    dual = build_dual(g, r0, kappa)
     return g, dual
 
 
-def trace_faces(g: PlaneBipartiteGraph):
-    """The traced faces of the map (computed at construction time)."""
-    return g.faces
+def block_subgraph(g: PlaneBipartiteGraph, edge_ids) -> PlaneBipartiteGraph:
+    """The plane subgraph on the given edges, renumbered in ascending order.
+
+    Vertices keep their names and their rotations restricted to the kept
+    edges; vertices no kept edge touches are dropped.  The kept edges must
+    form a connected subgraph, such as a block.
+    """
+    keep = set(edge_ids)
+    edge_map = {c: i for i, c in enumerate(sorted(keep))}
+    touched = g.incident_vertices(keep)
+    edges = [g.edges[c] for c in sorted(keep)]
+    rotations = {
+        x: [edge_map[c] for c in g.rotations[x] if c in keep]
+        for x in g.rotations
+        if x in touched
+    }
+    return PlaneBipartiteGraph(
+        [e for e in g.e_vertices if e in touched],
+        [v for v in g.v_vertices if v in touched],
+        edges,
+        rotations,
+    )
 
 
 def dual_subgraph(g: PlaneBipartiteGraph, primal_edges) -> frozenset[int]:

@@ -5,7 +5,8 @@ and checked against the brute-force enumeration, the triangulation is
 validated and shelled, the two h-vector routes are compared, the parking
 bijection is round-tripped, and the three top formulas are compared with
 each other and (under the crossing cap) with the skein oracle's z-slice.
-Morton audits run on the full diagram and on every type-II leaf diagram.
+The oracle audits the Morton bound on the full diagram, and the strict
+bound is audited on every type-II leaf diagram.
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ class VerifyReport:
         if not ok:
             self.ok = False
 
-    def failures(self):
-        return [c for c in self.checks if not c["ok"]]
-
     def to_json(self):
         return {"ok": self.ok, "summary": self.summary, "checks": self.checks}
 
@@ -82,8 +80,8 @@ def verify_graph(
     oracle_note = "skipped (over crossing cap)"
     if n <= cap:
         diagram = median_diagram(g)
+        # homfly_skein itself audits the Morton bound n - s + 1 on its value
         P = homfly_skein(diagram, cap=cap)
-        morton_audit(diagram, strict=False, cap=cap)
         ns = diagram.seifert_circle_count()
         report.record(
             "median-counts", diagram.n_crossings == n and ns == s,
@@ -96,12 +94,16 @@ def verify_graph(
     tops: set[Laurent1] = set()
     h_values: set[Laurent1] = set()
     p_by_root: dict[int, Laurent1] = {}
+    parkings_by_root: dict[int, list] = {}
     brute_by_root: dict[int, set] = {}
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
         if r0 not in brute_by_root:
             brute_by_root[r0] = spanning_arborescences_bruteforce(rooted)
+            # the parking functions depend on the root, not on kappa
+            parkings_by_root[r0], p_by_root[r0] = parking_for_dual(rooted)
         brute = brute_by_root[r0]
+        parkings, p = parkings_by_root[r0], p_by_root[r0]
         tree = build_arb_tree(rooted)
         leaves = tree.type_one_leaves()
         tag = f"r0={r0} kappa={kappa}"
@@ -131,8 +133,6 @@ def verify_graph(
         report.record(f"h-count [{tag}]", h.eval_int(1) == len(tri.simplices))
         h_values.add(h)
 
-        parkings, p = parking_for_dual(rooted)
-        p_by_root[r0] = p
         report.record(f"leaf-enumerator-equals-p [{tag}]", leaf_enumerator(tree) == p)
         round_trips = True
         images = set()

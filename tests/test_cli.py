@@ -1,4 +1,5 @@
 import json
+import types
 
 import pytest
 
@@ -207,3 +208,42 @@ class TestErrors:
         code, _, err = run(capsys, "homfly", "--input", k32_path, "--cap", "3")
         assert code == 2
         assert json.loads(err)["error"] == "input"
+
+    @staticmethod
+    def _k32_with(tmp_path, **fields):
+        g, _ = k32_three_strand()
+        doc = g.to_document(r0_dart=(0, 1), kappa=0)
+        doc.update(fields)
+        path = tmp_path / "k32_edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_non_integer_kappa_in_document(self, capsys, tmp_path):
+        path = self._k32_with(tmp_path, kappa="x")
+        code, _, err = run(capsys, "top", "--input", path)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+    def test_zero_sign_rejected(self, capsys, tmp_path):
+        path = self._k32_with(tmp_path, signs=[0] * 6)
+        code, _, err = run(capsys, "homogeneous", "--input", path)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+    def test_input_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--input", str(tmp_path))
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+    def test_gen_without_edges(self, capsys):
+        code, _, err = run(capsys, "gen", "--max-edges", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+
+class TestPackageSurface:
+    def test_star_import_binds_no_module(self):
+        namespace = {}
+        exec("from homflytop import *", namespace)
+        modules = [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+        assert modules == []

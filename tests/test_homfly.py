@@ -26,7 +26,7 @@ from homflytop.homfly import (
     morton_audit,
     UNLINK_FACTOR,
 )
-from homflytop.planegraph import biconnected_blocks
+from homflytop.planegraph import biconnected_blocks, block_subgraph
 from homflytop.fixtures import (
     single_edge,
     bigon,
@@ -306,13 +306,11 @@ class TestTops:
 class TestHomogeneous:
     @staticmethod
     def _block_enumerators(g, signs):
-        from homflytop.cli import _block_subgraph
-
         names = list(g.e_vertices) + list(g.v_vertices)
         blocks = biconnected_blocks(names, list(g.edges), signs)
         pos, neg = [], []
         for block in blocks.blocks:
-            sub = _block_subgraph(g, block.edge_ids)
+            sub = block_subgraph(g, block.edge_ids)
             _, p = parking_for_dual(build_dual(sub, kappa_edge=0))
             (pos if block.sign > 0 else neg).append(p)
         return blocks, pos, neg

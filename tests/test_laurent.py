@@ -54,6 +54,20 @@ class TestArithmetic:
             L1({1: 1}) + L2({(1, 0): 1})
         with pytest.raises(TypeError):
             L2({(1, 0): 1}) * L1({1: 1})
+        with pytest.raises(TypeError):
+            L2({(1, 0): 1}) - L1({1: 1})
+        assert Laurent1.zero() != Laurent2.zero()
+        assert Laurent1.const(3) != Laurent2.const(3)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(L1({1: 1}) * 2) == hash(L1({1: 2, 0: 0}, "u"))
+        assert hash(L2({(1, 1): 1}) + L2({(1, 1): 1})) == hash(L2({(1, 1): 2}))
+        assert len({L1({2: 1}), L1({2: 1}, "y"), L1({1: 1}) ** 2}) == 1
+
+    @pytest.mark.parametrize("p", [L1({1: 1}), L2({(1, 0): 1})])
+    def test_immutable(self, p):
+        with pytest.raises(AttributeError):
+            p.coeffs = {}
 
     def test_power(self):
         assert L1({1: 1, 0: 1}) ** 2 == L1({2: 1, 1: 2, 0: 1})
@@ -129,7 +143,13 @@ class TestSubstitutions:
 
 
 class TestTextRoundTrip:
-    cases_1 = [L1({}), L1({0: 3}), L1({4: 1, 3: 2}), L1({-2: -1, 0: 5, 3: -7})]
+    cases_1 = [
+        L1({}),
+        L1({0: 3}),
+        L1({4: 1, 3: 2}),
+        L1({-2: -1, 0: 5, 3: -7}),
+        L1({-1: 2, 3: -1}, "u"),
+    ]
     cases_2 = [
         L2({}),
         L2({(0, 0): -2}),
@@ -139,7 +159,8 @@ class TestTextRoundTrip:
 
     @pytest.mark.parametrize("p", cases_1)
     def test_one_variable(self, p):
-        assert Laurent1.parse(str(p)) == p
+        q = Laurent1.parse(str(p))
+        assert q == p and q.var == p.var
 
     @pytest.mark.parametrize("p", cases_2)
     def test_two_variables(self, p):
