@@ -14,6 +14,10 @@ The oracle resolves the first crossing that breaks descending order
 (components in a fixed order, each walked from a basepoint) with the skein
 relation P+ = v^2 P- + vz P0 and bottoms out on descending diagrams, which
 are unlinks.  Values are memoized on canonical codes of connected pieces.
+The memo may be shared across diagrams (``homfly_skein(d, memo=m)``): a
+code fixes its piece up to renumbering of the crossings, signs and over
+bits included, and the HOMFLY value depends on nothing else, so an entry
+made for one diagram is correct for every other.
 """
 
 from __future__ import annotations
@@ -231,50 +235,90 @@ class LinkDiagram:
         return None
 
     def canonical_code(self):
-        """Relabeling-invariant code; defined for interaction-connected diagrams."""
-        best = None
-        for start in range(len(self.succ)):
-            code = self._code_from(start)
-            if best is None or code < best:
-                best = code
-        return best
+        """Relabeling-invariant code; defined for interaction-connected diagrams.
 
-    def _code_from(self, start: int):
-        number: dict[int, int] = {}
-        seq: list[tuple[int, int]] = []
-        visited: set[int] = set()
-        pending = start
-        while pending is not None:
-            p = pending
-            while p not in visited:
-                visited.add(p)
-                c = p // 2
-                if c not in number:
-                    number[c] = len(number)
-                seq.append((number[c], 1 if p == self.over_pass(c) else 0))
-                p = self.succ[p]
-            seq.append((-1, -1))
-            pending = None
-            # next component: partner pass of the lowest-numbered crossing
-            # whose other pass is unvisited
-            best_crossing = None
-            for c, idx in number.items():
-                for q in (2 * c, 2 * c + 1):
-                    if q not in visited and (
-                        best_crossing is None or idx < best_crossing[0]
-                    ):
-                        best_crossing = (idx, q)
-            if best_crossing is not None:
-                pending = best_crossing[1]
-        if len(visited) != len(self.succ):
-            raise InvariantError("canonical code requires a connected diagram")
-        signs = tuple(
-            s
-            for _, s in sorted(
-                (number[c], self.signs[c]) for c in range(self.n_crossings)
-            )
+        A walk from a start pass numbers crossings in order of first visit
+        and records (number, over bit) for each pass, then (-1, -1) when
+        its component closes; it goes on from the unvisited pass of the
+        lowest-numbered crossing that has one.  The crossing signs in
+        number order follow.  The code is the least walk code over all
+        start passes.
+
+        All walk codes of one diagram have the same length, so they compare
+        entry by entry.  A walk from an under pass opens with (0, 0) and one
+        from an over pass with (0, 1), so only under passes are tried, and
+        each walk is dropped at its first entry above the best code so far.
+        The first walk always runs to the end, so a disconnected diagram
+        raises InvariantError.
+        """
+        over_bit = [0] * len(self.succ)
+        for c, b in enumerate(self.over):
+            over_bit[2 * c + b] = 1
+        best = None
+        for c, b in enumerate(self.over):
+            walk = self._walk_code(2 * c + 1 - b, over_bit, best)
+            if walk is not None:
+                best = walk
+        if best is None:
+            return None
+        entries, signs = best
+        return (
+            tuple((e >> 1, e & 1) if e >= 0 else (-1, -1) for e in entries),
+            signs,
         )
-        return (tuple(seq), signs)
+
+    def _walk_code(self, start: int, over_bit: list[int], best):
+        """Walk code from ``start`` as (entries, signs); None unless below ``best``.
+
+        An entry is 2 * number + over bit, or -1 where a component closes;
+        the integers order the same way as the (number, bit) pairs.
+        """
+        n = self.n_crossings
+        succ = self.succ
+        number = [-1] * n
+        order: list[int] = []
+        visited = [False] * (2 * n)
+        entries: list[int] = []
+        bound = None if best is None else best[0]  # None once strictly below
+        next_crossing = 0  # order[:next_crossing] have both passes visited
+        p = start
+        while True:
+            while not visited[p]:
+                visited[p] = True
+                c = p >> 1
+                k = number[c]
+                if k < 0:
+                    k = number[c] = len(order)
+                    order.append(c)
+                entry = 2 * k + over_bit[p]
+                if bound is not None:
+                    b = bound[len(entries)]
+                    if entry > b:
+                        return None
+                    if entry < b:
+                        bound = None
+                entries.append(entry)
+                p = succ[p]
+            if bound is not None and bound[len(entries)] != -1:
+                bound = None
+            entries.append(-1)
+            while next_crossing < len(order):
+                c = order[next_crossing]
+                if not visited[2 * c]:
+                    p = 2 * c
+                    break
+                if not visited[2 * c + 1]:
+                    p = 2 * c + 1
+                    break
+                next_crossing += 1
+            else:
+                break
+        if len(order) != n:
+            raise InvariantError("canonical code requires a connected diagram")
+        signs = tuple(self.signs[c] for c in order)
+        if bound is not None and signs >= best[1]:
+            return None
+        return entries, signs
 
     # -- PD interchange -----------------------------------------------------
 
@@ -424,7 +468,9 @@ def median_diagram(
 # -- the skein oracle ---------------------------------------------------------
 
 
-def homfly_skein(d: LinkDiagram, cap: int = 14) -> Laurent2:
+def homfly_skein(
+    d: LinkDiagram, cap: int = 14, memo: dict | None = None
+) -> Laurent2:
     """HOMFLY polynomial of the link presented by the diagram.
 
     Descending-diagram recursion: P+ = v^2 P- + vz P0 applied at the first
@@ -432,14 +478,16 @@ def homfly_skein(d: LinkDiagram, cap: int = 14) -> Laurent2:
     Raises CrossingCapExceeded when the diagram has more than ``cap``
     crossings.
 
-    Every run is audited against the degree bound maxdeg_z <= n - s + 1;
-    a violation would mean the computation is broken.
+    ``memo`` maps canonical codes of connected pieces to their values; pass
+    one dict to several calls to share it across diagrams (default: a fresh
+    dict).  Every run is audited against the degree bound
+    maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
         raise CrossingCapExceeded(
             f"{d.n_crossings} crossings exceeds the cap of {cap}"
         )
-    value = _homfly(d, {})
+    value = _homfly(d, {} if memo is None else memo)
     maxdeg = value.max_degree_second()
     bound = d.n_crossings - d.seifert_circle_count() + 1
     if maxdeg is not None and maxdeg > bound:
@@ -555,15 +603,16 @@ class MortonReport:
 
 
 def morton_audit(
-    d: LinkDiagram, strict: bool = False, cap: int = 14
+    d: LinkDiagram, strict: bool = False, cap: int = 14, memo: dict | None = None
 ) -> MortonReport:
     """Check the z-degree of the diagram's HOMFLY value against n - s + 1.
 
     With ``strict`` (diagrams with an alternating contour, e.g. medians of
     type-II leaves) the sharper bound n - s - 1 is asserted as well.  A
     violated bound means the implementation is broken, not the theorem.
+    ``memo`` is passed on to ``homfly_skein``.
     """
-    P = homfly_skein(d, cap=cap)
+    P = homfly_skein(d, cap=cap, memo=memo)
     n = d.n_crossings
     s = d.seifert_circle_count()
     maxdeg = P.max_degree_second()

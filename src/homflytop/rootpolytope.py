@@ -235,18 +235,24 @@ def f_vector(tri: Triangulation) -> Laurent1:
     """Face-count polynomial f(y) = y^(d+1) + f_0 y^d + ... + f_d.
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
-    across simplices; the leading term counts the empty face.
+    across simplices; the leading term counts the empty face.  Each polytope
+    point is one bit, so a simplex is a mask and its faces are its submasks.
     """
     d = tri.dimension
-    faces: set[frozenset] = set()
+    bit: dict[tuple[str, str], int] = {}
+    faces: set[int] = set()
     for simplex in tri.simplices:
-        pts = tuple(tri.points(simplex))
-        for k in range(len(pts) + 1):
-            for sub in combinations(pts, k):
-                faces.add(frozenset(sub))
+        mask = 0
+        for pt in tri.points(simplex):
+            mask |= bit.setdefault(pt, 1 << len(bit))
+        sub = mask
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+        faces.add(0)
     out: dict[int, int] = {}
     for face in faces:
-        e = d + 1 - len(face)
+        e = d + 1 - face.bit_count()
         out[e] = out.get(e, 0) + 1
     return Laurent1(out, "y")
 

@@ -1,6 +1,7 @@
 import pytest
 
 from homflytop.gen import corpus
+from homflytop.planegraph import PlaneBipartiteGraph
 
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 220
@@ -11,3 +12,47 @@ CORPUS_MAX_EDGES = 8
 def graph_corpus():
     """Deterministic corpus of small connected plane bipartite graphs."""
     return corpus(seed=CORPUS_SEED, count=CORPUS_SIZE, max_edges=CORPUS_MAX_EDGES)
+
+
+def _grid_graph(a: int, b: int, dropped=()) -> PlaneBipartiteGraph:
+    """The a x b checkerboard grid without the dropped edge ids.
+
+    Vertex (i, j) sits at x = j, y = i and is an E-vertex when i + j is
+    even; each rotation lists the east, north, west and south edges.
+    """
+    cells = [(i, j) for i in range(a) for j in range(b)]
+    pairs = [
+        ((i, j), (i + di, j + dj))
+        for i, j in cells
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < a and j + dj < b
+    ]
+    kept = [pair for c, pair in enumerate(pairs) if c not in dropped]
+    index = {frozenset(pair): c for c, pair in enumerate(kept)}
+
+    def name(x):
+        return f"{'e' if sum(x) % 2 == 0 else 'v'}{x[0]}_{x[1]}"
+
+    rotations = {}
+    for i, j in cells:
+        around = [
+            frozenset({(i, j), (i + di, j + dj)})
+            for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0))
+        ]
+        rotations[name((i, j))] = [index[k] for k in around if k in index]
+    edges = [
+        (name(x), name(y)) if sum(x) % 2 == 0 else (name(y), name(x))
+        for x, y in kept
+    ]
+    return PlaneBipartiteGraph(
+        [name(x) for x in cells if sum(x) % 2 == 0],
+        [name(x) for x in cells if sum(x) % 2 == 1],
+        edges,
+        rotations,
+    )
+
+
+@pytest.fixture(scope="session")
+def grid_graph():
+    """Builder of checkerboard grid subgraphs: grid_graph(a, b, dropped=())."""
+    return _grid_graph

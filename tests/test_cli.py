@@ -144,6 +144,41 @@ class TestCommands:
         assert code == 0
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize(
+        "stage, failed_check",
+        [
+            ("homfly_skein", "homfly-oracle"),
+            ("triangulation_from_arbtree", "triangulation ["),
+            ("verify_shelling", "shelling ["),
+        ],
+    )
+    def test_verify_reports_invariant_failure(
+        self, capsys, monkeypatch, k32_path, stage, failed_check
+    ):
+        from homflytop import verify
+        from homflytop.planegraph import InvariantError
+
+        def fail(*args, **kwargs):
+            raise InvariantError(f"forced failure in {stage}")
+
+        monkeypatch.setattr(verify, stage, fail)
+        code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        failed = [c for c in payload["checks"] if not c["ok"]]
+        assert failed
+        for check in failed:
+            assert check["invariant"].startswith(failed_check)
+            assert check["detail"] == f"forced failure in {stage}"
+        # checks that do not need the failed result still run
+        names = [c["invariant"] for c in payload["checks"]]
+        for kept in (
+            "leaves-match-bruteforce", "parking-bijection", "type-two-morton-strict"
+        ):
+            assert any(name.startswith(kept) for name in names)
+
     def test_root_override(self, capsys, k32_path):
         code, out, _ = run(
             capsys, "top", "--input", k32_path, "--kappa", "3", "--format", "json"

@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from homflytop.planegraph import build_dual
+from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import build_arb_tree
 from homflytop.laurent import Laurent1, Laurent2, conway_and_alexander
 from homflytop.parking import parking_for_dual
@@ -41,6 +42,69 @@ TREFOIL = Laurent2({(2, 2): 1, (2, 0): 2, (4, 0): -1})
 K32_HOMFLY = Laurent2(
     {(2, 2): 1, (4, 2): 2, (4, 0): 3, (6, 0): -3, (4, -2): 1, (6, -2): -2, (8, -2): 1}
 )
+
+
+def _reference_code_from(d: LinkDiagram, start: int):
+    """Walk code from one start pass, built in full (reference for canonical_code)."""
+    number: dict[int, int] = {}
+    seq: list[tuple[int, int]] = []
+    visited: set[int] = set()
+    pending = start
+    while pending is not None:
+        p = pending
+        while p not in visited:
+            visited.add(p)
+            c = p // 2
+            if c not in number:
+                number[c] = len(number)
+            seq.append((number[c], 1 if p == d.over_pass(c) else 0))
+            p = d.succ[p]
+        seq.append((-1, -1))
+        pending = None
+        # next component: partner pass of the lowest-numbered crossing
+        # whose other pass is unvisited
+        best_crossing = None
+        for c, idx in number.items():
+            for q in (2 * c, 2 * c + 1):
+                if q not in visited and (
+                    best_crossing is None or idx < best_crossing[0]
+                ):
+                    best_crossing = (idx, q)
+        if best_crossing is not None:
+            pending = best_crossing[1]
+    if len(visited) != len(d.succ):
+        raise InvariantError("canonical code requires a connected diagram")
+    signs = tuple(
+        s for _, s in sorted((number[c], d.signs[c]) for c in range(d.n_crossings))
+    )
+    return (tuple(seq), signs)
+
+
+def reference_code(d: LinkDiagram):
+    """The least walk code over all 2n start passes."""
+    return min(
+        (_reference_code_from(d, start) for start in range(len(d.succ))),
+        default=None,
+    )
+
+
+def grid_pieces(grid_graph) -> list[LinkDiagram]:
+    """Pieces of 3x3 grid subgraph medians and of their switches and smoothings."""
+    out = []
+    for dropped in ((), (0,), (5,), (3, 8)):
+        d = median_diagram(grid_graph(3, 3, dropped))
+        out += d.split_parts()
+        for c in range(0, d.n_crossings, 3):
+            out += d.switch(c).split_parts() + d.smooth(c).split_parts()
+    return out
+
+
+def type_two_leaf_diagrams(g, dual) -> list[LinkDiagram]:
+    tree = build_arb_tree(dual)
+    return [
+        median_diagram(g, decorated_subgraph_at(g, leaf))
+        for leaf in tree.type_two_leaves()
+    ]
 
 
 class TestMedianConstruction:
@@ -206,6 +270,84 @@ class TestSkeinOracle:
                 value = homfly_skein(median_diagram(g, decorated_subgraph_at(g, leaf)))
                 total = total + weight * value
             assert total == homfly_skein(median_diagram(g))
+
+
+class TestCanonicalCode:
+    def test_matches_reference_on_corpus_medians(self, graph_corpus):
+        for g in graph_corpus:
+            for piece in median_diagram(g).split_parts():
+                assert piece.canonical_code() == reference_code(piece)
+
+    def test_matches_reference_on_k32_type_two_leaves(self):
+        g, dual = k32_three_strand()
+        pieces = [
+            piece
+            for d in type_two_leaf_diagrams(g, dual)
+            for piece in d.split_parts()
+        ]
+        assert pieces
+        for piece in pieces:
+            assert piece.canonical_code() == reference_code(piece)
+
+    def test_matches_reference_on_grid_subgraphs(self, grid_graph):
+        for piece in grid_pieces(grid_graph):
+            assert piece.canonical_code() == reference_code(piece)
+
+    def test_matches_reference_on_every_sign_pattern(self):
+        # symmetric shadows give equal walks from several starts; the signs
+        # then break the tie
+        for fixture in (bigon, theta, k32_three_strand):
+            d = median_diagram(fixture()[0])
+            for signs in product((1, -1), repeat=d.n_crossings):
+                signed = LinkDiagram(signs, d.succ, d.over)
+                assert signed.canonical_code() == reference_code(signed)
+
+    def test_unchanged_under_relabel(self, graph_corpus, grid_graph):
+        rng = random.Random(11)
+        pieces = grid_pieces(grid_graph) + [
+            piece
+            for g in graph_corpus[:60]
+            for piece in median_diagram(g).split_parts()
+        ]
+        for piece in pieces:
+            code = piece.canonical_code()
+            for _ in range(3):
+                perm = list(range(piece.n_crossings))
+                rng.shuffle(perm)
+                assert piece.relabel(perm).canonical_code() == code
+
+    def test_disconnected_diagram_raises(self):
+        g, _ = bigon()
+        hopf = median_diagram(g)
+        shifted = tuple(q + len(hopf.succ) for q in hopf.succ)
+        two_hopfs = LinkDiagram(hopf.signs * 2, hopf.succ + shifted, hopf.over * 2)
+        assert len(two_hopfs.split_parts()) == 2
+        with pytest.raises(InvariantError):
+            two_hopfs.canonical_code()
+
+
+class TestSharedMemo:
+    def test_shared_memo_gives_fresh_values(self, graph_corpus):
+        cases = [k32_three_strand()] + [
+            (g, build_dual(g, kappa_edge=0)) for g in graph_corpus[:20]
+        ]
+        memo: dict = {}
+        diagrams = [d for g, dual in cases for d in type_two_leaf_diagrams(g, dual)]
+        assert diagrams
+        for d in diagrams:
+            assert homfly_skein(d, memo=memo) == homfly_skein(d)
+        assert memo
+
+    def test_morton_audit_with_memo_raises_on_forced_violation(self):
+        g, _ = k32_three_strand()
+        d = median_diagram(g)
+        memo: dict = {}
+        report = morton_audit(d, memo=memo)
+        assert report.max_z_degree == report.bound == 2
+        # plant a value above the bound n - s + 1 = 2 under the diagram's code
+        memo[d.canonical_code()] = Laurent2({(0, 3): 1})
+        with pytest.raises(InvariantError):
+            morton_audit(d, memo=memo)
 
 
 class TestConwayAlexander:

@@ -193,6 +193,27 @@ class TestShellingAndVectors:
                 skipped = [k for _, k in tree.type_one_leaves()]
                 assert sorted(counts) == sorted(skipped)
 
+    def test_f_vector_matches_subset_reference(self, graph_corpus, grid_graph):
+        def reference_f(tri):
+            faces = set()
+            for simplex in tri.simplices:
+                pts = tuple(tri.points(simplex))
+                for k in range(len(pts) + 1):
+                    faces.update(frozenset(sub) for sub in combinations(pts, k))
+            out = {}
+            for face in faces:
+                e = tri.dimension + 1 - len(face)
+                out[e] = out.get(e, 0) + 1
+            return Laurent1(out, "y")
+
+        graphs = list(graph_corpus[:60]) + [
+            grid_graph(3, 3, dropped) for dropped in ((), (0,), (5,), (3, 8))
+        ]
+        for g in graphs:
+            dual = build_dual(g, kappa_edge=0)
+            tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+            assert f_vector(tri) == reference_f(tri)
+
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
             dual = build_dual(g, kappa_edge=0)
