@@ -166,7 +166,8 @@ class LinkDiagram:
         """Connected pieces of the crossing-interaction structure.
 
         Two components belong to one piece when some crossing involves both.
-        Free loops are dropped; the caller accounts for them.
+        Free loops are dropped; the caller accounts for them.  A diagram that
+        is one piece with no free loops is returned as itself.
         """
         comps = self.components()
         comp_of = {}
@@ -188,6 +189,8 @@ class LinkDiagram:
         groups: dict[int, list[int]] = {}
         for c in range(self.n_crossings):
             groups.setdefault(find(comp_of[2 * c]), []).append(c)
+        if len(groups) == 1 and not self.free_loops:
+            return [self]
         parts = []
         for crossings in groups.values():
             crossings.sort()

@@ -4,14 +4,27 @@ Vertices of the polytope are the 0/1 vectors e + v over edges ev; parallel
 edges give the same point, so simplices are handled as sets of endpoint
 pairs.  The triangulation produced from an arborescence tree is validated
 combinatorially: pairwise compatibility (no alternating cycle between two
-trees) and cardinality equal to the number of hypertrees.
+trees) and cardinality equal to the number of hypertrees.  Each audit is
+exact and enumerates no faces or spanning trees:
+
+- compatibility, linear in the tree sizes: the endpoint pairs shared by
+  both trees are contracted with union-find, and the arcs left are searched
+  for a directed cycle with Kahn's algorithm (the alternating-cycle
+  criterion of Postnikov, "Permutohedra, associahedra, and beyond", 2009);
+- hypertrees: the G-draconian sequences of the same paper, f(S) <= |N(S)| - 1
+  over the 2^|E| subsets S of the E class, equivalent to Kalman's bound
+  f(S) <= |N(S)| - c(S);
+- f-vector: the faces new in each simplex, by inclusion-exclusion over its
+  maximal intersections with the earlier ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from .laurent import Laurent1
 from .planegraph import InvariantError, PlaneBipartiteGraph
@@ -88,6 +101,20 @@ def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, b
 
 # -- compatibility -----------------------------------------------------------
 
+# per graph: edge id -> endpoint-pair id, pair id -> (E id, V id), vertex
+# count; E-vertices are numbered first, and parallel edges share a pair
+_PAIR_IDS: "WeakKeyDictionary[PlaneBipartiteGraph, tuple]" = WeakKeyDictionary()
+
+
+def _pair_ids(g: PlaneBipartiteGraph):
+    ids = _PAIR_IDS.get(g)
+    if ids is None:
+        pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
+        pairs: dict[tuple[int, int], int] = {}
+        of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
+        ids = _PAIR_IDS[g] = (of_edge, list(pairs), g.n_vertices)
+    return ids
+
 
 def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     """Whether the simplices of two spanning trees meet in a common face.
@@ -96,30 +123,50 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     compatible iff the union digraph has no simple directed cycle through
     four or more vertices.  (Directed 2-cycles come from shared or parallel
     edges and correspond to shared polytope vertices, not violations.)
+
+    Endpoint pairs in both trees are arcs both ways, so each connected set
+    of them is strongly connected and is contracted with union-find; a
+    cycle among them is already a long directed cycle.  Otherwise a long
+    cycle exists iff the remaining arcs, between contracted classes, form a
+    self-loop or a directed cycle, which Kahn's algorithm detects.  This is
+    linear in the vertex count and the tree sizes.
     """
-    forward: dict[str, set[str]] = {}
-    backward: dict[str, set[str]] = {}
-    for c in t1:
-        e, v = g.edges[c]
-        forward.setdefault(e, set()).add(v)
-    for c in t2:
-        e, v = g.edges[c]
-        backward.setdefault(v, set()).add(e)
-
-    def hunt(start: str) -> bool:
-        # depth-first search for a simple cycle of length >= 4 back to start
-        stack = [(start, frozenset([start]), 0, True)]
-        while stack:
-            x, path, depth, from_e = stack.pop()
-            nbrs = forward.get(x, ()) if from_e else backward.get(x, ())
-            for y in nbrs:
-                if y == start and depth + 1 >= 4:
-                    return True
-                if y not in path:
-                    stack.append((y, path | {y}, depth + 1, not from_e))
-        return False
-
-    return not any(hunt(e) for e in g.e_vertices)
+    of_edge, ends, n = _pair_ids(g)
+    forward = {of_edge[c] for c in t1}
+    backward = {of_edge[c] for c in t2}
+    parent = list(range(n))
+    for p in forward & backward:
+        e, v = ends[p]
+        while parent[e] != e:
+            e = parent[e]
+        while parent[v] != v:
+            v = parent[v]
+        if e == v:
+            return False
+        parent[e] = v
+    for x in range(n):
+        r = parent[x]
+        while parent[r] != r:
+            r = parent[r]
+        parent[x] = r
+    succ: dict[int, list[int]] = {}
+    indegree = [0] * n
+    for pairs, tail in ((forward - backward, 0), (backward - forward, 1)):
+        for p in pairs:
+            ends_p = ends[p]
+            x, y = parent[ends_p[tail]], parent[ends_p[1 - tail]]
+            if x == y:
+                return False
+            succ.setdefault(x, []).append(y)
+            indegree[y] += 1
+    # Kahn's algorithm on the classes with out-arcs; what is left is cyclic
+    ready = [x for x in succ if not indegree[x]]
+    while ready:
+        for y in succ.pop(ready.pop()):
+            indegree[y] -= 1
+            if not indegree[y] and y in succ:
+                ready.append(y)
+    return not succ
 
 
 # -- spanning trees and hypertrees ------------------------------------------
@@ -135,13 +182,51 @@ def spanning_trees(g: PlaneBipartiteGraph) -> list[frozenset[int]]:
 
 
 def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
-    """Valence-minus-one distributions over E realized by spanning trees."""
+    """Valence-minus-one distributions over E realized by spanning trees.
+
+    These are the G-draconian sequences (Postnikov, "Permutohedra,
+    associahedra, and beyond", 2009): vectors f >= 0 on E with sum
+    |V| - 1 and f(S) <= |N(S)| - 1 for every nonempty S of E, equivalent
+    to Kalman's bound f(S) <= |N(S)| - c(S).  Coordinates are assigned in
+    E order; the bounds of the subsets whose last member is the coordinate
+    just assigned cap its value.
+    """
+    k = len(g.e_vertices)
+    e_pos = {e: i for i, e in enumerate(g.e_vertices)}
+    v_pos = {v: i for i, v in enumerate(g.v_vertices)}
+    nbrs = [0] * k
+    for e, v in g.edges:
+        nbrs[e_pos[e]] |= 1 << v_pos[v]
+    # room[S] = |N(S)| - 1 over subsets S of E as bitmasks
+    union = [0] * (1 << k)
+    room = [-1] * (1 << k)
+    for subset in range(1, 1 << k):
+        low = subset & -subset
+        union[subset] = union[subset ^ low] | nbrs[low.bit_length() - 1]
+        room[subset] = union[subset].bit_count() - 1
+    # most that the coordinates from i on can add up to
+    tail = [0] * (k + 1)
+    for i in reversed(range(k)):
+        tail[i] = tail[i + 1] + room[1 << i]
+    total = len(g.v_vertices) - 1
     found = set()
-    for tree in spanning_trees(g):
-        degree = {e: 0 for e in g.e_vertices}
-        for c in tree:
-            degree[g.edges[c][0]] += 1
-        found.add(tuple(degree[e] - 1 for e in g.e_vertices))
+    f = [0] * k
+    sums = [0] * (1 << k)  # f(S) over subsets of the assigned coordinates
+
+    def extend(i: int, left: int):
+        if i == k:
+            if left == 0:
+                found.add(tuple(f))
+            return
+        bit = 1 << i
+        cap = min(room[bit | s] - sums[s] for s in range(bit))
+        for x in range(max(0, left - tail[i + 1]), min(cap, left) + 1):
+            f[i] = x
+            for s in range(bit):
+                sums[bit | s] = sums[s] + x
+            extend(i + 1, left - x)
+
+    extend(0, total)
     return found
 
 
@@ -236,25 +321,52 @@ def f_vector(tri: Triangulation) -> Laurent1:
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
     across simplices; the leading term counts the empty face.  Each polytope
-    point is one bit, so a simplex is a mask and its faces are its submasks.
+    point is one bit, so a simplex is a mask.  The faces new in each simplex
+    are counted by inclusion-exclusion over its maximal intersections with
+    the simplices before it, with binomials; the total holds for any order.
     """
     d = tri.dimension
     bit: dict[tuple[str, str], int] = {}
-    faces: set[int] = set()
+    masks = []
     for simplex in tri.simplices:
         mask = 0
         for pt in tri.points(simplex):
             mask |= bit.setdefault(pt, 1 << len(bit))
-        sub = mask
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & mask
-        faces.add(0)
-    out: dict[int, int] = {}
-    for face in faces:
-        e = d + 1 - face.bit_count()
-        out[e] = out.get(e, 0) + 1
+        masks.append(mask)
+    covered = _covered_faces(_maximal(masks), {})
+    out = {d + 1 - j: c for j, c in enumerate(covered) if c}
+    if masks:
+        out[d + 1] = 1  # the empty face
     return Laurent1(out, "y")
+
+
+def _maximal(masks) -> tuple[int, ...]:
+    """The distinct inclusion-maximal nonzero masks, largest first, ties in
+    the given order."""
+    kept: list[int] = []
+    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        if m and all(m & k != m for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
+    """Per size, the nonempty subsets lying inside some member of an antichain.
+
+    Each subset is counted at the first member containing it: the member's
+    subsets, by binomials, less those inside one of its maximal
+    intersections with the members before it, which is the same count one
+    level down (inclusion-exclusion).
+    """
+    if family in memo:
+        return memo[family]
+    out = [0] * (max((m.bit_count() for m in family), default=0) + 1)
+    for i, m in enumerate(family):
+        earlier = _covered_faces(_maximal([m & k for k in family[:i]]), memo)
+        for j in range(1, m.bit_count() + 1):
+            out[j] += comb(m.bit_count(), j) - (earlier[j] if j < len(earlier) else 0)
+    memo[family] = out
+    return out
 
 
 def h_from_f(f: Laurent1) -> Laurent1:

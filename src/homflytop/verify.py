@@ -9,9 +9,12 @@ The oracle audits the Morton bound on the full diagram, and the strict
 bound is audited on every type-II leaf diagram.  All oracle runs on one
 graph share one skein memo.
 
-An InvariantError from the oracle, the triangulation or the shelling is
-recorded as a FAIL check carrying its message; only the checks that need
-the failed result are skipped.
+An InvariantError from the oracle, the arborescence tree, the
+triangulation, the shelling or the parking bijection is recorded as a FAIL
+check carrying its message; only the checks that need the failed result are
+skipped.  A failed tree skips every other check of its pair, and when no
+pair has a tree, ``top-choice-independent`` is left out and ``summary.top``
+is null.
 """
 
 from __future__ import annotations
@@ -144,9 +147,14 @@ def verify_graph(
             parkings_by_root[r0], p_by_root[r0] = parking_for_dual(rooted)
         brute = brute_by_root[r0]
         parkings, p = parkings_by_root[r0], p_by_root[r0]
-        tree = build_arb_tree(rooted)
-        leaves = tree.type_one_leaves()
         tag = f"r0={r0} kappa={kappa}"
+        try:
+            tree = build_arb_tree(rooted)
+        except InvariantError as exc:
+            # every other check of the pair reads the tree
+            report.record(f"arbtree [{tag}]", False, str(exc))
+            continue
+        leaves = tree.type_one_leaves()
 
         report.record(
             f"leaves-match-bruteforce [{tag}]",
@@ -165,17 +173,23 @@ def verify_graph(
         report.record(f"leaf-enumerator-equals-p [{tag}]", leaf_enumerator(tree) == p)
         round_trips = True
         images = set()
-        for leaf in tree.leaves:
-            if leaf.leaf_type != "I":
-                continue
-            pi = parking_from_leaf(rooted, leaf.a, leaf.s)
-            images.add(tuple(sorted(pi.items())))
-            if sum(pi.values()) != len(leaf.s):
-                round_trips = False
-            if arborescence_from_parking(rooted, pi) != leaf.a:
-                round_trips = False
-        expected = {tuple(sorted(pi.items())) for pi in parkings}
-        report.record(f"parking-bijection [{tag}]", round_trips and images == expected)
+        try:
+            for leaf in tree.leaves:
+                if leaf.leaf_type != "I":
+                    continue
+                pi = parking_from_leaf(rooted, leaf.a, leaf.s)
+                images.add(tuple(sorted(pi.items())))
+                if sum(pi.values()) != len(leaf.s):
+                    round_trips = False
+                if arborescence_from_parking(rooted, pi) != leaf.a:
+                    round_trips = False
+        except InvariantError as exc:
+            report.record(f"parking-bijection [{tag}]", False, str(exc))
+        else:
+            expected = {tuple(sorted(pi.items())) for pi in parkings}
+            report.record(
+                f"parking-bijection [{tag}]", round_trips and images == expected
+            )
 
         t_tree = top_via_tree(tree, n, s)
         if h is not None:
@@ -207,7 +221,8 @@ def verify_graph(
     report.record("p-root-independent", len(set(p_by_root.values())) == 1)
     if h_values:
         report.record("h-choice-independent", len(h_values) == 1)
-    report.record("top-choice-independent", len(tops) == 1)
+    if tops:
+        report.record("top-choice-independent", len(tops) == 1)
     report.summary.update(
         {
             "edges": n,
@@ -216,7 +231,7 @@ def verify_graph(
             "arborescences": {str(r): len(b) for r, b in sorted(brute_by_root.items())},
             "h": str(next(iter(h_values))) if h_values else None,
             "p_by_root": {str(r): str(p) for r, p in sorted(p_by_root.items())},
-            "top": str(next(iter(tops))),
+            "top": str(next(iter(tops))) if tops else None,
         }
     )
     return report

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from homflytop.gen import corpus
-from homflytop.planegraph import PlaneBipartiteGraph
+from homflytop.planegraph import GraphInputError, PlaneBipartiteGraph
 
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 220
@@ -56,3 +58,23 @@ def _grid_graph(a: int, b: int, dropped=()) -> PlaneBipartiteGraph:
 def grid_graph():
     """Builder of checkerboard grid subgraphs: grid_graph(a, b, dropped=())."""
     return _grid_graph
+
+
+@pytest.fixture(scope="session")
+def grid_subgraphs():
+    """Connected subgraphs of the 2x3 to 3x4 grids: each whole grid, then
+    seeded ones with one to three edges dropped (ten per shape)."""
+    rng = random.Random(20240810)
+    out = []
+    for a, b in ((2, 3), (2, 4), (3, 3), (3, 4)):
+        n_edges = a * (b - 1) + b * (a - 1)
+        out.append(_grid_graph(a, b))
+        found = 0
+        while found < 10:
+            dropped = rng.sample(range(n_edges), rng.randint(1, 3))
+            try:
+                out.append(_grid_graph(a, b, dropped))
+            except GraphInputError:  # disconnected
+                continue
+            found += 1
+    return out

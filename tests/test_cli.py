@@ -179,6 +179,51 @@ class TestCommands:
         ):
             assert any(name.startswith(kept) for name in names)
 
+    @pytest.mark.parametrize(
+        "stage, failed_check, kept",
+        [
+            ("build_arb_tree", "arbtree [", ("euler-formula", "p-root-independent")),
+            (
+                "parking_from_leaf",
+                "parking-bijection [",
+                ("leaves-match-bruteforce", "top-three-ways", "type-two-morton-strict"),
+            ),
+            (
+                "arborescence_from_parking",
+                "parking-bijection [",
+                ("leaves-match-bruteforce", "top-three-ways", "type-two-morton-strict"),
+            ),
+        ],
+        ids=["build_arb_tree", "parking_from_leaf", "arborescence_from_parking"],
+    )
+    def test_verify_reports_tree_and_parking_failure(
+        self, capsys, monkeypatch, k32_path, stage, failed_check, kept
+    ):
+        from homflytop import verify
+        from homflytop.planegraph import InvariantError
+
+        def fail(*args, **kwargs):
+            raise InvariantError(f"forced failure in {stage}")
+
+        monkeypatch.setattr(verify, stage, fail)
+        code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        failed = [c for c in payload["checks"] if not c["ok"]]
+        assert failed
+        for check in failed:
+            assert check["invariant"].startswith(failed_check)
+            assert check["detail"] == f"forced failure in {stage}"
+        names = [c["invariant"] for c in payload["checks"]]
+        for name in kept:
+            assert any(n.startswith(name) for n in names)
+        if stage == "build_arb_tree":
+            # no pair has a tree, so nothing that reads one is reported
+            assert payload["summary"]["top"] is None
+            assert not any(n.startswith("top-") for n in names)
+
     def test_root_override(self, capsys, k32_path):
         code, out, _ = run(
             capsys, "top", "--input", k32_path, "--kappa", "3", "--format", "json"

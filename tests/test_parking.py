@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from homflytop.planegraph import build_dual
@@ -18,6 +20,18 @@ from homflytop.parking import (
     tutte_dual_identity,
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+
+
+def reference_is_parking_function(values, n_vertices, arcs, r0):
+    """The subset definition, over every nonempty subset of non-root vertices."""
+    others = [r for r in range(n_vertices) if r != r0]
+    if set(values) != set(others):
+        raise ValueError("function must be defined exactly on the non-root vertices")
+    for mask in range(1, 1 << len(others)):
+        subset = {others[i] for i in range(len(others)) if mask >> i & 1}
+        if not any(values[r] < relative_indegree(arcs, subset, r) for r in subset):
+            return False
+    return True
 
 
 def k32_rooted():
@@ -70,6 +84,51 @@ class TestParkingPredicate:
         dual = k32_rooted()
         with pytest.raises(ValueError):
             is_parking_function({0: 0}, 3, dual.arcs(), dual.r0)
+
+
+class TestBurningMatchesSubsetDefinition:
+    """Every function in a box one wider than the value range on each side,
+    at the first three roots that have an admissible kappa."""
+
+    @staticmethod
+    def agree_on_value_box(dual):
+        checked = accepted = 0
+        for r0 in sorted(set(dual.head))[:3]:
+            kappa = dual.head.index(r0)
+            rooted = dual.with_root(r0, kappa)
+            arcs = rooted.arcs()
+            others = [r for r in range(rooted.n_vertices) if r != r0]
+            boxes = [
+                range(-1, sum(1 for t, h in arcs if h == r and t != r) + 1)
+                for r in others
+            ]
+            for combo in product(*boxes):
+                values = dict(zip(others, combo))
+                fast = is_parking_function(values, rooted.n_vertices, arcs, r0)
+                assert fast == reference_is_parking_function(
+                    values, rooted.n_vertices, arcs, r0
+                )
+                checked += 1
+                accepted += fast
+        return checked, accepted
+
+    def test_corpus(self, graph_corpus):
+        checked = accepted = 0
+        for g in graph_corpus:
+            c, a = self.agree_on_value_box(build_dual(g, kappa_edge=0))
+            checked += c
+            accepted += a
+        assert 0 < accepted < checked
+
+    def test_grid_subgraphs(self, grid_subgraphs):
+        checked = accepted = 0
+        for g in grid_subgraphs:
+            if g.n_faces > 5:
+                continue
+            c, a = self.agree_on_value_box(build_dual(g, kappa_edge=0))
+            checked += c
+            accepted += a
+        assert 0 < accepted < checked
 
 
 class TestEnumeration:

@@ -1,6 +1,9 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
-from homflytop.planegraph import PlaneBipartiteGraph, build_dual
+import pytest
+
+from homflytop.planegraph import InvariantError, PlaneBipartiteGraph, build_dual
 from homflytop.arborescence import build_arb_tree
 from homflytop.laurent import Laurent1
 from homflytop.rootpolytope import (
@@ -10,11 +13,71 @@ from homflytop.rootpolytope import (
     spanning_trees,
     triangulation_from_arbtree,
     verify_shelling,
+    Triangulation,
     f_vector,
     h_from_f,
     h_from_shelling,
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+
+
+# -- reference implementations: the exhaustive definitions --------------------
+
+
+def reference_compatible(g, t1, t2):
+    """Depth-first search for a simple directed cycle through four or more
+    vertices, over path sets, from every E-vertex."""
+    forward = {}
+    backward = {}
+    for c in t1:
+        e, v = g.edges[c]
+        forward.setdefault(e, set()).add(v)
+    for c in t2:
+        e, v = g.edges[c]
+        backward.setdefault(v, set()).add(e)
+
+    def hunt(start):
+        stack = [(start, frozenset([start]), 0, True)]
+        while stack:
+            x, path, depth, from_e = stack.pop()
+            nbrs = forward.get(x, ()) if from_e else backward.get(x, ())
+            for y in nbrs:
+                if y == start and depth + 1 >= 4:
+                    return True
+                if y not in path:
+                    stack.append((y, path | {y}, depth + 1, not from_e))
+        return False
+
+    return not any(hunt(e) for e in g.e_vertices)
+
+
+def reference_hypertrees(g):
+    """E-degree minus one of every spanning tree, by the C(n, s-1) sweep."""
+    found = set()
+    for tree in spanning_trees(g):
+        degree = {e: 0 for e in g.e_vertices}
+        for c in tree:
+            degree[g.edges[c][0]] += 1
+        found.add(tuple(degree[e] - 1 for e in g.e_vertices))
+    return found
+
+
+def reference_f(tri):
+    """Face counts from every subset of every simplex's points."""
+    faces = set()
+    for simplex in tri.simplices:
+        pts = tuple(tri.points(simplex))
+        for k in range(len(pts) + 1):
+            faces.update(frozenset(sub) for sub in combinations(pts, k))
+    out = {}
+    for face in faces:
+        e = tri.dimension + 1 - len(face)
+        out[e] = out.get(e, 0) + 1
+    return Laurent1(out, "y")
+
+
+def triangulation_of(g):
+    return triangulation_from_arbtree(build_arb_tree(build_dual(g, kappa_edge=0)), g)
 
 
 def quadrilateral():
@@ -103,6 +166,44 @@ class TestCompatibility:
         assert checked > 100
         assert incompatible > 0
 
+    def test_agrees_with_reference_on_corpus(self, graph_corpus):
+        rng = random.Random(5)
+        for g in graph_corpus:
+            trees = spanning_trees(g)
+            pairs = [(rng.choice(trees), rng.choice(trees)) for _ in range(12)]
+            for t1, t2 in pairs:
+                assert compatible(g, t1, t2) == reference_compatible(g, t1, t2)
+
+    def test_agrees_with_reference_on_grid_subgraphs(self, grid_subgraphs):
+        rng = random.Random(6)
+        outcomes = []
+        for g in grid_subgraphs:
+            simplices = triangulation_of(g).simplices
+            trees = spanning_trees(g)
+            for _ in range(20):
+                t1 = rng.choice(simplices)
+                t2 = rng.choice(trees if rng.random() < 0.5 else simplices)
+                fast = compatible(g, t1, t2)
+                assert fast == reference_compatible(g, t1, t2)
+                outcomes.append(fast)
+        assert outcomes.count(False) > 20 and outcomes.count(True) > 20
+
+    def test_agrees_with_reference_on_random_edge_sets(
+        self, graph_corpus, grid_subgraphs
+    ):
+        rng = random.Random(7)
+        outcomes = []
+        for g in list(graph_corpus[::4]) + grid_subgraphs:
+            for _ in range(20):
+                t1, t2 = (
+                    {c for c in range(g.n_edges) if rng.random() < 0.5}
+                    for _ in range(2)
+                )
+                fast = compatible(g, t1, t2)
+                assert fast == reference_compatible(g, t1, t2)
+                outcomes.append(fast)
+        assert outcomes.count(False) > 100 and outcomes.count(True) > 100
+
     def test_disjoint_trees_of_quadrilateral_clash(self):
         g = quadrilateral()
         assert not compatible(g, {0, 3}, {1, 2})
@@ -129,6 +230,29 @@ class TestHypertrees:
         g, _ = k32_three_strand()
         assert hypertrees(g) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert len(spanning_trees(g)) == 12
+
+    def test_agrees_with_spanning_tree_sweep(self, graph_corpus, grid_subgraphs):
+        for g in list(graph_corpus) + grid_subgraphs:
+            assert hypertrees(g) == reference_hypertrees(g)
+
+    def test_rejects_a_vector_breaking_one_subset_bound(self, grid_graph):
+        g = grid_graph(2, 4)
+        nbrs = [{v for e, v in g.edges if e == x} for x in g.e_vertices]
+        subsets = [
+            s for k in range(1, len(nbrs) + 1) for s in combinations(range(len(nbrs)), k)
+        ]
+        broken_once = []
+        for f in product(*(range(len(n)) for n in nbrs)):
+            if sum(f) != len(g.v_vertices) - 1:
+                continue
+            broken = [
+                s for s in subsets
+                if sum(f[i] for i in s) > len(set().union(*(nbrs[i] for i in s))) - 1
+            ]
+            if len(broken) == 1:
+                broken_once.append(f)
+        assert broken_once
+        assert not set(broken_once) & hypertrees(g)
 
 
 class TestTriangulation:
@@ -159,6 +283,35 @@ class TestTriangulation:
             dual = build_dual(g, kappa_edge=0)
             tri = triangulation_from_arbtree(build_arb_tree(dual), g)
             assert len(tri.simplices) == len(hypertrees(g))
+
+
+class TestTriangulationRejectsBadInput:
+    """The audits inside triangulation_from_arbtree catch planted faults."""
+
+    def test_dropped_simplex_breaks_the_hypertree_count(self, grid_graph):
+        for g in (quadrilateral(), k32_three_strand()[0], grid_graph(3, 3, (4,))):
+            tree = build_arb_tree(build_dual(g, kappa_edge=0))
+            leaves = tree.type_one_leaves()
+            tree.type_one_leaves = lambda: leaves[:-1]
+            with pytest.raises(InvariantError, match="hypertrees"):
+                triangulation_from_arbtree(tree, g)
+
+    @pytest.mark.parametrize("shape", ["quadrilateral", "grid-3x3"])
+    def test_swapped_in_incompatible_tree(self, grid_graph, shape):
+        g = quadrilateral() if shape == "quadrilateral" else grid_graph(3, 3, (4,))
+        tree = build_arb_tree(build_dual(g, kappa_edge=0))
+        leaves = tree.type_one_leaves()
+        all_edges = frozenset(range(g.n_edges))
+        simplices = [all_edges - a for a, _ in leaves]
+        swap = next(
+            t for t in spanning_trees(g)
+            if t not in simplices and not reference_compatible(g, simplices[0], t)
+        )
+        # same simplex count, so only the compatibility audit can object
+        mutated = leaves[:-1] + [(all_edges - swap, leaves[-1][1])]
+        tree.type_one_leaves = lambda: mutated
+        with pytest.raises(InvariantError, match="incompatible"):
+            triangulation_from_arbtree(tree, g)
 
 
 class TestShellingAndVectors:
@@ -194,18 +347,6 @@ class TestShellingAndVectors:
                 assert sorted(counts) == sorted(skipped)
 
     def test_f_vector_matches_subset_reference(self, graph_corpus, grid_graph):
-        def reference_f(tri):
-            faces = set()
-            for simplex in tri.simplices:
-                pts = tuple(tri.points(simplex))
-                for k in range(len(pts) + 1):
-                    faces.update(frozenset(sub) for sub in combinations(pts, k))
-            out = {}
-            for face in faces:
-                e = tri.dimension + 1 - len(face)
-                out[e] = out.get(e, 0) + 1
-            return Laurent1(out, "y")
-
         graphs = list(graph_corpus[:60]) + [
             grid_graph(3, 3, dropped) for dropped in ((), (0,), (5,), (3, 8))
         ]
@@ -213,6 +354,18 @@ class TestShellingAndVectors:
             dual = build_dual(g, kappa_edge=0)
             tri = triangulation_from_arbtree(build_arb_tree(dual), g)
             assert f_vector(tri) == reference_f(tri)
+
+    def test_f_vector_any_order_matches_reference(self, graph_corpus, grid_subgraphs):
+        rng = random.Random(8)
+        for g in list(graph_corpus[:60]) + grid_subgraphs[::3]:
+            tri = triangulation_of(g)
+            expected = reference_f(tri)
+            for _ in range(3):
+                order = tri.simplices[:]
+                rng.shuffle(order)
+                assert f_vector(Triangulation(g, order)) == expected
+                prefix = Triangulation(g, order[: rng.randint(0, len(order))])
+                assert f_vector(prefix) == reference_f(prefix)
 
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
