@@ -101,8 +101,8 @@ def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, b
 
 # -- compatibility -----------------------------------------------------------
 
-# per graph: edge id -> endpoint-pair id, pair id -> (E id, V id), vertex
-# count; E-vertices are numbered first, and parallel edges share a pair
+# per graph: edge id -> endpoint-pair id, and pair id -> (E id, V id);
+# E-vertices are numbered first, and parallel edges share a pair
 _PAIR_IDS: "WeakKeyDictionary[PlaneBipartiteGraph, tuple]" = WeakKeyDictionary()
 
 
@@ -112,7 +112,7 @@ def _pair_ids(g: PlaneBipartiteGraph):
         pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
         pairs: dict[tuple[int, int], int] = {}
         of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
-        ids = _PAIR_IDS[g] = (of_edge, list(pairs), g.n_vertices)
+        ids = _PAIR_IDS[g] = (of_edge, list(pairs))
     return ids
 
 
@@ -131,7 +131,8 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     self-loop or a directed cycle, which Kahn's algorithm detects.  This is
     linear in the vertex count and the tree sizes.
     """
-    of_edge, ends, n = _pair_ids(g)
+    of_edge, ends = _pair_ids(g)
+    n = g.n_vertices
     forward = {of_edge[c] for c in t1}
     backward = {of_edge[c] for c in t2}
     parent = list(range(n))
@@ -144,7 +145,7 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
         if e == v:
             return False
         parent[e] = v
-    for x in range(n):
+    for x in range(n):  # point every vertex at its class root
         r = parent[x]
         while parent[r] != r:
             r = parent[r]
