@@ -11,7 +11,7 @@ edge at the root face and runs counterclockwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 from .planegraph import DualDigraph, InvariantError
 
@@ -216,48 +216,27 @@ def _check_type_two(dual: DualDigraph, a: frozenset[int], s: frozenset[int]):
 def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
     """All spanning arborescences, found independently of the tree machinery.
 
-    Enumerates spanning trees of the underlying undirected dual graph and
-    keeps the ones all of whose edges point away from the root.
+    An arborescence rooted at r0 picks one non-loop in-edge for every other
+    vertex, such that from every vertex the walk back along the picked edges
+    reaches r0.  Every choice of in-edges is tried; their number is the
+    product of the in-degrees, at most C(edges, vertices - 1) by AM-GM.
     """
-    n = dual.n_vertices
+    others = [r for r in range(dual.n_vertices) if r != dual.r0]
+    in_edges = [
+        [c for c in range(dual.n_edges) if dual.head[c] == r and dual.tail[c] != r]
+        for r in others
+    ]
     found: set[frozenset[int]] = set()
-    non_loops = [c for c in range(dual.n_edges) if dual.tail[c] != dual.head[c]]
-    if n == 1:
-        return {frozenset()}
-    for subset in combinations(non_loops, n - 1):
-        # undirected spanning tree check
-        parent = list(range(n))
+    for choice in product(*in_edges):
+        parent = dict(zip(others, (dual.tail[c] for c in choice)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        def reaches_root(r: int) -> bool:
+            for _ in others:  # a path back to r0 has fewer steps than this
+                if r == dual.r0:
+                    return True
+                r = parent[r]
+            return r == dual.r0
 
-        acyclic = True
-        for c in subset:
-            ra, rb = find(dual.tail[c]), find(dual.head[c])
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-        # orient from r0: every edge's tail must be the endpoint nearer r0
-        dist = {dual.r0: 0}
-        frontier = [dual.r0]
-        order_ok = True
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for c in subset:
-                    if dual.tail[c] == r and dual.head[c] not in dist:
-                        dist[dual.head[c]] = dist[r] + 1
-                        nxt.append(dual.head[c])
-                    elif dual.head[c] == r and dual.tail[c] not in dist:
-                        # edge points toward r0: not an arborescence
-                        order_ok = False
-            frontier = nxt
-        if order_ok and len(dist) == n:
-            found.add(frozenset(subset))
+        if all(reaches_root(r) for r in others):
+            found.add(frozenset(choice))
     return found

@@ -232,9 +232,7 @@ def cmd_parking(args) -> int:
     )
     results = []
     for r0 in roots:
-        kappa = min(c for c in range(dual.n_edges) if dual.head[c] == r0)
-        rooted = dual.with_root(r0, kappa)
-        parkings, p = parking_for_dual(rooted)
+        parkings, p = parking_for_dual(build_dual(g, r0))
         results.append(
             {
                 "r0": r0,

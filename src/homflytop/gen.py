@@ -70,26 +70,23 @@ def grow_once(g: PlaneBipartiteGraph, rng: random.Random) -> PlaneBipartiteGraph
 
 
 def random_plane_bipartite(
-    rng: random.Random, max_edges: int = 10, min_edges: int = 1
+    rng: random.Random, max_edges: int = 10
 ) -> PlaneBipartiteGraph:
     g = PlaneBipartiteGraph(["e0"], ["v0"], [("e0", "v0")], {"e0": [0], "v0": [0]})
-    target = rng.randint(min_edges, max_edges)
+    target = rng.randint(1, max_edges)
     while g.n_edges < target:
         g = grow_once(g, rng)
     return g
 
 
-def corpus(seed: int, count: int, max_edges: int = 8, min_edges: int = 1):
+def corpus(seed: int, count: int, max_edges: int = 8):
     """Deterministic list of generated graphs."""
     rng = random.Random(seed)
-    return [
-        random_plane_bipartite(rng, max_edges=max_edges, min_edges=min_edges)
-        for _ in range(count)
-    ]
+    return [random_plane_bipartite(rng, max_edges=max_edges) for _ in range(count)]
 
 
-def corpus_documents(seed: int, count: int, max_edges: int = 8, min_edges: int = 1):
+def corpus_documents(seed: int, count: int, max_edges: int = 8):
     return [
         g.to_document(r0_dart=(0, 1), kappa=0)
-        for g in corpus(seed, count, max_edges, min_edges)
+        for g in corpus(seed, count, max_edges)
     ]

@@ -165,16 +165,13 @@ class LinkDiagram:
     def split_parts(self) -> list["LinkDiagram"]:
         """Connected pieces of the crossing-interaction structure.
 
-        Two components belong to one piece when some crossing involves both.
-        Free loops are dropped; the caller accounts for them.  A diagram that
-        is one piece with no free loops is returned as itself.
+        A piece is a class of crossings under the relation joining the
+        crossings of consecutive passes, so each component lies in one
+        piece and a crossing joins the components through it.  Free loops
+        are dropped; the caller accounts for them.  The diagram itself is
+        returned exactly when it is one piece with no free loops.
         """
-        comps = self.components()
-        comp_of = {}
-        for i, cyc in enumerate(comps):
-            for p in cyc:
-                comp_of[p] = i
-        parent = list(range(len(comps)))
+        parent = list(range(self.n_crossings))
 
         def find(x):
             while parent[x] != x:
@@ -182,18 +179,17 @@ class LinkDiagram:
                 x = parent[x]
             return x
 
-        for c in range(self.n_crossings):
-            a, b = find(comp_of[2 * c]), find(comp_of[2 * c + 1])
+        for p, q in enumerate(self.succ):
+            a, b = find(p // 2), find(q // 2)
             if a != b:
                 parent[a] = b
         groups: dict[int, list[int]] = {}
         for c in range(self.n_crossings):
-            groups.setdefault(find(comp_of[2 * c]), []).append(c)
+            groups.setdefault(find(c), []).append(c)
         if len(groups) == 1 and not self.free_loops:
             return [self]
         parts = []
         for crossings in groups.values():
-            crossings.sort()
             index = {c: i for i, c in enumerate(crossings)}
             succ = []
             for c in crossings:
@@ -210,31 +206,21 @@ class LinkDiagram:
             )
         return parts
 
-    def _traversal(self):
-        """First visits to crossings, in walk order."""
-        seen_crossings = set()
-        for comp in sorted(self.components(), key=min):
-            start = min(comp)
-            p = start
-            while True:
-                c = p // 2
-                if c not in seen_crossings:
-                    seen_crossings.add(c)
-                    yield p
-                p = self.succ[p]
-                if p == start:
-                    break
-
     def first_bad_crossing(self) -> int | None:
         """First crossing reached on its under-strand in basepoint order.
 
         Components are walked in order of their minimal pass, each from that
-        pass.  None means the diagram is descending, hence an unlink.
+        pass, as ``components`` lists them.  None means the diagram is
+        descending, hence an unlink.
         """
-        for p in self._traversal():
-            c = p // 2
-            if p != self.over_pass(c):
-                return c
+        seen = set()
+        for comp in self.components():
+            for p in comp:
+                c = p // 2
+                if c not in seen:
+                    if p != self.over_pass(c):
+                        return c
+                    seen.add(c)
         return None
 
     def canonical_code(self):
@@ -502,17 +488,15 @@ def homfly_skein(
 
 def _homfly(d: LinkDiagram, memo) -> Laurent2:
     free = d.free_loops
-    if free:
-        d = LinkDiagram(d.signs, d.succ, d.over, 0)
     if d.n_crossings == 0:
         return UNLINK_FACTOR ** (free - 1) if free else Laurent2.const(1)
-    parts = d.split_parts()
-    if len(parts) > 1 or free:
-        result = UNLINK_FACTOR ** (len(parts) + free - 1)
-        for part in parts:
-            result = result * _homfly_connected(part, memo)
-        return result
-    return _homfly_connected(d, memo)
+    parts = d.split_parts()  # without the free loops
+    if parts == [d]:
+        return _homfly_connected(d, memo)
+    result = UNLINK_FACTOR ** (len(parts) + free - 1)
+    for part in parts:
+        result = result * _homfly_connected(part, memo)
+    return result
 
 
 def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:

@@ -14,7 +14,7 @@ the V -> E dart, which puts the E-endpoint on the traveller's right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 Dart = tuple[int, int]  # (edge id, direction); 0 = E->V, 1 = V->E
 
@@ -211,13 +211,19 @@ class DualDigraph:
     rotations: tuple[tuple[Dart, ...], ...]  # per face, the face walk
     r0: int
     kappa: int
-    slot_index: dict = field(repr=False, default_factory=dict)
+    slot_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.slot_index:
-            for r, walk in enumerate(self.rotations):
-                for i, dart in enumerate(walk):
-                    self.slot_index[dart] = (r, i)
+        if self.head[self.kappa] != self.r0:
+            raise GraphInputError(
+                f"kappa {self.kappa} is inadmissible: its dual edge points to face "
+                f"{self.head[self.kappa]}, not {self.r0}"
+            )
+        self.slot_index = {
+            dart: (r, i)
+            for r, walk in enumerate(self.rotations)
+            for i, dart in enumerate(walk)
+        }
 
     @property
     def n_vertices(self) -> int:
@@ -231,15 +237,7 @@ class DualDigraph:
         return list(zip(self.tail, self.head))
 
     def with_root(self, r0: int, kappa: int) -> "DualDigraph":
-        if self.head[kappa] != r0:
-            raise GraphInputError(
-                f"kappa {kappa} is inadmissible: its dual edge points to face "
-                f"{self.head[kappa]}, not {r0}"
-            )
-        return DualDigraph(
-            self.graph, self.tail, self.head, self.rotations, r0, kappa,
-            self.slot_index,
-        )
+        return replace(self, r0=r0, kappa=kappa)
 
     def admissible_pairs(self) -> list[tuple[int, int]]:
         """All (r0, kappa) pairs: every edge points at exactly one root."""
@@ -267,13 +265,7 @@ def build_dual(
             raise GraphInputError(f"no edge has its dual pointing to face {r0_face}")
     if r0_face is None:
         r0_face = head[kappa_edge]
-    dual = DualDigraph(g, tail, head, g.faces, r0_face, kappa_edge)
-    if dual.head[kappa_edge] != r0_face:
-        raise GraphInputError(
-            f"kappa {kappa_edge} is inadmissible: its dual edge points to face "
-            f"{dual.head[kappa_edge]}, not {r0_face}"
-        )
-    return dual
+    return DualDigraph(g, tail, head, g.faces, r0_face, kappa_edge)
 
 
 def overlay_dot(g: PlaneBipartiteGraph, dual: DualDigraph) -> str:

@@ -58,27 +58,13 @@ def _affine_rank_full(g: PlaneBipartiteGraph, edge_ids) -> bool:
 
     Exact Gaussian elimination over the rationals on the difference vectors.
     """
-    edge_ids = list(edge_ids)
-    if len(edge_ids) <= 1:
+    points = coordinate_matrix(g, edge_ids)["rows"]
+    if len(points) <= 1:
         return True
-    names = list(g.e_vertices) + list(g.v_vertices)
-    pos = {x: i for i, x in enumerate(names)}
-
-    def coords(c):
-        vec = [Fraction(0)] * len(names)
-        e, v = g.edges[c]
-        vec[pos[e]] = Fraction(1)
-        vec[pos[v]] = Fraction(1)
-        return vec
-
-    base = coords(edge_ids[0])
-    rows = []
-    for c in edge_ids[1:]:
-        vec = coords(c)
-        rows.append([a - b for a, b in zip(vec, base)])
+    base = points[0]
+    rows = [[Fraction(a - b) for a, b in zip(vec, base)] for vec in points[1:]]
     rank = 0
-    cols = len(names)
-    for col in range(cols):
+    for col in range(len(base)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue

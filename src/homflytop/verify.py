@@ -136,17 +136,15 @@ def verify_graph(
 
     tops: set[Laurent1] = set()
     h_values: set[Laurent1] = set()
-    p_by_root: dict[int, Laurent1] = {}
-    parkings_by_root: dict[int, list] = {}
-    brute_by_root: dict[int, set] = {}
+    # per root: (arborescences, parking functions, p), none of which depend on kappa
+    by_root: dict[int, tuple[set, list, Laurent1]] = {}
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
-        if r0 not in brute_by_root:
-            brute_by_root[r0] = spanning_arborescences_bruteforce(rooted)
-            # the parking functions depend on the root, not on kappa
-            parkings_by_root[r0], p_by_root[r0] = parking_for_dual(rooted)
-        brute = brute_by_root[r0]
-        parkings, p = parkings_by_root[r0], p_by_root[r0]
+        if r0 not in by_root:
+            by_root[r0] = (
+                spanning_arborescences_bruteforce(rooted), *parking_for_dual(rooted)
+            )
+        brute, parkings, p = by_root[r0]
         tag = f"r0={r0} kappa={kappa}"
         try:
             tree = build_arb_tree(rooted)
@@ -205,7 +203,6 @@ def verify_graph(
         tops.add(t_tree.poly)
 
         if n <= cap:
-            strict_ok = True
             try:
                 for leaf in tree.type_two_leaves():
                     sub = decorated_subgraph_at(g, leaf)
@@ -213,12 +210,13 @@ def verify_graph(
                         median_diagram(g, sub), strict=True, cap=cap, memo=memo
                     )
             except InvariantError as exc:
-                strict_ok = False
                 report.record(f"type-two-morton-strict [{tag}]", False, str(exc))
-            if strict_ok:
+            else:
                 report.record(f"type-two-morton-strict [{tag}]", True)
 
-    report.record("p-root-independent", len(set(p_by_root.values())) == 1)
+    report.record(
+        "p-root-independent", len({p for _, _, p in by_root.values()}) == 1
+    )
     if h_values:
         report.record("h-choice-independent", len(h_values) == 1)
     if tops:
@@ -228,9 +226,9 @@ def verify_graph(
             "edges": n,
             "vertices": s,
             "faces": g.n_faces,
-            "arborescences": {str(r): len(b) for r, b in sorted(brute_by_root.items())},
+            "arborescences": {str(r): len(b) for r, (b, _, _) in sorted(by_root.items())},
             "h": str(next(iter(h_values))) if h_values else None,
-            "p_by_root": {str(r): str(p) for r, p in sorted(p_by_root.items())},
+            "p_by_root": {str(r): str(p) for r, (_, _, p) in sorted(by_root.items())},
             "top": str(next(iter(tops))) if tops else None,
         }
     )
