@@ -231,7 +231,7 @@ def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
         parent = dict(zip(others, (dual.tail[c] for c in choice)))
 
         def reaches_root(r: int) -> bool:
-            for _ in others:  # a path back to r0 has fewer steps than this
+            for _ in others:  # a walk back to r0 takes at most this many steps
                 if r == dual.r0:
                     return True
                 r = parent[r]
