@@ -1,8 +1,12 @@
-"""Whole CLI outputs on the K_{3,2} fixture, byte for byte.
+"""Whole CLI outputs on fixed inputs, byte for byte.
 
 ``tests/data/cli_k32.json`` maps each command line below (without its
-``--input``) to the stdout and exit code it gave when the file was made.
-Regenerate it only when an output change is intended:
+``--input``) to the stdout and exit code it gave on the K_{3,2} fixture
+when the file was made.  ``tests/data/cli_blocks_grid.json`` does the same
+for ``MORE_LINES``, keyed by input name and command line: the bigon-theta
+block sum with its theta block negative, and the 3x3 grid without edge 4,
+whose shelling attaches simplices along up to three facets.  Regenerate
+both only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -15,10 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import _grid_graph
 from homflytop.cli import main
-from homflytop.fixtures import k32_three_strand
+from homflytop.fixtures import block_sum_bigon_theta, k32_three_strand
 
 GOLDEN = Path(__file__).parent / "data" / "cli_k32.json"
+GOLDEN_MORE = Path(__file__).parent / "data" / "cli_blocks_grid.json"
 
 COMMANDS = (
     ("faces", ("json", "text", "dot")),
@@ -33,13 +39,31 @@ COMMANDS = (
     ("verify", ("json", "text")),
 )
 COMMAND_LINES = [f"{c} --format {fmt}" for c, formats in COMMANDS for fmt in formats]
+MORE_LINES = [
+    ("bigon-theta", "homogeneous --format json"),
+    ("bigon-theta", "homogeneous --format text"),
+    ("grid-3x3-4", "triangulate --format json"),
+    ("grid-3x3-4", "hvector --all-roots --format json"),
+    ("grid-3x3-4", "verify --format json"),
+]
 
 
-def write_document(directory) -> str:
-    g, _ = k32_three_strand()
-    path = Path(directory) / "k32.json"
-    path.write_text(json.dumps(g.to_document(r0_dart=(0, 1), kappa=0)))
-    return str(path)
+def documents() -> dict:
+    k32, _ = k32_three_strand()
+    block_sum, _ = block_sum_bigon_theta()
+    return {
+        "k32": k32.to_document(r0_dart=(0, 1), kappa=0),
+        "bigon-theta": {**block_sum.to_document(), "signs": [1, 1, -1, -1, -1]},
+        "grid-3x3-4": _grid_graph(3, 3, (4,)).to_document(),
+    }
+
+
+def write_documents(directory) -> dict:
+    paths = {}
+    for name, doc in documents().items():
+        paths[name] = Path(directory) / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return {name: str(path) for name, path in paths.items()}
 
 
 def run_line(line: str, doc_path: str) -> dict:
@@ -55,17 +79,29 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def k32_doc(tmp_path_factory):
-    return write_document(tmp_path_factory.mktemp("golden"))
+def golden_more():
+    return json.loads(GOLDEN_MORE.read_text())
+
+
+@pytest.fixture(scope="module")
+def doc_paths(tmp_path_factory):
+    return write_documents(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("line", COMMAND_LINES)
-def test_output_is_golden(line, golden, k32_doc):
-    assert run_line(line, k32_doc) == golden[line]
+def test_output_is_golden(line, golden, doc_paths):
+    assert run_line(line, doc_paths["k32"]) == golden[line]
+
+
+@pytest.mark.parametrize("name, line", MORE_LINES)
+def test_more_outputs_are_golden(name, line, golden_more, doc_paths):
+    assert run_line(line, doc_paths[name]) == golden_more[f"{name}: {line}"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        doc = write_document(tmp)
-        record = {line: run_line(line, doc) for line in COMMAND_LINES}
+        paths = write_documents(tmp)
+        record = {line: run_line(line, paths["k32"]) for line in COMMAND_LINES}
+        more = {f"{n}: {line}": run_line(line, paths[n]) for n, line in MORE_LINES}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    GOLDEN_MORE.write_text(json.dumps(more, indent=1, sort_keys=True) + "\n")

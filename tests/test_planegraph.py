@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from homflytop.planegraph import (
     dual_subgraph,
     check_strong_connectivity,
     biconnected_blocks,
+    SignedBlock,
+    SignedBlockGraph,
 )
 from homflytop.fixtures import (
     single_edge,
@@ -273,3 +276,105 @@ class TestBlocks:
         )
         assert len(blocks.blocks) == 2
         assert blocks.totals() == (4, 2, 0, 0)
+
+
+def reference_blocks(vertices, edges, signs) -> SignedBlockGraph:
+    """Blocks by the cut-vertex definition: distinct edges share a block iff
+    no vertex x separates their endpoints other than x in G - x."""
+    if not vertices:
+        raise GraphInputError("empty graph")
+
+    def components(removed):  # vertex -> component label in G - removed
+        label = {}
+        for start in vertices:
+            if start == removed or start in label:
+                continue
+            label[start] = start
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for u, w in edges:
+                    for a, b in ((u, w), (w, u)):
+                        if a == x and b != removed and b not in label:
+                            label[b] = start
+                            stack.append(b)
+        return label
+
+    if len(set(components(None).values())) != 1:
+        raise GraphInputError("graph is not connected")
+    label_without = {x: components(x) for x in vertices}
+
+    def share(i, j):
+        return all(
+            len({label[y] for y in edges[i] + edges[j] if y != x}) == 1
+            for x, label in label_without.items()
+        )
+
+    classes: list[list[int]] = []
+    for i in range(len(edges)):
+        home = next((c for c in classes if share(c[0], i)), None)
+        if home is None:
+            classes.append([i])
+        else:
+            home.append(i)
+    out = []
+    for block in classes:
+        block_signs = {signs[i] for i in block}
+        if len(block_signs) != 1:
+            raise GraphInputError("block mixes positive and negative edges")
+        touched = frozenset(y for i in block for y in edges[i])
+        out.append(SignedBlock(block_signs.pop(), touched, tuple(block)))
+    return SignedBlockGraph(sorted(out, key=lambda b: b.edge_ids))
+
+
+def _block_outcome(blocks, vertices, edges, signs):
+    try:
+        return blocks(vertices, edges, signs).blocks
+    except GraphInputError as exc:
+        return str(exc)
+
+
+def _random_multigraph(rng):
+    """At most 9 vertices and 14 loopless edges, usually connected."""
+    n = rng.randint(1, 9)
+    vertices = [f"x{i}" for i in range(n)]
+    edges = []
+    if rng.random() < 0.85:  # a random spanning tree first
+        edges = [(vertices[i], rng.choice(vertices[:i])) for i in range(1, n)]
+        rng.shuffle(edges)
+    if n > 1:
+        for _ in range(rng.randint(0, 14 - len(edges))):
+            u, w = rng.sample(vertices, 2)
+            edges.append(rng.choice(edges) if edges and rng.random() < 0.2 else (u, w))
+    rng.shuffle(vertices)
+    return vertices, edges
+
+
+class TestBlocksAgainstCutVertexReference:
+    def test_random_multigraphs(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for _ in range(2000):
+            vertices, edges = _random_multigraph(rng)
+            signs = [rng.choice((1, -1)) for _ in edges]
+            plain = _block_outcome(reference_blocks, vertices, edges, [1] * len(edges))
+            if rng.random() < 0.6 and not isinstance(plain, str):
+                for b in plain:  # one sign per block
+                    sign = rng.choice((1, -1))
+                    for i in b.edge_ids:
+                        signs[i] = sign
+            expected = _block_outcome(reference_blocks, vertices, edges, signs)
+            assert _block_outcome(biconnected_blocks, vertices, edges, signs) == expected
+            if isinstance(expected, str):
+                outcomes.append(expected)
+            else:
+                outcomes.append("ok, mixed signs" if len(set(signs)) == 2 else "ok")
+        assert outcomes.count("ok") > 300
+        assert outcomes.count("ok, mixed signs") > 300
+        assert outcomes.count("block mixes positive and negative edges") > 300
+        assert outcomes.count("graph is not connected") > 50
+
+    def test_empty_graph(self):
+        for blocks in (biconnected_blocks, reference_blocks):
+            with pytest.raises(GraphInputError, match="empty graph"):
+                blocks([], [], [])

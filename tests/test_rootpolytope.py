@@ -76,6 +76,32 @@ def reference_f(tri):
     return Laurent1(out, "y")
 
 
+def reference_shelling(tri):
+    """Attach counts from the faces of each simplex, or the message for the
+    first simplex with a face in an earlier simplex but in none of its own
+    facets lying in an earlier simplex."""
+    bit = {}
+    covered = set()  # faces of the earlier simplices, as point bitmasks
+    counts = []
+    for i, simplex in enumerate(tri.simplices):
+        mask = 0
+        for pt in tri.points(simplex):
+            mask |= bit.setdefault(pt, 1 << len(bit))
+        faces = [mask]
+        while faces[-1]:
+            faces.append((faces[-1] - 1) & mask)
+        shared = [f for f in faces if (mask ^ f).bit_count() == 1 and f in covered]
+        for face in faces:
+            if face in covered and not any(face & f == face for f in shared):
+                return (
+                    f"simplex {i} meets an earlier simplex outside its "
+                    "shared facets: not a shelling"
+                )
+        counts.append(len(shared))
+        covered.update(faces)
+    return counts
+
+
 def triangulation_of(g):
     return triangulation_from_arbtree(build_arb_tree(build_dual(g, kappa_edge=0)), g)
 
@@ -345,6 +371,28 @@ class TestShellingAndVectors:
                 counts = verify_shelling(tri)
                 skipped = [k for _, k in tree.type_one_leaves()]
                 assert sorted(counts) == sorted(skipped)
+
+    def test_shelling_matches_face_reference(self, graph_corpus, grid_subgraphs):
+        rng = random.Random(9)
+        outcomes = []
+        for g in list(graph_corpus) + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                tri = triangulation_from_arbtree(
+                    build_arb_tree(dual.with_root(r0, kappa)), g
+                )
+                orders = [tri.simplices] + [
+                    rng.sample(tri.simplices, len(tri.simplices)) for _ in range(2)
+                ]
+                for order in orders:
+                    ordered = Triangulation(g, order)
+                    try:
+                        found = verify_shelling(ordered)
+                    except InvariantError as exc:
+                        found = str(exc)
+                    assert found == reference_shelling(ordered)
+                    outcomes.append(isinstance(found, str))
+        assert outcomes.count(True) > 50 and outcomes.count(False) > 1000
 
     def test_f_vector_matches_subset_reference(self, graph_corpus, grid_graph):
         graphs = list(graph_corpus[:60]) + [
