@@ -318,19 +318,10 @@ class LinkDiagram:
         positive crossing the over strand runs from slot 4 to slot 2, for a
         negative one from slot 2 to slot 4.
         """
-        out_arc: dict[int, int] = {}
-        in_arc: dict[int, int] = {}
-        label = 0
-        for comp in sorted(self.components(), key=min):
-            start = min(comp)
-            p = start
-            while True:
-                label += 1
-                out_arc[p] = label
-                in_arc[self.succ[p]] = label
-                p = self.succ[p]
-                if p == start:
-                    break
+        # components are walked from their least passes, in order of those
+        passes = [p for comp in self.components() for p in comp]
+        out_arc = {p: label for label, p in enumerate(passes, 1)}
+        in_arc = {self.succ[p]: label for label, p in enumerate(passes, 1)}
         tuples = []
         for c in range(self.n_crossings):
             u, o = self.under_pass(c), self.over_pass(c)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .laurent import Laurent1, Laurent2
-from .planegraph import DualDigraph, InvariantError
+from .planegraph import DualDigraph, InvariantError, bfs_tree
 from .arborescence import ArbTree, augmenting_edge
 
 
@@ -164,20 +164,7 @@ def tutte(n_vertices: int, edges) -> Laurent2:
 
 
 def _connected(n_vertices, edges) -> bool:
-    if n_vertices <= 1:
-        return True
-    adjacency = {x: set() for x in range(n_vertices)}
-    for u, w in edges:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in adjacency[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n_vertices
+    return n_vertices <= 1 or len(bfs_tree(range(n_vertices), edges)) == n_vertices
 
 
 def _canonical_multigraph(n_vertices, edges) -> tuple:

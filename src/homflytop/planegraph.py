@@ -113,19 +113,8 @@ class PlaneBipartiteGraph:
                 raise GraphInputError(
                     f"rotation at {x!r} is not a permutation of its incident edges"
                 )
-        # connectivity over vertices
-        adjacency = {x: set() for x in expected}
-        for e, v in self.edges:
-            adjacency[e].add(v)
-            adjacency[v].add(e)
-        seen = {self.e_vertices[0] if self.e_vertices else self.v_vertices[0]}
-        stack = list(seen)
-        while stack:
-            for y in adjacency[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.n_vertices:
+        tree = bfs_tree(self.e_vertices + self.v_vertices, self.edges)
+        if len(tree) != self.n_vertices:
             raise GraphInputError("graph is not connected")
 
     def _rotation_prev(self, dart: Dart) -> Dart:
@@ -440,79 +429,73 @@ class SignedBlockGraph:
         return n_plus - n_minus
 
 
+def bfs_tree(vertices, edges) -> dict:
+    """Breadth-first spanning tree of the first vertex's component.
+
+    Maps each vertex reached to (id of the edge from its parent, or None at
+    the first vertex; depth).  Edges are (u, w) pairs; the index is the id.
+    """
+    adjacency = {x: [] for x in vertices}
+    for c, (u, w) in enumerate(edges):
+        adjacency[u].append((w, c))
+        adjacency[w].append((u, c))
+    tree = {vertices[0]: (None, 0)}
+    queue = [vertices[0]]
+    for x in queue:
+        depth = tree[x][1] + 1
+        for y, c in adjacency[x]:
+            if y not in tree:
+                tree[y] = (c, depth)
+                queue.append(y)
+    return tree
+
+
 def biconnected_blocks(vertices, edges, signs) -> SignedBlockGraph:
     """Split a connected multigraph into biconnected blocks.
 
+    Two edges share a block iff they lie on a common cycle, so each non-tree
+    edge of a BFS tree is joined with the tree edges of its fundamental
+    cycle.  The classes are the blocks: a cycle is the sum of the fundamental
+    cycles of its non-tree edges, and if those split into two groups sharing
+    no edge, one group's sum would be a proper nonempty even subgraph of it.
+
     Args:
         vertices: iterable of vertex names.
-        edges: list of (u, w) pairs; the index is the edge id.
+        edges: list of loopless (u, w) pairs; the index is the edge id.
         signs: per-edge +1/-1 labels; each block must be sign-homogeneous.
     """
     vertices = list(vertices)
     if not vertices:
         raise GraphInputError("empty graph")
-    adjacency = {x: [] for x in vertices}
-    for i, (u, w) in enumerate(edges):
-        adjacency[u].append((w, i))
-        adjacency[w].append((u, i))
-
-    index: dict = {}
-    low: dict = {}
-    stack: list[int] = []
-    blocks: list[list[int]] = []
-    placed: set[int] = set()
-    counter = [0]
-
-    def dfs(root):
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        work = [(root, None, iter(adjacency[root]))]
-        while work:
-            x, entry_eid, it = work[-1]
-            advanced = False
-            for y, eid in it:
-                if eid in placed:
-                    continue
-                placed.add(eid)
-                stack.append(eid)
-                if y not in index:
-                    index[y] = low[y] = counter[0]
-                    counter[0] += 1
-                    work.append((y, eid, iter(adjacency[y])))
-                    advanced = True
-                    break
-                if index[y] < low[x]:
-                    low[x] = index[y]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[x] < low[parent]:
-                    low[parent] = low[x]
-                if low[x] >= index[parent]:
-                    block = []
-                    while True:
-                        eid = stack.pop()
-                        block.append(eid)
-                        if eid == entry_eid:
-                            break
-                    blocks.append(block)
-
-    dfs(vertices[0])
-    if len(index) != len(vertices) or stack:
+    tree = bfs_tree(vertices, edges)
+    if len(tree) != len(vertices):
         raise GraphInputError("graph is not connected")
+    parent = list(range(len(edges)))  # union-find over edge ids
 
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for c, (u, w) in enumerate(edges):
+        if c in (tree[u][0], tree[w][0]):  # a tree edge
+            continue
+        root = find(c)
+        while u != w:  # climb from the deeper end to the common ancestor
+            if tree[u][1] < tree[w][1]:
+                u, w = w, u
+            up = tree[u][0]
+            parent[find(up)] = root
+            u = edges[up][0] if edges[up][1] == u else edges[up][1]
+    blocks: dict[int, list[int]] = {}  # by least edge id, so sorted
+    for c in range(len(edges)):
+        blocks.setdefault(find(c), []).append(c)
     out = []
-    for block in blocks:
-        touched = set()
-        for eid in block:
-            touched.update(edges[eid])
-        block_signs = {signs[eid] for eid in block}
+    for block in blocks.values():
+        block_signs = {signs[c] for c in block}
         if len(block_signs) != 1:
             raise GraphInputError("block mixes positive and negative edges")
-        out.append(
-            SignedBlock(block_signs.pop(), frozenset(touched), tuple(sorted(block)))
-        )
-    out.sort(key=lambda b: b.edge_ids)
+        touched = frozenset(x for c in block for x in edges[c])
+        out.append(SignedBlock(block_signs.pop(), touched, tuple(block)))
     return SignedBlockGraph(out)

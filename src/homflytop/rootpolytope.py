@@ -82,6 +82,7 @@ def _affine_rank_full(g: PlaneBipartiteGraph, edge_ids) -> bool:
 
 def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, bool]:
     """(cycle-free test, exact affine-rank test); the two must agree."""
+    edge_ids = list(edge_ids)
     return _is_forest(g, edge_ids), _affine_rank_full(g, edge_ids)
 
 
@@ -271,33 +272,35 @@ def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangu
 def verify_shelling(tri: Triangulation) -> list[int]:
     """Check the stored order is a shelling; return the attach counts.
 
-    For each simplex the facets lying in earlier simplices are collected,
-    and every intersection with an earlier simplex must sit inside one of
-    those facets.  The first count is 0 and all others are positive.
+    The restriction set R_i of simplex i holds its vertices whose opposite
+    facet lies in an earlier simplex; the attach count is |R_i|.  A face of
+    simplex i lies in one of those facets iff it misses a vertex of R_i, so
+    a list of equal-size simplices is shelled iff no earlier simplex
+    contains R_i (Ziegler, "Lectures on Polytopes", section 8.2).
     """
+    bits, masks = _point_masks(tri)
+    facets: set[int] = set()  # facets of the earlier simplices
     counts = []
-    seen: list[frozenset] = []
-    for i, simplex in enumerate(tri.simplices):
-        pts = tri.points(simplex)
-        shared_facets = set()
-        for earlier in seen:
-            common = pts & earlier
-            if len(common) == len(pts) - 1:
-                shared_facets.add(common)
-        for earlier in seen:
-            common = pts & earlier
-            if not any(common <= f for f in shared_facets):
-                raise InvariantError(
-                    f"simplex {i} meets an earlier simplex outside its "
-                    "shared facets: not a shelling"
-                )
-        if i > 0 and not shared_facets:
-            raise InvariantError(f"simplex {i} attaches along no facet")
-        counts.append(len(shared_facets))
-        seen.append(pts)
-    if counts and counts[0] != 0:
-        raise InvariantError("first simplex cannot attach along facets")
+    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
+        restriction = 0
+        for c in simplex:
+            if mask ^ bits[c] in facets:
+                restriction |= bits[c]
+        if any(restriction & earlier == restriction for earlier in masks[:i]):
+            raise InvariantError(
+                f"simplex {i} meets an earlier simplex outside its "
+                "shared facets: not a shelling"
+            )
+        counts.append(restriction.bit_count())
+        facets.update(mask ^ bits[c] for c in simplex)
     return counts
+
+
+def _point_masks(tri: Triangulation) -> tuple[list[int], list[int]]:
+    """Per edge id, the bit of its polytope point (parallel edges share one),
+    and each simplex as the mask of its points."""
+    bits = [1 << p for p in _pair_ids(tri.graph)[0]]
+    return bits, [sum({bits[c] for c in simplex}) for simplex in tri.simplices]
 
 
 # -- f- and h-vectors ---------------------------------------------------------
@@ -313,13 +316,7 @@ def f_vector(tri: Triangulation) -> Laurent1:
     the simplices before it, with binomials; the total holds for any order.
     """
     d = tri.dimension
-    bit: dict[tuple[str, str], int] = {}
-    masks = []
-    for simplex in tri.simplices:
-        mask = 0
-        for pt in tri.points(simplex):
-            mask |= bit.setdefault(pt, 1 << len(bit))
-        masks.append(mask)
+    _, masks = _point_masks(tri)
     covered = _covered_faces(_maximal(masks), {})
     out = {d + 1 - j: c for j, c in enumerate(covered) if c}
     if masks:

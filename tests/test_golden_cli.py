@@ -61,9 +61,10 @@ def documents() -> dict:
 def write_documents(directory) -> dict:
     paths = {}
     for name, doc in documents().items():
-        paths[name] = Path(directory) / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
-    return {name: str(path) for name, path in paths.items()}
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
 
 
 def run_line(line: str, doc_path: str) -> dict:

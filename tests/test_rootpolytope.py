@@ -135,6 +135,10 @@ class TestAffineIndependence:
         g = quadrilateral()
         assert affine_independence_check(g, [0, 1, 2, 3]) == (False, False)
 
+    def test_iterator_is_read_once_for_both_tests(self):
+        g, _ = k32_three_strand()
+        assert affine_independence_check(g, iter(range(6))) == (False, False)
+
     def test_rank_oracle_agrees_on_all_subsets(self, graph_corpus):
         for g in graph_corpus:
             for k in range(g.n_edges + 1):
