@@ -5,7 +5,8 @@
 when the file was made.  ``tests/data/cli_blocks_grid.json`` does the same
 for ``MORE_LINES``, keyed by input name and command line: the bigon-theta
 block sum with its theta block negative, and the 3x3 grid without edge 4,
-whose shelling attaches simplices along up to three facets.  Regenerate
+whose shelling attaches simplices along up to three facets, and the full
+4x4 grid, whose triangulation has 384 simplices.  Regenerate
 both only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -45,6 +46,8 @@ MORE_LINES = [
     ("grid-3x3-4", "triangulate --format json"),
     ("grid-3x3-4", "hvector --all-roots --format json"),
     ("grid-3x3-4", "verify --format json"),
+    ("grid-4x4", "top --format json"),
+    ("grid-4x4", "triangulate --format json"),
 ]
 
 
@@ -55,6 +58,7 @@ def documents() -> dict:
         "k32": k32.to_document(r0_dart=(0, 1), kappa=0),
         "bigon-theta": {**block_sum.to_document(), "signs": [1, 1, -1, -1, -1]},
         "grid-3x3-4": _grid_graph(3, 3, (4,)).to_document(),
+        "grid-4x4": _grid_graph(4, 4).to_document(),
     }
 
 
