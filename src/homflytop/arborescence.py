@@ -6,6 +6,13 @@ the contour walk around the tree in the embedded dual: each tree edge is
 traversed twice, and at every dual vertex the incident edge ends are scanned
 in the inherited rotation order.  The walk starts at the end of kappa's dual
 edge at the root face and runs counterclockwise.
+
+Going down the tree, the arborescence and the skipped set only grow, so a
+slot the walk has passed over stays passed over, and the walk never enters
+the new head of an added edge before reaching that edge.  The tree is
+therefore built with one walk per root-to-leaf path, each child resuming
+where its parent found its augmenting edge; ``augmenting_edge`` runs the
+same walk from the start for one node.
 """
 
 from __future__ import annotations
@@ -28,16 +35,25 @@ def _root_component(dual: DualDigraph, a: frozenset[int]) -> set[int]:
     return seen
 
 
-def _contour_slots(dual: DualDigraph, a: frozenset[int]):
-    """Yield non-tree edge-end slots along the contour of the root component.
+def _walk_to_augmenting(
+    dual: DualDigraph,
+    a: frozenset[int],
+    s: frozenset[int],
+    component,
+    r: int,
+    i: int,
+    steps: int,
+):
+    """Continue the contour walk of ``a`` from slot i at dual vertex r.
 
     A slot is the primal dart (c, 0) or (c, 1): the tail end or head end of
-    dual edge c at the current vertex.  Tree edge ends are traversed, not
-    yielded.
+    dual edge c at the current vertex.  At a tree edge end the walk crosses
+    to the other end and keeps scanning there.  Returns (delta, r, i, steps)
+    at the first tail end of an edge that leaves ``component``, the root
+    component of ``a``, and is not in ``s``; None when the walk closes up
+    at kappa's end.  ``steps`` counts the slots visited since kappa's end.
     """
-    start_r, start_i = dual.slot_index[(dual.kappa, 1)]
-    r, i = start_r, start_i
-    steps = 0
+    start = dual.slot_index[(dual.kappa, 1)]
     limit = 4 * dual.n_edges + 4
     while True:
         steps += 1
@@ -45,14 +61,13 @@ def _contour_slots(dual: DualDigraph, a: frozenset[int]):
             raise InvariantError("contour walk failed to close up")
         walk = dual.rotations[r]
         i = (i + 1) % len(walk)
-        if (r, i) == (start_r, start_i):
-            return
+        if (r, i) == start:
+            return None
         c, end = walk[i]
         if c in a:
-            # cross to the other end of the tree edge and keep scanning there
             r, i = dual.slot_index[(c, 1 - end)]
-            continue
-        yield (c, end)
+        elif end == 0 and dual.head[c] not in component and c not in s:
+            return c, r, i, steps
 
 
 def augmenting_edge(
@@ -64,16 +79,10 @@ def augmenting_edge(
     vertex and must not have been skipped.  Ends pointing into the root
     component and edges internal to it are passed over silently.
     """
-    component = _root_component(dual, a)
-    for c, end in _contour_slots(dual, a):
-        if end != 0:
-            continue  # head end: the dual edge points into this vertex
-        if dual.head[c] in component:
-            continue  # loop at or edge into the root component
-        if c in s:
-            continue
-        return c
-    return None
+    found = _walk_to_augmenting(
+        dual, a, s, _root_component(dual, a), *dual.slot_index[(dual.kappa, 1)], 0
+    )
+    return None if found is None else found[0]
 
 
 def clocked_arborescence(dual: DualDigraph) -> frozenset[int]:
@@ -180,29 +189,44 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     Right descendant adds the augmenting edge, left descendant skips it.
     Leaves are collected rightmost-first, so the first type-I leaf is the
     clocked arborescence.
+
+    One contour walk runs down each root-to-leaf path: a child resumes the
+    walk of its parent from the slot of delta's tail end, with the right
+    child first crossing delta to its head end.  The walk of a child matches
+    its parent's up to that slot, since delta's head is not in the parent's
+    root component and so has not been visited.  Slots passed over stay
+    rejected below: a head end stays a head end, a head inside the root
+    component stays inside (the component only grows) and a skipped edge
+    stays skipped (s only grows).  So each node finds the edge that
+    ``augmenting_edge`` would, after the same number of steps.
     """
     spanning_size = dual.n_vertices - 1
     leaves: list[ArbNode] = []
 
-    def grow(a: frozenset[int], s: frozenset[int]) -> ArbNode:
-        delta = augmenting_edge(dual, a, s)
-        node = ArbNode(a, s, augmenting=delta)
-        if delta is None:
+    def grow(a, s, component, r, i, steps) -> ArbNode:
+        found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
+        if found is None:
+            node = ArbNode(a, s)
             node.leaf_type = "I" if len(a) == spanning_size else "II"
             if node.leaf_type == "II":
-                _check_type_two(dual, a, s)
+                _check_type_two(dual, component, s)
             leaves.append(node)
             return node
-        node.right = grow(a | {delta}, s)
-        node.left = grow(a, s | {delta})
+        delta, r, i, steps = found
+        node = ArbNode(a, s, augmenting=delta)
+        node.right = grow(
+            a | {delta}, s, component | {dual.head[delta]},
+            *dual.slot_index[(delta, 1)], steps,
+        )
+        node.left = grow(a, s | {delta}, component, r, i, steps)
         return node
 
-    root = grow(frozenset(), frozenset())
+    start = dual.slot_index[(dual.kappa, 1)]
+    root = grow(frozenset(), frozenset(), frozenset({dual.r0}), *start, 0)
     return ArbTree(dual, root, leaves)
 
 
-def _check_type_two(dual: DualDigraph, a: frozenset[int], s: frozenset[int]):
-    component = _root_component(dual, a)
+def _check_type_two(dual: DualDigraph, component, s: frozenset[int]):
     if len(component) == dual.n_vertices:
         raise InvariantError("leaf classified II but arborescence is spanning")
     for c in range(dual.n_edges):

@@ -3,13 +3,18 @@
 Vertices of the polytope are the 0/1 vectors e + v over edges ev; parallel
 edges give the same point, so simplices are handled as sets of endpoint
 pairs.  The triangulation produced from an arborescence tree is validated
-combinatorially: pairwise compatibility (no alternating cycle between two
-trees) and cardinality equal to the number of hypertrees.  Each audit is
-exact and enumerates no faces or spanning trees:
+combinatorially: cardinality equal to the number of hypertrees, which is
+the normalised volume, and the facet condition of De Loera, Rambau and
+Santos ("Triangulations", 2010, section 4.5): every interior facet of a
+simplex lies in exactly one other simplex, on the opposite side.  Each
+audit is exact and enumerates no faces or spanning trees:
 
-- compatibility, linear in the tree sizes: the endpoint pairs shared by
-  both trees are contracted with union-find, and the arcs left are searched
-  for a directed cycle with Kahn's algorithm (the alternating-cycle
+- facets, in one pass over a map from each facet to the simplices holding
+  it, with a few mask operations per facet (``_check_facets``);
+- compatibility of two simplices (``compatible``, the pairwise reference
+  for the facet audit), linear in the tree sizes: the endpoint pairs shared
+  by both trees are contracted with union-find, and the arcs left are
+  searched for a directed cycle with Kahn's algorithm (the alternating-cycle
   criterion of Postnikov, "Permutohedra, associahedra, and beyond", 2009);
 - hypertrees: the G-draconian sequences of the same paper, f(S) <= |N(S)| - 1
   over the 2^|E| subsets S of the E class, equivalent to Kalman's bound
@@ -88,8 +93,9 @@ def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, b
 
 # -- compatibility -----------------------------------------------------------
 
-# per graph: edge id -> endpoint-pair id, and pair id -> (E id, V id);
-# E-vertices are numbered first, and parallel edges share a pair
+# per graph: edge id -> endpoint-pair id, pair id -> (E id, V id), and
+# vertex id -> mask of its neighbours; E-vertices are numbered first, and
+# parallel edges share a pair
 _PAIR_IDS: "WeakKeyDictionary[PlaneBipartiteGraph, tuple]" = WeakKeyDictionary()
 
 
@@ -99,7 +105,11 @@ def _pair_ids(g: PlaneBipartiteGraph):
         pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
         pairs: dict[tuple[int, int], int] = {}
         of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
-        ids = _PAIR_IDS[g] = (of_edge, list(pairs))
+        nbrs = [0] * g.n_vertices
+        for e, v in pairs:
+            nbrs[e] |= 1 << v
+            nbrs[v] |= 1 << e
+        ids = _PAIR_IDS[g] = (of_edge, list(pairs), nbrs)
     return ids
 
 
@@ -118,7 +128,7 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     self-loop or a directed cycle, which Kahn's algorithm detects.  This is
     linear in the vertex count and the tree sizes.
     """
-    of_edge, ends = _pair_ids(g)
+    of_edge, ends, _ = _pair_ids(g)
     n = g.n_vertices
     forward = {of_edge[c] for c in t1}
     backward = {of_edge[c] for c in t2}
@@ -249,16 +259,12 @@ class Triangulation:
 def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangulation:
     """Simplices dual to the type-I leaves, in right-to-left leaf order.
 
-    Validates pairwise compatibility and the hypertree count; these always
-    hold for trees built from a valid dual, so a failure means a bug.
+    Validates the hypertree count, distinct vertex sets and the facets (see
+    ``_check_facets``); these always hold for trees built from a valid
+    dual, so a failure means a bug.
     """
     all_edges = frozenset(range(g.n_edges))
     simplices = [all_edges - a for a, _ in tree.type_one_leaves()]
-    for s1, s2 in combinations(simplices, 2):
-        if not compatible(g, s1, s2):
-            raise InvariantError(
-                f"incompatible simplices {sorted(s1)} and {sorted(s2)}"
-            )
     expected = len(hypertrees(g))
     if len(simplices) != expected:
         raise InvariantError(
@@ -266,7 +272,87 @@ def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangu
         )
     if len({frozenset(g.edges[c] for c in s) for s in simplices}) != len(simplices):
         raise InvariantError("two simplices share the same vertex set")
+    if len(simplices) > 1:
+        _check_facets(g, simplices)
     return Triangulation(g, simplices)
+
+
+def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
+    """Raise unless the simplices, as many as the hypertrees, triangulate Q_G.
+
+    The statement used (De Loera, Rambau and Santos, "Triangulations",
+    2010, section 4.5): full-dimensional simplices spanned by points of a
+    polytope triangulate it iff every facet of one of them that is interior
+    to the polytope lies in exactly one other, on the opposite side, and
+    their volumes add up to the volume of the polytope.  Every simplex of
+    Q_G spanned by a spanning tree is unimodular, and the normalised volume
+    of Q_G is the number of hypertrees (Postnikov 2009, section 12), which
+    the caller has checked.
+
+    The facet of the tree T opposite its edge t: removing t splits the
+    vertices into C1, the side of t's E-end, and C2.  The facet lies on the
+    hyperplane x(E & C1) = x(V & C1), with t on the + side, and the point
+    e + v of an edge ev on the - side iff e is in C2 and v in C1.  So it is
+    a boundary facet iff G has no edge from E & C2 to V & C1.  Per tree, the
+    vertex set of each subtree and the neighbours of its vertices are
+    unions over the children, so each facet costs a few mask operations.
+    """
+    of_edge, ends, nbrs = _pair_ids(g)
+    k = len(g.e_vertices)
+    e_class = (1 << k) - 1
+    every = (1 << g.n_vertices) - 1
+    first: dict[int, tuple] = {}  # facet -> (simplex, C1 mask, on the boundary)
+    shared: set[int] = set()  # facets lying in two simplices
+    for simplex in simplices:
+        pairs = [of_edge[c] for c in simplex]
+        mask = sum(1 << p for p in pairs)
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+        for p in pairs:
+            e, v = ends[p]
+            adjacent[e].append((v, p))
+            adjacent[v].append((e, p))
+        order = [(0, 0, -1)]  # (vertex, its parent, pair to the parent)
+        reached = 1
+        for x, _, _ in order:
+            for y, p in adjacent[x]:
+                if not reached >> y & 1:
+                    reached |= 1 << y
+                    order.append((y, x, p))
+        below = [1 << x for x in range(g.n_vertices)]  # subtree vertices
+        reach = nbrs[:]  # their neighbours in G
+        for x, parent, p in reversed(order[1:]):
+            facet = mask ^ (1 << p)
+            held = first.get(facet)
+            if held is None:
+                # x is the end of p in C1 if it is an E-vertex, else in C2;
+                # a - side edge joins the subtree to a vertex of x's class
+                if x < k:
+                    c1, same_class = below[x], e_class
+                else:
+                    c1, same_class = every ^ below[x], every ^ e_class
+                boundary = not reach[x] & same_class & ~below[x]
+                first[facet] = (simplex, c1, boundary)
+            elif facet in shared:
+                raise InvariantError(
+                    f"incompatible simplices: a facet of {sorted(simplex)} "
+                    "lies in three simplices"
+                )
+            else:
+                e, v = ends[p]
+                if held[1] >> e & 1 or not held[1] >> v & 1:
+                    raise InvariantError(
+                        f"incompatible simplices {sorted(held[0])} and "
+                        f"{sorted(simplex)}: on one side of a shared facet"
+                    )
+                shared.add(facet)
+            below[parent] |= below[x]
+            reach[parent] |= reach[x]
+    for facet, (simplex, _, boundary) in first.items():
+        if not boundary and facet not in shared:
+            raise InvariantError(
+                f"incompatible simplices: an interior facet of {sorted(simplex)} "
+                "lies in no other simplex"
+            )
 
 
 def verify_shelling(tri: Triangulation) -> list[int]:

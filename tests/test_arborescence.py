@@ -2,14 +2,48 @@ import warnings
 
 import pytest
 
-from homflytop.planegraph import build_dual
+from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
+    ArbNode,
+    ArbTree,
     augmenting_edge,
     build_arb_tree,
     clocked_arborescence,
     spanning_arborescences_bruteforce,
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+
+
+def reference_build_arb_tree(dual):
+    """The tree grown with one ``augmenting_edge`` walk, from kappa's end,
+    at every node (without the type-II leaf audit)."""
+    spanning_size = dual.n_vertices - 1
+    leaves = []
+
+    def grow(a, s):
+        delta = augmenting_edge(dual, a, s)
+        node = ArbNode(a, s, augmenting=delta)
+        if delta is None:
+            node.leaf_type = "I" if len(a) == spanning_size else "II"
+            leaves.append(node)
+            return node
+        node.right = grow(a | {delta}, s)
+        node.left = grow(a, s | {delta})
+        return node
+
+    return ArbTree(dual, grow(frozenset(), frozenset()), leaves)
+
+
+def node_fields(node):
+    """(a, s, augmenting, leaf_type) of every node, in preorder."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        out.append((node.a, node.s, node.augmenting, node.leaf_type))
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+    return out
 
 
 class TestAugmentingEdge:
@@ -32,6 +66,33 @@ class TestAugmentingEdge:
     def test_single_edge_has_no_candidate(self):
         _, dual = single_edge()
         assert augmenting_edge(dual, frozenset(), frozenset()) is None
+
+
+class TestResumedWalk:
+    def test_matches_per_node_walk_everywhere(self, graph_corpus, grid_subgraphs):
+        nodes = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                tree = build_arb_tree(rooted)
+                expected = reference_build_arb_tree(rooted)
+                found = node_fields(tree.root)
+                assert found == node_fields(expected.root)
+                assert [(x.a, x.s, x.leaf_type) for x in tree.leaves] == [
+                    (x.a, x.s, x.leaf_type) for x in expected.leaves
+                ]
+                nodes += len(found)
+        assert nodes > 30_000
+
+    @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
+    def test_walk_that_never_closes_up_is_stopped(self, build):
+        _, dual = k32_three_strand()
+        r, _ = dual.slot_index[(dual.kappa, 1)]
+        # a start slot the walk never reaches
+        dual.slot_index[(dual.kappa, 1)] = (r, len(dual.rotations[r]))
+        with pytest.raises(InvariantError, match="contour walk failed to close up"):
+            build(dual)
 
 
 class TestClocked:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -100,6 +101,24 @@ def reference_shelling(tri):
         counts.append(len(shared))
         covered.update(faces)
     return counts
+
+
+def facet_holders(g, simplices):
+    """Per facet, as a set of polytope points, the number of simplices
+    holding it."""
+    count = Counter()
+    for simplex in simplices:
+        points = frozenset(g.edges[c] for c in simplex)
+        count.update(points - {p} for p in points)
+    return count
+
+
+def report_simplices(tree, g, simplices):
+    """Make the tree report the complements of the given spanning trees as
+    its type-I leaves, so that they become the triangulation's simplices."""
+    all_edges = frozenset(range(g.n_edges))
+    leaves = [(all_edges - s, 0) for s in simplices]
+    tree.type_one_leaves = lambda: leaves
 
 
 def triangulation_of(g):
@@ -342,6 +361,105 @@ class TestTriangulationRejectsBadInput:
         tree.type_one_leaves = lambda: mutated
         with pytest.raises(InvariantError, match="incompatible"):
             triangulation_from_arbtree(tree, g)
+
+
+class TestFacetAudit:
+    """The facet audit inside triangulation_from_arbtree against the
+    pairwise compatibility oracle, and the three ways a facet can fail."""
+
+    def test_accepts_every_triangulation(self, graph_corpus, grid_subgraphs):
+        checked = 0
+        for g in list(graph_corpus) + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                tree = build_arb_tree(dual.with_root(r0, kappa))
+                simplices = triangulation_from_arbtree(tree, g).simplices
+                for s1, s2 in combinations(simplices, 2):
+                    assert compatible(g, s1, s2)
+                checked += len(simplices) > 2
+        assert checked > 50
+
+    def test_swap_raises_iff_some_pair_is_incompatible(self, grid_subgraphs):
+        # the full 2x4, 3x3 and 3x4 grids, each with two of its subgraphs
+        graphs = grid_subgraphs[11:14] + grid_subgraphs[22:25] + grid_subgraphs[33:36]
+        rng = random.Random(11)
+        outcomes = []
+        for g in graphs:
+            tree = build_arb_tree(build_dual(g, kappa_edge=0))
+            simplices = triangulation_from_arbtree(tree, g).simplices
+            trees = spanning_trees(g)
+            for draw in range(9):
+                i = rng.randrange(len(simplices))
+                others = simplices[:i] + simplices[i + 1:]
+                # the first draw puts the simplex back: the list stays valid
+                swap = simplices[i] if draw == 0 else rng.choice(
+                    [t for t in trees if t not in others]
+                )
+                mutated = others[:i] + [swap] + others[i:]
+                oracle = all(compatible(g, a, b) for a, b in combinations(mutated, 2))
+                report_simplices(tree, g, mutated)
+                try:
+                    triangulation_from_arbtree(tree, g)
+                except InvariantError as exc:
+                    assert str(exc).startswith("incompatible simplices")
+                    outcomes.append(False)
+                else:
+                    outcomes.append(True)
+                assert outcomes[-1] == oracle
+        assert outcomes.count(True) >= len(graphs)
+        assert outcomes.count(False) > 50
+
+    @staticmethod
+    def swap_last(g, simplices, wanted):
+        """The simplices with the last one replaced by the first spanning
+        tree for which ``wanted`` holds of {facet: count among the others}."""
+        others = simplices[:-1]
+        held = facet_holders(g, others)
+        for tree in spanning_trees(g):
+            points = frozenset(g.edges[c] for c in tree)
+            if wanted({points - {p}: held[points - {p}] for p in points}):
+                return others + [tree]
+        raise AssertionError("no such spanning tree")
+
+    def check_swap_raises(self, g, wanted, message):
+        tree = build_arb_tree(build_dual(g, kappa_edge=0))
+        simplices = triangulation_from_arbtree(tree, g).simplices
+        report_simplices(tree, g, self.swap_last(g, simplices, wanted(g, simplices)))
+        with pytest.raises(InvariantError, match=message):
+            triangulation_from_arbtree(tree, g)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    def test_facet_of_two_simplices_on_one_side(self, grid_graph, shape):
+        def wanted(g, simplices):
+            # a facet held once in a triangulation lies on the boundary, so
+            # a second simplex holding it lies on the same side
+            boundary = {f for f, n in facet_holders(g, simplices).items() if n == 1}
+            return lambda held: max(held.values()) == 1 and any(
+                n == 1 and f in boundary for f, n in held.items()
+            )
+
+        self.check_swap_raises(
+            grid_graph(*shape), wanted, "on one side of a shared facet"
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    def test_facet_in_three_simplices(self, grid_graph, shape):
+        # one facet already held by two others, the rest by none
+        self.check_swap_raises(
+            grid_graph(*shape),
+            lambda g, simplices: lambda held: sorted(held.values())[-2:] == [0, 2],
+            "lies in three simplices",
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    def test_interior_facet_in_one_simplex(self, grid_graph, shape):
+        # no facet of the new simplex is held by another one, so the audit
+        # can only object to the facets left held once
+        self.check_swap_raises(
+            grid_graph(*shape),
+            lambda g, simplices: lambda held: max(held.values()) == 0,
+            "lies in no other simplex",
+        )
 
 
 class TestShellingAndVectors:
