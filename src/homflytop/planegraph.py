@@ -432,8 +432,9 @@ class SignedBlockGraph:
 def bfs_tree(vertices, edges) -> dict:
     """Breadth-first spanning tree of the first vertex's component.
 
-    Maps each vertex reached to (id of the edge from its parent, or None at
-    the first vertex; depth).  Edges are (u, w) pairs; the index is the id.
+    Maps each vertex reached, in breadth-first order, to (id of the edge
+    from its parent, or None at the first vertex; depth).  Edges are (u, w)
+    pairs; the index is the id.
     """
     adjacency = {x: [] for x in vertices}
     for c, (u, w) in enumerate(edges):

@@ -32,7 +32,7 @@ from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from .laurent import Laurent1
-from .planegraph import InvariantError, PlaneBipartiteGraph
+from .planegraph import InvariantError, PlaneBipartiteGraph, bfs_tree
 from .arborescence import ArbTree
 
 
@@ -306,21 +306,15 @@ def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
     for simplex in simplices:
         pairs = [of_edge[c] for c in simplex]
         mask = sum(1 << p for p in pairs)
-        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
-        for p in pairs:
-            e, v = ends[p]
-            adjacent[e].append((v, p))
-            adjacent[v].append((e, p))
-        order = [(0, 0, -1)]  # (vertex, its parent, pair to the parent)
-        reached = 1
-        for x, _, _ in order:
-            for y, p in adjacent[x]:
-                if not reached >> y & 1:
-                    reached |= 1 << y
-                    order.append((y, x, p))
         below = [1 << x for x in range(g.n_vertices)]  # subtree vertices
         reach = nbrs[:]  # their neighbours in G
-        for x, parent, p in reversed(order[1:]):
+        tree = bfs_tree(range(g.n_vertices), [ends[p] for p in pairs])
+        for x, (c, _) in reversed(tree.items()):  # children before parents
+            if c is None:
+                continue
+            p = pairs[c]
+            e, v = ends[p]
+            parent = v if x == e else e
             facet = mask ^ (1 << p)
             held = first.get(facet)
             if held is None:
@@ -337,13 +331,12 @@ def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
                     f"incompatible simplices: a facet of {sorted(simplex)} "
                     "lies in three simplices"
                 )
+            elif held[1] >> e & 1 or not held[1] >> v & 1:
+                raise InvariantError(
+                    f"incompatible simplices {sorted(held[0])} and "
+                    f"{sorted(simplex)}: on one side of a shared facet"
+                )
             else:
-                e, v = ends[p]
-                if held[1] >> e & 1 or not held[1] >> v & 1:
-                    raise InvariantError(
-                        f"incompatible simplices {sorted(held[0])} and "
-                        f"{sorted(simplex)}: on one side of a shared facet"
-                    )
                 shared.add(facet)
             below[parent] |= below[x]
             reach[parent] |= reach[x]
