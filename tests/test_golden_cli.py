@@ -5,9 +5,11 @@
 when the file was made.  ``tests/data/cli_blocks_grid.json`` does the same
 for ``MORE_LINES``, keyed by input name and command line: the bigon-theta
 block sum with its theta block negative, and the 3x3 grid without edge 4,
-whose shelling attaches simplices along up to three facets, and the full
-4x4 grid, whose triangulation has 384 simplices.  Regenerate
-both only when an output change is intended:
+whose shelling attaches simplices along up to three facets, the full 4x4
+grid, whose triangulation has 384 simplices, the full 3x4 grid, whose 17
+crossings run the skein oracle of ``homfly`` and ``top``, and corpus graph
+139, whose degree-1 vertices put curls in its median.  Regenerate both only
+when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -20,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import _grid_graph
+from conftest import CORPUS_MAX_EDGES, CORPUS_SEED, CORPUS_SIZE, _grid_graph
 from homflytop.cli import main
+from homflytop.gen import corpus
 from homflytop.fixtures import block_sum_bigon_theta, k32_three_strand
 
 GOLDEN = Path(__file__).parent / "data" / "cli_k32.json"
@@ -48,6 +51,9 @@ MORE_LINES = [
     ("grid-3x3-4", "verify --format json"),
     ("grid-4x4", "top --format json"),
     ("grid-4x4", "triangulate --format json"),
+    ("grid-3x4", "homfly --cap 17 --format json"),
+    ("grid-3x4", "top --cap 17 --format json"),
+    ("corpus-139", "homfly --format json"),
 ]
 
 
@@ -59,6 +65,10 @@ def documents() -> dict:
         "bigon-theta": {**block_sum.to_document(), "signs": [1, 1, -1, -1, -1]},
         "grid-3x3-4": _grid_graph(3, 3, (4,)).to_document(),
         "grid-4x4": _grid_graph(4, 4).to_document(),
+        "grid-3x4": _grid_graph(3, 4).to_document(),
+        "corpus-139": corpus(
+            seed=CORPUS_SEED, count=CORPUS_SIZE, max_edges=CORPUS_MAX_EDGES
+        )[139].to_document(),
     }
 
 
