@@ -378,6 +378,8 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.max_edges < 1:
         raise GraphInputError("--max-edges must be at least 1")
+    if args.count < 0:
+        raise GraphInputError("--count must not be negative")
     docs = genmod.corpus_documents(args.seed, args.count, max_edges=args.max_edges)
     for doc in docs:
         print(json.dumps(doc, sort_keys=True))

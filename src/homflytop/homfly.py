@@ -18,6 +18,19 @@ The memo may be shared across diagrams (``homfly_skein(d, memo=m)``): a
 code fixes its piece up to renumbering of the crossings, signs and over
 bits included, and the HOMFLY value depends on nothing else, so an entry
 made for one diagram is correct for every other.
+
+Before it splits a diagram into pieces, the oracle removes every curl: a
+crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
+one strand comes straight back to c on the other.  Removing it is smoothing
+c with one fewer free loop.  The skein relation normalises the unknot to 1,
+so P is an invariant of ambient isotopy (Freyd, Yetter, Hoste, Lickorish,
+Millett and Ocneanu, Bull. AMS 1985), and at a positive curl P+ = v^2 P(D')
++ vz P(D') (1/v - v)/z = P(D'), the negative case being its mirror.  Every
+curl qualifies: no strand crosses the loop, so on S^2 it bounds a disk that
+holds nothing but split pieces, and the Reidemeister I move undoes it.
+Removing one curl can make another, so removal repeats until none is left.
+Surgery on a valid diagram (switch, smooth, split_parts and curl removal)
+builds its result without validating it again.
 """
 
 from __future__ import annotations
@@ -59,6 +72,13 @@ class LinkDiagram:
             raise ValueError("crossing signs must be +1 or -1")
         if any(b not in (0, 1) for b in self.over):
             raise ValueError("over bits must be 0 or 1")
+
+    @classmethod
+    def _unchecked(cls, signs, succ, over, free_loops) -> "LinkDiagram":
+        """Diagram made by surgery on a valid one, without ``__post_init__``."""
+        d = object.__new__(cls)
+        d.__dict__.update(signs=signs, succ=succ, over=over, free_loops=free_loops)
+        return d
 
     # -- counting ---------------------------------------------------------
 
@@ -110,9 +130,9 @@ class LinkDiagram:
 
         The strands themselves (and hence the walk order) are untouched.
         """
-        signs = tuple(-s if i == c else s for i, s in enumerate(self.signs))
-        over = tuple(1 - b if i == c else b for i, b in enumerate(self.over))
-        return LinkDiagram(signs, self.succ, over, self.free_loops)
+        signs = self.signs[:c] + (-self.signs[c],) + self.signs[c + 1 :]
+        over = self.over[:c] + (1 - self.over[c],) + self.over[c + 1 :]
+        return LinkDiagram._unchecked(signs, self.succ, over, self.free_loops)
 
     def smooth(self, c: int) -> "LinkDiagram":
         """Orientation-preserving smoothing of crossing c.
@@ -129,19 +149,36 @@ class LinkDiagram:
         elif (su == u and so == o) or so == u or su == o:
             free += 1
 
-        def renumber(p):
-            return p - 2 if p > o else p
+        # a strand entering u leaves along o's exit and one entering o along
+        # u's; an exit that leads back into the crossing is followed once
+        # more.  Entries at u and o themselves are dropped.
+        succ = list(self.succ)
+        succ[succ.index(u)] = su if so == o else so
+        succ[succ.index(o)] = so if su == u else su
+        del succ[u : o + 1]
+        succ = tuple(q - 2 if q > o else q for q in succ)
+        signs = self.signs[:c] + self.signs[c + 1 :]
+        over = self.over[:c] + self.over[c + 1 :]
+        return LinkDiagram._unchecked(signs, succ, over, free)
 
-        succ = []
-        for p, q in enumerate(self.succ):
-            if p in (u, o):
-                continue
-            while q in (u, o):
-                q = so if q == u else su
-            succ.append(renumber(q))
-        signs = tuple(s for i, s in enumerate(self.signs) if i != c)
-        over = tuple(b for i, b in enumerate(self.over) if i != c)
-        return LinkDiagram(signs, tuple(succ), over, free)
+    def untwist(self) -> "LinkDiagram":
+        """The diagram with every curl removed, until none is left.
+
+        A curl is a crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c;
+        removing it is smoothing c with one fewer free loop.  Removal keeps
+        the link type (a Reidemeister I move), and removing one curl can
+        make another.  Returns the diagram itself when it has no curl.
+        """
+        d = self
+        while True:
+            succ = d.succ
+            for c in range(d.n_crossings):
+                if succ[2 * c] == 2 * c + 1 or succ[2 * c + 1] == 2 * c:
+                    break
+            else:
+                return d
+            s = d.smooth(c)
+            d = LinkDiagram._unchecked(s.signs, s.succ, s.over, s.free_loops - 1)
 
     def relabel(self, perm) -> "LinkDiagram":
         """Renumber crossings by perm (old index -> new index)."""
@@ -197,7 +234,7 @@ class LinkDiagram:
                     q = self.succ[p]
                     succ.append(2 * index[q // 2] + (q & 1))
             parts.append(
-                LinkDiagram(
+                LinkDiagram._unchecked(
                     tuple(self.signs[c] for c in crossings),
                     tuple(succ),
                     tuple(self.over[c] for c in crossings),
@@ -455,8 +492,12 @@ def homfly_skein(
 
     Descending-diagram recursion: P+ = v^2 P- + vz P0 applied at the first
     crossing violating descending order, with unlinks as the base case.
-    Raises CrossingCapExceeded when the diagram has more than ``cap``
-    crossings.
+    Every diagram of the recursion first has its curls removed (see
+    ``LinkDiagram.untwist``): at a positive curl P+ = v^2 P(D') + vz P(D')
+    (1/v - v)/z = P(D'), the negative case is the mirror identity, and on
+    S^2 the loop of every curl bounds a disk that no strand enters.
+    Raises CrossingCapExceeded when the input diagram has more than ``cap``
+    crossings, curls included.
 
     ``memo`` maps canonical codes of connected pieces to their values; pass
     one dict to several calls to share it across diagrams (default: a fresh
@@ -478,6 +519,7 @@ def homfly_skein(
 
 
 def _homfly(d: LinkDiagram, memo) -> Laurent2:
+    d = d.untwist()
     free = d.free_loops
     if d.n_crossings == 0:
         return UNLINK_FACTOR ** (free - 1) if free else Laurent2.const(1)

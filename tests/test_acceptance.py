@@ -4,6 +4,7 @@ Each test prints one pass line on success; pytest reports failures.  All
 polynomial comparisons are exact integer equalities.
 """
 
+import json
 import time
 import warnings
 from itertools import combinations, combinations_with_replacement, permutations
@@ -40,6 +41,7 @@ from homflytop.homfly import (
     homogeneous_top,
     morton_audit,
 )
+from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand
 
 CAP = 14
@@ -326,6 +328,18 @@ def test_criterion_8_mirror_and_block_sums(graph_corpus):
             assert formula == z_slice.poly
             cases += 1
     _passed(8, f"mirror rule and {cases} block-sum products")
+
+
+def test_oracle_agrees_at_24_crossings(grid_graph, tmp_path, capsys):
+    # `top` raises unless the oracle's z-slice equals the tree route, which
+    # it has already checked against the h and p routes
+    path = tmp_path / "grid-4x4.json"
+    path.write_text(json.dumps(grid_graph(4, 4).to_document()))
+    code = main(["top", "--cap", "24", "--format", "json", "--input", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["oracle"] == out["top"] == out["routes"]["h"] == out["routes"]["p"]
+    print("oracle at 24 crossings (full 4x4 grid): PASS")
 
 
 def _sign_patterns(bands):

@@ -320,6 +320,14 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "input"
 
+    def test_gen_negative_count(self, capsys):
+        code, out, err = run(capsys, "gen", "--count", "-1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+        code, out, err = run(capsys, "gen", "--count", "0")
+        assert (code, out, err) == (0, "", "")
+
 
 class TestPackageSurface:
     def test_star_import_binds_no_module(self):

@@ -99,6 +99,98 @@ def grid_pieces(grid_graph) -> list[LinkDiagram]:
     return out
 
 
+_V2 = Laurent2({(2, 0): 1})
+_VZ = Laurent2({(1, 1): 1})
+_VINV2 = Laurent2({(-2, 0): 1})
+_MINUS_VINVZ = Laurent2({(-1, 1): -1})
+
+
+def reference_homfly(d: LinkDiagram, memo: dict | None = None) -> Laurent2:
+    """The skein recursion without curl removal (reference for homfly_skein).
+
+    It memoizes on canonical codes of connected pieces in its own memo,
+    which homfly_skein never sees.
+    """
+    return _reference(d, {} if memo is None else memo)
+
+
+def _reference(d: LinkDiagram, memo) -> Laurent2:
+    free = d.free_loops
+    if d.n_crossings == 0:
+        return UNLINK_FACTOR ** (free - 1) if free else Laurent2.const(1)
+    parts = d.split_parts()
+    if parts == [d]:
+        return _reference_connected(d, memo)
+    result = UNLINK_FACTOR ** (len(parts) + free - 1)
+    for part in parts:
+        result = result * _reference_connected(part, memo)
+    return result
+
+
+def _reference_connected(d: LinkDiagram, memo) -> Laurent2:
+    key = d.canonical_code()
+    if key in memo:
+        return memo[key]
+    bad = d.first_bad_crossing()
+    if bad is None:
+        value = UNLINK_FACTOR ** (len(d.components()) - 1)
+    elif d.signs[bad] > 0:
+        value = _V2 * _reference(d.switch(bad), memo) + _VZ * _reference(
+            d.smooth(bad), memo
+        )
+    else:
+        value = _VINV2 * _reference(d.switch(bad), memo) + _MINUS_VINVZ * _reference(
+            d.smooth(bad), memo
+        )
+    memo[key] = value
+    return value
+
+
+def reference_smooth(d: LinkDiagram, c: int) -> LinkDiagram:
+    """Smoothing by following each pass through the crossing (reference)."""
+    u, o = 2 * c, 2 * c + 1
+    su, so = d.succ[u], d.succ[o]
+    free = d.free_loops
+    if su == o and so == u:
+        free += 2
+    elif (su == u and so == o) or so == u or su == o:
+        free += 1
+    succ = []
+    for p, q in enumerate(d.succ):
+        if p in (u, o):
+            continue
+        while q in (u, o):
+            q = so if q == u else su
+        succ.append(q - 2 if q > o else q)
+    signs = tuple(s for i, s in enumerate(d.signs) if i != c)
+    over = tuple(b for i, b in enumerate(d.over) if i != c)
+    return LinkDiagram(signs, tuple(succ), over, free)
+
+
+def is_curl(d: LinkDiagram, c: int) -> bool:
+    return d.succ[2 * c] == 2 * c + 1 or d.succ[2 * c + 1] == 2 * c
+
+
+def with_curls(d: LinkDiagram, p: int, depth=1, sign=1, over=0, flipped=False):
+    """d with ``depth`` nested curls spliced in after pass p.
+
+    The new crossings n, n+1, ... are met in the order n, n+1, ..., then
+    back out ..., n+1, n, so only the innermost is a curl until it goes.
+    The strand meets pass 2c of each first, or pass 2c+1 when ``flipped``.
+    Every sign and over bit is drawable: a curl may turn either way.
+    """
+    n = d.n_crossings
+    first = [2 * (n + i) + flipped for i in range(depth)]
+    second = [q ^ 1 for q in first]
+    walk = [p] + first + second[::-1] + [d.succ[p]]
+    succ = list(d.succ) + [0] * (2 * depth)
+    for a, b in zip(walk, walk[1:]):
+        succ[a] = b
+    return LinkDiagram(
+        d.signs + (sign,) * depth, tuple(succ), d.over + (over,) * depth, d.free_loops
+    )
+
+
 def type_two_leaf_diagrams(g, dual) -> list[LinkDiagram]:
     tree = build_arb_tree(dual)
     return [
@@ -270,6 +362,120 @@ class TestSkeinOracle:
                 value = homfly_skein(median_diagram(g, decorated_subgraph_at(g, leaf)))
                 total = total + weight * value
             assert total == homfly_skein(median_diagram(g))
+
+
+class TestCurlRemoval:
+    """homfly_skein, which removes curls first, against the recursion that
+    does not, and the removal itself on planted curls."""
+
+    def test_matches_reference_on_corpus_medians(self, graph_corpus):
+        for g in graph_corpus:
+            d = median_diagram(g)
+            assert homfly_skein(d) == reference_homfly(d)
+
+    def test_matches_reference_on_grid_subgraphs(self, grid_subgraphs):
+        # every median and its type-II leaf diagrams at up to 3 roots, each
+        # distinct diagram once; each side shares one memo, as verify does
+        diagrams = []
+        for g in grid_subgraphs:
+            diagrams.append(median_diagram(g))
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                diagrams += type_two_leaf_diagrams(g, dual.with_root(r0, kappa))
+        diagrams = list(dict.fromkeys(diagrams))
+        assert len(diagrams) > 1500
+        memo, reference_memo = {}, {}
+        for d in diagrams:
+            value = homfly_skein(d, cap=17, memo=memo)
+            assert value == reference_homfly(d, reference_memo)
+
+    def test_matches_reference_on_every_sign_pattern(self):
+        for fixture in (bigon, theta, k32_three_strand):
+            g = fixture()[0]
+            edges = frozenset(range(g.n_edges))
+            for mask in range(1 << g.n_edges):
+                dotted = frozenset(c for c in edges if mask >> c & 1)
+                d = median_diagram(g, DecoratedSubgraph(edges, dotted))
+                assert homfly_skein(d) == reference_homfly(d)
+
+    def test_one_curl_in_each_orientation_sign_and_over_bit(self):
+        g, _ = bigon()
+        hopf = median_diagram(g)
+        for p, sign, over, flipped in product(range(4), (1, -1), (0, 1), (0, 1)):
+            d = with_curls(hopf, p, sign=sign, over=over, flipped=flipped)
+            assert is_curl(d, 2)
+            assert d.untwist() == hopf
+            assert homfly_skein(d) == reference_homfly(d) == HOPF
+
+    def test_figure_eight_curve_is_the_unknot(self):
+        for sign, over, free in product((1, -1), (0, 1), (0, 2)):
+            d = LinkDiagram((sign,), (1, 0), (over,), free)
+            assert d.untwist() == LinkDiagram((), (), (), free + 1)
+            assert homfly_skein(d) == reference_homfly(d) == UNLINK_FACTOR**free
+
+    def test_removing_a_curl_can_make_the_next(self):
+        g, _ = theta()
+        trefoil = median_diagram(g)
+        for depth, flipped in product((2, 3), (0, 1)):
+            d = with_curls(trefoil, 1, depth, sign=-1, flipped=flipped)
+            # only the innermost crossing, the last one, is a curl
+            assert [c for c in range(d.n_crossings) if is_curl(d, c)] == [2 + depth]
+            assert d.untwist() == trefoil
+            assert homfly_skein(d) == reference_homfly(d) == TREFOIL
+
+    def test_curls_leave_no_curl_and_the_value(self, graph_corpus, grid_graph):
+        diagrams = [median_diagram(g) for g in graph_corpus[:60]] + grid_pieces(
+            grid_graph
+        )
+        curly = 0
+        for d in diagrams:
+            untwisted = d.untwist()
+            assert not any(is_curl(untwisted, c) for c in range(untwisted.n_crossings))
+            curly += untwisted is not d
+            assert homfly_skein(untwisted) == homfly_skein(d)
+        assert curly > 20
+
+    def test_cap_counts_the_curls_of_the_input(self):
+        # 15 kinks in a row: an unknot whose diagram has 15 crossings
+        succ = []
+        for c in range(15):
+            succ += [2 * c + 1, (2 * c + 2) % 30]
+        d = LinkDiagram((1,) * 15, tuple(succ), (0,) * 15)
+        assert d.untwist() == LinkDiagram((), (), (), 1)
+        with pytest.raises(CrossingCapExceeded):
+            homfly_skein(d, cap=14)
+        assert homfly_skein(d, cap=15) == 1
+
+
+class TestSurgery:
+    def test_smooth_matches_reference(self, graph_corpus, grid_graph):
+        g, _ = bigon()
+        hopf = median_diagram(g)
+        diagrams = (
+            [median_diagram(g) for g in graph_corpus[:60]]
+            + grid_pieces(grid_graph)
+            + [LinkDiagram((1,), (1, 0), (0,)), LinkDiagram((1,), (0, 1), (0,))]
+            # a pass that returns to itself cannot be drawn, but smooth takes it
+            + [LinkDiagram((1, 1, 1), (1, 4, 2, 5, 0, 3), (0, 0, 0))]
+            + [LinkDiagram((1, 1), (2, 1, 0, 3), (0, 0))]
+            + [with_curls(hopf, p, flipped=f) for p in range(4) for f in (0, 1)]
+        )
+        for d in diagrams:
+            for c in range(d.n_crossings):
+                assert d.smooth(c) == reference_smooth(d, c)
+
+    def test_surgery_builds_valid_diagrams(self, graph_corpus, grid_graph):
+        # switch, smooth, split_parts and untwist skip validation; their
+        # results must still pass it
+        diagrams = [median_diagram(g) for g in graph_corpus[:60]] + grid_pieces(
+            grid_graph
+        )
+        for d in diagrams:
+            made = d.split_parts() + [d.untwist()]
+            for c in range(d.n_crossings):
+                made += [d.switch(c), d.smooth(c)]
+            for m in made:
+                assert LinkDiagram(m.signs, m.succ, m.over, m.free_loops) == m
 
 
 class TestCanonicalCode:
