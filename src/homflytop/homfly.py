@@ -495,7 +495,7 @@ def homfly_skein(
     Every diagram of the recursion first has its curls removed (see
     ``LinkDiagram.untwist``): at a positive curl P+ = v^2 P(D') + vz P(D')
     (1/v - v)/z = P(D'), the negative case is the mirror identity, and on
-    S^2 the loop of every curl bounds a disk that no strand enters.
+    S^2 the loop of every curl bounds a disk that no strand crosses.
     Raises CrossingCapExceeded when the input diagram has more than ``cap``
     crossings, curls included.
 
