@@ -78,6 +78,10 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves no state in the parser
+_PARSER = make_parser()
+
+
 def _load(args, with_document=False):
     if not args.input:
         raise GraphInputError("--input is required for this command")
@@ -402,7 +406,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
     except (GraphInputError, CrossingCapExceeded, OSError, json.JSONDecodeError) as exc:

@@ -228,6 +228,17 @@ def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
     return found
 
 
+# per graph: the number of hypertrees, the normalised volume of Q_G
+_HYPERTREE_COUNTS: "WeakKeyDictionary[PlaneBipartiteGraph, int]" = WeakKeyDictionary()
+
+
+def _hypertree_count(g: PlaneBipartiteGraph) -> int:
+    count = _HYPERTREE_COUNTS.get(g)
+    if count is None:
+        count = _HYPERTREE_COUNTS[g] = len(hypertrees(g))
+    return count
+
+
 # -- triangulation ------------------------------------------------------------
 
 
@@ -259,13 +270,13 @@ class Triangulation:
 def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangulation:
     """Simplices dual to the type-I leaves, in right-to-left leaf order.
 
-    Validates the hypertree count, distinct vertex sets and the facets (see
-    ``_check_facets``); these always hold for trees built from a valid
-    dual, so a failure means a bug.
+    Validates the hypertree count (computed once per graph), distinct vertex
+    sets and the facets (see ``_check_facets``); these always hold for trees
+    built from a valid dual, so a failure means a bug.
     """
     all_edges = frozenset(range(g.n_edges))
     simplices = [all_edges - a for a, _ in tree.type_one_leaves()]
-    expected = len(hypertrees(g))
+    expected = _hypertree_count(g)
     if len(simplices) != expected:
         raise InvariantError(
             f"{len(simplices)} simplices but {expected} hypertrees"
@@ -416,8 +427,13 @@ def _maximal(masks) -> tuple[int, ...]:
 def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
     """Per size, the nonempty subsets lying inside some member of an antichain.
 
-    Each subset is counted at the first member containing it: the member's
-    subsets, by binomials, less those inside one of its maximal
+    Each subset is counted at the first member m containing it.  Let R be
+    the points of m whose opposite facet is an intersection with a member
+    before m.  If every such intersection misses a point of R, a subset of
+    m lies in one iff it misses a point of R, so the new j-subsets are the
+    C(|m| - |R|, j - |R|) holding R; in a shelling this is every member
+    (Ziegler, "Lectures on Polytopes", section 8.2).  Otherwise the new
+    subsets are m's, by binomials, less those inside one of its maximal
     intersections with the members before it, which is the same count one
     level down (inclusion-exclusion).
     """
@@ -425,9 +441,20 @@ def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
         return memo[family]
     out = [0] * (max((m.bit_count() for m in family), default=0) + 1)
     for i, m in enumerate(family):
-        earlier = _covered_faces(_maximal([m & k for k in family[:i]]), memo)
-        for j in range(1, m.bit_count() + 1):
-            out[j] += comb(m.bit_count(), j) - (earlier[j] if j < len(earlier) else 0)
+        size = m.bit_count()
+        meets = [m & k for k in family[:i]]
+        ridge = 0  # R
+        for x in meets:
+            if x.bit_count() == size - 1:
+                ridge |= m ^ x
+        if all((m ^ x) & ridge for x in meets):
+            r = ridge.bit_count()
+            for j in range(max(r, 1), size + 1):
+                out[j] += comb(size - r, j - r)
+            continue
+        earlier = _covered_faces(_maximal(meets), memo)
+        for j in range(1, size + 1):
+            out[j] += comb(size, j) - (earlier[j] if j < len(earlier) else 0)
     memo[family] = out
     return out
 

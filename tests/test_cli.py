@@ -3,6 +3,7 @@ import types
 
 import pytest
 
+from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
 
@@ -237,6 +238,27 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["top"] == "1*v^2 + 2*v^4"
+
+    def test_consecutive_calls_match_fresh_parsers(self, capsys, monkeypatch, k32_path):
+        # main reuses one parser; no option of a call may reach the next
+        lines = [
+            ("triangulate", "--kappa", "3", "--format", "json"),
+            ("triangulate", "--format", "json"),
+            ("triangulate", "--r0", "2,ve", "--format", "json"),
+            ("triangulate", "--format", "json"),
+            ("hvector", "--all-roots", "--format", "json"),
+            ("hvector", "--format", "json"),
+            ("top", "--cap", "5", "--format", "json"),
+            ("top", "--format", "json"),
+        ]
+        shared = [run(capsys, *line, "--input", k32_path) for line in lines]
+        fresh = []
+        for line in lines:
+            monkeypatch.setattr(cli, "_PARSER", cli.make_parser())
+            fresh.append(run(capsys, *line, "--input", k32_path))
+        assert shared == fresh
+        # each option changes the output, so a leaked one would show
+        assert all(a != b for a, b in zip(shared[::2], shared[1::2]))
 
 
 class TestGen:

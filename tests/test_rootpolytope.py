@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from homflytop import rootpolytope
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph, build_dual
 from homflytop.arborescence import build_arb_tree
 from homflytop.laurent import Laurent1
@@ -20,6 +21,7 @@ from homflytop.rootpolytope import (
     h_from_shelling,
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+from homflytop.verify import verify_graph
 
 
 # -- reference implementations: the exhaustive definitions --------------------
@@ -333,6 +335,28 @@ class TestTriangulation:
             tri = triangulation_from_arbtree(build_arb_tree(dual), g)
             assert len(tri.simplices) == len(hypertrees(g))
 
+    def test_hypertrees_run_once_per_graph(self, monkeypatch, grid_graph):
+        seen = []
+
+        def counting(g):
+            seen.append(g)
+            return hypertrees(g)
+
+        monkeypatch.setattr(rootpolytope, "hypertrees", counting)
+        graphs = [k32_three_strand()[0], grid_graph(3, 3, (4,))]
+        for g in graphs:
+            dual = build_dual(g, kappa_edge=0)
+            assert len(dual.admissible_pairs()) > 1
+            assert verify_graph(g, dual).ok
+        assert seen == graphs
+        # with the count known, a short list still fails the check
+        tree = build_arb_tree(build_dual(graphs[1], kappa_edge=0))
+        leaves = tree.type_one_leaves()
+        tree.type_one_leaves = lambda: leaves[:-1]
+        with pytest.raises(InvariantError, match="hypertrees"):
+            triangulation_from_arbtree(tree, graphs[1])
+        assert seen == graphs
+
 
 class TestTriangulationRejectsBadInput:
     """The audits inside triangulation_from_arbtree catch planted faults."""
@@ -536,6 +560,36 @@ class TestShellingAndVectors:
                 assert f_vector(Triangulation(g, order)) == expected
                 prefix = Triangulation(g, order[: rng.randint(0, len(order))])
                 assert f_vector(prefix) == reference_f(prefix)
+
+    def test_closed_form_on_shellings_fallback_on_shuffles(
+        self, monkeypatch, graph_corpus, grid_subgraphs
+    ):
+        # _maximal runs once at the top level; each further call is one
+        # member that the closed form could not count
+        calls = []
+
+        def counting(masks):
+            calls.append(masks)
+            return maximal(masks)
+
+        maximal = rootpolytope._maximal
+        monkeypatch.setattr(rootpolytope, "_maximal", counting)
+        rng = random.Random(12)
+        shuffled_calls = []
+        for g in list(graph_corpus) + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                tri = triangulation_from_arbtree(
+                    build_arb_tree(dual.with_root(r0, kappa)), g
+                )
+                calls.clear()
+                f = f_vector(tri)
+                assert len(calls) == 1
+                order = rng.sample(tri.simplices, len(tri.simplices))
+                calls.clear()
+                assert f_vector(Triangulation(g, order)) == f
+                shuffled_calls.append(len(calls))
+        assert sum(n > 1 for n in shuffled_calls) > 40
 
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
