@@ -19,8 +19,11 @@ audit is exact and enumerates no faces or spanning trees:
 - hypertrees: the G-draconian sequences of the same paper, f(S) <= |N(S)| - 1
   over the 2^|E| subsets S of the E class, equivalent to Kalman's bound
   f(S) <= |N(S)| - c(S);
-- f-vector: the faces new in each simplex, by inclusion-exclusion over its
-  maximal intersections with the earlier ones.
+- f-vector: the faces new in each simplex.  Let R be its points whose
+  opposite facet lies in an earlier simplex.  When each intersection with
+  an earlier simplex misses a point of R, as in a shelling, the new faces
+  are those holding R, counted by binomials; otherwise they are counted by
+  inclusion-exclusion over its maximal intersections with the earlier ones.
 """
 
 from __future__ import annotations
@@ -402,8 +405,11 @@ def f_vector(tri: Triangulation) -> Laurent1:
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
     across simplices; the leading term counts the empty face.  Each polytope
     point is one bit, so a simplex is a mask.  The faces new in each simplex
-    are counted by inclusion-exclusion over its maximal intersections with
-    the simplices before it, with binomials; the total holds for any order.
+    are counted with binomials (see ``_covered_faces``): in closed form when
+    each of its intersections with the simplices before it misses a point
+    whose opposite facet is one of them, as in a shelling, and otherwise by
+    inclusion-exclusion over its maximal intersections.  The total holds for
+    any order.
     """
     d = tri.dimension
     _, masks = _point_masks(tri)
@@ -451,10 +457,10 @@ def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
             r = ridge.bit_count()
             for j in range(max(r, 1), size + 1):
                 out[j] += comb(size - r, j - r)
-            continue
-        earlier = _covered_faces(_maximal(meets), memo)
-        for j in range(1, size + 1):
-            out[j] += comb(size, j) - (earlier[j] if j < len(earlier) else 0)
+        else:
+            earlier = _covered_faces(_maximal(meets), memo)
+            for j in range(1, size + 1):
+                out[j] += comb(size, j) - (earlier[j] if j < len(earlier) else 0)
     memo[family] = out
     return out
 
