@@ -13,11 +13,12 @@ construction that produced the diagram.
 The oracle resolves the first crossing that breaks descending order
 (components in a fixed order, each walked from a basepoint) with the skein
 relation P+ = v^2 P- + vz P0 and bottoms out on descending diagrams, which
-are unlinks.  Values are memoized on canonical codes of connected pieces.
-The memo may be shared across diagrams (``homfly_skein(d, memo=m)``): a
-code fixes its piece up to renumbering of the crossings, signs and over
-bits included, and the HOMFLY value depends on nothing else, so an entry
-made for one diagram is correct for every other.
+are unlinks.  The memo maps each connected piece to its value, keyed on
+the piece itself.  It may be shared across diagrams
+(``homfly_skein(d, memo=m)``): ``LinkDiagram`` is a frozen dataclass, so
+equal keys are equal diagrams (signs, strands and over bits) and an entry
+made for one diagram is correct for every other.  ``canonical_code`` is
+the relabelling-invariant comparison; the oracle does not use it.
 
 Before it splits a diagram into pieces, the oracle removes every curl: a
 crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
@@ -29,6 +30,9 @@ Millett and Ocneanu, Bull. AMS 1985), and at a positive curl P+ = v^2 P(D')
 curl qualifies: no strand crosses the loop, so on S^2 it bounds a disk that
 holds nothing but split pieces, and the Reidemeister I move undoes it.
 Removing one curl can make another, so removal repeats until none is left.
+A switch leaves ``succ`` as it is, so the switched diagram of a connected
+piece without curls is again one: it goes straight to the connected case,
+past curl removal and splitting.  Smoothings take the full path.
 Surgery on a valid diagram (switch, smooth, split_parts and curl removal)
 builds its result without validating it again.
 """
@@ -499,9 +503,11 @@ def homfly_skein(
     Raises CrossingCapExceeded when the input diagram has more than ``cap``
     crossings, curls included.
 
-    ``memo`` maps canonical codes of connected pieces to their values; pass
+    ``memo`` maps connected pieces, curls removed, to their values; pass
     one dict to several calls to share it across diagrams (default: a fresh
-    dict).  Every run is audited against the degree bound
+    dict).  The switched diagram at a skein step skips curl removal and
+    splitting, since a switch keeps the strands of a connected, curl-free
+    piece.  Every run is audited against the degree bound
     maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
@@ -533,19 +539,22 @@ def _homfly(d: LinkDiagram, memo) -> Laurent2:
 
 
 def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
-    key = d.canonical_code()
-    if key in memo:
-        return memo[key]
+    """Value of a connected piece with no curl and no free loop."""
+    value = memo.get(d)
+    if value is not None:
+        return value
     bad = d.first_bad_crossing()
     if bad is None:
         value = UNLINK_FACTOR ** (len(d.components()) - 1)
-    elif d.signs[bad] > 0:
-        value = _V2 * _homfly(d.switch(bad), memo) + _VZ * _homfly(d.smooth(bad), memo)
     else:
-        value = _VINV2 * _homfly(d.switch(bad), memo) + _MINUS_VINVZ * _homfly(
-            d.smooth(bad), memo
-        )
-    memo[key] = value
+        # a switch keeps succ, so the switched piece is again one of these
+        switched = _homfly_connected(d.switch(bad), memo)
+        smoothed = _homfly(d.smooth(bad), memo)
+        if d.signs[bad] > 0:
+            value = _V2 * switched + _VZ * smoothed
+        else:
+            value = _VINV2 * switched + _MINUS_VINVZ * smoothed
+    memo[d] = value
     return value
 
 

@@ -6,8 +6,10 @@ validated and shelled, the two h-vector routes are compared, the parking
 bijection is round-tripped, and the three top formulas are compared with
 each other and (under the crossing cap) with the skein oracle's z-slice.
 The oracle audits the Morton bound on the full diagram, and the strict
-bound is audited on every type-II leaf diagram.  All oracle runs on one
-graph share one skein memo.
+bound is audited on every type-II leaf diagram, once per decorated
+subgraph: pairs whose trees share a leaf subgraph reuse its outcome, a
+failure message included.  All oracle runs on one graph share one skein
+memo.
 
 An InvariantError from the oracle, the arborescence tree, the
 triangulation, the shelling or the parking bijection is recorded as a FAIL
@@ -101,6 +103,15 @@ def _check_triangulation(report, tree, g, leaves, tag) -> Laurent1 | None:
     return h
 
 
+def _strict_morton_failure(g, sub, cap, memo) -> str | None:
+    """Strict Morton audit of one type-II leaf diagram: None, or its failure."""
+    try:
+        morton_audit(median_diagram(g, sub), strict=True, cap=cap, memo=memo)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
 def verify_graph(
     g: PlaneBipartiteGraph, dual: DualDigraph, cap: int = 14
 ) -> VerifyReport:
@@ -114,6 +125,8 @@ def verify_graph(
 
     # one skein memo for the full diagram and every type-II leaf diagram
     memo: dict = {}
+    # DecoratedSubgraph of a type-II leaf -> None, or its strict audit's failure
+    audited: dict = {}
     oracle_top = None
     oracle_note = "skipped (over crossing cap)"
     if n <= cap:
@@ -203,16 +216,17 @@ def verify_graph(
         tops.add(t_tree.poly)
 
         if n <= cap:
-            try:
-                for leaf in tree.type_two_leaves():
-                    sub = decorated_subgraph_at(g, leaf)
-                    morton_audit(
-                        median_diagram(g, sub), strict=True, cap=cap, memo=memo
-                    )
-            except InvariantError as exc:
-                report.record(f"type-two-morton-strict [{tag}]", False, str(exc))
-            else:
-                report.record(f"type-two-morton-strict [{tag}]", True)
+            failure = None
+            for leaf in tree.type_two_leaves():
+                sub = decorated_subgraph_at(g, leaf)
+                if sub not in audited:
+                    audited[sub] = _strict_morton_failure(g, sub, cap, memo)
+                failure = audited[sub]
+                if failure is not None:
+                    break
+            report.record(
+                f"type-two-morton-strict [{tag}]", failure is None, failure or ""
+            )
 
     report.record(
         "p-root-independent", len({p for _, _, p in by_root.values()}) == 1

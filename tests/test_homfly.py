@@ -532,14 +532,50 @@ class TestCanonicalCode:
             two_hopfs.canonical_code()
 
 
-class TestSharedMemo:
-    def test_shared_memo_gives_fresh_values(self, graph_corpus):
-        cases = [k32_three_strand()] + [
-            (g, build_dual(g, kappa_edge=0)) for g in graph_corpus[:20]
+class TestPieceMemo:
+    """The memo keyed on pieces themselves, and switches sent straight to
+    the connected case, against the canonical-code recursion."""
+
+    def test_switches_of_reached_pieces_need_no_untwist_or_split(
+        self, graph_corpus, grid_graph
+    ):
+        diagrams = [median_diagram(g) for g in graph_corpus] + [
+            median_diagram(grid_graph(3, 4))
         ]
+        reached = 0
+        for d in diagrams:
+            memo: dict = {}
+            homfly_skein(d, cap=17, memo=memo)
+            # every piece reached is a memo key
+            for piece in memo:
+                assert piece.untwist() is piece
+                assert piece.split_parts() == [piece]
+                for c in range(piece.n_crossings):
+                    switched = piece.switch(c)
+                    assert switched.untwist() is switched
+                    assert switched.split_parts() == [switched]
+            reached += len(memo)
+        assert reached > 1000
+
+    @pytest.mark.parametrize("a, b", [(3, 4), (3, 5)])
+    def test_matches_reference_on_full_grids(self, grid_graph, a, b):
+        d = median_diagram(grid_graph(a, b))
+        assert homfly_skein(d, cap=d.n_crossings) == reference_homfly(d)
+
+
+class TestSharedMemo:
+    def test_shared_memo_gives_fresh_values(self, graph_corpus, grid_graph):
+        # one memo across the type-II leaf diagrams of K_{3,2} and a grid
+        # subgraph at every pair, then of corpus graphs at one root each
+        diagrams = []
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                diagrams += type_two_leaf_diagrams(g, dual.with_root(r0, kappa))
+        assert len(diagrams) > 50
+        for g in graph_corpus[:20]:
+            diagrams += type_two_leaf_diagrams(g, build_dual(g, kappa_edge=0))
         memo: dict = {}
-        diagrams = [d for g, dual in cases for d in type_two_leaf_diagrams(g, dual)]
-        assert diagrams
         for d in diagrams:
             assert homfly_skein(d, memo=memo) == homfly_skein(d)
         assert memo
@@ -550,8 +586,10 @@ class TestSharedMemo:
         memo: dict = {}
         report = morton_audit(d, memo=memo)
         assert report.max_z_degree == report.bound == 2
-        # plant a value above the bound n - s + 1 = 2 under the diagram's code
-        memo[d.canonical_code()] = Laurent2({(0, 3): 1})
+        # plant a value above the bound n - s + 1 = 2 under the diagram
+        # itself, the memo's key for a connected piece without curls
+        assert d.untwist() is d and d.split_parts() == [d]
+        memo[d] = Laurent2({(0, 3): 1})
         with pytest.raises(InvariantError):
             morton_audit(d, memo=memo)
 

@@ -1,0 +1,108 @@
+"""verify_graph's strict Morton audits, run once per type-II leaf subgraph,
+against a loop that audits every type-II leaf of every pair afresh."""
+
+from homflytop import verify
+from homflytop.arborescence import build_arb_tree
+from homflytop.fixtures import k32_three_strand
+from homflytop.homfly import decorated_subgraph_at, median_diagram
+from homflytop.planegraph import InvariantError, build_dual
+from homflytop.verify import verify_graph
+
+STRICT = "type-two-morton-strict"
+
+
+def reference_strict_checks(g, dual, cap=14) -> list[dict]:
+    """The strict Morton checks of verify_graph, without its outcome cache
+    and with a fresh skein memo per leaf diagram."""
+    checks = []
+    if g.n_edges > cap:
+        return checks
+    for r0, kappa in dual.admissible_pairs():
+        tree = build_arb_tree(dual.with_root(r0, kappa))
+        name = f"{STRICT} [r0={r0} kappa={kappa}]"
+        try:
+            for leaf in tree.type_two_leaves():
+                sub = decorated_subgraph_at(g, leaf)
+                verify.morton_audit(median_diagram(g, sub), strict=True, cap=cap)
+        except InvariantError as exc:
+            checks.append({"invariant": name, "ok": False, "detail": str(exc)})
+        else:
+            checks.append({"invariant": name, "ok": True, "detail": ""})
+    return checks
+
+
+def strict_checks(report) -> list[dict]:
+    return [c for c in report.checks if c["invariant"].startswith(STRICT)]
+
+
+def leaf_diagrams_by_pair(g, dual) -> list[list]:
+    return [
+        [
+            median_diagram(g, decorated_subgraph_at(g, leaf))
+            for leaf in build_arb_tree(dual.with_root(r0, kappa)).type_two_leaves()
+        ]
+        for r0, kappa in dual.admissible_pairs()
+    ]
+
+
+class TestStrictAuditOncePerSubgraph:
+    def test_matches_reference_loop(self, graph_corpus, grid_subgraphs):
+        # grid subgraphs over the default cap of 14 get no strict checks
+        graphs = list(graph_corpus) + [g for g in grid_subgraphs if g.n_edges <= 14]
+        audited = 0
+        for g in graphs:
+            dual = build_dual(g, kappa_edge=0)
+            report = verify_graph(g, dual)
+            assert report.ok
+            checks = strict_checks(report)
+            assert checks == reference_strict_checks(g, dual)
+            audited += len(checks)
+        assert audited > 1000
+
+    def test_each_subgraph_is_audited_once(self, monkeypatch, grid_graph):
+        calls = []
+        real = verify.morton_audit
+
+        def counting(d, **kwargs):
+            calls.append(d)
+            return real(d, **kwargs)
+
+        monkeypatch.setattr(verify, "morton_audit", counting)
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
+            dual = build_dual(g, kappa_edge=0)
+            calls.clear()
+            assert verify_graph(g, dual).ok
+            by_pair = leaf_diagrams_by_pair(g, dual)
+            distinct = {d for diagrams in by_pair for d in diagrams}
+            assert sum(map(len, by_pair)) > len(distinct)
+            assert len(calls) == len(distinct)
+
+    def test_planted_failure_fails_every_pair_holding_it(
+        self, monkeypatch, grid_graph
+    ):
+        real = verify.morton_audit
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
+            dual = build_dual(g, kappa_edge=0)
+            by_pair = leaf_diagrams_by_pair(g, dual)
+            # the leaf diagram held by the most pairs
+            planted = max(
+                {d for diagrams in by_pair for d in diagrams},
+                key=lambda d: sum(d in diagrams for diagrams in by_pair),
+            )
+            holding = [planted in diagrams for diagrams in by_pair]
+            assert sum(holding) > 1
+
+            def audit(d, **kwargs):
+                if d == planted:
+                    raise InvariantError("planted strict-bound failure")
+                return real(d, **kwargs)
+
+            monkeypatch.setattr(verify, "morton_audit", audit)
+            report = verify_graph(g, dual)
+            checks = strict_checks(report)
+            assert checks == reference_strict_checks(g, dual)
+            assert [not c["ok"] for c in checks] == holding
+            for check, held in zip(checks, holding):
+                if held:
+                    assert check["detail"] == "planted strict-bound failure"
+            assert not report.ok
