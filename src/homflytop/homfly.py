@@ -13,12 +13,14 @@ construction that produced the diagram.
 The oracle resolves the first crossing that breaks descending order
 (components in a fixed order, each walked from a basepoint) with the skein
 relation P+ = v^2 P- + vz P0 and bottoms out on descending diagrams, which
-are unlinks.  The memo maps each connected piece to its value, keyed on
-the piece itself.  It may be shared across diagrams
-(``homfly_skein(d, memo=m)``): ``LinkDiagram`` is a frozen dataclass, so
-equal keys are equal diagrams (signs, strands and over bits) and an entry
-made for one diagram is correct for every other.  ``canonical_code`` is
-the relabelling-invariant comparison; the oracle does not use it.
+are unlinks.  The memo holds each connected piece's value under two keys:
+the piece itself, looked up first, and its canonical code, computed only
+when the piece is not a key.  ``LinkDiagram`` is a frozen dataclass, so
+equal pieces have equal signs, strands and over bits, and a code fixes
+its piece up to renumbering of the crossings; the HOMFLY value depends on
+nothing else.  So the memo may be shared across diagrams
+(``homfly_skein(d, memo=m)``): an entry made for one diagram is correct
+for every other.
 
 Before it splits a diagram into pieces, the oracle removes every curl: a
 crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
@@ -503,11 +505,13 @@ def homfly_skein(
     Raises CrossingCapExceeded when the input diagram has more than ``cap``
     crossings, curls included.
 
-    ``memo`` maps connected pieces, curls removed, to their values; pass
-    one dict to several calls to share it across diagrams (default: a fresh
-    dict).  The switched diagram at a skein step skips curl removal and
-    splitting, since a switch keeps the strands of a connected, curl-free
-    piece.  Every run is audited against the degree bound
+    ``memo`` maps connected pieces, curls removed, and their canonical
+    codes to their values; the code is computed only for a piece that is
+    not yet a key.  Pass one dict to several calls to share it across
+    diagrams (default: a fresh dict).  The switched diagram at a skein
+    step skips curl removal and splitting, since a switch keeps the strands
+    of a connected, curl-free piece.  Every run is audited against the
+    degree bound
     maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
@@ -543,17 +547,22 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
     value = memo.get(d)
     if value is not None:
         return value
-    bad = d.first_bad_crossing()
-    if bad is None:
-        value = UNLINK_FACTOR ** (len(d.components()) - 1)
-    else:
-        # a switch keeps succ, so the switched piece is again one of these
-        switched = _homfly_connected(d.switch(bad), memo)
-        smoothed = _homfly(d.smooth(bad), memo)
-        if d.signs[bad] > 0:
-            value = _V2 * switched + _VZ * smoothed
+    # not seen with these labels: look for a relabelled copy
+    code = d.canonical_code()
+    value = memo.get(code)
+    if value is None:
+        bad = d.first_bad_crossing()
+        if bad is None:
+            value = UNLINK_FACTOR ** (len(d.components()) - 1)
         else:
-            value = _VINV2 * switched + _MINUS_VINVZ * smoothed
+            # a switch keeps succ, so the switched piece is again one of these
+            switched = _homfly_connected(d.switch(bad), memo)
+            smoothed = _homfly(d.smooth(bad), memo)
+            if d.signs[bad] > 0:
+                value = _V2 * switched + _VZ * smoothed
+            else:
+                value = _VINV2 * switched + _MINUS_VINVZ * smoothed
+        memo[code] = value
     memo[d] = value
     return value
 

@@ -533,8 +533,9 @@ class TestCanonicalCode:
 
 
 class TestPieceMemo:
-    """The memo keyed on pieces themselves, and switches sent straight to
-    the connected case, against the canonical-code recursion."""
+    """The memo's two keys per piece (the piece itself, then its canonical
+    code), and switches sent straight to the connected case, against the
+    canonical-code recursion."""
 
     def test_switches_of_reached_pieces_need_no_untwist_or_split(
         self, graph_corpus, grid_graph
@@ -546,16 +547,35 @@ class TestPieceMemo:
         for d in diagrams:
             memo: dict = {}
             homfly_skein(d, cap=17, memo=memo)
-            # every piece reached is a memo key
-            for piece in memo:
+            # every piece reached is a memo key, next to its canonical code
+            pieces = [key for key in memo if isinstance(key, LinkDiagram)]
+            assert {piece.canonical_code() for piece in pieces} == (
+                memo.keys() - set(pieces)
+            )
+            for piece in pieces:
+                assert memo[piece] == memo[piece.canonical_code()]
                 assert piece.untwist() is piece
                 assert piece.split_parts() == [piece]
                 for c in range(piece.n_crossings):
                     switched = piece.switch(c)
                     assert switched.untwist() is switched
                     assert switched.split_parts() == [switched]
-            reached += len(memo)
+            reached += len(pieces)
         assert reached > 1000
+
+    def test_relabelled_piece_is_found_by_its_code(self, grid_graph):
+        d = median_diagram(grid_graph(3, 3))
+        assert d.split_parts() == [d] and d.untwist() is d
+        memo: dict = {}
+        value = homfly_skein(d, memo=memo)
+        perm = list(range(d.n_crossings))
+        random.Random(5).shuffle(perm)
+        relabelled = d.relabel(perm)
+        assert relabelled != d and relabelled not in memo
+        size = len(memo)
+        assert homfly_skein(relabelled, memo=memo) == value
+        # one new key, the relabelled piece itself; no new code
+        assert len(memo) == size + 1 and memo[relabelled] == value
 
     @pytest.mark.parametrize("a, b", [(3, 4), (3, 5)])
     def test_matches_reference_on_full_grids(self, grid_graph, a, b):
@@ -583,15 +603,18 @@ class TestSharedMemo:
     def test_morton_audit_with_memo_raises_on_forced_violation(self):
         g, _ = k32_three_strand()
         d = median_diagram(g)
-        memo: dict = {}
-        report = morton_audit(d, memo=memo)
-        assert report.max_z_degree == report.bound == 2
-        # plant a value above the bound n - s + 1 = 2 under the diagram
-        # itself, the memo's key for a connected piece without curls
+        # the diagram is a connected piece without curls, so the memo's
+        # keys for it are the diagram itself and then its canonical code
         assert d.untwist() is d and d.split_parts() == [d]
-        memo[d] = Laurent2({(0, 3): 1})
-        with pytest.raises(InvariantError):
-            morton_audit(d, memo=memo)
+        for key in (d, d.canonical_code()):
+            memo: dict = {}
+            report = morton_audit(d, memo=memo)
+            assert report.max_z_degree == report.bound == 2
+            # plant a value above the bound n - s + 1 = 2 under one key
+            memo.pop(d)
+            memo[key] = Laurent2({(0, 3): 1})
+            with pytest.raises(InvariantError):
+                morton_audit(d, memo=memo)
 
 
 class TestConwayAlexander:
