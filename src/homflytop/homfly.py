@@ -511,8 +511,8 @@ def homfly_skein(
     diagrams (default: a fresh dict).  The switched diagram at a skein
     step skips curl removal and splitting, since a switch keeps the strands
     of a connected, curl-free piece.  Every run is audited against the
-    degree bound
-    maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
+    degree bound maxdeg_z <= n - s + 1; a violation would mean the
+    computation is broken.
     """
     if d.n_crossings > cap:
         raise CrossingCapExceeded(
