@@ -66,7 +66,6 @@ from .homfly import (
     LinkDiagram,
     DecoratedSubgraph,
     TopPolynomial,
-    MortonReport,
     CrossingCapExceeded,
     UNLINK_FACTOR,
     decorated_subgraph_at,

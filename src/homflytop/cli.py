@@ -85,12 +85,17 @@ _PARSER = make_parser()
 def _load(args, with_document=False):
     if not args.input:
         raise GraphInputError("--input is required for this command")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"cannot decode input: {exc}") from exc
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise GraphInputError("document must be a JSON object")
     if args.kappa is not None:
         doc["kappa"] = args.kappa
         doc.pop("r0", None)

@@ -629,38 +629,22 @@ def homogeneous_top(blocks, positive_enumerators, negative_enumerators) -> Laure
 # -- Morton bound auditing -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MortonReport:
-    n: int
-    s: int
-    max_z_degree: int | None
-    bound: int
-    strict_bound: int | None
-    ok: bool
-    strict_ok: bool | None
-
-
 def morton_audit(
-    d: LinkDiagram, strict: bool = False, cap: int = 14, memo: dict | None = None
-) -> MortonReport:
-    """Check the z-degree of the diagram's HOMFLY value against n - s + 1.
+    d: LinkDiagram, cap: int = 14, memo: dict | None = None
+) -> int | None:
+    """Check the z-degree of the diagram's HOMFLY value against n - s - 1.
 
-    With ``strict`` (diagrams with an alternating contour, e.g. medians of
-    type-II leaves) the sharper bound n - s - 1 is asserted as well.  A
-    violated bound means the implementation is broken, not the theorem.
-    ``memo`` is passed on to ``homfly_skein``.
+    ``homfly_skein`` itself raises past Morton's bound n - s + 1; diagrams
+    with an alternating contour, e.g. medians of type-II leaves, obey the
+    sharper n - s - 1 checked here.  A violated bound means the
+    implementation is broken, not the theorem.  Returns the z-degree, None
+    for 0.  ``memo`` is passed on to ``homfly_skein``.
     """
-    P = homfly_skein(d, cap=cap, memo=memo)
+    maxdeg = homfly_skein(d, cap=cap, memo=memo).max_degree_second()
     n = d.n_crossings
     s = d.seifert_circle_count()
-    maxdeg = P.max_degree_second()
-    bound = n - s + 1
-    ok = maxdeg is None or maxdeg <= bound
-    strict_bound = n - s - 1 if strict else None
-    strict_ok = (maxdeg is None or maxdeg <= strict_bound) if strict else None
-    if not ok or strict_ok is False:
+    if maxdeg is not None and maxdeg > n - s - 1:
         raise InvariantError(
-            f"Morton bound violated: maxdeg_z={maxdeg}, n={n}, s={s}, "
-            f"strict={strict}"
+            f"Morton bound violated: maxdeg_z={maxdeg}, n={n}, s={s}, strict=True"
         )
-    return MortonReport(n, s, maxdeg, bound, strict_bound, ok, strict_ok)
+    return maxdeg

@@ -144,10 +144,6 @@ class Laurent1(_Laurent):
     _ONE = 0
     _DEFAULT = "x"
 
-    @property
-    def var(self) -> str:
-        return self._names
-
     @classmethod
     def term(cls, c: int, e: int, var: str = "x") -> "Laurent1":
         return cls({e: c}, var)
@@ -187,7 +183,7 @@ class Laurent1(_Laurent):
             raise ValueError("substitution exponent must be nonzero")
         return Laurent1(
             {e * exponent: c for e, c in self.coeffs.items()},
-            var if var is not None else self.var,
+            var if var is not None else self._names,
         )
 
     def substitute_shifted(self, shift: int, var: str | None = None) -> "Laurent1":
@@ -201,7 +197,7 @@ class Laurent1(_Laurent):
         for e, c in self.coeffs.items():
             for j in range(e + 1):
                 out[j] = out.get(j, 0) + c * comb(e, j) * shift ** (e - j)
-        return Laurent1(out, var if var is not None else self.var)
+        return Laurent1(out, var if var is not None else self._names)
 
     def __str__(self):
         if not self.coeffs:
@@ -209,7 +205,7 @@ class Laurent1(_Laurent):
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            parts.append(str(c) if e == 0 else f"{c}*{self.var}^{e}")
+            parts.append(str(c) if e == 0 else f"{c}*{self._names}^{e}")
         return " + ".join(parts).replace("+ -", "- ")
 
     @classmethod
@@ -235,10 +231,6 @@ class Laurent2(_Laurent):
     _ONE = (0, 0)
     _DEFAULT = ("v", "z")
 
-    @property
-    def vars(self) -> tuple[str, str]:
-        return self._names
-
     @classmethod
     def term(cls, c: int, a: int, b: int, vars=("v", "z")) -> "Laurent2":
         return cls({(a, b): c}, vars)
@@ -263,7 +255,7 @@ class Laurent2(_Laurent):
     def slice_second(self, k: int) -> Laurent1:
         """Coefficient of (second variable)^k, as a Laurent1 in the first."""
         return Laurent1(
-            {a: c for (a, b), c in self.coeffs.items() if b == k}, self.vars[0]
+            {a: c for (a, b), c in self.coeffs.items() if b == k}, self._names[0]
         )
 
     def set_first_one(self) -> Laurent1:
@@ -271,12 +263,12 @@ class Laurent2(_Laurent):
         out: dict[int, int] = {}
         for (_, b), c in self.coeffs.items():
             out[b] = out.get(b, 0) + c
-        return Laurent1(out, self.vars[1])
+        return Laurent1(out, self._names[1])
 
     def mirror_first(self) -> "Laurent2":
         """Substitute -1/v for the first variable (mirror-image rule)."""
         return Laurent2(
-            {(-a, b): c * (-1) ** a for (a, b), c in self.coeffs.items()}, self.vars
+            {(-a, b): c * (-1) ** a for (a, b), c in self.coeffs.items()}, self._names
         )
 
     def eval_int(self, x: int, y: int) -> int:
@@ -290,7 +282,7 @@ class Laurent2(_Laurent):
     def __str__(self):
         if not self.coeffs:
             return "0"
-        u, w = self.vars
+        u, w = self._names
         parts = []
         for a, b in sorted(self.coeffs, key=lambda ab: (ab[1], ab[0])):
             c = self.coeffs[(a, b)]

@@ -11,7 +11,6 @@ identities (doubled digraphs, and duals whose E class is all degree 2).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .laurent import Laurent1, Laurent2
@@ -151,58 +150,34 @@ def leaf_enumerator(tree: ArbTree) -> Laurent1:
 def tutte(n_vertices: int, edges) -> Laurent2:
     """Tutte polynomial of a connected undirected multigraph.
 
-    Deletion-contraction with loop/bridge base cases, memoized on a
-    canonical form.  Edges are (u, w) pairs over 0..n-1; loops allowed.
+    Plain deletion-contraction with loop/bridge base cases, exponential in
+    the edge count.  Edges are (u, w) pairs over 0..n-1; loops allowed.
     Intended for small graphs (the cross-checks cap at ten edges).
     """
-    edges = [tuple(sorted(pair)) for pair in edges]
+    edges = list(edges)
     if len(edges) > 10:
         raise ValueError("tutte computation capped at 10 edges")
     if not _connected(n_vertices, edges):
         raise ValueError("graph is not connected")
-    return _tutte_canonical(_canonical_multigraph(n_vertices, edges))
+    return _tutte(n_vertices, edges)
 
 
 def _connected(n_vertices, edges) -> bool:
     return n_vertices <= 1 or len(bfs_tree(range(n_vertices), edges)) == n_vertices
 
 
-def _canonical_multigraph(n_vertices, edges) -> tuple:
-    """Relabel vertices by descending degree; edges sorted."""
-    # exact canonicity is not required, only determinism; the memo just
-    # sees more hits when the relabeled forms coincide
-    degree = {x: 0 for x in range(n_vertices)}
-    for u, w in edges:
-        degree[u] += 1
-        degree[w] += 1
-    order = sorted(range(n_vertices), key=lambda x: (-degree[x], x))
-    relabel = {x: i for i, x in enumerate(order)}
-    new_edges = tuple(sorted(tuple(sorted((relabel[u], relabel[w]))) for u, w in edges))
-    return (n_vertices, new_edges)
-
-
-@lru_cache(maxsize=None)
-def _tutte_canonical(key: tuple) -> Laurent2:
-    n_vertices, edges = key
+def _tutte(n_vertices, edges) -> Laurent2:
     if not edges:
         return Laurent2.const(1, ("x", "y"))
-    edges = list(edges)
-    u, w = edges[0]
-    rest = edges[1:]
+    (u, w), rest = edges[0], edges[1:]
     if u == w:
         # loop: y * T(G - e)
-        return Laurent2.term(1, 0, 1, ("x", "y")) * _tutte_canonical(
-            _canonical_multigraph(n_vertices, rest)
-        )
+        return Laurent2.term(1, 0, 1, ("x", "y")) * _tutte(n_vertices, rest)
+    contracted = _tutte(*_contract(n_vertices, rest, u, w))
     if not _connected(n_vertices, rest):
         # bridge: x * T(G / e)
-        merged = _contract(n_vertices, rest, u, w)
-        return Laurent2.term(1, 1, 0, ("x", "y")) * _tutte_canonical(
-            _canonical_multigraph(*merged)
-        )
-    deleted = _tutte_canonical(_canonical_multigraph(n_vertices, rest))
-    contracted = _tutte_canonical(_canonical_multigraph(*_contract(n_vertices, rest, u, w)))
-    return deleted + contracted
+        return Laurent2.term(1, 1, 0, ("x", "y")) * contracted
+    return _tutte(n_vertices, rest) + contracted
 
 
 def _contract(n_vertices, edges, u, w):
@@ -211,8 +186,7 @@ def _contract(n_vertices, edges, u, w):
         x = u if x == w else x
         return x - 1 if x > w else x
 
-    new_edges = [tuple(sorted((squash(a), squash(b)))) for a, b in edges]
-    return n_vertices - 1, new_edges
+    return n_vertices - 1, [(squash(a), squash(b)) for a, b in edges]
 
 
 def doubled_digraph(n_vertices: int, edges):

@@ -12,10 +12,9 @@ audit is exact and enumerates no faces or spanning trees:
 - facets, in one pass over a map from each facet to the simplices holding
   it, with a few mask operations per facet (``_check_facets``);
 - compatibility of two simplices (``compatible``, the pairwise reference
-  for the facet audit), linear in the tree sizes: the endpoint pairs shared
-  by both trees are contracted with union-find, and the arcs left are
-  searched for a directed cycle with Kahn's algorithm (the alternating-cycle
-  criterion of Postnikov, "Permutohedra, associahedra, and beyond", 2009);
+  for the facet audit), by its definition: a search over simple paths for
+  an alternating cycle (Postnikov, "Permutohedra, associahedra, and
+  beyond", 2009);
 - hypertrees: the G-draconian sequences of the same paper, f(S) <= |N(S)| - 1
   over the 2^|E| subsets S of the E class, equivalent to Kalman's bound
   f(S) <= |N(S)| - c(S);
@@ -94,7 +93,7 @@ def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, b
     return _is_forest(g, edge_ids), _affine_rank_full(g, edge_ids)
 
 
-# -- compatibility -----------------------------------------------------------
+# -- polytope points ----------------------------------------------------------
 
 # per graph: edge id -> endpoint-pair id, pair id -> (E id, V id), and
 # vertex id -> mask of its neighbours; E-vertices are numbered first, and
@@ -116,6 +115,9 @@ def _pair_ids(g: PlaneBipartiteGraph):
     return ids
 
 
+# -- compatibility -----------------------------------------------------------
+
+
 def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     """Whether the simplices of two spanning trees meet in a common face.
 
@@ -123,51 +125,31 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     compatible iff the union digraph has no simple directed cycle through
     four or more vertices.  (Directed 2-cycles come from shared or parallel
     edges and correspond to shared polytope vertices, not violations.)
-
-    Endpoint pairs in both trees are arcs both ways, so each connected set
-    of them is strongly connected and is contracted with union-find; a
-    cycle among them is already a long directed cycle.  Otherwise a long
-    cycle exists iff the remaining arcs, between contracted classes, form a
-    self-loop or a directed cycle, which Kahn's algorithm detects.  This is
-    linear in the vertex count and the tree sizes.
+    Every such cycle passes an E-vertex, so a depth-first search over
+    simple paths from each E-vertex decides it; exponential in the worst
+    case, it serves as a test reference only.
     """
-    of_edge, ends, _ = _pair_ids(g)
-    n = g.n_vertices
-    forward = {of_edge[c] for c in t1}
-    backward = {of_edge[c] for c in t2}
-    parent = list(range(n))
-    for p in forward & backward:
-        e, v = ends[p]
-        while parent[e] != e:
-            e = parent[e]
-        while parent[v] != v:
-            v = parent[v]
-        if e == v:
-            return False
-        parent[e] = v
-    for x in range(n):  # point every vertex at its class root
-        r = parent[x]
-        while parent[r] != r:
-            r = parent[r]
-        parent[x] = r
-    succ: dict[int, list[int]] = {}
-    indegree = [0] * n
-    for pairs, tail in ((forward - backward, 0), (backward - forward, 1)):
-        for p in pairs:
-            ends_p = ends[p]
-            x, y = parent[ends_p[tail]], parent[ends_p[1 - tail]]
-            if x == y:
-                return False
-            succ.setdefault(x, []).append(y)
-            indegree[y] += 1
-    # Kahn's algorithm on the classes with out-arcs; what is left is cyclic
-    ready = [x for x in succ if not indegree[x]]
-    while ready:
-        for y in succ.pop(ready.pop()):
-            indegree[y] -= 1
-            if not indegree[y] and y in succ:
-                ready.append(y)
-    return not succ
+    forward: dict[str, set[str]] = {}
+    backward: dict[str, set[str]] = {}
+    for c in t1:
+        e, v = g.edges[c]
+        forward.setdefault(e, set()).add(v)
+    for c in t2:
+        e, v = g.edges[c]
+        backward.setdefault(v, set()).add(e)
+
+    def long_cycle_from(start) -> bool:
+        stack = [(start, frozenset([start]), True)]
+        while stack:
+            x, path, from_e = stack.pop()
+            for y in (forward if from_e else backward).get(x, ()):
+                if y == start and len(path) >= 4:
+                    return True
+                if y not in path:
+                    stack.append((y, path | {y}, not from_e))
+        return False
+
+    return not any(long_cycle_from(e) for e in g.e_vertices)
 
 
 # -- spanning trees and hypertrees ------------------------------------------

@@ -106,7 +106,7 @@ def _check_triangulation(report, tree, g, leaves, tag) -> Laurent1 | None:
 def _strict_morton_failure(g, sub, cap, memo) -> str | None:
     """Strict Morton audit of one type-II leaf diagram: None, or its failure."""
     try:
-        morton_audit(median_diagram(g, sub), strict=True, cap=cap, memo=memo)
+        morton_audit(median_diagram(g, sub), cap=cap, memo=memo)
     except InvariantError as exc:
         return str(exc)
     return None

@@ -337,6 +337,26 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize(
+        "override", [["--kappa", "0"], ["--r0", "0,ev"]], ids=["kappa", "r0"]
+    )
+    def test_array_document_with_override(self, capsys, tmp_path, override):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        for flags in ([], override):
+            code, _, err = run(capsys, "top", "--input", str(path), *flags)
+            assert code == 2
+            assert json.loads(err) == {
+                "error": "input", "message": "document must be a JSON object"
+            }
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "top", "--input", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
     def test_gen_without_edges(self, capsys):
         code, _, err = run(capsys, "gen", "--max-edges", "0")
         assert code == 2

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from homflytop import homfly
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import build_arb_tree
 from homflytop.laurent import Laurent1, Laurent2, conway_and_alexander
@@ -606,15 +607,15 @@ class TestSharedMemo:
         # the diagram is a connected piece without curls, so the memo's
         # keys for it are the diagram itself and then its canonical code
         assert d.untwist() is d and d.split_parts() == [d]
+        bound = d.n_crossings - d.seifert_circle_count() + 1
         for key in (d, d.canonical_code()):
             memo: dict = {}
-            report = morton_audit(d, memo=memo)
-            assert report.max_z_degree == report.bound == 2
+            assert homfly_skein(d, memo=memo).max_degree_second() == bound == 2
             # plant a value above the bound n - s + 1 = 2 under one key
             memo.pop(d)
             memo[key] = Laurent2({(0, 3): 1})
             with pytest.raises(InvariantError):
-                morton_audit(d, memo=memo)
+                homfly_skein(d, memo=memo)
 
 
 class TestConwayAlexander:
@@ -771,29 +772,43 @@ class TestHomogeneous:
 
 
 class TestMorton:
+    @staticmethod
+    def bound(d):
+        """Morton's bound n - s + 1 on the z-degree."""
+        return d.n_crossings - d.seifert_circle_count() + 1
+
     def test_k32_bound_is_tight(self):
         g, _ = k32_three_strand()
-        report = morton_audit(median_diagram(g))
-        assert report.max_z_degree == report.bound == 2
+        d = median_diagram(g)
+        assert homfly_skein(d).max_degree_second() == self.bound(d) == 2
 
     def test_type_two_leaves_satisfy_strict_bound(self):
         g, dual = k32_three_strand()
         tree = build_arb_tree(dual)
-        reports = []
+        degrees = []
         for leaf in tree.type_two_leaves():
             d = median_diagram(g, decorated_subgraph_at(g, leaf))
-            reports.append(morton_audit(d, strict=True))
-        assert all(r.max_z_degree <= r.strict_bound for r in reports)
-        assert sorted((r.n, r.max_z_degree) for r in reports) == [
-            (5, -1),
-            (5, -1),
-            (6, 0),
-        ]
+            maxdeg = morton_audit(d)
+            assert maxdeg <= d.n_crossings - d.seifert_circle_count() - 1
+            degrees.append((d.n_crossings, maxdeg))
+        assert sorted(degrees) == [(5, -1), (5, -1), (6, 0)]
+
+    def test_strict_bound_raises_on_planted_value(self, monkeypatch):
+        g, dual = k32_three_strand()
+        leaf = build_arb_tree(dual).type_two_leaves()[0]
+        d = median_diagram(g, decorated_subgraph_at(g, leaf))
+        n, s = d.n_crossings, d.seifert_circle_count()
+        # z-degree n - s: within Morton's bound, past the strict one
+        planted = Laurent2({(0, n - s): 1})
+        monkeypatch.setattr(homfly, "homfly_skein", lambda d, cap, memo: planted)
+        message = f"maxdeg_z={n - s}, n={n}, s={s}, strict=True$"
+        with pytest.raises(InvariantError, match=message):
+            morton_audit(d)
 
     def test_corpus_bounds(self, graph_corpus):
         for g in graph_corpus[:40]:
-            report = morton_audit(median_diagram(g))
-            assert report.ok
+            d = median_diagram(g)
+            assert homfly_skein(d).max_degree_second() == self.bound(d)
 
 
 class TestPDCode:

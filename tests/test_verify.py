@@ -23,7 +23,7 @@ def reference_strict_checks(g, dual, cap=14) -> list[dict]:
         try:
             for leaf in tree.type_two_leaves():
                 sub = decorated_subgraph_at(g, leaf)
-                verify.morton_audit(median_diagram(g, sub), strict=True, cap=cap)
+                verify.morton_audit(median_diagram(g, sub), cap=cap)
         except InvariantError as exc:
             checks.append({"invariant": name, "ok": False, "detail": str(exc)})
         else:
