@@ -30,6 +30,7 @@ from .planegraph import (
 from .arborescence import (
     ArbNode,
     ArbTree,
+    arborescence_count,
     augmenting_edge,
     build_arb_tree,
     clocked_arborescence,

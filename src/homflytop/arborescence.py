@@ -264,3 +264,42 @@ def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
         if all(reaches_root(r) for r in others):
             found.add(frozenset(choice))
     return found
+
+
+def arborescence_count(dual: DualDigraph) -> int:
+    """The number of spanning arborescences rooted at r0, without listing them.
+
+    Matrix-tree theorem (Tutte 1948): the determinant of the in-degree
+    Laplacian (in-degrees on the diagonal, minus the number of edges x -> y
+    at (x, y)) with r0's row and column removed; loops are skipped.
+    """
+    others = [r for r in range(dual.n_vertices) if r != dual.r0]
+    pos = {r: i for i, r in enumerate(others)}
+    m = [[0] * len(others) for _ in others]
+    for t, h in dual.arcs():
+        if t != h and h != dual.r0:
+            m[pos[h]][pos[h]] += 1
+            if t != dual.r0:
+                m[pos[t]][pos[h]] -= 1
+    return _determinant(m)
+
+
+def _determinant(m: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, which it overwrites.
+
+    Bareiss's fraction-free elimination (Bareiss 1968): every division is
+    exact, so all entries stay integers.
+    """
+    sign, last = 1, 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // last
+        last = m[k][k]
+    return sign * last

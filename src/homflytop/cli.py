@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .planegraph import (
     GraphInputError,
@@ -86,14 +87,12 @@ def _load(args, with_document=False):
     if not args.input:
         raise GraphInputError("--input is required for this command")
     try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input) as fh:
-                text = fh.read()
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        doc = json.loads(text)
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"cannot decode input: {exc}") from exc
-    doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long an int
+        raise GraphInputError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise GraphInputError("document must be a JSON object")
     if args.kappa is not None:
@@ -334,7 +333,7 @@ def cmd_homogeneous(args) -> int:
     g, dual, doc = _load(args, with_document=True)
     try:
         signs = [int(s) for s in doc.get("signs", [1] * g.n_edges)]
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed signs: {exc}") from exc
     if len(signs) != g.n_edges:
         raise GraphInputError("signs list must cover every edge")
@@ -414,7 +413,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (GraphInputError, CrossingCapExceeded, OSError, json.JSONDecodeError) as exc:
+    except (GraphInputError, CrossingCapExceeded, OSError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
     except InvariantError as exc:

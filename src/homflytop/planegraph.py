@@ -305,7 +305,7 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
         }
         kappa = document.get("kappa")
         kappa = None if kappa is None else int(kappa)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed document: {exc}") from exc
     g = PlaneBipartiteGraph(e_vertices, v_vertices, edges, rotations)
 
@@ -314,7 +314,7 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
         try:
             c, direction = document["r0"]
             c = int(c)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise GraphInputError(f"malformed r0 dart: {exc}") from exc
         if direction not in ("ev", "ve"):
             raise GraphInputError("r0 dart direction must be 'ev' or 've'")

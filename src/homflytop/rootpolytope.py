@@ -4,20 +4,19 @@ Vertices of the polytope are the 0/1 vectors e + v over edges ev; parallel
 edges give the same point, so simplices are handled as sets of endpoint
 pairs.  The triangulation produced from an arborescence tree is validated
 combinatorially: cardinality equal to the number of hypertrees, which is
-the normalised volume, and the facet condition of De Loera, Rambau and
-Santos ("Triangulations", 2010, section 4.5): every interior facet of a
-simplex lies in exactly one other simplex, on the opposite side.  Each
-audit is exact and enumerates no faces or spanning trees:
+the normalised volume (Postnikov, "Permutohedra, associahedra, and beyond",
+2009, section 12), and the facet condition of De Loera, Rambau and Santos
+("Triangulations", 2010, section 4.5): every interior facet of a simplex
+lies in exactly one other simplex, on the opposite side.  Each audit is
+exact and enumerates no faces or spanning trees:
 
+- the hypertree count, as the number of spanning arborescences of the dual
+  (Kalman 2013), a determinant (``arborescence_count``);
 - facets, in one pass over a map from each facet to the simplices holding
   it, with a few mask operations per facet (``_check_facets``);
 - compatibility of two simplices (``compatible``, the pairwise reference
   for the facet audit), by its definition: a search over simple paths for
-  an alternating cycle (Postnikov, "Permutohedra, associahedra, and
-  beyond", 2009);
-- hypertrees: the G-draconian sequences of the same paper, f(S) <= |N(S)| - 1
-  over the 2^|E| subsets S of the E class, equivalent to Kalman's bound
-  f(S) <= |N(S)| - c(S);
+  an alternating cycle (Postnikov 2009);
 - f-vector: the faces new in each simplex.  Let R be its points whose
   opposite facet lies in an earlier simplex.  When each intersection with
   an earlier simplex misses a point of R, as in a shelling, the new faces
@@ -28,14 +27,13 @@ audit is exact and enumerates no faces or spanning trees:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from .laurent import Laurent1
 from .planegraph import InvariantError, PlaneBipartiteGraph, bfs_tree
-from .arborescence import ArbTree
+from .arborescence import ArbTree, _determinant, arborescence_count
 
 
 # -- affine independence, two ways -----------------------------------------
@@ -63,28 +61,13 @@ def _is_forest(g: PlaneBipartiteGraph, edge_ids) -> bool:
 def _affine_rank_full(g: PlaneBipartiteGraph, edge_ids) -> bool:
     """Whether the polytope vertices of the given edges are affinely independent.
 
-    Exact Gaussian elimination over the rationals on the difference vectors.
+    The differences from the first point are independent iff their Gram
+    matrix is nonsingular, which an exact integer determinant decides.
     """
     points = coordinate_matrix(g, edge_ids)["rows"]
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    rows = [[Fraction(a - b) for a, b in zip(vec, base)] for vec in points[1:]]
-    rank = 0
-    for col in range(len(base)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank == len(rows)
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in diffs] for x in diffs]
+    return _determinant(gram) != 0
 
 
 def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, bool]:
@@ -165,63 +148,16 @@ def spanning_trees(g: PlaneBipartiteGraph) -> list[frozenset[int]]:
 
 
 def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
-    """Valence-minus-one distributions over E realized by spanning trees.
+    """The valence-minus-one vectors over E of the spanning trees.
 
-    These are the G-draconian sequences (Postnikov, "Permutohedra,
-    associahedra, and beyond", 2009): vectors f >= 0 on E with sum
-    |V| - 1 and f(S) <= |N(S)| - 1 for every nonempty S of E, equivalent
-    to Kalman's bound f(S) <= |N(S)| - c(S).  Coordinates are assigned in
-    E order; the bounds of the subsets whose last member is the coordinate
-    just assigned cap its value.
+    A test reference: their number is the normalised volume of Q_G
+    (Postnikov 2009, section 12) and the dual's arborescence count at any
+    root (Kalman 2013), which ``arborescence_count`` computes directly.
     """
-    k = len(g.e_vertices)
-    e_pos = {e: i for i, e in enumerate(g.e_vertices)}
-    v_pos = {v: i for i, v in enumerate(g.v_vertices)}
-    nbrs = [0] * k
-    for e, v in g.edges:
-        nbrs[e_pos[e]] |= 1 << v_pos[v]
-    # room[S] = |N(S)| - 1 over subsets S of E as bitmasks
-    union = [0] * (1 << k)
-    room = [-1] * (1 << k)
-    for subset in range(1, 1 << k):
-        low = subset & -subset
-        union[subset] = union[subset ^ low] | nbrs[low.bit_length() - 1]
-        room[subset] = union[subset].bit_count() - 1
-    # most that the coordinates from i on can add up to
-    tail = [0] * (k + 1)
-    for i in reversed(range(k)):
-        tail[i] = tail[i + 1] + room[1 << i]
-    total = len(g.v_vertices) - 1
-    found = set()
-    f = [0] * k
-    sums = [0] * (1 << k)  # f(S) over subsets of the assigned coordinates
-
-    def extend(i: int, left: int):
-        if i == k:
-            if left == 0:
-                found.add(tuple(f))
-            return
-        bit = 1 << i
-        cap = min(room[bit | s] - sums[s] for s in range(bit))
-        for x in range(max(0, left - tail[i + 1]), min(cap, left) + 1):
-            f[i] = x
-            for s in range(bit):
-                sums[bit | s] = sums[s] + x
-            extend(i + 1, left - x)
-
-    extend(0, total)
-    return found
-
-
-# per graph: the number of hypertrees, the normalised volume of Q_G
-_HYPERTREE_COUNTS: "WeakKeyDictionary[PlaneBipartiteGraph, int]" = WeakKeyDictionary()
-
-
-def _hypertree_count(g: PlaneBipartiteGraph) -> int:
-    count = _HYPERTREE_COUNTS.get(g)
-    if count is None:
-        count = _HYPERTREE_COUNTS[g] = len(hypertrees(g))
-    return count
+    return {
+        tuple(sum(g.edges[c][0] == e for c in tree) - 1 for e in g.e_vertices)
+        for tree in spanning_trees(g)
+    }
 
 
 # -- triangulation ------------------------------------------------------------
@@ -255,13 +191,14 @@ class Triangulation:
 def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangulation:
     """Simplices dual to the type-I leaves, in right-to-left leaf order.
 
-    Validates the hypertree count (computed once per graph), distinct vertex
-    sets and the facets (see ``_check_facets``); these always hold for trees
-    built from a valid dual, so a failure means a bug.
+    Validates the hypertree count, as the dual's arborescence count (Kalman
+    2013), distinct vertex sets and the facets (see ``_check_facets``);
+    these always hold for trees built from a valid dual, so a failure means
+    a bug.
     """
     all_edges = frozenset(range(g.n_edges))
     simplices = [all_edges - a for a, _ in tree.type_one_leaves()]
-    expected = _hypertree_count(g)
+    expected = arborescence_count(tree.dual)
     if len(simplices) != expected:
         raise InvariantError(
             f"{len(simplices)} simplices but {expected} hypertrees"
@@ -283,7 +220,7 @@ def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
     their volumes add up to the volume of the polytope.  Every simplex of
     Q_G spanned by a spanning tree is unimodular, and the normalised volume
     of Q_G is the number of hypertrees (Postnikov 2009, section 12), which
-    the caller has checked.
+    the caller has checked as the dual's arborescence count (Kalman 2013).
 
     The facet of the tree T opposite its edge t: removing t splits the
     vertices into C1, the side of t's E-end, and C2.  The facet lies on the

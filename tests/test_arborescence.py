@@ -1,4 +1,6 @@
+import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +8,7 @@ from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
     ArbNode,
     ArbTree,
+    arborescence_count,
     augmenting_edge,
     build_arb_tree,
     clocked_arborescence,
@@ -214,3 +217,44 @@ class TestBruteForceAgreement:
                 leaves = tree.type_one_leaves()
                 assert len(leaves) == len({a for a, _ in leaves})
                 assert {a for a, _ in leaves} == brute_by_root[r0]
+
+
+class TestArborescenceCount:
+    def test_one_face_dual_counts_one(self):
+        _, dual = single_edge()
+        assert dual.n_vertices == 1
+        assert arborescence_count(dual) == 1
+
+    def test_loops_are_ignored(self):
+        _, dual = k32_three_strand()
+        loops = tuple(range(dual.n_vertices))
+        looped = replace(dual, tail=dual.tail + loops, head=dual.head + loops)
+        assert arborescence_count(looped) == arborescence_count(dual) == 3
+        assert len(spanning_arborescences_bruteforce(looped)) == 3
+
+    def test_matches_bruteforce_at_every_root(self, graph_corpus, grid_subgraphs):
+        counts = []
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                count = arborescence_count(rooted)
+                assert count == len(spanning_arborescences_bruteforce(rooted))
+                counts.append(count)
+        assert max(counts) > 50
+
+    def test_matches_bruteforce_on_non_eulerian_digraphs(self, grid_subgraphs):
+        # a dual is Eulerian, so it has as many arborescences into r0 as out
+        # of it; tails drawn at random break that symmetry
+        rng = random.Random(20240811)
+        unbalanced = nonzero = 0
+        for g in grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[::4]:
+                tail = tuple(rng.randrange(dual.n_vertices) for _ in dual.tail)
+                drawn = replace(dual.with_root(r0, kappa), tail=tail)
+                count = arborescence_count(drawn)
+                assert count == len(spanning_arborescences_bruteforce(drawn))
+                unbalanced += sorted(tail) != sorted(drawn.head)
+                nonzero += count > 0
+        assert unbalanced > 50 and nonzero > 20

@@ -1,11 +1,16 @@
+import io
 import json
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
+from homflytop.planegraph import PlaneBipartiteGraph
 
 
 @pytest.fixture()
@@ -28,6 +33,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def path_graph(k):
+    """The path e0 - v0 - e1 - v1 - ... - v(k-1): a tree with 2k - 1 edges."""
+    edges = [(f"e{i // 2 + i % 2}", f"v{i // 2}") for i in range(2 * k - 1)]
+    rotations = {}
+    for c, (e, v) in enumerate(edges):
+        rotations.setdefault(e, []).append(c)
+        rotations.setdefault(v, []).append(c)
+    return PlaneBipartiteGraph(
+        [f"e{i}" for i in range(k)], [f"v{i}" for i in range(k)], edges, rotations
+    )
 
 
 class TestCommands:
@@ -94,6 +111,18 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["top"] == "1*v^2 + 2*v^4"
         assert payload["oracle"] == "1*v^2 + 2*v^4"
+
+    @pytest.mark.parametrize("k", [4, 30])
+    def test_top_on_a_path(self, capsys, tmp_path, k):
+        # a tree: one simplex, so the volume audit must not cost 2^k
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(path_graph(k).to_document()))
+        code, out, _ = run(capsys, "top", "--input", str(path), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["top"], payload["z_exponent"]) == ("1", 0)
+        assert payload.get("oracle", "1") == "1"
+        assert ("oracle" in payload) == (2 * k - 1 <= 14)
 
     def test_homfly(self, capsys, k32_path):
         code, out, _ = run(capsys, "homfly", "--input", k32_path, "--format", "json")
@@ -357,6 +386,47 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "input"
 
+    def assert_input_error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+    def test_rotation_not_an_object(self, capsys, tmp_path):
+        path = self._k32_with(tmp_path, rotation=[])
+        self.assert_input_error(capsys, "top", "--input", path)
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("top", "rotation", {"e0": [1e400, 1]}),
+            ("top", "kappa", 1e400),
+            ("top", "r0", [1e400, "ve"]),
+            ("homogeneous", "signs", [1e400] + [1] * 5),
+        ],
+        ids=["rotation", "kappa", "r0", "signs"],
+    )
+    def test_number_past_float_range(self, capsys, tmp_path, command, field, value):
+        # 1e400 parses to inf, which int() cannot take
+        g, _ = k32_three_strand()
+        doc = g.to_document(r0_dart=(0, 1), kappa=0)
+        if field == "rotation":
+            value = {**doc["rotation"], **value}
+        doc[field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        assert "1e400" in path.read_text()
+        self.assert_input_error(capsys, command, "--input", str(path))
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"kappa": ' + "9" * 5000 + "}")
+        self.assert_input_error(capsys, "top", "--input", str(path))
+
+    def test_nesting_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_input_error(capsys, "top", "--input", str(path))
+
     def test_gen_without_edges(self, capsys):
         code, _, err = run(capsys, "gen", "--max-edges", "0")
         assert code == 2
@@ -369,6 +439,42 @@ class TestErrors:
         assert json.loads(err)["error"] == "input"
         code, out, err = run(capsys, "gen", "--count", "0")
         assert (code, out, err) == (0, "", "")
+
+
+# arbitrary JSON values, with near-valid pieces and numbers past any range
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-1, 6)
+    | st.floats()
+    | st.sampled_from([10**400, -(10**400), float("inf"), "e0", "v1", "ev", "ve"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(["e0", "e1", "v0"]) | st.text(max_size=2), inner),
+    max_leaves=12,
+)
+
+
+class TestContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["faces", "top", "homogeneous"]),
+        st.sampled_from(["E", "V", "edges", "rotation", "r0", "kappa", "signs"]),
+        json_values,
+    )
+    def test_any_field_exits_with_a_code_and_no_traceback(self, command, field, value):
+        g, _ = k32_three_strand()
+        doc = g.to_document(r0_dart=(0, 1), kappa=0)
+        doc[field] = value
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--input", "-", "--format", "json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert isinstance(json.loads(err.getvalue()), dict)
 
 
 class TestPackageSurface:

@@ -6,7 +6,7 @@ import pytest
 
 from homflytop import rootpolytope
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph, build_dual
-from homflytop.arborescence import build_arb_tree
+from homflytop.arborescence import arborescence_count, build_arb_tree
 from homflytop.laurent import Laurent1
 from homflytop.rootpolytope import (
     affine_independence_check,
@@ -25,17 +25,6 @@ from homflytop.verify import verify_graph
 
 
 # -- reference implementations: the exhaustive definitions --------------------
-
-
-def reference_hypertrees(g):
-    """E-degree minus one of every spanning tree, by the C(n, s-1) sweep."""
-    found = set()
-    for tree in spanning_trees(g):
-        degree = {e: 0 for e in g.e_vertices}
-        for c in tree:
-            degree[g.edges[c][0]] += 1
-        found.add(tuple(degree[e] - 1 for e in g.e_vertices))
-    return found
 
 
 def reference_f(tri):
@@ -229,28 +218,38 @@ class TestHypertrees:
         assert hypertrees(g) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert len(spanning_trees(g)) == 12
 
-    def test_agrees_with_spanning_tree_sweep(self, graph_corpus, grid_subgraphs):
+    def test_count_is_the_dual_arborescence_count(self, graph_corpus, grid_subgraphs):
         for g in list(graph_corpus) + grid_subgraphs:
-            assert hypertrees(g) == reference_hypertrees(g)
+            count = len(hypertrees(g))
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                assert arborescence_count(dual.with_root(r0, kappa)) == count
 
-    def test_rejects_a_vector_breaking_one_subset_bound(self, grid_graph):
-        g = grid_graph(2, 4)
-        nbrs = [{v for e, v in g.edges if e == x} for x in g.e_vertices]
-        subsets = [
-            s for k in range(1, len(nbrs) + 1) for s in combinations(range(len(nbrs)), k)
-        ]
-        broken_once = []
-        for f in product(*(range(len(n)) for n in nbrs)):
-            if sum(f) != len(g.v_vertices) - 1:
-                continue
-            broken = [
-                s for s in subsets
-                if sum(f[i] for i in s) > len(set().union(*(nbrs[i] for i in s))) - 1
+    def test_rejects_a_vector_breaking_one_subset_bound(self, graph_corpus, grid_graph):
+        # Postnikov's characterization both ways: the hypertrees are the box
+        # vectors with sum |V| - 1 and f(S) <= |N(S)| - 1 for every nonempty
+        # S of E; on the 2x4 grid some vectors break exactly one bound
+        for g in list(graph_corpus) + [grid_graph(2, 4)]:
+            nbrs = [{v for e, v in g.edges if e == x} for x in g.e_vertices]
+            subsets = [
+                s for k in range(1, len(nbrs) + 1)
+                for s in combinations(range(len(nbrs)), k)
             ]
-            if len(broken) == 1:
-                broken_once.append(f)
+            meeting, broken_once = set(), []
+            for f in product(*(range(len(n)) for n in nbrs)):
+                if sum(f) != len(g.v_vertices) - 1:
+                    continue
+                broken = [
+                    s for s in subsets
+                    if sum(f[i] for i in s)
+                    > len(set().union(*(nbrs[i] for i in s))) - 1
+                ]
+                if not broken:
+                    meeting.add(f)
+                elif len(broken) == 1:
+                    broken_once.append(f)
+            assert hypertrees(g) == meeting
         assert broken_once
-        assert not set(broken_once) & hypertrees(g)
 
 
 class TestTriangulation:
@@ -282,27 +281,21 @@ class TestTriangulation:
             tri = triangulation_from_arbtree(build_arb_tree(dual), g)
             assert len(tri.simplices) == len(hypertrees(g))
 
-    def test_hypertrees_run_once_per_graph(self, monkeypatch, grid_graph):
-        seen = []
+    def test_answer_path_enumerates_no_hypertrees(self, monkeypatch, grid_graph):
+        def refuse(g):
+            raise AssertionError("hypertrees enumerated")
 
-        def counting(g):
-            seen.append(g)
-            return hypertrees(g)
-
-        monkeypatch.setattr(rootpolytope, "hypertrees", counting)
-        graphs = [k32_three_strand()[0], grid_graph(3, 3, (4,))]
-        for g in graphs:
+        monkeypatch.setattr(rootpolytope, "hypertrees", refuse)
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (4,))):
             dual = build_dual(g, kappa_edge=0)
             assert len(dual.admissible_pairs()) > 1
             assert verify_graph(g, dual).ok
-        assert seen == graphs
-        # with the count known, a short list still fails the check
-        tree = build_arb_tree(build_dual(graphs[1], kappa_edge=0))
+        # a short list still fails the count
+        tree = build_arb_tree(build_dual(g, kappa_edge=0))
         leaves = tree.type_one_leaves()
         tree.type_one_leaves = lambda: leaves[:-1]
         with pytest.raises(InvariantError, match="hypertrees"):
-            triangulation_from_arbtree(tree, graphs[1])
-        assert seen == graphs
+            triangulation_from_arbtree(tree, g)
 
 
 class TestTriangulationRejectsBadInput:
