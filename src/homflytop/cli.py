@@ -14,6 +14,7 @@ from pathlib import Path
 from .planegraph import (
     GraphInputError,
     InvariantError,
+    decode_document,
     parse_plane_graph,
     build_dual,
     overlay_dot,
@@ -46,11 +47,6 @@ from .laurent import conway_and_alexander
 from .verify import verify_graph
 from . import gen as genmod
 
-COMMANDS = (
-    "faces", "dual", "arbtree", "triangulate", "hvector", "parking",
-    "top", "homfly", "homogeneous", "verify", "gen",
-)
-
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,7 +54,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Invariants of plane bipartite graphs and their special "
         "alternating links",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--input", help="graph document path ('-' for stdin)")
     parser.add_argument("--r0", help="root face as 'EDGE,ev' or 'EDGE,ve' dart")
     parser.add_argument("--kappa", type=int, help="distinguished edge id")
@@ -79,22 +75,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once: parsing leaves no state in the parser
-_PARSER = make_parser()
-
-
 def _load(args, with_document=False):
     if not args.input:
         raise GraphInputError("--input is required for this command")
     try:
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-        doc = json.loads(text)
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"cannot decode input: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # also too deep, or too long an int
-        raise GraphInputError(str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise GraphInputError("document must be a JSON object")
+    doc = decode_document(text)
     if args.kappa is not None:
         doc["kappa"] = args.kappa
         doc.pop("r0", None)
@@ -331,10 +319,9 @@ def cmd_homfly(args) -> int:
 
 def cmd_homogeneous(args) -> int:
     g, dual, doc = _load(args, with_document=True)
-    try:
-        signs = [int(s) for s in doc.get("signs", [1] * g.n_edges)]
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise GraphInputError(f"malformed signs: {exc}") from exc
+    signs = doc.get("signs", [1] * g.n_edges)
+    if not isinstance(signs, list) or any(type(s) is not int for s in signs):
+        raise GraphInputError("malformed signs: expected a list of integers")
     if len(signs) != g.n_edges:
         raise GraphInputError("signs list must cover every edge")
     if any(s not in (1, -1) for s in signs):
@@ -407,6 +394,9 @@ HANDLERS = {
     "verify": cmd_verify,
     "gen": cmd_gen,
 }
+
+# built once: parsing leaves no state in the parser
+_PARSER = make_parser()
 
 
 def main(argv=None) -> int:

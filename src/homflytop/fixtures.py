@@ -94,10 +94,3 @@ def block_sum_bigon_theta():
     g = PlaneBipartiteGraph(["e0", "e1"], ["v0"], edges, rotations)
     return g, build_dual(g, kappa_edge=0)
 
-
-FIXTURES = {
-    "single": single_edge,
-    "bigon": bigon,
-    "theta": theta,
-    "k32": k32_three_strand,
-}

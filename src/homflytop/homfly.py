@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
 from .arborescence import ArbNode, ArbTree
+from .parking import leaf_enumerator
 
 
 class CrossingCapExceeded(ValueError):
@@ -586,11 +587,7 @@ def top_coefficient(P: Laurent2, n: int, s: int) -> TopPolynomial:
 
 def top_via_tree(tree: ArbTree, n: int, s: int) -> TopPolynomial:
     """Each type-I leaf with k skipped edges contributes v^(n - s + 1 + 2k)."""
-    out: dict[int, int] = {}
-    for _, k in tree.type_one_leaves():
-        e = n - s + 1 + 2 * k
-        out[e] = out.get(e, 0) + 1
-    return TopPolynomial(Laurent1(out, "v"), n - s + 1)
+    return top_via_p(leaf_enumerator(tree), n, s)
 
 
 def top_via_h(h: Laurent1, n: int, s: int) -> TopPolynomial:

@@ -278,6 +278,25 @@ def overlay_dot(g: PlaneBipartiteGraph, dual: DualDigraph) -> str:
     return "\n".join(lines)
 
 
+def decode_document(document) -> dict:
+    """The JSON object a document holds, given as JSON text or as is."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except (ValueError, RecursionError) as exc:  # also too deep, or too long an int
+            raise GraphInputError(str(exc)) from exc
+    if not isinstance(document, dict):
+        raise GraphInputError("document must be a JSON object")
+    return document
+
+
+def _integer(x, what: str) -> int:
+    """x, if it is a JSON integer: not a float, a boolean or a string."""
+    if type(x) is not int:
+        raise GraphInputError(f"{what} must be an integer, not {type(x).__name__}")
+    return x
+
+
 def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
     """Parse an input document (dict or JSON text) into graph and dual.
 
@@ -286,26 +305,21 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
              "r0": [edge_id, "ev"|"ve"] (optional),
              "kappa": edge_id (optional)}.
 
-    The r0 entry names the face to the left of the given dart.  Defaults:
-    kappa = 0, r0 = head of kappa's dual edge.
+    Edge ids are JSON integers.  The r0 entry names the face to the left of
+    the given dart.  Defaults: kappa = 0, r0 = head of kappa's dual edge.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise GraphInputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise GraphInputError("document must be a JSON object")
+    document = decode_document(document)
     try:
         e_vertices = [str(x) for x in document["E"]]
         v_vertices = [str(x) for x in document["V"]]
         edges = [(str(e), str(v)) for e, v in document["edges"]]
         rotations = {
-            str(x): [int(c) for c in r] for x, r in document["rotation"].items()
+            str(x): [_integer(c, "rotation entry") for c in r]
+            for x, r in document["rotation"].items()
         }
         kappa = document.get("kappa")
-        kappa = None if kappa is None else int(kappa)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        kappa = None if kappa is None else _integer(kappa, "kappa")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"malformed document: {exc}") from exc
     g = PlaneBipartiteGraph(e_vertices, v_vertices, edges, rotations)
 
@@ -313,8 +327,8 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
     if "r0" in document:
         try:
             c, direction = document["r0"]
-            c = int(c)
-        except (OverflowError, TypeError, ValueError) as exc:
+            c = _integer(c, "its edge")
+        except (TypeError, ValueError) as exc:
             raise GraphInputError(f"malformed r0 dart: {exc}") from exc
         if direction not in ("ev", "ve"):
             raise GraphInputError("r0 dart direction must be 'ev' or 've'")

@@ -1,14 +1,14 @@
 """Root polytope of a bipartite graph: simplices, triangulation, shelling.
 
 Vertices of the polytope are the 0/1 vectors e + v over edges ev; parallel
-edges give the same point, so simplices are handled as sets of endpoint
-pairs.  The triangulation produced from an arborescence tree is validated
-combinatorially: cardinality equal to the number of hypertrees, which is
-the normalised volume (Postnikov, "Permutohedra, associahedra, and beyond",
-2009, section 12), and the facet condition of De Loera, Rambau and Santos
-("Triangulations", 2010, section 4.5): every interior facet of a simplex
-lies in exactly one other simplex, on the opposite side.  Each audit is
-exact and enumerates no faces or spanning trees:
+edges give the same point.  A simplex is the bitmask of its points, made
+once per triangulation and cached nowhere.  A triangulation built from an
+arborescence tree is validated combinatorially: cardinality equal to the
+number of hypertrees, the normalised volume (Postnikov, "Permutohedra,
+associahedra, and beyond", 2009, section 12), and the facet condition of
+De Loera, Rambau and Santos ("Triangulations", 2010, section 4.5): every
+interior facet lies in exactly one other simplex, on the opposite side.
+Each audit is exact and enumerates no faces or spanning trees:
 
 - the hypertree count, as the number of spanning arborescences of the dual
   (Kalman 2013), a determinant (``arborescence_count``);
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 from itertools import combinations
-from weakref import WeakKeyDictionary
 
 from .laurent import Laurent1
 from .planegraph import InvariantError, PlaneBipartiteGraph, bfs_tree
@@ -78,24 +77,18 @@ def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, b
 
 # -- polytope points ----------------------------------------------------------
 
-# per graph: edge id -> endpoint-pair id, pair id -> (E id, V id), and
-# vertex id -> mask of its neighbours; E-vertices are numbered first, and
-# parallel edges share a pair
-_PAIR_IDS: "WeakKeyDictionary[PlaneBipartiteGraph, tuple]" = WeakKeyDictionary()
-
 
 def _pair_ids(g: PlaneBipartiteGraph):
-    ids = _PAIR_IDS.get(g)
-    if ids is None:
-        pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
-        pairs: dict[tuple[int, int], int] = {}
-        of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
-        nbrs = [0] * g.n_vertices
-        for e, v in pairs:
-            nbrs[e] |= 1 << v
-            nbrs[v] |= 1 << e
-        ids = _PAIR_IDS[g] = (of_edge, list(pairs), nbrs)
-    return ids
+    """Edge id -> pair id (parallel edges share one), pair id -> (E id, V id)
+    and vertex id -> mask of its neighbours, E-vertices numbered first."""
+    pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
+    pairs: dict[tuple[int, int], int] = {}
+    of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
+    nbrs = [0] * g.n_vertices
+    for e, v in pairs:
+        nbrs[e] |= 1 << v
+        nbrs[v] |= 1 << e
+    return of_edge, list(pairs), nbrs
 
 
 # -- compatibility -----------------------------------------------------------
@@ -168,15 +161,20 @@ class Triangulation:
     """Ordered maximal simplices of the root polytope, with face data.
 
     Simplices are stored as frozensets of edge ids (spanning trees of the
-    graph); their polytope vertex sets are the corresponding endpoint pairs.
+    graph).  Made once with them: ``bits``, the bit of each edge's polytope
+    point (parallel edges share one), and ``masks``, each simplex's points.
     """
 
     graph: PlaneBipartiteGraph
     simplices: list[frozenset[int]]
     dimension: int = field(init=False)
+    bits: list[int] = field(init=False, repr=False)
+    masks: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = self.graph.n_vertices - 2
+        self.bits = [1 << p for p in _pair_ids(self.graph)[0]]
+        self.masks = [sum({self.bits[c] for c in s}) for s in self.simplices]
 
     def points(self, simplex: frozenset[int]) -> frozenset[tuple[str, str]]:
         return frozenset(self.graph.edges[c] for c in simplex)
@@ -200,17 +198,16 @@ def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangu
     simplices = [all_edges - a for a, _ in tree.type_one_leaves()]
     expected = arborescence_count(tree.dual)
     if len(simplices) != expected:
-        raise InvariantError(
-            f"{len(simplices)} simplices but {expected} hypertrees"
-        )
-    if len({frozenset(g.edges[c] for c in s) for s in simplices}) != len(simplices):
+        raise InvariantError(f"{len(simplices)} simplices but {expected} hypertrees")
+    tri = Triangulation(g, simplices)
+    if len(set(tri.masks)) != len(simplices):
         raise InvariantError("two simplices share the same vertex set")
     if len(simplices) > 1:
-        _check_facets(g, simplices)
-    return Triangulation(g, simplices)
+        _check_facets(tri)
+    return tri
 
 
-def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
+def _check_facets(tri: Triangulation):
     """Raise unless the simplices, as many as the hypertrees, triangulate Q_G.
 
     The statement used (De Loera, Rambau and Santos, "Triangulations",
@@ -230,15 +227,15 @@ def _check_facets(g: PlaneBipartiteGraph, simplices: list[frozenset[int]]):
     vertex set of each subtree and the neighbours of its vertices are
     unions over the children, so each facet costs a few mask operations.
     """
+    g = tri.graph
     of_edge, ends, nbrs = _pair_ids(g)
     k = len(g.e_vertices)
     e_class = (1 << k) - 1
     every = (1 << g.n_vertices) - 1
     first: dict[int, tuple] = {}  # facet -> (simplex, C1 mask, on the boundary)
     shared: set[int] = set()  # facets lying in two simplices
-    for simplex in simplices:
+    for simplex, mask in zip(tri.simplices, tri.masks):
         pairs = [of_edge[c] for c in simplex]
-        mask = sum(1 << p for p in pairs)
         below = [1 << x for x in range(g.n_vertices)]  # subtree vertices
         reach = nbrs[:]  # their neighbours in G
         tree = bfs_tree(range(g.n_vertices), [ends[p] for p in pairs])
@@ -290,7 +287,7 @@ def verify_shelling(tri: Triangulation) -> list[int]:
     a list of equal-size simplices is shelled iff no earlier simplex
     contains R_i (Ziegler, "Lectures on Polytopes", section 8.2).
     """
-    bits, masks = _point_masks(tri)
+    bits, masks = tri.bits, tri.masks
     facets: set[int] = set()  # facets of the earlier simplices
     counts = []
     for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
@@ -308,13 +305,6 @@ def verify_shelling(tri: Triangulation) -> list[int]:
     return counts
 
 
-def _point_masks(tri: Triangulation) -> tuple[list[int], list[int]]:
-    """Per edge id, the bit of its polytope point (parallel edges share one),
-    and each simplex as the mask of its points."""
-    bits = [1 << p for p in _pair_ids(tri.graph)[0]]
-    return bits, [sum({bits[c] for c in simplex}) for simplex in tri.simplices]
-
-
 # -- f- and h-vectors ---------------------------------------------------------
 
 
@@ -322,19 +312,17 @@ def f_vector(tri: Triangulation) -> Laurent1:
     """Face-count polynomial f(y) = y^(d+1) + f_0 y^d + ... + f_d.
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
-    across simplices; the leading term counts the empty face.  Each polytope
-    point is one bit, so a simplex is a mask.  The faces new in each simplex
-    are counted with binomials (see ``_covered_faces``): in closed form when
-    each of its intersections with the simplices before it misses a point
-    whose opposite facet is one of them, as in a shelling, and otherwise by
-    inclusion-exclusion over its maximal intersections.  The total holds for
-    any order.
+    across simplices; the leading term counts the empty face.  The faces new
+    in each simplex's mask are counted with binomials (see
+    ``_covered_faces``): in closed form when each of its intersections with
+    the simplices before it misses a point whose opposite facet is one of
+    them, as in a shelling, and otherwise by inclusion-exclusion over its
+    maximal intersections.  The total holds for any order.
     """
     d = tri.dimension
-    _, masks = _point_masks(tri)
-    covered = _covered_faces(_maximal(masks), {})
+    covered = _covered_faces(_maximal(tri.masks))
     out = {d + 1 - j: c for j, c in enumerate(covered) if c}
-    if masks:
+    if tri.masks:
         out[d + 1] = 1  # the empty face
     return Laurent1(out, "y")
 
@@ -349,7 +337,7 @@ def _maximal(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
+def _covered_faces(family: tuple[int, ...]) -> list[int]:
     """Per size, the nonempty subsets lying inside some member of an antichain.
 
     Each subset is counted at the first member m containing it.  Let R be
@@ -362,8 +350,6 @@ def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
     intersections with the members before it, which is the same count one
     level down (inclusion-exclusion).
     """
-    if family in memo:
-        return memo[family]
     out = [0] * (max((m.bit_count() for m in family), default=0) + 1)
     for i, m in enumerate(family):
         size = m.bit_count()
@@ -377,10 +363,9 @@ def _covered_faces(family: tuple[int, ...], memo) -> list[int]:
             for j in range(max(r, 1), size + 1):
                 out[j] += comb(size - r, j - r)
         else:
-            earlier = _covered_faces(_maximal(meets), memo)
+            earlier = _covered_faces(_maximal(meets))
             for j in range(1, size + 1):
                 out[j] += comb(size, j) - (earlier[j] if j < len(earlier) else 0)
-    memo[family] = out
     return out
 
 

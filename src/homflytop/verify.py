@@ -12,11 +12,11 @@ failure message included.  All oracle runs on one graph share one skein
 memo.
 
 An InvariantError from the oracle, the arborescence tree, the
-triangulation, the shelling or the parking bijection is recorded as a FAIL
-check carrying its message; only the checks that need the failed result are
-skipped.  A failed tree skips every other check of its pair, and when no
-pair has a tree, ``top-choice-independent`` is left out and ``summary.top``
-is null.
+triangulation, the shelling or the parking bijection, or a leaf whose image
+is not a parking function, is recorded as a FAIL check carrying its
+message; only the checks that need the failed result are skipped.  A
+failed tree skips every other check of its pair, and when no pair has a
+tree, ``top-choice-independent`` is left out and ``summary.top`` is null.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def verify_graph(
                     round_trips = False
                 if arborescence_from_parking(rooted, pi) != leaf.a:
                     round_trips = False
-        except InvariantError as exc:
+        except (InvariantError, ValueError) as exc:  # ValueError: a non-parking image
             report.record(f"parking-bijection [{tag}]", False, str(exc))
         else:
             expected = {tuple(sorted(pi.items())) for pi in parkings}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
-from homflytop.planegraph import PlaneBipartiteGraph
+from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
 
 
 @pytest.fixture()
@@ -186,7 +186,6 @@ class TestCommands:
         self, capsys, monkeypatch, k32_path, stage, failed_check
     ):
         from homflytop import verify
-        from homflytop.planegraph import InvariantError
 
         def fail(*args, **kwargs):
             raise InvariantError(f"forced failure in {stage}")
@@ -210,30 +209,44 @@ class TestCommands:
             assert any(name.startswith(kept) for name in names)
 
     @pytest.mark.parametrize(
-        "stage, failed_check, kept",
+        "stage, failed_check, kept, error",
         [
-            ("build_arb_tree", "arbtree [", ("euler-formula", "p-root-independent")),
+            (
+                "build_arb_tree", "arbtree [", ("euler-formula", "p-root-independent"),
+                InvariantError,
+            ),
             (
                 "parking_from_leaf",
                 "parking-bijection [",
                 ("leaves-match-bruteforce", "top-three-ways", "type-two-morton-strict"),
+                InvariantError,
             ),
             (
                 "arborescence_from_parking",
                 "parking-bijection [",
                 ("leaves-match-bruteforce", "top-three-ways", "type-two-morton-strict"),
+                InvariantError,
+            ),
+            (
+                # what it raises for an image that is not a parking function
+                "arborescence_from_parking",
+                "parking-bijection [",
+                ("leaves-match-bruteforce", "top-three-ways", "type-two-morton-strict"),
+                ValueError,
             ),
         ],
-        ids=["build_arb_tree", "parking_from_leaf", "arborescence_from_parking"],
+        ids=[
+            "build_arb_tree", "parking_from_leaf", "arborescence_from_parking",
+            "non-parking-image",
+        ],
     )
     def test_verify_reports_tree_and_parking_failure(
-        self, capsys, monkeypatch, k32_path, stage, failed_check, kept
+        self, capsys, monkeypatch, k32_path, stage, failed_check, kept, error
     ):
         from homflytop import verify
-        from homflytop.planegraph import InvariantError
 
         def fail(*args, **kwargs):
-            raise InvariantError(f"forced failure in {stage}")
+            raise error(f"forced failure in {stage}")
 
         monkeypatch.setattr(verify, stage, fail)
         code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
@@ -416,6 +429,40 @@ class TestErrors:
         path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         assert "1e400" in path.read_text()
         self.assert_input_error(capsys, command, "--input", str(path))
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            (
+                "top", "rotation", {"e0": [0.2, 1.7]},
+                "malformed document: rotation entry must be an integer, not float",
+            ),
+            (
+                "top", "r0", [0.5, "ve"],
+                "malformed r0 dart: its edge must be an integer, not float",
+            ),
+            (
+                "homogeneous", "signs", "111111",
+                "malformed signs: expected a list of integers",
+            ),
+            (
+                "homogeneous", "signs", [1.5, 1, 1, 1, 1, 1],
+                "malformed signs: expected a list of integers",
+            ),
+            (
+                "top", "kappa", 1.9,
+                "malformed document: kappa must be an integer, not float",
+            ),
+        ],
+        ids=["rotation", "r0", "signs-string", "signs-float", "kappa"],
+    )
+    def test_non_integer_field(self, capsys, tmp_path, command, field, value, message):
+        if field == "rotation":
+            value = {**k32_three_strand()[0].to_document()["rotation"], **value}
+        path = self._k32_with(tmp_path, **{field: value})
+        code, _, err = run(capsys, command, "--input", path)
+        assert code == 2
+        assert json.loads(err) == {"error": "input", "message": message}
 
     def test_integer_past_the_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "long.json"

@@ -85,6 +85,14 @@ class TestParsingAndFaces:
         with pytest.raises(GraphInputError):
             parse_plane_graph(doc)
 
+    def test_text_nested_too_deep_rejected(self):
+        with pytest.raises(GraphInputError):
+            parse_plane_graph("[" * 100_000)
+
+    def test_text_integer_past_the_digit_limit_rejected(self):
+        with pytest.raises(GraphInputError):
+            parse_plane_graph('{"kappa": ' + "9" * 5000 + "}")
+
     def test_duplicate_vertex_name_rejected(self):
         with pytest.raises(GraphInputError):
             PlaneBipartiteGraph(

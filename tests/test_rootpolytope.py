@@ -326,6 +326,29 @@ class TestTriangulationRejectsBadInput:
         with pytest.raises(InvariantError, match="incompatible"):
             triangulation_from_arbtree(tree, g)
 
+    def test_parallel_twin_repeats_a_vertex_set(self, graph_corpus):
+        # swapping an edge for its parallel twin keeps the simplex's points
+        # and the count, so only the distinct-vertex-set check can object
+        def twin_swaps(g, simplices):
+            for j, simplex in enumerate(simplices):
+                for c in simplex:
+                    for twin in range(g.n_edges):
+                        if twin != c and g.edges[twin] == g.edges[c]:
+                            yield j, simplex - {c} | {twin}
+
+        for g in graph_corpus:
+            tree = build_arb_tree(build_dual(g, kappa_edge=0))
+            simplices = triangulation_from_arbtree(tree, g).simplices
+            j, copy = next(twin_swaps(g, simplices), (None, None))
+            if copy is not None and len(simplices) > 1:
+                break
+        else:
+            raise AssertionError("no corpus graph with a parallel twin to swap")
+        i = 1 if j == 0 else 0  # any simplex other than j
+        report_simplices(tree, g, simplices[:i] + [copy] + simplices[i + 1:])
+        with pytest.raises(InvariantError, match="share the same vertex set"):
+            triangulation_from_arbtree(tree, g)
+
 
 class TestFacetAudit:
     """The facet audit inside triangulation_from_arbtree against the
