@@ -7,8 +7,9 @@ for ``MORE_LINES``, keyed by input name and command line: the bigon-theta
 block sum with its theta block negative, and the 3x3 grid without edge 4,
 whose shelling attaches simplices along up to three facets, the full 4x4
 grid, whose triangulation has 384 simplices and whose f-vector ``hvector``
-prints, the full 3x4 grid, whose 17 crossings run the skein oracle of
-``homfly`` and ``top``, and corpus graph 139, whose degree-1 vertices put
+prints and whose 24 crossings make the largest pinned oracle run, the full
+3x4 grid, whose 17 crossings run the skein oracle of ``homfly`` and
+``top``, and corpus graph 139, whose degree-1 vertices put
 curls in its median.  Regenerate both only when an output change is
 intended:
 
@@ -53,6 +54,7 @@ MORE_LINES = [
     ("grid-4x4", "top --format json"),
     ("grid-4x4", "triangulate --format json"),
     ("grid-4x4", "hvector --format json"),
+    ("grid-4x4", "homfly --cap 24 --format json"),
     ("grid-3x4", "homfly --cap 17 --format json"),
     ("grid-3x4", "top --cap 17 --format json"),
     ("grid-3x4", "hvector --format json"),
