@@ -1,7 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 invariant failure, 2 input error.  All commands
-read a graph document (JSON) unless noted; ``gen`` writes documents.
+Exit codes: 0 success, 1 invariant failure, 2 input error, a malformed
+command line included.  All commands read a graph document (JSON) unless
+noted; ``gen`` writes documents.
 """
 
 from __future__ import annotations
@@ -48,8 +49,15 @@ from .verify import verify_graph
 from . import gen as genmod
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error, not an exit."""
+
+    def error(self, message):
+        raise GraphInputError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homflytop",
         description="Invariants of plane bipartite graphs and their special "
         "alternating links",
@@ -400,8 +408,8 @@ _PARSER = make_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return HANDLERS[args.command](args)
     except (GraphInputError, CrossingCapExceeded, OSError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)

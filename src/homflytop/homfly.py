@@ -31,7 +31,9 @@ Millett and Ocneanu, Bull. AMS 1985), and at a positive curl P+ = v^2 P(D')
 + vz P(D') (1/v - v)/z = P(D'), the negative case being its mirror.  Every
 curl qualifies: no strand crosses the loop, so on S^2 it bounds a disk that
 holds nothing but split pieces, and the Reidemeister I move undoes it.
-Removing one curl can make another, so removal repeats until none is left.
+Removing one curl can make another, so removal goes on until none is
+left.  It is one pass in O(n + k) for n passes and k curls: it splices
+each curl out of the strands and does not call ``smooth``.
 A switch leaves ``succ`` as it is, so the switched diagram of a connected
 piece without curls is again one: it goes straight to the connected case,
 past curl removal and splitting.  Smoothings take the full path.
@@ -59,6 +61,13 @@ _V2 = Laurent2({(2, 0): 1})
 _VZ = Laurent2({(1, 1): 1})
 _VINV2 = Laurent2({(-2, 0): 1})
 _MINUS_VINVZ = Laurent2({(-1, 1): -1})
+# UNLINK_FACTOR ** k for the small k of split pieces, free loops and unlinks
+_UNLINK_POWERS = [UNLINK_FACTOR**k for k in range(8)]
+
+
+def _unlink_power(k: int) -> Laurent2:
+    """UNLINK_FACTOR ** k, from the table when k is small."""
+    return _UNLINK_POWERS[k] if 0 <= k < len(_UNLINK_POWERS) else UNLINK_FACTOR**k
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,10 @@ class LinkDiagram:
         return 2 * c + 1 - self.over[c]
 
     def _cycles(self, step) -> list[list[int]]:
-        seen = [False] * len(self.succ)
+        """Cycles of the pass sequence ``step``, each from its least pass."""
+        seen = [False] * len(step)
         cycles = []
-        for start in range(len(self.succ)):
+        for start in range(len(step)):
             if seen[start]:
                 continue
             cycle = []
@@ -113,13 +123,13 @@ class LinkDiagram:
             while not seen[p]:
                 seen[p] = True
                 cycle.append(p)
-                p = step(p)
+                p = step[p]
             cycles.append(cycle)
         return cycles
 
     def components(self) -> list[list[int]]:
         """Link components as pass cycles (free loops not included)."""
-        return self._cycles(lambda p: self.succ[p])
+        return self._cycles(self.succ)
 
     def component_count(self) -> int:
         return len(self.components()) + self.free_loops
@@ -128,7 +138,7 @@ class LinkDiagram:
         """Circles left by the orientation-preserving smoothing of every crossing."""
         if not self.signs:
             return self.free_loops
-        return len(self._cycles(lambda p: self.succ[p] ^ 1)) + self.free_loops
+        return len(self._cycles([q ^ 1 for q in self.succ])) + self.free_loops
 
     # -- surgery ----------------------------------------------------------
 
@@ -171,21 +181,51 @@ class LinkDiagram:
     def untwist(self) -> "LinkDiagram":
         """The diagram with every curl removed, until none is left.
 
-        A curl is a crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c;
-        removing it is smoothing c with one fewer free loop.  Removal keeps
-        the link type (a Reidemeister I move), and removing one curl can
-        make another.  Returns the diagram itself when it has no curl.
+        A curl is a crossing c whose pass p (2c or 2c+1) leads straight to
+        its partner p ^ 1; removing it is a Reidemeister I move and can make
+        another curl.  Removal is one pass in O(n + k) for n passes and k
+        curls and does not call ``smooth``: each curl is spliced out of the
+        strands, or becomes a free loop when it is a whole component, and
+        the surviving crossings keep their order.  The result is that of
+        smoothing one curl at a time with one fewer free loop.  Returns the
+        diagram itself when it has no curl.
         """
-        d = self
-        while True:
-            succ = d.succ
-            for c in range(d.n_crossings):
-                if succ[2 * c] == 2 * c + 1 or succ[2 * c + 1] == 2 * c:
-                    break
-            else:
-                return d
-            s = d.smooth(c)
-            d = LinkDiagram._unchecked(s.signs, s.succ, s.over, s.free_loops - 1)
+        succ = self.succ
+        curls = [p for p, q in enumerate(succ) if q == p ^ 1]
+        if not curls:
+            return self
+        succ = list(succ)
+        pred = [0] * len(succ)
+        for p, q in enumerate(succ):
+            pred[q] = p
+        removed = [False] * len(self.signs)
+        free = self.free_loops
+        while curls:
+            p = curls.pop()
+            if removed[p >> 1]:
+                continue
+            removed[p >> 1] = True
+            after = succ[p ^ 1]
+            if after == p:  # p and p ^ 1 make up a whole component
+                free += 1
+                continue
+            # splice p and p ^ 1 out of their strand
+            before = pred[p]
+            succ[before] = after
+            pred[after] = before
+            if after == before ^ 1:
+                curls.append(before)
+        kept = [c for c, gone in enumerate(removed) if not gone]
+        label = [0] * len(succ)  # surviving pass -> its pass after renumbering
+        for i, c in enumerate(kept):
+            label[2 * c] = 2 * i
+            label[2 * c + 1] = 2 * i + 1
+        return LinkDiagram._unchecked(
+            tuple(self.signs[c] for c in kept),
+            tuple(label[succ[p]] for c in kept for p in (2 * c, 2 * c + 1)),
+            tuple(self.over[c] for c in kept),
+            free,
+        )
 
     def relabel(self, perm) -> "LinkDiagram":
         """Renumber crossings by perm (old index -> new index)."""
@@ -211,11 +251,26 @@ class LinkDiagram:
 
         A piece is a class of crossings under the relation joining the
         crossings of consecutive passes, so each component lies in one
-        piece and a crossing joins the components through it.  Free loops
-        are dropped; the caller accounts for them.  The diagram itself is
-        returned exactly when it is one piece with no free loops.
+        piece and a crossing joins the components through it.  Pieces come
+        in order of their least crossing, each with its crossings in order.
+        Free loops are dropped; the caller accounts for them.  The diagram
+        itself is returned exactly when it is one piece with no free loops.
         """
-        parent = list(range(self.n_crossings))
+        succ = self.succ
+        n = len(self.signs)
+        # a union-find over the components, joined at each crossing
+        component = [-1] * (2 * n)
+        k = 0
+        for start in range(2 * n):
+            if component[start] < 0:
+                p = start
+                while component[p] < 0:
+                    component[p] = k
+                    p = succ[p]
+                k += 1
+        if k == 1 and not self.free_loops:
+            return [self]
+        parent = list(range(k))
 
         def find(x):
             while parent[x] != x:
@@ -223,27 +278,29 @@ class LinkDiagram:
                 x = parent[x]
             return x
 
-        for p, q in enumerate(self.succ):
-            a, b = find(p // 2), find(q // 2)
+        for c in range(n):
+            a, b = find(component[2 * c]), find(component[2 * c + 1])
             if a != b:
                 parent[a] = b
         groups: dict[int, list[int]] = {}
-        for c in range(self.n_crossings):
-            groups.setdefault(find(c), []).append(c)
+        for c in range(n):
+            groups.setdefault(find(component[2 * c]), []).append(c)
         if len(groups) == 1 and not self.free_loops:
             return [self]
+        index = [0] * n  # crossing -> its number in its piece
         parts = []
         for crossings in groups.values():
-            index = {c: i for i, c in enumerate(crossings)}
-            succ = []
+            for i, c in enumerate(crossings):
+                index[c] = i
+            part_succ = []
             for c in crossings:
                 for p in (2 * c, 2 * c + 1):
-                    q = self.succ[p]
-                    succ.append(2 * index[q // 2] + (q & 1))
+                    q = succ[p]
+                    part_succ.append(2 * index[q >> 1] + (q & 1))
             parts.append(
                 LinkDiagram._unchecked(
                     tuple(self.signs[c] for c in crossings),
-                    tuple(succ),
+                    tuple(part_succ),
                     tuple(self.over[c] for c in crossings),
                     0,
                 )
@@ -257,14 +314,19 @@ class LinkDiagram:
         pass, as ``components`` lists them.  None means the diagram is
         descending, hence an unlink.
         """
-        seen = set()
-        for comp in self.components():
-            for p in comp:
-                c = p // 2
-                if c not in seen:
-                    if p != self.over_pass(c):
+        succ, over = self.succ, self.over
+        walked = [False] * len(succ)
+        met = [False] * len(over)
+        for start in range(len(succ)):
+            p = start
+            while not walked[p]:
+                walked[p] = True
+                c = p >> 1
+                if not met[c]:
+                    if p & 1 != over[c]:  # not the over pass 2c + over[c]
                         return c
-                    seen.add(c)
+                    met[c] = True
+                p = succ[p]
         return None
 
     def canonical_code(self):
@@ -284,35 +346,42 @@ class LinkDiagram:
         The first walk always runs to the end, so a disconnected diagram
         raises InvariantError.
         """
-        over_bit = [0] * len(self.succ)
+        n = len(self.signs)
+        over_bit = [0] * (2 * n)
         for c, b in enumerate(self.over):
             over_bit[2 * c + b] = 1
         best = None
         for c, b in enumerate(self.over):
-            walk = self._walk_code(2 * c + 1 - b, over_bit, best)
+            walk = self._walk_code(2 * c + 1 - b, n, over_bit, best)
             if walk is not None:
                 best = walk
         if best is None:
             return None
-        entries, signs = best
+        entries, order = best
+        # entry e is the pair (e >> 1, e & 1); the last slot serves e = -1
+        pairs = [(e >> 1, e & 1) for e in range(2 * n)] + [(-1, -1)]
         return (
-            tuple((e >> 1, e & 1) if e >= 0 else (-1, -1) for e in entries),
-            signs,
+            tuple(map(pairs.__getitem__, entries)),
+            tuple(map(self.signs.__getitem__, order)),
         )
 
-    def _walk_code(self, start: int, over_bit: list[int], best):
-        """Walk code from ``start`` as (entries, signs); None unless below ``best``.
+    def _walk_code(self, start: int, n: int, over_bit: list[int], best):
+        """Walk code from ``start`` as (entries, crossing order); None unless
+        below ``best``.
 
         An entry is 2 * number + over bit, or -1 where a component closes;
-        the integers order the same way as the (number, bit) pairs.
+        the integers order the same way as the (number, bit) pairs.  The
+        crossing order lists the crossings by number, so the code's signs
+        are their signs in that order.
         """
-        n = self.n_crossings
         succ = self.succ
         number = [-1] * n
         order: list[int] = []
         visited = [False] * (2 * n)
         entries: list[int] = []
         bound = None if best is None else best[0]  # None once strictly below
+        i = 0  # len(entries)
+        m = 0  # len(order)
         next_crossing = 0  # order[:next_crossing] have both passes visited
         p = start
         while True:
@@ -321,21 +390,24 @@ class LinkDiagram:
                 c = p >> 1
                 k = number[c]
                 if k < 0:
-                    k = number[c] = len(order)
+                    k = number[c] = m
+                    m += 1
                     order.append(c)
                 entry = 2 * k + over_bit[p]
                 if bound is not None:
-                    b = bound[len(entries)]
+                    b = bound[i]
                     if entry > b:
                         return None
                     if entry < b:
                         bound = None
                 entries.append(entry)
+                i += 1
                 p = succ[p]
-            if bound is not None and bound[len(entries)] != -1:
+            if bound is not None and bound[i] != -1:
                 bound = None
             entries.append(-1)
-            while next_crossing < len(order):
+            i += 1
+            while next_crossing < m:
                 c = order[next_crossing]
                 if not visited[2 * c]:
                     p = 2 * c
@@ -346,12 +418,14 @@ class LinkDiagram:
                 next_crossing += 1
             else:
                 break
-        if len(order) != n:
+        if m != n:
             raise InvariantError("canonical code requires a connected diagram")
-        signs = tuple(self.signs[c] for c in order)
-        if bound is not None and signs >= best[1]:
-            return None
-        return entries, signs
+        if bound is not None:
+            # the same entries as ``best``: the signs in number order decide
+            signs = self.signs
+            if [signs[c] for c in order] >= [signs[c] for c in best[1]]:
+                return None
+        return entries, order
 
     # -- PD interchange -----------------------------------------------------
 
@@ -533,11 +607,11 @@ def _homfly(d: LinkDiagram, memo) -> Laurent2:
     d = d.untwist()
     free = d.free_loops
     if d.n_crossings == 0:
-        return UNLINK_FACTOR ** (free - 1) if free else Laurent2.const(1)
+        return _unlink_power(free - 1) if free else Laurent2.const(1)
     parts = d.split_parts()  # without the free loops
     if parts == [d]:
         return _homfly_connected(d, memo)
-    result = UNLINK_FACTOR ** (len(parts) + free - 1)
+    result = _unlink_power(len(parts) + free - 1)
     for part in parts:
         result = result * _homfly_connected(part, memo)
     return result
@@ -554,7 +628,7 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
     if value is None:
         bad = d.first_bad_crossing()
         if bad is None:
-            value = UNLINK_FACTOR ** (len(d.components()) - 1)
+            value = _unlink_power(len(d.components()) - 1)
         else:
             # a switch keeps succ, so the switched piece is again one of these
             switched = _homfly_connected(d.switch(bad), memo)

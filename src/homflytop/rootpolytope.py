@@ -161,19 +161,22 @@ class Triangulation:
     """Ordered maximal simplices of the root polytope, with face data.
 
     Simplices are stored as frozensets of edge ids (spanning trees of the
-    graph).  Made once with them: ``bits``, the bit of each edge's polytope
-    point (parallel edges share one), and ``masks``, each simplex's points.
+    graph).  Made once with them: ``pair_ids``, what ``_pair_ids`` gives
+    for the graph, ``bits``, the bit of each edge's polytope point
+    (parallel edges share one), and ``masks``, each simplex's points.
     """
 
     graph: PlaneBipartiteGraph
     simplices: list[frozenset[int]]
     dimension: int = field(init=False)
+    pair_ids: tuple = field(init=False, repr=False)
     bits: list[int] = field(init=False, repr=False)
     masks: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = self.graph.n_vertices - 2
-        self.bits = [1 << p for p in _pair_ids(self.graph)[0]]
+        self.pair_ids = _pair_ids(self.graph)
+        self.bits = [1 << p for p in self.pair_ids[0]]
         self.masks = [sum({self.bits[c] for c in s}) for s in self.simplices]
 
     def points(self, simplex: frozenset[int]) -> frozenset[tuple[str, str]]:
@@ -228,7 +231,7 @@ def _check_facets(tri: Triangulation):
     unions over the children, so each facet costs a few mask operations.
     """
     g = tri.graph
-    of_edge, ends, nbrs = _pair_ids(g)
+    of_edge, ends, nbrs = tri.pair_ids
     k = len(g.e_vertices)
     e_class = (1 << k) - 1
     every = (1 << g.n_vertices) - 1

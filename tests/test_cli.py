@@ -503,10 +503,40 @@ json_values = st.recursive(
 )
 
 
+# every command that reads a graph document
+GRAPH_COMMANDS = [name for name in cli.HANDLERS if name != "gen"]
+
+# command-line values: well-formed ones and text argparse may read as a flag
+r0_values = st.builds(
+    "{},{}".format, st.integers(-2, 8), st.sampled_from(["ev", "ve", "x"])
+) | st.text(alphabet="-0123456789,evx ", max_size=6)
+int_values = st.integers(-3, 20).map(str) | st.text(
+    alphabet="-0123456789x", max_size=3
+)
+
+
+def run_on_k32(argv):
+    """main on the K_{3,2} document read from stdin: (code, stdout, stderr)."""
+    g, _ = k32_three_strand()
+    doc = g.to_document(r0_dart=(0, 1), kappa=0)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert isinstance(json.loads(err), dict)
+
+
 class TestContract:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(["faces", "top", "homogeneous"]),
+        st.sampled_from(GRAPH_COMMANDS),
         st.sampled_from(["E", "V", "edges", "rotation", "r0", "kappa", "signs"]),
         json_values,
     )
@@ -518,10 +548,52 @@ class TestContract:
         with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main([command, "--input", "-", "--format", "json"])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code:
-            assert isinstance(json.loads(err.getvalue()), dict)
+        assert_contract(code, err.getvalue())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(GRAPH_COMMANDS),
+        st.none() | r0_values,
+        st.none() | int_values,
+        st.none() | int_values,
+        st.booleans(),
+        st.sampled_from(["json", "text", "dot", "csv"]),
+    )
+    def test_any_flags_exit_with_a_code_and_no_traceback(
+        self, command, r0, kappa, cap, all_roots, fmt
+    ):
+        argv = [command, "--input", "-", "--format", fmt]
+        for flag, value in (("--r0", r0), ("--kappa", kappa), ("--cap", cap)):
+            if value is not None:
+                argv += [flag, value]
+        if all_roots:
+            argv.append("--all-roots")
+        code, _, err = run_on_k32(argv)
+        assert_contract(code, err)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["top", "--kappa", "x"], "argument --kappa: invalid int value: 'x'"),
+            (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+            (["top", "--bogus"], "unrecognized arguments: --bogus"),
+            (["faces", "--r0", "-1,ev"], "argument --r0: expected one argument"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["kappa", "command", "flag", "r0-like-a-flag", "no-command"],
+    )
+    def test_usage_error_is_a_json_input_error(self, argv, message):
+        code, out, err = run_on_k32([*argv, "--input", "-"])
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "input"
+        assert payload["message"].startswith(message)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: homflytop")
 
 
 class TestPackageSurface:

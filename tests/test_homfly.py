@@ -168,6 +168,68 @@ def reference_smooth(d: LinkDiagram, c: int) -> LinkDiagram:
     return LinkDiagram(signs, tuple(succ), over, free)
 
 
+def reference_untwist(d: LinkDiagram) -> LinkDiagram:
+    """Curl removal by smoothing the first curl and rescanning (reference)."""
+    while True:
+        succ = d.succ
+        for c in range(d.n_crossings):
+            if succ[2 * c] == 2 * c + 1 or succ[2 * c + 1] == 2 * c:
+                break
+        else:
+            return d
+        s = d.smooth(c)
+        d = LinkDiagram(s.signs, s.succ, s.over, s.free_loops - 1)
+
+
+def reference_split_parts(d: LinkDiagram) -> list[LinkDiagram]:
+    """Pieces by a union-find over all pass edges (reference for split_parts)."""
+    parent = list(range(d.n_crossings))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p, q in enumerate(d.succ):
+        a, b = find(p // 2), find(q // 2)
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for c in range(d.n_crossings):
+        groups.setdefault(find(c), []).append(c)
+    if len(groups) == 1 and not d.free_loops:
+        return [d]
+    parts = []
+    for crossings in groups.values():
+        index = {c: i for i, c in enumerate(crossings)}
+        succ = []
+        for c in crossings:
+            for p in (2 * c, 2 * c + 1):
+                q = d.succ[p]
+                succ.append(2 * index[q // 2] + (q & 1))
+        parts.append(
+            LinkDiagram(
+                tuple(d.signs[c] for c in crossings),
+                tuple(succ),
+                tuple(d.over[c] for c in crossings),
+            )
+        )
+    return parts
+
+
+def reference_first_bad_crossing(d: LinkDiagram) -> int | None:
+    """The basepoint walk over the component lists (reference)."""
+    seen = set()
+    for comp in d.components():
+        for p in comp:
+            c = p // 2
+            if c not in seen:
+                if p != d.over_pass(c):
+                    return c
+                seen.add(c)
+    return None
+
+
 def is_curl(d: LinkDiagram, c: int) -> bool:
     return d.succ[2 * c] == 2 * c + 1 or d.succ[2 * c + 1] == 2 * c
 
@@ -190,6 +252,14 @@ def with_curls(d: LinkDiagram, p: int, depth=1, sign=1, over=0, flipped=False):
     return LinkDiagram(
         d.signs + (sign,) * depth, tuple(succ), d.over + (over,) * depth, d.free_loops
     )
+
+
+def kink_chain(k: int) -> LinkDiagram:
+    """k kinks in a row: an unknot diagram whose every crossing is a curl."""
+    succ = []
+    for c in range(k):
+        succ += [2 * c + 1, (2 * c + 2) % (2 * k)]
+    return LinkDiagram((1,) * k, tuple(succ), (0,) * k)
 
 
 def type_two_leaf_diagrams(g, dual) -> list[LinkDiagram]:
@@ -437,15 +507,124 @@ class TestCurlRemoval:
         assert curly > 20
 
     def test_cap_counts_the_curls_of_the_input(self):
-        # 15 kinks in a row: an unknot whose diagram has 15 crossings
-        succ = []
-        for c in range(15):
-            succ += [2 * c + 1, (2 * c + 2) % 30]
-        d = LinkDiagram((1,) * 15, tuple(succ), (0,) * 15)
+        # an unknot whose diagram has 15 crossings
+        d = kink_chain(15)
         assert d.untwist() == LinkDiagram((), (), (), 1)
         with pytest.raises(CrossingCapExceeded):
             homfly_skein(d, cap=14)
         assert homfly_skein(d, cap=15) == 1
+
+
+def planted_curl_diagrams() -> list[LinkDiagram]:
+    """The curl fixtures: single and nested curls, figure-eight curves and
+    one-crossing loops beside other pieces and free loops."""
+    hopf = median_diagram(bigon()[0])
+    trefoil = median_diagram(theta()[0])
+    out = [
+        with_curls(hopf, p, sign=sign, over=over, flipped=flipped)
+        for p, sign, over, flipped in product(range(4), (1, -1), (0, 1), (0, 1))
+    ]
+    out += [
+        with_curls(trefoil, p, depth, sign=-1, flipped=flipped)
+        for p, depth, flipped in product(range(6), (2, 3), (0, 1))
+    ]
+    out += [
+        LinkDiagram((sign,), (1, 0), (over,), free)
+        for sign, over, free in product((1, -1), (0, 1), (0, 2))
+    ]
+    # the Hopf diagram beside a one-crossing loop, crossing 2, and free loops
+    out += [
+        LinkDiagram(hopf.signs + (1,), hopf.succ + (5, 4), hopf.over + (0,), free)
+        for free in (0, 3)
+    ]
+    return out + [kink_chain(15)]
+
+
+def skein_diagrams(diagrams, cap) -> list[LinkDiagram]:
+    """The diagrams, every diagram the skein runs on them smooth, and the
+    pieces the recursion splits those into, each once."""
+    made = []
+    smooth = LinkDiagram.smooth
+
+    def recording_smooth(d, c):
+        made.append(smooth(d, c))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinkDiagram, "smooth", recording_smooth)
+        for d in diagrams:
+            homfly_skein(d, cap=cap)
+    out = []
+    for d in list(diagrams) + made:
+        out += [d, d.untwist()] + d.untwist().split_parts()
+    return list(dict.fromkeys(out))
+
+
+class TestSurgeryAgainstReference:
+    """untwist, split_parts and first_bad_crossing against the code they
+    replaced, diagram by diagram: equal results, and the diagram itself
+    wherever the reference returns it."""
+
+    @staticmethod
+    def assert_same_surgery(diagrams):
+        for d in diagrams:
+            expected = reference_untwist(d)
+            untwisted = d.untwist()
+            assert untwisted == expected
+            if expected is d:
+                assert untwisted is d
+            expected = reference_split_parts(d)
+            parts = d.split_parts()
+            assert parts == expected
+            if len(expected) == 1 and expected[0] is d:
+                assert parts[0] is d
+            assert d.first_bad_crossing() == reference_first_bad_crossing(d)
+
+    @staticmethod
+    def medians_and_leaves(graphs) -> list[LinkDiagram]:
+        """Each graph's median and its type-II leaf diagrams at one root."""
+        out = []
+        for g in graphs:
+            out.append(median_diagram(g))
+            out += type_two_leaf_diagrams(g, build_dual(g, kappa_edge=0))
+        return out
+
+    def test_on_corpus_skein_runs(self, graph_corpus):
+        diagrams = skein_diagrams(self.medians_and_leaves(graph_corpus), 14)
+        assert len(diagrams) > 800
+        self.assert_same_surgery(diagrams)
+
+    def test_on_grid_subgraph_skein_runs(self, grid_subgraphs):
+        diagrams = skein_diagrams(self.medians_and_leaves(grid_subgraphs), 17)
+        assert len(diagrams) > 2000
+        self.assert_same_surgery(diagrams)
+
+    def test_on_planted_curl_skein_runs(self):
+        diagrams = skein_diagrams(planted_curl_diagrams(), 15)
+        assert sum(d.untwist() is not d for d in diagrams) > 40
+        self.assert_same_surgery(diagrams)
+
+    def test_chain_of_forty_kinks(self):
+        d = kink_chain(40)
+        with pytest.raises(CrossingCapExceeded):
+            homfly_skein(d)
+        assert d.untwist() == reference_untwist(d) == LinkDiagram((), (), (), 1)
+
+    def test_one_crossing_loop_beside_free_loops(self):
+        hopf = median_diagram(bigon()[0])
+        for free in (0, 1, 3):
+            loop = LinkDiagram((-1,), (1, 0), (1,), free)
+            assert loop.untwist() == LinkDiagram((), (), (), free + 1)
+            # the loop as crossing 0, before the Hopf diagram's crossings
+            beside = LinkDiagram(
+                (-1,) + hopf.signs,
+                (1, 0) + tuple(q + 2 for q in hopf.succ),
+                (1,) + hopf.over,
+                free,
+            )
+            expected = LinkDiagram(hopf.signs, hopf.succ, hopf.over, free + 1)
+            assert beside.untwist() == reference_untwist(beside) == expected
+            assert homfly_skein(beside) == HOPF * UNLINK_FACTOR ** (free + 1)
 
 
 class TestSurgery:
