@@ -53,19 +53,20 @@ def _walk_to_augmenting(
     component of ``a``, and is not in ``s``; None when the walk closes up
     at kappa's end.  ``steps`` counts the slots visited since kappa's end.
     """
-    start = dual.slot_index[(dual.kappa, 1)]
+    faces, slot_of = dual.graph.faces, dual.graph.slot_of
+    start = slot_of[(dual.kappa, 1)]
     limit = 4 * dual.n_edges + 4
     while True:
         steps += 1
         if steps > limit:
             raise InvariantError("contour walk failed to close up")
-        walk = dual.rotations[r]
+        walk = faces[r]
         i = (i + 1) % len(walk)
         if (r, i) == start:
             return None
         c, end = walk[i]
         if c in a:
-            r, i = dual.slot_index[(c, 1 - end)]
+            r, i = slot_of[(c, 1 - end)]
         elif end == 0 and dual.head[c] not in component and c not in s:
             return c, r, i, steps
 
@@ -80,7 +81,7 @@ def augmenting_edge(
     component and edges internal to it are passed over silently.
     """
     found = _walk_to_augmenting(
-        dual, a, s, _root_component(dual, a), *dual.slot_index[(dual.kappa, 1)], 0
+        dual, a, s, _root_component(dual, a), *dual.graph.slot_of[(dual.kappa, 1)], 0
     )
     return None if found is None else found[0]
 
@@ -96,7 +97,7 @@ def clocked_arborescence(dual: DualDigraph) -> frozenset[int]:
     chosen: set[int] = set()
 
     def scan(r: int, start_i: int):
-        walk = dual.rotations[r]
+        walk = dual.graph.faces[r]
         i = start_i
         for _ in range(len(walk)):
             i = (i + 1) % len(walk)
@@ -105,10 +106,10 @@ def clocked_arborescence(dual: DualDigraph) -> frozenset[int]:
                 continue
             chosen.add(c)
             visited.add(dual.head[c])
-            _, j = dual.slot_index[(c, 1)]
+            _, j = dual.graph.slot_of[(c, 1)]
             scan(dual.head[c], j)
 
-    _, start = dual.slot_index[(dual.kappa, 1)]
+    _, start = dual.graph.slot_of[(dual.kappa, 1)]
     scan(dual.r0, start)
     if len(visited) != dual.n_vertices:
         raise InvariantError("clocked search did not reach every dual vertex")
@@ -216,12 +217,12 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
         node = ArbNode(a, s, augmenting=delta)
         node.right = grow(
             a | {delta}, s, component | {dual.head[delta]},
-            *dual.slot_index[(delta, 1)], steps,
+            *dual.graph.slot_of[(delta, 1)], steps,
         )
         node.left = grow(a, s | {delta}, component, r, i, steps)
         return node
 
-    start = dual.slot_index[(dual.kappa, 1)]
+    start = dual.graph.slot_of[(dual.kappa, 1)]
     root = grow(frozenset(), frozenset(), frozenset({dual.r0}), *start, 0)
     return ArbTree(dual, root, leaves)
 

@@ -367,14 +367,14 @@ def cmd_homogeneous(args) -> int:
 def cmd_verify(args) -> int:
     g, dual = _load(args)
     report = verify_graph(g, dual, cap=args.cap)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        for check in report.checks:
-            mark = "ok " if check["ok"] else "FAIL"
-            detail = f"  ({check['detail']})" if check["detail"] else ""
-            print(f"[{mark}] {check['invariant']}{detail}")
-        print("PASS" if report.ok else "FAIL")
+    _emit(
+        report.to_json(), args,
+        lambda p: "\n".join(
+            f"[{'ok ' if c['ok'] else 'FAIL'}] {c['invariant']}"
+            + (f"  ({c['detail']})" if c["detail"] else "")
+            for c in p["checks"]
+        ) + ("\nPASS" if p["ok"] else "\nFAIL"),
+    )
     return 0 if report.ok else 1
 
 

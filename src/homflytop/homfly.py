@@ -136,8 +136,6 @@ class LinkDiagram:
 
     def seifert_circle_count(self) -> int:
         """Circles left by the orientation-preserving smoothing of every crossing."""
-        if not self.signs:
-            return self.free_loops
         return len(self._cycles([q ^ 1 for q in self.succ])) + self.free_loops
 
     # -- surgery ----------------------------------------------------------

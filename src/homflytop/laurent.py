@@ -109,8 +109,9 @@ class _Laurent:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the top bit
+                base = base * base
         return result
 
     def __eq__(self, other):

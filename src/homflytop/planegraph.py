@@ -14,7 +14,7 @@ the V -> E dart, which puts the E-endpoint on the traveller's right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 Dart = tuple[int, int]  # (edge id, direction); 0 = E->V, 1 = V->E
 
@@ -36,6 +36,7 @@ class PlaneBipartiteGraph:
         rotations: vertex name -> tuple of incident edge ids, CCW.
         faces: tuple of faces, each a tuple of darts walked with the face on
             the left; faces are ordered by their minimal dart.
+        slot_of: dart -> (face, position of the dart in that face's walk).
     """
 
     def __init__(self, e_vertices, v_vertices, edges, rotations):
@@ -45,8 +46,8 @@ class PlaneBipartiteGraph:
         self.rotations = {x: tuple(r) for x, r in rotations.items()}
         self._validate_structure()
         self.faces = self._trace_faces()
-        self._face_of = {
-            d: i for i, walk in enumerate(self.faces) for d in walk
+        self.slot_of = {
+            d: (r, i) for r, walk in enumerate(self.faces) for i, d in enumerate(walk)
         }
         self._check_euler()
 
@@ -69,7 +70,7 @@ class PlaneBipartiteGraph:
         return self.edges[c][direction]
 
     def face_of(self, dart: Dart) -> int:
-        return self._face_of[dart]
+        return self.slot_of[dart][0]
 
     def is_e_vertex(self, x: str) -> bool:
         return x in self._e_set
@@ -117,37 +118,21 @@ class PlaneBipartiteGraph:
         if len(tree) != self.n_vertices:
             raise GraphInputError("graph is not connected")
 
-    def _rotation_prev(self, dart: Dart) -> Dart:
-        x = self.dart_tail(dart)
-        rot = self.rotations[x]
-        i = self._rot_index[(x, dart[0])]
-        c = rot[(i - 1) % len(rot)]
-        return (c, 0 if x in self._e_set else 1)
-
     def _trace_faces(self):
-        # bipartite edges are never loops, so (vertex, edge id) identifies a dart
-        self._rot_index = {}
+        # face on the left: a walk into x along edge c goes on out of x along
+        # the edge before c in x's rotation (bipartite edges are never loops)
+        succ = {}
         for x, rot in self.rotations.items():
+            out = 0 if x in self._e_set else 1
             for i, c in enumerate(rot):
-                self._rot_index[(x, c)] = i
-        darts = [(c, d) for c in range(self.n_edges) for d in (0, 1)]
-        remaining = set(darts)
+                succ[(c, 1 - out)] = (rot[i - 1], out)
         faces = []
-        for start in darts:
-            if start not in remaining:
-                continue
-            walk = []
-            d = start
-            while True:
-                walk.append(d)
-                remaining.discard(d)
-                # face stays on the left: step to rotation-predecessor of the
-                # reversed dart
-                d = self._rotation_prev((d[0], 1 - d[1]))
-                if d == start:
-                    break
-            faces.append(tuple(walk))
-        faces.sort(key=lambda walk: min(walk))
+        for start in sorted(succ):  # each new walk starts at its least dart
+            if start in succ:
+                walk = [start]
+                while (d := succ.pop(walk[-1])) != start:
+                    walk.append(d)
+                faces.append(tuple(walk))
         return tuple(faces)
 
     def _check_euler(self):
@@ -188,19 +173,17 @@ class PlaneBipartiteGraph:
 class DualDigraph:
     """Directed planar dual with a root face and distinguished primal edge.
 
-    Dual edges are indexed by the primal edge ids.  The rotation at a dual
-    vertex (= face of the primal graph) is the face walk itself: crossing the
-    primal dart (c, 0) is the tail end of dual edge c, crossing (c, 1) is its
-    head end.
+    Dual edges are indexed by the primal edge ids, dual vertices by the
+    faces of ``graph``.  The rotation at a dual vertex is its face walk:
+    crossing the primal dart (c, 0) is the tail end of dual edge c, crossing
+    (c, 1) is its head end, and ``graph.slot_of`` finds either end.
     """
 
     graph: PlaneBipartiteGraph
     tail: tuple[int, ...]
     head: tuple[int, ...]
-    rotations: tuple[tuple[Dart, ...], ...]  # per face, the face walk
     r0: int
     kappa: int
-    slot_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.head[self.kappa] != self.r0:
@@ -208,15 +191,10 @@ class DualDigraph:
                 f"kappa {self.kappa} is inadmissible: its dual edge points to face "
                 f"{self.head[self.kappa]}, not {self.r0}"
             )
-        self.slot_index = {
-            dart: (r, i)
-            for r, walk in enumerate(self.rotations)
-            for i, dart in enumerate(walk)
-        }
 
     @property
     def n_vertices(self) -> int:
-        return len(self.rotations)
+        return self.graph.n_faces
 
     @property
     def n_edges(self) -> int:
@@ -254,7 +232,7 @@ def build_dual(
             raise GraphInputError(f"no edge has its dual pointing to face {r0_face}")
     if r0_face is None:
         r0_face = head[kappa_edge]
-    return DualDigraph(g, tail, head, g.faces, r0_face, kappa_edge)
+    return DualDigraph(g, tail, head, r0_face, kappa_edge)
 
 
 def overlay_dot(g: PlaneBipartiteGraph, dual: DualDigraph) -> str:
@@ -297,6 +275,13 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _list(x, what: str) -> list:
+    """x, if it is a JSON list: not a string or an object."""
+    if type(x) is not list:
+        raise GraphInputError(f"{what} must be a list, not {type(x).__name__}")
+    return x
+
+
 def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
     """Parse an input document (dict or JSON text) into graph and dual.
 
@@ -305,14 +290,16 @@ def parse_plane_graph(document) -> tuple[PlaneBipartiteGraph, DualDigraph]:
              "r0": [edge_id, "ev"|"ve"] (optional),
              "kappa": edge_id (optional)}.
 
-    Edge ids are JSON integers.  The r0 entry names the face to the left of
-    the given dart.  Defaults: kappa = 0, r0 = head of kappa's dual edge.
+    E, V, edges and each edge are JSON lists, and edge ids JSON integers.
+    The r0 entry names the face to the left of the given dart.  Defaults:
+    kappa = 0, r0 = head of kappa's dual edge.
     """
     document = decode_document(document)
     try:
-        e_vertices = [str(x) for x in document["E"]]
-        v_vertices = [str(x) for x in document["V"]]
-        edges = [(str(e), str(v)) for e, v in document["edges"]]
+        e_vertices = [str(x) for x in _list(document["E"], "E")]
+        v_vertices = [str(x) for x in _list(document["V"], "V")]
+        edges = _list(document["edges"], "edges")
+        edges = [(str(e), str(v)) for e, v in (_list(p, "an edge") for p in edges)]
         rotations = {
             str(x): [_integer(c, "rotation entry") for c in r]
             for x, r in document["rotation"].items()

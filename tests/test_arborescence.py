@@ -90,10 +90,10 @@ class TestResumedWalk:
 
     @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
     def test_walk_that_never_closes_up_is_stopped(self, build):
-        _, dual = k32_three_strand()
-        r, _ = dual.slot_index[(dual.kappa, 1)]
+        g, dual = k32_three_strand()
+        r, _ = g.slot_of[(dual.kappa, 1)]
         # a start slot the walk never reaches
-        dual.slot_index[(dual.kappa, 1)] = (r, len(dual.rotations[r]))
+        g.slot_of[(dual.kappa, 1)] = (r, len(g.faces[r]))
         with pytest.raises(InvariantError, match="contour walk failed to close up"):
             build(dual)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -602,3 +605,31 @@ class TestPackageSurface:
         exec("from homflytop import *", namespace)
         modules = [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
         assert modules == []
+
+
+def run_module(*argv, stdin=None):
+    """``python -m homflytop`` in a child process on this checkout's source."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "homflytop", *argv],
+        input=stdin, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+class TestModuleEntryPoint:
+    def test_faces_matches_in_process(self, capsys, k32_path):
+        done = run_module("faces", "--input", k32_path)
+        code, out, _ = run(capsys, "faces", "--input", k32_path)
+        assert done.returncode == code == 0
+        assert done.stdout == out and done.stderr == ""
+
+    def test_malformed_document_exits_2_with_one_json_line(self):
+        doc = '{"E": "e", "V": "v", "edges": ["ev"], "rotation": {"e": [0], "v": [0]}}'
+        done = run_module("top", "--input", "-", stdin=doc)
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "input", "message": "malformed document: E must be a list, not str"
+        }

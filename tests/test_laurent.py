@@ -74,6 +74,25 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             L1({1: 1}) ** -1
 
+    def test_power_squares_no_further_than_the_top_bit(self, monkeypatch):
+        x = L2({(-1, -1): 1, (1, -1): -1})
+        powers = [L2({(0, 0): 1})]
+        for _ in range(16):
+            powers.append(powers[-1] * x)
+        mul = Laurent2.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(Laurent2, "__mul__", counted)
+        for k in range(1, 17):
+            calls.clear()
+            assert x ** k == powers[k]
+            # one square per bit below the top, one product per set bit
+            assert len(calls) == k.bit_length() - 1 + k.bit_count()
+
     @given(laurent1s, laurent1s, laurent1s)
     def test_ring_axioms_one_variable(self, a, b, c):
         assert (a + b) + c == a + (b + c)

@@ -24,6 +24,12 @@ from homflytop.fixtures import (
 )
 
 
+def replace_document(doc, **fields):
+    """Swap the whole document for a single edge e - v with the given fields."""
+    doc.clear()
+    doc.update(rotation={"e": [0], "v": [0]}, **fields)
+
+
 class TestParsingAndFaces:
     def test_single_edge(self):
         g, dual = single_edge()
@@ -76,6 +82,11 @@ class TestParsingAndFaces:
             lambda d: d.update(r0=7),
             lambda d: d.update(kappa=77),
             lambda d: d["edges"].append(["e0"]),
+            # containers of the wrong JSON type
+            lambda d: d.update(E=dict.fromkeys(d["E"], 0)),
+            lambda d: replace_document(d, E="e", V="v", edges=["ev"]),
+            lambda d: replace_document(d, E=["e"], V=["v"], edges=["ev"]),
+            lambda d: replace_document(d, E=["e"], V=["v"], edges={"ev": 0}),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
