@@ -11,8 +11,9 @@ Going down the tree, the arborescence and the skipped set only grow, so a
 slot the walk has passed over stays passed over, and the walk never enters
 the new head of an added edge before reaching that edge.  The tree is
 therefore built with one walk per root-to-leaf path, each child resuming
-where its parent found its augmenting edge; ``augmenting_edge`` runs the
-same walk from the start for one node.
+where its parent found its augmenting edge, and from an explicit stack:
+the tree can be as deep as the dual has edges.  ``augmenting_edge`` runs
+the same walk from scratch for one node, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -165,21 +166,22 @@ class ArbTree:
     def to_dot(self) -> str:
         lines = ["digraph ArbTree {", "  ordering=out;"]
         names: dict[int, str] = {}
-
-        def visit(node: ArbNode):
-            idx = len(names)
-            names[id(node)] = f"n{idx}"
+        # preorder, right subtree first; a node's arcs follow both subtrees
+        stack: list[tuple[ArbNode, bool]] = [(self.root, False)]
+        while stack:
+            node, subtrees_done = stack.pop()
+            if subtrees_done:
+                name = names[id(node)]
+                lines.append(f"  {name} -> {names[id(node.right)]} [label=R];")
+                lines.append(f"  {name} -> {names[id(node.left)]} [label=L];")
+                continue
+            name = names[id(node)] = f"n{len(names)}"
             label = f"A={sorted(node.a)} S={sorted(node.s)}"
             if node.leaf_type:
                 label += f" type {node.leaf_type}"
-            lines.append(f'  n{idx} [label="{label}"];')
+            lines.append(f'  {name} [label="{label}"];')
             if not node.is_leaf:
-                visit(node.right)
-                visit(node.left)
-                lines.append(f"  n{idx} -> {names[id(node.right)]} [label=R];")
-                lines.append(f"  n{idx} -> {names[id(node.left)]} [label=L];")
-
-        visit(self.root)
+                stack += [(node, True), (node.left, False), (node.right, False)]
         lines.append("}")
         return "\n".join(lines)
 
@@ -202,28 +204,30 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     ``augmenting_edge`` would, after the same number of steps.
     """
     spanning_size = dual.n_vertices - 1
+    slot_of = dual.graph.slot_of
     leaves: list[ArbNode] = []
-
-    def grow(a, s, component, r, i, steps) -> ArbNode:
+    root = ArbNode(frozenset(), frozenset())
+    # (node, its root component, the walk state it resumes); the right
+    # child is pushed last, so it and its subtree are grown first
+    stack = [(root, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
+    while stack:
+        node, component, r, i, steps = stack.pop()
+        a, s = node.a, node.s
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
-            node = ArbNode(a, s)
             node.leaf_type = "I" if len(a) == spanning_size else "II"
             if node.leaf_type == "II":
                 _check_type_two(dual, component, s)
             leaves.append(node)
-            return node
+            continue
         delta, r, i, steps = found
-        node = ArbNode(a, s, augmenting=delta)
-        node.right = grow(
-            a | {delta}, s, component | {dual.head[delta]},
-            *dual.graph.slot_of[(delta, 1)], steps,
+        node.augmenting = delta
+        node.right = ArbNode(a | {delta}, s)
+        node.left = ArbNode(a, s | {delta})
+        stack.append((node.left, component, r, i, steps))
+        stack.append(
+            (node.right, component | {dual.head[delta]}, *slot_of[(delta, 1)], steps)
         )
-        node.left = grow(a, s | {delta}, component, r, i, steps)
-        return node
-
-    start = dual.graph.slot_of[(dual.kappa, 1)]
-    root = grow(frozenset(), frozenset(), frozenset({dual.r0}), *start, 0)
     return ArbTree(dual, root, leaves)
 
 

@@ -334,14 +334,13 @@ def conway_and_alexander(P: Laurent2):
     if len(parities) > 1:
         raise ValueError("mixed z-exponent parity: not a valid HOMFLY value")
     conway = P.set_first_one()
-    # expand each z^k as (w - 1/w)^k with w = t^(1/2)
+    if min(conway.coeffs, default=0) < 0:
+        raise ValueError("Conway polynomial has negative z-exponents")
+    # substitute z = w - 1/w with w = t^(1/2), by Horner's rule
     half = Laurent1.zero("t^(1/2)")
     w_minus = Laurent1({1: 1, -1: -1}, "t^(1/2)")
-    for k in sorted(conway.coeffs):
-        c = conway.coeffs[k]
-        if k < 0:
-            raise ValueError("Conway polynomial has negative z-exponents")
-        half = half + c * w_minus**k
+    for k in range(max(conway.coeffs, default=-1), -1, -1):
+        half = half * w_minus + conway.coeffs.get(k, 0)
     exps = {e % 2 for e in half.coeffs}
     if len(exps) > 1:
         raise ValueError("residual half-integer t-exponents: invalid input")

@@ -4,8 +4,8 @@ bijection with type-I leaves of the arborescence tree.
 The parking test decides the subset definition exactly with Dhar's burning
 algorithm (Dhar, "Self-organized critical state of sandpile automaton
 models", 1990), in time linear in the digraph; the enumerator runs it over
-the finite value box.  The tree bijection is the structured route.  A naive
-deletion-contraction Tutte polynomial supports the two cross-check
+the finite value box.  The inverse bijection descends the built tree.  A
+naive deletion-contraction Tutte polynomial supports the two cross-check
 identities (doubled digraphs, and duals whose E class is all degree 2).
 """
 
@@ -15,7 +15,7 @@ from itertools import product
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import DualDigraph, InvariantError, bfs_tree
-from .arborescence import ArbTree, augmenting_edge
+from .arborescence import ArbTree
 
 
 # -- definitions on a generic rooted digraph --------------------------------
@@ -108,32 +108,29 @@ def parking_from_leaf(
     return values
 
 
-def arborescence_from_parking(dual: DualDigraph, values: dict[int, int]) -> frozenset[int]:
-    """Walk the (lazily evaluated) arborescence tree guided by the function.
+def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> frozenset[int]:
+    """Descend the arborescence tree guided by the function.
 
-    At the augmenting edge delta = (q, r): skip it while the function value
-    at r exceeds the number of already-skipped edges into r, else add it.
-    Parking functions always end at a type-I leaf.
+    At a node whose augmenting edge delta points into r: go left (skip
+    delta) while the function value at r exceeds the number of edges into r
+    skipped so far, else go right (add delta).  Parking functions always
+    end at a type-I leaf.
     """
+    dual = tree.dual
     if not is_parking_function(values, dual.n_vertices, dual.arcs(), dual.r0):
         raise ValueError("not a parking function of this rooted digraph")
-    a: frozenset[int] = frozenset()
-    s: frozenset[int] = frozenset()
     skipped_into = {r: 0 for r in values}
-    while True:
-        delta = augmenting_edge(dual, a, s)
-        if delta is None:
-            if len(a) != dual.n_vertices - 1:
-                raise InvariantError(
-                    "parking-guided walk reached a type II leaf"
-                )
-            return a
-        r = dual.head[delta]
+    node = tree.root
+    while not node.is_leaf:
+        r = dual.head[node.augmenting]
         if values[r] > skipped_into[r]:
-            s = s | {delta}
             skipped_into[r] += 1
+            node = node.left
         else:
-            a = a | {delta}
+            node = node.right
+    if node.leaf_type != "I":
+        raise InvariantError("parking-guided walk reached a type II leaf")
+    return node.a
 
 
 def leaf_enumerator(tree: ArbTree) -> Laurent1:

@@ -3,13 +3,13 @@
 For every admissible (root, kappa) pair the tree of arborescences is built
 and checked against the brute-force enumeration, the triangulation is
 validated and shelled, the two h-vector routes are compared, the parking
-bijection is round-tripped, and the three top formulas are compared with
-each other and (under the crossing cap) with the skein oracle's z-slice.
-The oracle audits the Morton bound on the full diagram, and the strict
-bound is audited on every type-II leaf diagram, once per decorated
-subgraph: pairs whose trees share a leaf subgraph reuse its outcome, a
-failure message included.  All oracle runs on one graph share one skein
-memo.
+bijection is round-tripped on the same tree, and the three top formulas are
+compared with each other and (under the crossing cap) with the skein
+oracle's z-slice.  The oracle audits the Morton bound on the full diagram,
+and the strict bound is audited on every type-II leaf diagram, once per
+decorated subgraph: pairs whose trees share a leaf subgraph reuse its
+outcome, a failure message included.  All oracle runs on one graph share
+one skein memo.
 
 An InvariantError from the oracle, the arborescence tree, the
 triangulation, the shelling or the parking bijection, or a leaf whose image
@@ -192,7 +192,7 @@ def verify_graph(
                 images.add(tuple(sorted(pi.items())))
                 if sum(pi.values()) != len(leaf.s):
                     round_trips = False
-                if arborescence_from_parking(rooted, pi) != leaf.a:
+                if arborescence_from_parking(tree, pi) != leaf.a:
                     round_trips = False
         except (InvariantError, ValueError) as exc:  # ValueError: a non-parking image
             report.record(f"parking-bijection [{tag}]", False, str(exc))

@@ -140,7 +140,7 @@ def test_criterion_4_bijection_suite(graph_corpus):
             seen = set()
             for leaf in type_one:
                 pi = parking_from_leaf(rooted, leaf.a, leaf.s)
-                assert arborescence_from_parking(rooted, pi) == leaf.a
+                assert arborescence_from_parking(tree, pi) == leaf.a
                 seen.add(tuple(sorted(pi.items())))
             assert seen == {tuple(sorted(pi.items())) for pi in parkings}
     _passed(4, "parking bijection suite")

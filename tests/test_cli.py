@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
+from homflytop.laurent import Laurent1
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
 
 
@@ -38,9 +39,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def path_graph(k):
-    """The path e0 - v0 - e1 - v1 - ... - v(k-1): a tree with 2k - 1 edges."""
-    edges = [(f"e{i // 2 + i % 2}", f"v{i // 2}") for i in range(2 * k - 1)]
+def path_graph(k, closed=False):
+    """The path e0 - v0 - e1 - v1 - ... - v(k-1): a tree with 2k - 1 edges.
+
+    Closed, the edge v(k-1) - e0 makes it a cycle with 2k edges and two faces.
+    """
+    edges = [
+        (f"e{(i // 2 + i % 2) % k}", f"v{i // 2}") for i in range(2 * k - 1 + closed)
+    ]
     rotations = {}
     for c, (e, v) in enumerate(edges):
         rotations.setdefault(e, []).append(c)
@@ -48,6 +54,21 @@ def path_graph(k):
     return PlaneBipartiteGraph(
         [f"e{i}" for i in range(k)], [f"v{i}" for i in range(k)], edges, rotations
     )
+
+
+def h_per_pair():
+    """Stand-ins for the two h routes that agree on each (r0, kappa) pair
+    and give each pair a different h."""
+    pairs = []
+
+    def h_from_f(f):
+        pairs.append(f)
+        return Laurent1.const(len(pairs))
+
+    return {
+        "h_from_f": h_from_f,
+        "h_from_shelling": lambda counts, dim: Laurent1.const(len(pairs)),
+    }
 
 
 class TestCommands:
@@ -76,6 +97,24 @@ class TestCommands:
         code, out, _ = run(capsys, "arbtree", "--input", k32_path, "--format", "dot")
         assert code == 0
         assert out.startswith("digraph")
+
+    def test_arbtree_on_a_deep_tree(self, capsys, tmp_path):
+        # on a 2,000-edge cycle the leftmost path skips all 1,000 edges out
+        # of the root face, so the tree is 1,000 levels deep
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(path_graph(1000, closed=True).to_document()))
+        outputs = {}
+        for fmt in ("json", "text", "dot"):
+            code, out, err = run(
+                capsys, "arbtree", "--input", str(path), "--format", fmt
+            )
+            assert (code, err) == (0, "")
+            outputs[fmt] = out
+        leaves = json.loads(outputs["json"])["leaves"]
+        assert [leaf["type"] for leaf in leaves] == ["I"] * 1000 + ["II"]
+        assert outputs["text"].count("type I:") == 1000
+        assert outputs["text"].count("type II:") == 1
+        assert outputs["dot"].count("[label=L]") == 1000
 
     def test_triangulate(self, capsys, k32_path):
         code, out, _ = run(
@@ -355,6 +394,60 @@ class TestErrors:
         code, _, err = run(capsys, "homfly", "--input", k32_path, "--cap", "3")
         assert code == 2
         assert json.loads(err)["error"] == "input"
+
+    @pytest.mark.parametrize(
+        "argv, stand_ins, message",
+        [
+            (
+                ("hvector",),
+                lambda: {"h_from_shelling": lambda counts, dim: Laurent1.zero()},
+                "h-vector routes disagree",
+            ),
+            (
+                ("hvector", "--all-roots"),
+                h_per_pair,
+                "h-vector depends on the (r0, kappa) choice",
+            ),
+            (
+                ("parking", "--all-roots"),
+                lambda: {"parking_for_dual": lambda d: ([], Laurent1.const(d.r0 + 1))},
+                "parking enumerator depends on the root",
+            ),
+            (
+                ("top",),
+                lambda: {"top_via_p": lambda p, n, s: None},
+                "top formulas disagree",
+            ),
+            (
+                ("top",),
+                lambda: {
+                    "top_coefficient": lambda P, n, s: types.SimpleNamespace(
+                        poly=Laurent1.zero()
+                    )
+                },
+                "oracle top disagrees with the formulas",
+            ),
+            (
+                ("homogeneous",),
+                lambda: {"homogeneous_top": lambda blocks, pos, neg: Laurent1.zero()},
+                "product formula disagrees with the oracle",
+            ),
+        ],
+        ids=[
+            "h-routes", "h-choice", "parking-root", "top-formulas", "top-oracle",
+            "product-formula",
+        ],
+    )
+    def test_invariant_exit(
+        self, capsys, monkeypatch, k32_path, argv, stand_ins, message
+    ):
+        for name, stand_in in stand_ins().items():
+            monkeypatch.setattr(cli, name, stand_in)
+        code, out, err = run(capsys, *argv, "--input", k32_path, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            json.dumps({"error": "invariant", "message": message})
+        ]
 
     @staticmethod
     def _k32_with(tmp_path, **fields):

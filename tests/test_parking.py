@@ -181,21 +181,24 @@ class TestBijection:
             tuple(sorted(v.items())) for v in enumerate_parking(3, dual.arcs(), dual.r0)
         )
 
-    def test_round_trip_both_ways(self, graph_corpus):
-        for g in graph_corpus[:60]:
+    def test_round_trip_both_ways(self, graph_corpus, grid_subgraphs):
+        rooted_duals = [build_dual(g, kappa_edge=0) for g in graph_corpus[:60]]
+        for g in grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
+            rooted_duals += [dual.with_root(*pair) for pair in dual.admissible_pairs()]
+        for dual in rooted_duals:
             tree = build_arb_tree(dual)
             leaf_set = set()
             for leaf in tree.leaves:
                 if leaf.leaf_type != "I":
                     continue
                 pi = parking_from_leaf(dual, leaf.a, leaf.s)
-                assert arborescence_from_parking(dual, pi) == leaf.a
+                assert arborescence_from_parking(tree, pi) == leaf.a
                 assert sum(pi.values()) == len(leaf.s)
                 leaf_set.add(leaf.a)
             parkings, p = parking_for_dual(dual)
             for pi in parkings:
-                a = arborescence_from_parking(dual, pi)
+                a = arborescence_from_parking(tree, pi)
                 assert a in leaf_set
                 leaf = next(l for l in tree.leaves if l.leaf_type == "I" and l.a == a)
                 assert parking_from_leaf(dual, leaf.a, leaf.s) == pi
@@ -206,7 +209,9 @@ class TestBijection:
         dual = k32_rooted()
         others = sorted(r for r in range(3) if r != dual.r0)
         with pytest.raises(ValueError):
-            arborescence_from_parking(dual, {others[0]: 1, others[1]: 1})
+            arborescence_from_parking(
+                build_arb_tree(dual), {others[0]: 1, others[1]: 1}
+            )
 
 
 class TestTutte:
