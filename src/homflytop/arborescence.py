@@ -12,8 +12,9 @@ slot the walk has passed over stays passed over, and the walk never enters
 the new head of an added edge before reaching that edge.  The tree is
 therefore built with one walk per root-to-leaf path, each child resuming
 where its parent found its augmenting edge, and from an explicit stack:
-the tree can be as deep as the dual has edges.  ``augmenting_edge`` runs
-the same walk from scratch for one node, as the tests' reference.
+the tree can be as deep as the dual has edges.  Spanning nodes, the type-I
+leaves, end without a walk.  ``augmenting_edge`` runs the same walk from
+scratch for one node, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     rejected below: a head end stays a head end, a head inside the root
     component stays inside (the component only grows) and a skipped edge
     stays skipped (s only grows).  So each node finds the edge that
-    ``augmenting_edge`` would, after the same number of steps.
+    ``augmenting_edge`` would, after the same number of steps.  A node whose
+    arborescence is spanning is a type-I leaf by definition and ends without
+    a walk, so the close-up guard covers internal nodes and type-II leaves.
     """
     spanning_size = dual.n_vertices - 1
     slot_of = dual.graph.slot_of
@@ -213,11 +216,14 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     while stack:
         node, component, r, i, steps = stack.pop()
         a, s = node.a, node.s
+        if len(a) == spanning_size:
+            node.leaf_type = "I"
+            leaves.append(node)
+            continue
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
-            node.leaf_type = "I" if len(a) == spanning_size else "II"
-            if node.leaf_type == "II":
-                _check_type_two(dual, component, s)
+            node.leaf_type = "II"
+            _check_type_two(dual, component, s)
             leaves.append(node)
             continue
         delta, r, i, steps = found
@@ -232,8 +238,6 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
 
 
 def _check_type_two(dual: DualDigraph, component, s: frozenset[int]):
-    if len(component) == dual.n_vertices:
-        raise InvariantError("leaf classified II but arborescence is spanning")
     for c in range(dual.n_edges):
         if dual.tail[c] in component and dual.head[c] not in component and c not in s:
             raise InvariantError(

@@ -534,30 +534,20 @@ def median_diagram(
     dotted = subgraph.dotted
     index = {c: i for i, c in enumerate(present)}
 
-    circles: dict[str, list[int]] = {}
-    for x in g.e_vertices:
-        circles[x] = [c for c in g.rotations[x] if c in index]
-    for x in g.v_vertices:
-        circles[x] = [c for c in reversed(g.rotations[x]) if c in index]
-
-    def into_v(c):  # pass entering along the E-circle, leaving along the V-circle
-        return 2 * index[c]
-
-    def into_e(c):  # pass entering along the V-circle, leaving along the E-circle
-        return 2 * index[c] + 1
-
+    # walking each circle once, the pass leaving along it at crossing i leads
+    # to the pass entering along it at the next crossing j: 2i + 1 -> 2j on
+    # an E-circle and 2i -> 2j + 1 on a V-circle
     succ = [0] * (2 * len(present))
-    for c in present:
-        e, v = g.edges[c]
-        ring_v = circles[v]
-        ring_e = circles[e]
-        next_on_v = ring_v[(ring_v.index(c) + 1) % len(ring_v)]
-        next_on_e = ring_e[(ring_e.index(c) + 1) % len(ring_e)]
-        succ[into_v(c)] = into_e(next_on_v)
-        succ[into_e(c)] = into_v(next_on_e)
+    free = 0
+    for vertices, step, leaving in ((g.e_vertices, 1, 1), (g.v_vertices, -1, 0)):
+        for x in vertices:
+            ring = [index[c] for c in g.rotations[x][::step] if c in index]
+            if not ring:
+                free += 1
+            for i, j in zip(ring, ring[1:] + ring[:1]):
+                succ[2 * i + leaving] = 2 * j + 1 - leaving
     signs = tuple(-1 if c in dotted else 1 for c in present)
     over = tuple(1 if c in dotted else 0 for c in present)
-    free = sum(1 for ring in circles.values() if not ring)
     return LinkDiagram(signs, tuple(succ), over, free)
 
 

@@ -292,10 +292,7 @@ class Laurent2(_Laurent):
                 factors.append(f"{u}^{a}")
             if b != 0:
                 factors.append(f"{w}^{b}")
-            if factors == [str(c)]:
-                parts.append(str(c))
-            else:
-                parts.append("*".join(factors))
+            parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
     @classmethod

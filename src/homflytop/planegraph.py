@@ -369,24 +369,22 @@ def check_strong_connectivity(dual: DualDigraph) -> bool:
     sanity oracle for that fact.
     """
     n = dual.n_vertices
-    if n <= 1:
-        return True
 
-    def reach(start, forward):
-        seen = {start}
-        stack = [start]
+    def reaches_all(arcs) -> bool:
+        out: list[list[int]] = [[] for _ in range(n)]
+        for a, b in arcs:
+            out[a].append(b)
+        seen = {0}
+        stack = [0]
         while stack:
-            r = stack.pop()
-            for c in range(dual.n_edges):
-                a, b = (dual.tail[c], dual.head[c])
-                if not forward:
-                    a, b = b, a
-                if a == r and b not in seen:
+            for b in out[stack.pop()]:
+                if b not in seen:
                     seen.add(b)
                     stack.append(b)
-        return seen
+        return len(seen) == n
 
-    return len(reach(0, True)) == n and len(reach(0, False)) == n
+    arcs = dual.arcs()
+    return reaches_all(arcs) and reaches_all((b, a) for a, b in arcs)
 
 
 # -- signed block decomposition ------------------------------------------

@@ -323,7 +323,7 @@ def f_vector(tri: Triangulation) -> Laurent1:
     maximal intersections.  The total holds for any order.
     """
     d = tri.dimension
-    covered = _covered_faces(_maximal(tri.masks))
+    covered = _covered_faces(tri.masks)
     out = {d + 1 - j: c for j, c in enumerate(covered) if c}
     if tri.masks:
         out[d + 1] = 1  # the empty face
@@ -340,8 +340,8 @@ def _maximal(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _covered_faces(family: tuple[int, ...]) -> list[int]:
-    """Per size, the nonempty subsets lying inside some member of an antichain.
+def _covered_faces(family: list[int] | tuple[int, ...]) -> list[int]:
+    """Per size, the nonempty subsets lying inside some member of a family.
 
     Each subset is counted at the first member m containing it.  Let R be
     the points of m whose opposite facet is an intersection with a member

@@ -150,14 +150,14 @@ def verify_graph(
     tops: set[Laurent1] = set()
     h_values: set[Laurent1] = set()
     # per root: (arborescences, parking functions, p), none of which depend on kappa
-    by_root: dict[int, tuple[set, list, Laurent1]] = {}
+    by_root: dict[int, tuple[set, set, Laurent1]] = {}
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
         if r0 not in by_root:
-            by_root[r0] = (
-                spanning_arborescences_bruteforce(rooted), *parking_for_dual(rooted)
-            )
-        brute, parkings, p = by_root[r0]
+            parkings, p = parking_for_dual(rooted)
+            expected = {tuple(sorted(pi.items())) for pi in parkings}
+            by_root[r0] = (spanning_arborescences_bruteforce(rooted), expected, p)
+        brute, expected, p = by_root[r0]
         tag = f"r0={r0} kappa={kappa}"
         try:
             tree = build_arb_tree(rooted)
@@ -197,7 +197,6 @@ def verify_graph(
         except (InvariantError, ValueError) as exc:  # ValueError: a non-parking image
             report.record(f"parking-bijection [{tag}]", False, str(exc))
         else:
-            expected = {tuple(sorted(pi.items())) for pi in parkings}
             report.record(
                 f"parking-bijection [{tag}]", round_trips and images == expected
             )

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from homflytop import arborescence
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
     ArbNode,
@@ -87,6 +88,27 @@ class TestResumedWalk:
                 ]
                 nodes += len(found)
         assert nodes > 30_000
+
+    def test_walks_run_at_internal_nodes_and_type_two_leaves_only(
+        self, monkeypatch, graph_corpus, grid_subgraphs
+    ):
+        calls = []
+        walk = arborescence._walk_to_augmenting
+
+        def counting(*args):
+            calls.append(None)
+            return walk(*args)
+
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", counting)
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                calls.clear()
+                tree = build_arb_tree(dual.with_root(r0, kappa))
+                internal = sum(
+                    delta is not None for _, _, delta, _ in node_fields(tree.root)
+                )
+                assert len(calls) == internal + len(tree.type_two_leaves())
 
     @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
     def test_walk_that_never_closes_up_is_stopped(self, build):

@@ -262,6 +262,42 @@ def kink_chain(k: int) -> LinkDiagram:
     return LinkDiagram((1,) * k, tuple(succ), (0,) * k)
 
 
+def reference_median_diagram(g, subgraph=None) -> LinkDiagram:
+    """The median construction with each circle as a list and two index
+    scans per crossing to find the next crossing on each of its circles."""
+    if subgraph is None:
+        subgraph = DecoratedSubgraph(frozenset(range(g.n_edges)), frozenset())
+    present = sorted(subgraph.present)
+    dotted = subgraph.dotted
+    index = {c: i for i, c in enumerate(present)}
+
+    circles: dict[str, list[int]] = {}
+    for x in g.e_vertices:
+        circles[x] = [c for c in g.rotations[x] if c in index]
+    for x in g.v_vertices:
+        circles[x] = [c for c in reversed(g.rotations[x]) if c in index]
+
+    def into_v(c):  # pass entering along the E-circle, leaving along the V-circle
+        return 2 * index[c]
+
+    def into_e(c):  # pass entering along the V-circle, leaving along the E-circle
+        return 2 * index[c] + 1
+
+    succ = [0] * (2 * len(present))
+    for c in present:
+        e, v = g.edges[c]
+        ring_v = circles[v]
+        ring_e = circles[e]
+        next_on_v = ring_v[(ring_v.index(c) + 1) % len(ring_v)]
+        next_on_e = ring_e[(ring_e.index(c) + 1) % len(ring_e)]
+        succ[into_v(c)] = into_e(next_on_v)
+        succ[into_e(c)] = into_v(next_on_e)
+    signs = tuple(-1 if c in dotted else 1 for c in present)
+    over = tuple(1 if c in dotted else 0 for c in present)
+    free = sum(1 for ring in circles.values() if not ring)
+    return LinkDiagram(signs, tuple(succ), over, free)
+
+
 def type_two_leaf_diagrams(g, dual) -> list[LinkDiagram]:
     tree = build_arb_tree(dual)
     return [
@@ -316,6 +352,23 @@ class TestMedianConstruction:
         d = median_diagram(g, DecoratedSubgraph(frozenset({0}), frozenset()))
         assert d.free_loops == 3
         assert d.n_crossings == 1
+
+    def test_matches_reference_on_full_graphs(self, graph_corpus, grid_subgraphs):
+        for g in graph_corpus + grid_subgraphs:
+            assert median_diagram(g) == reference_median_diagram(g)
+
+    def test_matches_reference_on_type_two_leaves(self, graph_corpus, grid_subgraphs):
+        # every type-II leaf has skipped edges, so each subgraph has dotted ones
+        leaves = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                for leaf in build_arb_tree(dual.with_root(r0, kappa)).type_two_leaves():
+                    sub = decorated_subgraph_at(g, leaf)
+                    assert sub.dotted
+                    assert median_diagram(g, sub) == reference_median_diagram(g, sub)
+                    leaves += 1
+        assert leaves > 10_000
 
     def test_smoothing_matches_edge_removal(self):
         g, _ = k32_three_strand()

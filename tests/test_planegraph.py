@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -248,6 +249,22 @@ class TestStrongConnectivity:
     def test_corpus(self, graph_corpus):
         for g in graph_corpus:
             assert check_strong_connectivity(build_dual(g, kappa_edge=0))
+
+    @pytest.mark.parametrize("cut", ["unreachable from 0", "cannot reach 0"])
+    def test_planted_cut_vertex_is_caught(self, cut):
+        _, dual = k32_three_strand()
+        x = 2  # neither face 0, where both reaches start, nor the root
+        assert x not in (0, dual.r0)
+        arcs = dual.arcs()
+        # the arcs into x, or out of x, become loops at their other end;
+        # ``replace`` rechecks that kappa stays admissible
+        if cut == "unreachable from 0":
+            planted = replace(dual, head=tuple(t if h == x else h for t, h in arcs))
+            assert all(t == x for t, h in planted.arcs() if h == x)
+        else:
+            planted = replace(dual, tail=tuple(h if t == x else t for t, h in arcs))
+            assert all(h == x for t, h in planted.arcs() if t == x)
+        assert not check_strong_connectivity(planted)
 
 
 class TestBlocks:

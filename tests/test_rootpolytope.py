@@ -527,8 +527,7 @@ class TestShellingAndVectors:
     def test_closed_form_on_shellings_fallback_on_shuffles(
         self, monkeypatch, graph_corpus, grid_subgraphs
     ):
-        # _maximal runs once at the top level; each further call is one
-        # member that the closed form could not count
+        # each _maximal call is one member that the closed form could not count
         calls = []
 
         def counting(masks):
@@ -547,12 +546,12 @@ class TestShellingAndVectors:
                 )
                 calls.clear()
                 f = f_vector(tri)
-                assert len(calls) == 1
+                assert len(calls) == 0
                 order = rng.sample(tri.simplices, len(tri.simplices))
                 calls.clear()
                 assert f_vector(Triangulation(g, order)) == f
                 shuffled_calls.append(len(calls))
-        assert sum(n > 1 for n in shuffled_calls) > 40
+        assert sum(n >= 1 for n in shuffled_calls) > 40
 
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
