@@ -187,8 +187,8 @@ class ArbTree:
         return "\n".join(lines)
 
 
-def build_arb_tree(dual: DualDigraph) -> ArbTree:
-    """Grow the full binary tree of (arborescence, skipped set) nodes.
+def build_arb_tree(dual: DualDigraph, type_one_only: bool = False) -> ArbTree:
+    """Grow the binary tree of (arborescence, skipped set) nodes.
 
     Right descendant adds the augmenting edge, left descendant skips it.
     Leaves are collected rightmost-first, so the first type-I leaf is the
@@ -205,9 +205,26 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     ``augmenting_edge`` would, after the same number of steps.  A node whose
     arborescence is spanning is a type-I leaf by definition and ends without
     a walk, so the close-up guard covers internal nodes and type-II leaves.
+
+    With ``type_one_only`` the tree keeps only the subtrees that hold a
+    type-I leaf: a skip child is grown only when the unskipped edges still
+    reach every dual vertex from the root component.  Then a spanning
+    arborescence holds ``a`` and misses ``s``, and following its add and
+    skip choices down the tree ends at it, since it always has an unskipped
+    edge leaving the root component; without such a reach no type-I leaf
+    lies below.  Adding an edge leaves the reach as it was, so the add child
+    stays feasible.  As the parent reaches every vertex, skipping delta
+    keeps that iff delta's head is still reached, which a search back from
+    the head decides (``_reached_without``).  The type-I leaves, their
+    order and their skipped sets are those of the full tree, and reaching
+    a type-II leaf raises.
     """
     spanning_size = dual.n_vertices - 1
     slot_of = dual.graph.slot_of
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
+    if type_one_only:
+        for c, (t, h) in enumerate(dual.arcs()):
+            in_arcs[h].append((c, t))
     leaves: list[ArbNode] = []
     root = ArbNode(frozenset(), frozenset())
     # (node, its root component, the walk state it resumes); the right
@@ -222,6 +239,8 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
             continue
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
+            if type_one_only:
+                raise InvariantError("type-I-only tree reached a type II leaf")
             node.leaf_type = "II"
             _check_type_two(dual, component, s)
             leaves.append(node)
@@ -229,12 +248,30 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
         delta, r, i, steps = found
         node.augmenting = delta
         node.right = ArbNode(a | {delta}, s)
-        node.left = ArbNode(a, s | {delta})
-        stack.append((node.left, component, r, i, steps))
+        skipped = s | {delta}
+        if not type_one_only or _reached_without(
+            in_arcs, component, skipped, dual.head[delta]
+        ):
+            node.left = ArbNode(a, skipped)
+            stack.append((node.left, component, r, i, steps))
         stack.append(
             (node.right, component | {dual.head[delta]}, *slot_of[(delta, 1)], steps)
         )
     return ArbTree(dual, root, leaves)
+
+
+def _reached_without(in_arcs, component, skipped, r: int) -> bool:
+    """Whether the edges outside ``skipped`` reach r from the component."""
+    seen = {r}
+    stack = [r]
+    while stack:
+        for c, t in in_arcs[stack.pop()]:
+            if t not in seen and c not in skipped:
+                if t in component:
+                    return True
+                seen.add(t)
+                stack.append(t)
+    return False
 
 
 def _check_type_two(dual: DualDigraph, component, s: frozenset[int]):

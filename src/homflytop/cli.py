@@ -177,7 +177,7 @@ def cmd_arbtree(args) -> int:
 
 def cmd_triangulate(args) -> int:
     g, dual = _load(args)
-    tree = build_arb_tree(dual)
+    tree = build_arb_tree(dual, type_one_only=True)
     tri = triangulation_from_arbtree(tree, g)
     counts = verify_shelling(tri)
     payload = tri.to_json()
@@ -197,7 +197,7 @@ def cmd_hvector(args) -> int:
     pairs = dual.admissible_pairs() if args.all_roots else [(dual.r0, dual.kappa)]
     results = []
     for r0, kappa in pairs:
-        tree = build_arb_tree(dual.with_root(r0, kappa))
+        tree = build_arb_tree(dual.with_root(r0, kappa), type_one_only=True)
         tri = triangulation_from_arbtree(tree, g)
         counts = verify_shelling(tri)
         f = f_vector(tri)
@@ -271,7 +271,7 @@ def cmd_parking(args) -> int:
 def cmd_top(args) -> int:
     g, dual = _load(args)
     n, s = g.n_edges, g.n_vertices
-    tree = build_arb_tree(dual)
+    tree = build_arb_tree(dual, type_one_only=True)
     tri = triangulation_from_arbtree(tree, g)
     h = h_from_f(f_vector(tri))
     _, p = parking_for_dual(dual)

@@ -8,8 +8,16 @@ as immutable, so equality is exact map equality and hashing is safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+
+
+def _exact_quotient(total: int, scale: int) -> int:
+    """total / scale, which must be an integer; raises ZeroDivisionError
+    when scale is 0."""
+    quotient, rest = divmod(total, scale)
+    if rest:
+        raise ValueError("evaluation is not an integer")
+    return quotient
 
 
 def _clean(items):
@@ -168,15 +176,13 @@ class Laurent1(_Laurent):
     def eval_int(self, x: int) -> int:
         """Exact evaluation at an integer.
 
-        Negative exponents require x nonzero and only an integral total;
-        the value is computed over the rationals and checked.
+        Negative exponents require x nonzero and only an integral total:
+        the polynomial times x^(-least exponent) is evaluated in integers
+        and divided back exactly.
         """
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * Fraction(x) ** e
-        if total.denominator != 1:
-            raise ValueError("evaluation is not an integer")
-        return int(total)
+        low = min([0, *self.coeffs])
+        total = sum(c * x ** (e - low) for e, c in self.coeffs.items())
+        return _exact_quotient(total, x ** -low)
 
     def substitute_power(self, exponent: int, var: str | None = None) -> "Laurent1":
         """Replace the variable x by y^exponent: c*x^k becomes c*y^(k*exponent)."""
@@ -273,12 +279,13 @@ class Laurent2(_Laurent):
         )
 
     def eval_int(self, x: int, y: int) -> int:
-        total = Fraction(0)
-        for (a, b), c in self.coeffs.items():
-            total += c * Fraction(x) ** a * Fraction(y) ** b
-        if total.denominator != 1:
-            raise ValueError("evaluation is not an integer")
-        return int(total)
+        """Exact evaluation at integers, as ``Laurent1.eval_int``."""
+        low_a = min([0] + [a for a, _ in self.coeffs])
+        low_b = min([0] + [b for _, b in self.coeffs])
+        total = sum(
+            c * x ** (a - low_a) * y ** (b - low_b) for (a, b), c in self.coeffs.items()
+        )
+        return _exact_quotient(total, x ** -low_a * y ** -low_b)
 
     def __str__(self):
         if not self.coeffs:

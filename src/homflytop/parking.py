@@ -3,15 +3,15 @@ bijection with type-I leaves of the arborescence tree.
 
 The parking test decides the subset definition exactly with Dhar's burning
 algorithm (Dhar, "Self-organized critical state of sandpile automaton
-models", 1990), in time linear in the digraph; the enumerator runs it over
-the finite value box.  The inverse bijection descends the built tree.  A
-naive deletion-contraction Tutte polynomial supports the two cross-check
-identities (doubled digraphs, and duals whose E class is all degree 2).
+models", 1990), in time linear in the digraph.  The enumerator searches the
+down-set of parking functions depth first, one burning test per child, so
+its cost follows the number of functions found.  The inverse bijection
+descends the built tree.  A naive deletion-contraction Tutte polynomial
+supports the two cross-check identities (doubled digraphs, and duals whose
+E class is all degree 2).
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import DualDigraph, InvariantError, bfs_tree
@@ -31,49 +31,83 @@ def relative_indegree(arcs, r_subset, r) -> int:
     return sum(1 for tail, head in arcs if head == r and tail not in r_subset)
 
 
+def _burning_test(n_vertices: int, arcs, r0: int):
+    """Dhar's burning test for one rooted digraph, its adjacency built once.
+
+    Returns a predicate on values given as a list over the vertices (the
+    root's entry is not read): start with the root burnt, and burn any
+    vertex whose value is below its in-degree from the burnt set.  The
+    predicate holds iff every vertex burns; the unburnt rest would be a
+    subset with no vertex below its relative in-degree, and the first vertex
+    of any subset to burn is one.
+    """
+    heads: list[list[int]] = [[] for _ in range(n_vertices)]
+    for tail, head in arcs:
+        if head != r0 and head != tail:
+            heads[tail].append(head)
+    others = [r for r in range(n_vertices) if r != r0]
+
+    def burns(values) -> bool:
+        fed = [0] * n_vertices  # in-degree from the burnt set
+        burning = [r0] + [r for r in others if values[r] < 0]
+        burnt = len(burning)
+        while burning:
+            for r in heads[burning.pop()]:
+                fed[r] += 1
+                if fed[r] == values[r] + 1:  # only once, as fed only grows
+                    burnt += 1
+                    burning.append(r)
+        return burnt == n_vertices
+
+    return burns
+
+
 def is_parking_function(values: dict[int, int], n_vertices: int, arcs, r0: int) -> bool:
     """Whether every nonempty subset of non-root vertices has a vertex whose
     value is below its relative in-degree from outside the subset.
 
     ``values`` must be defined exactly on the non-root vertices.  Decided by
-    Dhar's burning algorithm: start with the root burnt, and burn any vertex
-    whose value is below its in-degree from the burnt set.  The function is
-    parking iff every vertex burns; the unburnt rest would be a subset with
-    no such vertex, and the first vertex of any subset to burn is one.
+    Dhar's burning algorithm (``_burning_test``).
     """
-    others = [r for r in range(n_vertices) if r != r0]
-    if set(values) != set(others):
+    if set(values) != {r for r in range(n_vertices) if r != r0}:
         raise ValueError("function must be defined exactly on the non-root vertices")
-    heads: dict[int, list[int]] = {}
-    for tail, head in arcs:
-        heads.setdefault(tail, []).append(head)
-    fed = {r: 0 for r in others if values[r] >= 0}  # unburnt: in-degree from burnt
-    burning = [r0] + [r for r in others if r not in fed]
-    while burning:
-        for r in heads.get(burning.pop(), ()):
-            if r in fed:
-                fed[r] += 1
-                if values[r] < fed[r]:
-                    del fed[r]
-                    burning.append(r)
-    return not fed
+    listed = [values.get(r, 0) for r in range(n_vertices)]
+    return _burning_test(n_vertices, arcs, r0)(listed)
 
 
 def enumerate_parking(n_vertices: int, arcs, r0: int) -> list[dict[int, int]]:
-    """All parking functions, by brute force over the finite value box."""
+    """All parking functions, in the lexicographic order of their values
+    over the non-root vertices taken in increasing order.
+
+    Lowering a value never stops a vertex from burning, so the parking
+    functions form a down-set of the box of values below the in-degrees.  A
+    depth-first search from the zero function raises one value at a time,
+    only at or after the vertex it raised last, so it reaches each function
+    of the box along one path, and every function on that path is at most
+    it.  Each child gets one burning test and only parking functions have
+    children: O(#PF * n) tests of O(n + m) each, not the whole box.
+    """
     others = [r for r in range(n_vertices) if r != r0]
-    if not others:
-        return [{}]
-    bounds = []
-    for r in others:
-        indeg = sum(1 for tail, head in arcs if head == r and tail != r)
-        bounds.append(range(indeg))
-    out = []
-    for combo in product(*bounds):
-        values = dict(zip(others, combo))
-        if is_parking_function(values, n_vertices, arcs, r0):
-            out.append(values)
-    return out
+    bound = [0] * n_vertices  # in-degree without loops
+    for tail, head in arcs:
+        if tail != head:
+            bound[head] += 1
+    burns = _burning_test(n_vertices, arcs, r0)
+    zero = [0] * n_vertices
+    stack = [(zero, 0)] if burns(zero) else []
+    found = []
+    while stack:
+        values, start = stack.pop()
+        found.append(values)
+        for j in range(start, len(others)):
+            r = others[j]
+            if values[r] + 1 < bound[r]:
+                child = values[:]
+                child[r] += 1
+                if burns(child):
+                    stack.append((child, j))
+    found.sort()  # the root's entry is 0 throughout
+    return [{r: values[r] for r in others} for values in found]
 
 
 def parking_enumerator(parking_functions) -> Laurent1:

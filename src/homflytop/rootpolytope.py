@@ -17,11 +17,14 @@ Each audit is exact and enumerates no faces or spanning trees:
 - compatibility of two simplices (``compatible``, the pairwise reference
   for the facet audit), by its definition: a search over simple paths for
   an alternating cycle (Postnikov 2009);
-- f-vector: the faces new in each simplex.  Let R be its points whose
-  opposite facet lies in an earlier simplex.  When each intersection with
-  an earlier simplex misses a point of R, as in a shelling, the new faces
-  are those holding R, counted by binomials; otherwise they are counted by
-  inclusion-exclusion over its maximal intersections with the earlier ones.
+- shelling and f-vector: the faces new in each simplex.  Let R be its
+  points whose opposite facet lies in an earlier simplex, read off the set
+  of earlier facets.  Each point keeps a bitset of the simplices holding
+  it, so the earlier simplices containing R are |R| big-int ANDs away
+  (``_restrictions``).  When none does, as in a shelling, the new faces are
+  those holding R, counted by one binomial row per size of R; otherwise
+  they are counted by inclusion-exclusion over its maximal intersections
+  with the earlier ones.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import comb
 from itertools import combinations
 
 from .laurent import Laurent1
-from .planegraph import InvariantError, PlaneBipartiteGraph, bfs_tree
+from .planegraph import InvariantError, PlaneBipartiteGraph
 from .arborescence import ArbTree, _determinant, arborescence_count
 
 
@@ -232,53 +235,107 @@ def _check_facets(tri: Triangulation):
     """
     g = tri.graph
     of_edge, ends, nbrs = tri.pair_ids
+    other_end = [e ^ v for e, v in ends]  # x ^ other_end[p] is p's other end
+    n = g.n_vertices
     k = len(g.e_vertices)
     e_class = (1 << k) - 1
-    every = (1 << g.n_vertices) - 1
-    first: dict[int, tuple] = {}  # facet -> (simplex, C1 mask, on the boundary)
+    every = (1 << n) - 1
+    singletons = [1 << x for x in range(n)]
+    # ints only, which the garbage collector does not scan: per facet seen
+    # the C1 mask in its first simplex, and the interior facets held once
+    # so far, in the order seen
+    side: dict[int, int] = {}
+    lonely: dict[int, None] = {}
     shared: set[int] = set()  # facets lying in two simplices
+
+    def holder(facet):  # the first simplex holding a facet, for messages
+        return next(s for s, m in zip(tri.simplices, tri.masks) if m & facet == facet)
+
     for simplex, mask in zip(tri.simplices, tri.masks):
-        pairs = [of_edge[c] for c in simplex]
-        below = [1 << x for x in range(g.n_vertices)]  # subtree vertices
-        reach = nbrs[:]  # their neighbours in G
-        tree = bfs_tree(range(g.n_vertices), [ends[p] for p in pairs])
-        for x, (c, _) in reversed(tree.items()):  # children before parents
-            if c is None:
-                continue
-            p = pairs[c]
+        adjacent: list[list[int]] = [[] for _ in range(n)]  # pair ids per vertex
+        for c in simplex:
+            p = of_edge[c]
             e, v = ends[p]
-            parent = v if x == e else e
+            adjacent[e].append(p)
+            adjacent[v].append(p)
+        # breadth-first from vertex 0: parent and pair towards it
+        parent_of = [-1] * n
+        parent_of[0] = 0
+        via = [0] * n
+        order = [0]
+        for x in order:
+            for p in adjacent[x]:
+                y = x ^ other_end[p]
+                if parent_of[y] < 0:
+                    parent_of[y], via[y] = x, p
+                    order.append(y)
+        below = singletons[:]  # subtree vertices
+        reach = nbrs[:]  # their neighbours in G
+        for x in reversed(order[1:]):  # children before parents
+            p = via[x]
+            parent = parent_of[x]
             facet = mask ^ (1 << p)
-            held = first.get(facet)
-            if held is None:
+            c1 = side.get(facet)
+            if c1 is None:
                 # x is the end of p in C1 if it is an E-vertex, else in C2;
                 # a - side edge joins the subtree to a vertex of x's class
                 if x < k:
                     c1, same_class = below[x], e_class
                 else:
                     c1, same_class = every ^ below[x], every ^ e_class
-                boundary = not reach[x] & same_class & ~below[x]
-                first[facet] = (simplex, c1, boundary)
+                side[facet] = c1
+                if reach[x] & same_class & ~below[x]:
+                    lonely[facet] = None
             elif facet in shared:
                 raise InvariantError(
                     f"incompatible simplices: a facet of {sorted(simplex)} "
                     "lies in three simplices"
                 )
-            elif held[1] >> e & 1 or not held[1] >> v & 1:
+            elif c1 >> ends[p][0] & 1 or not c1 >> ends[p][1] & 1:
                 raise InvariantError(
-                    f"incompatible simplices {sorted(held[0])} and "
+                    f"incompatible simplices {sorted(holder(facet))} and "
                     f"{sorted(simplex)}: on one side of a shared facet"
                 )
             else:
                 shared.add(facet)
+                lonely.pop(facet, None)
             below[parent] |= below[x]
             reach[parent] |= reach[x]
-    for facet, (simplex, _, boundary) in first.items():
-        if not boundary and facet not in shared:
-            raise InvariantError(
-                f"incompatible simplices: an interior facet of {sorted(simplex)} "
-                "lies in no other simplex"
-            )
+    if lonely:
+        simplex = holder(next(iter(lonely)))
+        raise InvariantError(
+            f"incompatible simplices: an interior facet of {sorted(simplex)} "
+            "lies in no other simplex"
+        )
+
+
+def _restrictions(tri: Triangulation):
+    """Per simplex, in order: (its mask, R, whether no earlier simplex
+    contains R).
+
+    R, as a mask, holds the points whose opposite facet lies in an earlier
+    simplex, read off the set of earlier facets.  Each point has a bitset of
+    the simplices holding it, bit j for simplex j, so the earlier simplices
+    containing R are the AND of |R| bitsets with the bits below i, not a
+    pass over the earlier simplices.
+    """
+    bits, masks = tri.bits, tri.masks
+    of_edge = tri.pair_ids[0]
+    rows = [bytearray(len(masks) // 8 + 1) for _ in tri.pair_ids[1]]
+    for j, simplex in enumerate(tri.simplices):
+        for c in simplex:
+            rows[of_edge[c]][j >> 3] |= 1 << (j & 7)
+    holders = [int.from_bytes(row, "little") for row in rows]
+    facets: set[int] = set()  # facets of the earlier simplices
+    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
+        restriction = 0
+        containing = (1 << i) - 1  # earlier simplices holding R so far
+        for c in simplex:
+            if mask ^ bits[c] in facets:
+                restriction |= bits[c]
+                containing &= holders[of_edge[c]]
+        yield mask, restriction, not containing
+        facets.update(mask ^ bits[c] for c in simplex)
 
 
 def verify_shelling(tri: Triangulation) -> list[int]:
@@ -288,23 +345,17 @@ def verify_shelling(tri: Triangulation) -> list[int]:
     facet lies in an earlier simplex; the attach count is |R_i|.  A face of
     simplex i lies in one of those facets iff it misses a vertex of R_i, so
     a list of equal-size simplices is shelled iff no earlier simplex
-    contains R_i (Ziegler, "Lectures on Polytopes", section 8.2).
+    contains R_i (Ziegler, "Lectures on Polytopes", section 8.2), which
+    ``_restrictions`` decides.
     """
-    bits, masks = tri.bits, tri.masks
-    facets: set[int] = set()  # facets of the earlier simplices
     counts = []
-    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
-        restriction = 0
-        for c in simplex:
-            if mask ^ bits[c] in facets:
-                restriction |= bits[c]
-        if any(restriction & earlier == restriction for earlier in masks[:i]):
+    for i, (_, restriction, shelled) in enumerate(_restrictions(tri)):
+        if not shelled:
             raise InvariantError(
                 f"simplex {i} meets an earlier simplex outside its "
                 "shared facets: not a shelling"
             )
         counts.append(restriction.bit_count())
-        facets.update(mask ^ bits[c] for c in simplex)
     return counts
 
 
@@ -315,19 +366,40 @@ def f_vector(tri: Triangulation) -> Laurent1:
     """Face-count polynomial f(y) = y^(d+1) + f_0 y^d + ... + f_d.
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
-    across simplices; the leading term counts the empty face.  The faces new
-    in each simplex's mask are counted with binomials (see
-    ``_covered_faces``): in closed form when each of its intersections with
-    the simplices before it misses a point whose opposite facet is one of
-    them, as in a shelling, and otherwise by inclusion-exclusion over its
-    maximal intersections.  The total holds for any order.
+    across simplices; the leading term counts the empty face.  Each face is
+    counted at the first simplex holding it.  When no earlier simplex holds
+    the restriction set R of a simplex (see ``_restrictions``), as in a
+    shelling, a face of it is new iff it holds R, so its new faces by size
+    are the coefficients of t^|R| (1 + t)^(d + 1 - |R|).  Those simplices
+    are tallied by |R|, and the tally's sum is expanded once by Horner's
+    rule in (1 + t), with additions only.  Otherwise its new faces are all
+    its subsets less those inside one of its maximal intersections with the
+    earlier simplices, counted by ``_covered_faces`` (inclusion-exclusion).
+    The total holds for any order.
     """
     d = tri.dimension
-    covered = _covered_faces(tri.masks)
-    out = {d + 1 - j: c for j, c in enumerate(covered) if c}
-    if tri.masks:
-        out[d + 1] = 1  # the empty face
-    return Laurent1(out, "y")
+    size = d + 1  # points per simplex
+    out = [0] * (size + 1)  # by face size
+    by_restriction = [0] * (size + 1)  # simplices counted in closed form, by |R|
+    masks = tri.masks
+    for i, (mask, restriction, closed) in enumerate(_restrictions(tri)):
+        if closed:
+            by_restriction[restriction.bit_count()] += 1
+        else:
+            # all subsets, the row of R = 0, less those counted before
+            by_restriction[0] += 1
+            earlier = _covered_faces(_maximal([mask & k for k in masks[:i]]))
+            for j, c in enumerate(earlier):
+                out[j] -= c
+    row = [0] * (size + 1)  # sum of count * t^r * (1 + t)^(size - r)
+    for r, count in enumerate(by_restriction):
+        for j in range(r, 0, -1):  # times (1 + t)
+            row[j] += row[j - 1]
+        row[r] += count
+    f = {d + 1 - j: out[j] + row[j] for j in range(1, size + 1) if out[j] + row[j]}
+    if masks:
+        f[d + 1] = 1  # the empty face
+    return Laurent1(f, "y")
 
 
 def _maximal(masks) -> tuple[int, ...]:
@@ -343,15 +415,17 @@ def _maximal(masks) -> tuple[int, ...]:
 def _covered_faces(family: list[int] | tuple[int, ...]) -> list[int]:
     """Per size, the nonempty subsets lying inside some member of a family.
 
-    Each subset is counted at the first member m containing it.  Let R be
-    the points of m whose opposite facet is an intersection with a member
-    before m.  If every such intersection misses a point of R, a subset of
-    m lies in one iff it misses a point of R, so the new j-subsets are the
-    C(|m| - |R|, j - |R|) holding R; in a shelling this is every member
-    (Ziegler, "Lectures on Polytopes", section 8.2).  Otherwise the new
-    subsets are m's, by binomials, less those inside one of its maximal
-    intersections with the members before it, which is the same count one
-    level down (inclusion-exclusion).
+    The fallback of ``f_vector``, for a family of masks of any sizes, such
+    as the maximal intersections of a simplex with the simplices before it;
+    quadratic in the family, which is small there.  Each subset is counted
+    at the first member m containing it.  Let R be the points of m whose
+    opposite facet is an intersection with a member before m.  If every
+    such intersection misses a point of R, a subset of m lies in one iff it
+    misses a point of R, so the new j-subsets are the C(|m| - |R|, j - |R|)
+    holding R (Ziegler, "Lectures on Polytopes", section 8.2).  Otherwise
+    the new subsets are m's, by binomials, less those inside one of its
+    maximal intersections with the members before it, which is the same
+    count one level down (inclusion-exclusion).
     """
     out = [0] * (max((m.bit_count() for m in family), default=0) + 1)
     for i, m in enumerate(family):

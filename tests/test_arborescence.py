@@ -39,14 +39,15 @@ def reference_build_arb_tree(dual):
 
 
 def node_fields(node):
-    """(a, s, augmenting, leaf_type) of every node, in preorder."""
+    """(a, s, augmenting, leaf_type) of every node, in preorder; a pruned
+    skip child is left out."""
     out = []
     stack = [node]
     while stack:
         node = stack.pop()
         out.append((node.a, node.s, node.augmenting, node.leaf_type))
         if not node.is_leaf:
-            stack += [node.left, node.right]
+            stack += [x for x in (node.left, node.right) if x is not None]
     return out
 
 
@@ -118,6 +119,33 @@ class TestResumedWalk:
         g.slot_of[(dual.kappa, 1)] = (r, len(g.faces[r]))
         with pytest.raises(InvariantError, match="contour walk failed to close up"):
             build(dual)
+
+
+class TestTypeOneOnly:
+    def test_same_type_one_leaves_as_full_tree(self, graph_corpus, grid_subgraphs):
+        pruned_nodes = full_nodes = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                full = build_arb_tree(rooted)
+                pruned = build_arb_tree(rooted, type_one_only=True)
+                assert [(x.a, x.s) for x in pruned.leaves] == [
+                    (x.a, x.s) for x in full.leaves if x.leaf_type == "I"
+                ]
+                assert pruned.type_one_leaves() == full.type_one_leaves()
+                assert all(x.leaf_type == "I" for x in pruned.leaves)
+                pruned_nodes += len(node_fields(pruned.root))
+                full_nodes += len(node_fields(full.root))
+        assert pruned_nodes < full_nodes
+
+    def test_reaching_a_type_two_leaf_raises(self, monkeypatch):
+        # without the reach test every skip child is grown, type-II leaves too
+        monkeypatch.setattr(arborescence, "_reached_without", lambda *args: True)
+        _, dual = k32_three_strand()
+        assert build_arb_tree(dual).type_two_leaves()
+        with pytest.raises(InvariantError, match="type-I-only tree reached a type II leaf"):
+            build_arb_tree(dual, type_one_only=True)
 
 
 class TestClocked:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,6 +129,50 @@ class TestArithmetic:
         assert L2({(-1, 0): 1, (-2, 0): 2}).eval_int(2, 5) == 1
         with pytest.raises(ValueError):
             L2({(-1, -1): 1, (1, -1): -1}).eval_int(2, 3)
+
+
+def fraction_eval(terms):
+    """The value of (coefficient, [(base, exponent)]) terms over the
+    rationals: an int, or the exception type that integer evaluation
+    must raise."""
+    try:
+        total = sum((c * _power_product(bases) for c, bases in terms), Fraction(0))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return int(total) if total.denominator == 1 else ValueError
+
+
+def _power_product(bases):
+    out = Fraction(1)
+    for x, e in bases:
+        out *= Fraction(x) ** e
+    return out
+
+
+def int_eval(evaluate):
+    try:
+        return evaluate()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestEvaluationMatchesFractions:
+    @given(laurent1s, st.integers(-4, 4))
+    def test_one_variable(self, a, x):
+        expected = fraction_eval([(c, [(x, e)]) for e, c in a.coeffs.items()])
+        assert int_eval(lambda: a.eval_int(x)) == expected
+
+    @given(laurent2s, st.integers(-3, 3), st.integers(-3, 3))
+    def test_two_variables(self, a, x, y):
+        expected = fraction_eval(
+            [(c, [(x, e), (y, f)]) for (e, f), c in a.coeffs.items()]
+        )
+        assert int_eval(lambda: a.eval_int(x, y)) == expected
+
+    def test_divisible_totals_of_fractional_terms(self):
+        # terms over 2 and 4 whose sum is whole, at a negative base too
+        assert L1({-1: 2, -2: 4, 3: 1}).eval_int(-2) == -1 - 8 + 1
+        assert L2({(-2, 1): 4, (0, -1): 3}).eval_int(2, 3) == 3 + 1
 
 
 class TestSubstitutions:

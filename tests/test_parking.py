@@ -2,8 +2,9 @@ from itertools import product
 
 import pytest
 
+from homflytop import parking
 from homflytop.planegraph import build_dual
-from homflytop.arborescence import build_arb_tree
+from homflytop.arborescence import arborescence_count, build_arb_tree
 from homflytop.laurent import Laurent1, Laurent2
 from homflytop.parking import (
     relative_indegree,
@@ -19,7 +20,7 @@ from homflytop.parking import (
     tutte_doubled_identity,
     tutte_dual_identity,
 )
-from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand, k_m2
 
 
 def reference_is_parking_function(values, n_vertices, arcs, r0):
@@ -32,6 +33,19 @@ def reference_is_parking_function(values, n_vertices, arcs, r0):
         if not any(values[r] < relative_indegree(arcs, subset, r) for r in subset):
             return False
     return True
+
+
+def reference_enumerate_parking(n_vertices, arcs, r0):
+    """Every function of the value box below the in-degrees that passes the
+    burning test, in the box's lexicographic order."""
+    others = [r for r in range(n_vertices) if r != r0]
+    bounds = [range(sum(1 for t, h in arcs if h == r and t != r)) for r in others]
+    out = []
+    for combo in product(*bounds):
+        values = dict(zip(others, combo))
+        if is_parking_function(values, n_vertices, arcs, r0):
+            out.append(values)
+    return out
 
 
 def k32_rooted():
@@ -162,6 +176,74 @@ class TestEnumeration:
                 _, p = parking_for_dual(rooted)
                 values.add(p)
             assert len(values) == 1
+
+
+class TestDownSetSearch:
+    """The depth-first search over the down-set against the box sweep,
+    order and key order included."""
+
+    @staticmethod
+    def agree(n_vertices, arcs, r0):
+        found = enumerate_parking(n_vertices, arcs, r0)
+        expected = reference_enumerate_parking(n_vertices, arcs, r0)
+        assert found == expected
+        assert [list(v) for v in found] == [list(v) for v in expected]
+        return len(found)
+
+    @classmethod
+    def agree_at_every_root(cls, dual):
+        for r0 in sorted(set(dual.head)):
+            cls.agree(dual.n_vertices, dual.arcs(), r0)
+
+    def test_corpus(self, graph_corpus):
+        for g in graph_corpus:
+            self.agree_at_every_root(build_dual(g, kappa_edge=0))
+
+    def test_grid_subgraphs(self, grid_subgraphs):
+        for g in grid_subgraphs:
+            self.agree_at_every_root(build_dual(g, kappa_edge=0))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1)], [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (0, 2), (0, 1)]],
+    )
+    def test_doubled_digraphs(self, edges):
+        n, arcs = doubled_digraph(1 + max(max(e) for e in edges), edges)
+        for r0 in range(n):
+            assert self.agree(n, arcs, r0) > 0
+
+    def test_vertex_unreachable_from_root(self):
+        assert self.agree(4, [(0, 1), (1, 0), (2, 3), (3, 2)], 0) == 0
+
+    def test_vertex_without_in_edges(self):
+        assert self.agree(3, [(0, 1), (1, 0), (2, 0), (2, 2)], 0) == 0
+
+    def test_one_face_dual(self):
+        _, dual = single_edge()
+        assert dual.n_vertices == 1
+        assert enumerate_parking(1, dual.arcs(), dual.r0) == [{}]
+        self.agree(1, dual.arcs(), dual.r0)
+
+    def test_burning_tests_follow_the_output(self, monkeypatch):
+        tests = []
+        make = parking._burning_test
+
+        def counting(*args):
+            burns = make(*args)
+
+            def counted(values):
+                tests.append(1)
+                return burns(values)
+
+            return counted
+
+        monkeypatch.setattr(parking, "_burning_test", counting)
+        for m in range(2, 41):
+            _, dual = k_m2(m)
+            tests.clear()
+            found = enumerate_parking(dual.n_vertices, dual.arcs(), dual.r0)
+            assert len(found) == arborescence_count(dual)
+            assert len(tests) <= len(found) * (dual.n_vertices - 1) + 1
 
 
 class TestBijection:

@@ -67,6 +67,37 @@ def reference_shelling(tri):
     return counts
 
 
+def quadratic_shelling(tri):
+    """Attach counts, reading R_i off the earlier facets and scanning every
+    earlier simplex for one containing it."""
+    bits, masks = tri.bits, tri.masks
+    facets = set()
+    counts = []
+    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
+        restriction = 0
+        for c in simplex:
+            if mask ^ bits[c] in facets:
+                restriction |= bits[c]
+        if any(restriction & earlier == restriction for earlier in masks[:i]):
+            raise InvariantError(
+                f"simplex {i} meets an earlier simplex outside its "
+                "shared facets: not a shelling"
+            )
+        counts.append(restriction.bit_count())
+        facets.update(mask ^ bits[c] for c in simplex)
+    return counts
+
+
+def quadratic_f(tri):
+    """f from the generic count over the simplices' masks, which intersects
+    each simplex with every earlier one."""
+    covered = rootpolytope._covered_faces(tri.masks)
+    out = {tri.dimension + 1 - j: c for j, c in enumerate(covered) if c}
+    if tri.masks:
+        out[tri.dimension + 1] = 1
+    return Laurent1(out, "y")
+
+
 def facet_holders(g, simplices):
     """Per facet, as a set of polytope points, the number of simplices
     holding it."""
@@ -552,6 +583,47 @@ class TestShellingAndVectors:
                 assert f_vector(Triangulation(g, order)) == f
                 shuffled_calls.append(len(calls))
         assert sum(n >= 1 for n in shuffled_calls) > 40
+
+    def test_indexed_passes_match_quadratic_ones(self, graph_corpus, grid_subgraphs):
+        rng = random.Random(13)
+        raised = 0
+        for g in list(graph_corpus) + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                tri = triangulation_from_arbtree(
+                    build_arb_tree(dual.with_root(r0, kappa)), g
+                )
+                orders = [tri.simplices] + [
+                    rng.sample(tri.simplices, len(tri.simplices)) for _ in range(2)
+                ]
+                for order in orders:
+                    ordered = Triangulation(g, order)
+                    assert f_vector(ordered) == quadratic_f(ordered)
+                    outcomes = []
+                    for shelling in (verify_shelling, quadratic_shelling):
+                        try:
+                            outcomes.append(shelling(ordered))
+                        except InvariantError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1]
+                    raised += isinstance(outcomes[0], str)
+        assert raised > 50
+
+    def test_f_vector_comb_calls_at_most_quadratic_in_dimension(self, monkeypatch, grid_graph):
+        g = grid_graph(4, 4)
+        tri = triangulation_of(g)
+        calls = []
+        binomial = rootpolytope.comb
+
+        def counting(n, k):
+            calls.append((n, k))
+            return binomial(n, k)
+
+        monkeypatch.setattr(rootpolytope, "comb", counting)
+        f = f_vector(tri)
+        assert len(calls) <= (tri.dimension + 2) ** 2
+        monkeypatch.setattr(rootpolytope, "comb", binomial)
+        assert f == quadratic_f(tri)
 
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
