@@ -8,8 +8,6 @@ as immutable, so equality is exact map equality and hashing is safe.
 
 from __future__ import annotations
 
-from math import comb
-
 
 def _exact_quotient(total: int, scale: int) -> int:
     """total / scale, which must be an integer; raises ZeroDivisionError
@@ -196,15 +194,20 @@ class Laurent1(_Laurent):
     def substitute_shifted(self, shift: int, var: str | None = None) -> "Laurent1":
         """Return f(x + shift), expanded exactly.
 
-        Only defined for ordinary polynomials (no negative exponents).
+        Only defined for ordinary polynomials (no negative exponents).  A
+        Taylor shift by repeated synthetic division (Horner's rule): pass i
+        divides the coefficients at degrees i and up by (x - shift), leaving
+        the remainder, the coefficient of x^i in f(x + shift), at degree i
+        and the quotient above it.
         """
         if self.coeffs and min(self.coeffs) < 0:
             raise ValueError("argument shift requires nonnegative exponents")
-        out: dict[int, int] = {}
-        for e, c in self.coeffs.items():
-            for j in range(e + 1):
-                out[j] = out.get(j, 0) + c * comb(e, j) * shift ** (e - j)
-        return Laurent1(out, var if var is not None else self._names)
+        n = max(self.coeffs, default=0)
+        a = [self.coeffs.get(e, 0) for e in range(n + 1)]  # by degree
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += shift * a[j + 1]
+        return Laurent1(dict(enumerate(a)), var if var is not None else self._names)
 
     def __str__(self):
         if not self.coeffs:

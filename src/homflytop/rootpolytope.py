@@ -21,16 +21,14 @@ Each audit is exact and enumerates no faces or spanning trees:
   points whose opposite facet lies in an earlier simplex, read off the set
   of earlier facets.  Each point keeps a bitset of the simplices holding
   it, so the earlier simplices containing R are |R| big-int ANDs away
-  (``_restrictions``).  When none does, as in a shelling, the new faces are
-  those holding R, counted by one binomial row per size of R; otherwise
-  they are counted by inclusion-exclusion over its maximal intersections
-  with the earlier ones.
+  (``verify_shelling``).  In a shelling none does, and the new faces are
+  those holding R, whose sizes t^|R| (1 + t)^(d + 1 - |R|) counts
+  (``f_vector``); an order that is not a shelling is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from itertools import combinations
 
 from .laurent import Laurent1
@@ -309,15 +307,18 @@ def _check_facets(tri: Triangulation):
         )
 
 
-def _restrictions(tri: Triangulation):
-    """Per simplex, in order: (its mask, R, whether no earlier simplex
-    contains R).
+def verify_shelling(tri: Triangulation) -> list[int]:
+    """Check the stored order is a shelling; return the attach counts.
 
-    R, as a mask, holds the points whose opposite facet lies in an earlier
-    simplex, read off the set of earlier facets.  Each point has a bitset of
-    the simplices holding it, bit j for simplex j, so the earlier simplices
-    containing R are the AND of |R| bitsets with the bits below i, not a
-    pass over the earlier simplices.
+    The restriction set R_i of simplex i holds its vertices whose opposite
+    facet lies in an earlier simplex, read off the set of earlier facets;
+    the attach count is |R_i|.  A face of simplex i lies in one of those
+    facets iff it misses a vertex of R_i, so a list of equal-size simplices
+    is shelled iff no earlier simplex contains R_i (Ziegler, "Lectures on
+    Polytopes", section 8.2).  Each point has a bitset of the simplices
+    holding it, bit j for simplex j, so the earlier simplices containing
+    R_i are the AND of |R_i| bitsets with the bits below i, not a pass over
+    the earlier simplices.
     """
     bits, masks = tri.bits, tri.masks
     of_edge = tri.pair_ids[0]
@@ -327,35 +328,21 @@ def _restrictions(tri: Triangulation):
             rows[of_edge[c]][j >> 3] |= 1 << (j & 7)
     holders = [int.from_bytes(row, "little") for row in rows]
     facets: set[int] = set()  # facets of the earlier simplices
+    counts = []
     for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
-        restriction = 0
-        containing = (1 << i) - 1  # earlier simplices holding R so far
+        count = 0
+        containing = (1 << i) - 1  # earlier simplices holding R_i so far
         for c in simplex:
             if mask ^ bits[c] in facets:
-                restriction |= bits[c]
+                count += 1
                 containing &= holders[of_edge[c]]
-        yield mask, restriction, not containing
-        facets.update(mask ^ bits[c] for c in simplex)
-
-
-def verify_shelling(tri: Triangulation) -> list[int]:
-    """Check the stored order is a shelling; return the attach counts.
-
-    The restriction set R_i of simplex i holds its vertices whose opposite
-    facet lies in an earlier simplex; the attach count is |R_i|.  A face of
-    simplex i lies in one of those facets iff it misses a vertex of R_i, so
-    a list of equal-size simplices is shelled iff no earlier simplex
-    contains R_i (Ziegler, "Lectures on Polytopes", section 8.2), which
-    ``_restrictions`` decides.
-    """
-    counts = []
-    for i, (_, restriction, shelled) in enumerate(_restrictions(tri)):
-        if not shelled:
+        if containing:
             raise InvariantError(
                 f"simplex {i} meets an earlier simplex outside its "
                 "shared facets: not a shelling"
             )
-        counts.append(restriction.bit_count())
+        counts.append(count)
+        facets.update(mask ^ bits[c] for c in simplex)
     return counts
 
 
@@ -367,83 +354,25 @@ def f_vector(tri: Triangulation) -> Laurent1:
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
     across simplices; the leading term counts the empty face.  Each face is
-    counted at the first simplex holding it.  When no earlier simplex holds
-    the restriction set R of a simplex (see ``_restrictions``), as in a
-    shelling, a face of it is new iff it holds R, so its new faces by size
-    are the coefficients of t^|R| (1 + t)^(d + 1 - |R|).  Those simplices
-    are tallied by |R|, and the tally's sum is expanded once by Horner's
-    rule in (1 + t), with additions only.  Otherwise its new faces are all
-    its subsets less those inside one of its maximal intersections with the
-    earlier simplices, counted by ``_covered_faces`` (inclusion-exclusion).
-    The total holds for any order.
+    counted at the first simplex holding it.  In a shelling the new faces
+    of simplex i are those holding R_i (see ``verify_shelling``), so by size
+    they are the coefficients of t^|R_i| (1 + t)^(d + 1 - |R_i|) (Ziegler,
+    "Lectures on Polytopes", Lecture 8).  The attach counts are tallied and
+    the tally's sum is expanded once by Horner's rule in (1 + t), with
+    additions only; only the first simplex has R empty, and it holds the
+    empty face.  Raises ``verify_shelling``'s InvariantError when the
+    stored order is not a shelling.
     """
-    d = tri.dimension
-    size = d + 1  # points per simplex
-    out = [0] * (size + 1)  # by face size
-    by_restriction = [0] * (size + 1)  # simplices counted in closed form, by |R|
-    masks = tri.masks
-    for i, (mask, restriction, closed) in enumerate(_restrictions(tri)):
-        if closed:
-            by_restriction[restriction.bit_count()] += 1
-        else:
-            # all subsets, the row of R = 0, less those counted before
-            by_restriction[0] += 1
-            earlier = _covered_faces(_maximal([mask & k for k in masks[:i]]))
-            for j, c in enumerate(earlier):
-                out[j] -= c
+    size = tri.dimension + 1  # points per simplex
+    by_restriction = [0] * (size + 1)
+    for r in verify_shelling(tri):
+        by_restriction[r] += 1
     row = [0] * (size + 1)  # sum of count * t^r * (1 + t)^(size - r)
     for r, count in enumerate(by_restriction):
         for j in range(r, 0, -1):  # times (1 + t)
             row[j] += row[j - 1]
         row[r] += count
-    f = {d + 1 - j: out[j] + row[j] for j in range(1, size + 1) if out[j] + row[j]}
-    if masks:
-        f[d + 1] = 1  # the empty face
-    return Laurent1(f, "y")
-
-
-def _maximal(masks) -> tuple[int, ...]:
-    """The distinct inclusion-maximal nonzero masks, largest first, ties in
-    the given order."""
-    kept: list[int] = []
-    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
-        if m and all(m & k != m for k in kept):
-            kept.append(m)
-    return tuple(kept)
-
-
-def _covered_faces(family: list[int] | tuple[int, ...]) -> list[int]:
-    """Per size, the nonempty subsets lying inside some member of a family.
-
-    The fallback of ``f_vector``, for a family of masks of any sizes, such
-    as the maximal intersections of a simplex with the simplices before it;
-    quadratic in the family, which is small there.  Each subset is counted
-    at the first member m containing it.  Let R be the points of m whose
-    opposite facet is an intersection with a member before m.  If every
-    such intersection misses a point of R, a subset of m lies in one iff it
-    misses a point of R, so the new j-subsets are the C(|m| - |R|, j - |R|)
-    holding R (Ziegler, "Lectures on Polytopes", section 8.2).  Otherwise
-    the new subsets are m's, by binomials, less those inside one of its
-    maximal intersections with the members before it, which is the same
-    count one level down (inclusion-exclusion).
-    """
-    out = [0] * (max((m.bit_count() for m in family), default=0) + 1)
-    for i, m in enumerate(family):
-        size = m.bit_count()
-        meets = [m & k for k in family[:i]]
-        ridge = 0  # R
-        for x in meets:
-            if x.bit_count() == size - 1:
-                ridge |= m ^ x
-        if all((m ^ x) & ridge for x in meets):
-            r = ridge.bit_count()
-            for j in range(max(r, 1), size + 1):
-                out[j] += comb(size - r, j - r)
-        else:
-            earlier = _covered_faces(_maximal(meets))
-            for j in range(1, size + 1):
-                out[j] += comb(size, j) - (earlier[j] if j < len(earlier) else 0)
-    return out
+    return Laurent1({size - j: c for j, c in enumerate(row)}, "y")
 
 
 def h_from_f(f: Laurent1) -> Laurent1:

@@ -78,27 +78,28 @@ class VerifyReport:
 def _check_triangulation(report, tree, g, leaves, tag) -> Laurent1 | None:
     """Triangulation, shelling and h-vector checks of one (r0, kappa) pair.
 
-    Returns h, or None when the triangulation failed its own audit.
+    Returns h, or None when the triangulation or its shelling failed its
+    own audit.
     """
     try:
         tri = triangulation_from_arbtree(tree, g)
     except InvariantError as exc:
         report.record(f"triangulation [{tag}]", False, str(exc))
         return None
-    h = h_from_f(f_vector(tri))
     try:
         counts = verify_shelling(tri)
     except InvariantError as exc:
         report.record(f"shelling [{tag}]", False, str(exc))
-    else:
-        report.record(
-            f"h-from-f-equals-h-from-shelling [{tag}]",
-            h == h_from_shelling(counts, tri.dimension),
-        )
-        report.record(
-            f"attach-counts-match-skipped [{tag}]",
-            sorted(counts) == sorted(k for _, k in leaves),
-        )
+        return None
+    h = h_from_f(f_vector(tri))
+    report.record(
+        f"h-from-f-equals-h-from-shelling [{tag}]",
+        h == h_from_shelling(counts, tri.dimension),
+    )
+    report.record(
+        f"attach-counts-match-skipped [{tag}]",
+        sorted(counts) == sorted(k for _, k in leaves),
+    )
     report.record(f"h-count [{tag}]", h.eval_int(1) == len(tri.simplices))
     return h
 

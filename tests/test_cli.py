@@ -15,6 +15,7 @@ from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
 from homflytop.laurent import Laurent1
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
+from homflytop.rootpolytope import Triangulation
 
 
 @pytest.fixture()
@@ -69,6 +70,21 @@ def h_per_pair():
         "h_from_f": h_from_f,
         "h_from_shelling": lambda counts, dim: Laurent1.const(len(pairs)),
     }
+
+
+def last_simplex_second(real):
+    """Stand-in for ``triangulation_from_arbtree``: the tree's triangulation
+    with its last simplex moved to second place.  On K_{3,2} that order is
+    not a shelling at any (r0, kappa) pair."""
+
+    def stand_in(tree, g):
+        simplices = real(tree, g).simplices
+        return Triangulation(g, simplices[:1] + simplices[-1:] + simplices[1:-1])
+
+    return stand_in
+
+
+NOT_A_SHELLING = "meets an earlier simplex outside its shared facets: not a shelling"
 
 
 class TestCommands:
@@ -249,6 +265,47 @@ class TestCommands:
             "leaves-match-bruteforce", "parking-bijection", "type-two-morton-strict"
         ):
             assert any(name.startswith(kept) for name in names)
+
+    def test_verify_reports_a_rejected_shelling_order(
+        self, capsys, monkeypatch, k32_path
+    ):
+        from homflytop import verify
+
+        monkeypatch.setattr(
+            verify, "triangulation_from_arbtree",
+            last_simplex_second(verify.triangulation_from_arbtree),
+        )
+        code, out, err = run(capsys, "verify", "--input", k32_path)
+        assert (code, err) == (1, "")
+        assert out.strip().endswith("FAIL")
+        code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        names = [c["invariant"] for c in payload["checks"]]
+        rejected = [c for c in payload["checks"] if c["invariant"].startswith("shelling [")]
+        assert rejected
+        for check in rejected:
+            assert not check["ok"]
+            assert check["detail"].endswith(NOT_A_SHELLING)
+            # h is not read off an order that is not a shelling
+            tag = check["invariant"].removeprefix("shelling ")
+            assert f"h-count {tag}" not in names
+            assert f"top-three-ways {tag}" not in names
+        assert payload["ok"] is False
+
+    @pytest.mark.parametrize("command", ["top", "hvector"])
+    def test_rejected_shelling_order_exits_1(
+        self, capsys, monkeypatch, k32_path, command
+    ):
+        monkeypatch.setattr(
+            cli, "triangulation_from_arbtree",
+            last_simplex_second(cli.triangulation_from_arbtree),
+        )
+        code, out, err = run(capsys, command, "--input", k32_path, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            json.dumps({"error": "invariant", "message": f"simplex 1 {NOT_A_SHELLING}"})
+        ]
 
     @pytest.mark.parametrize(
         "stage, failed_check, kept, error",

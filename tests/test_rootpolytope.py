@@ -29,16 +29,19 @@ from homflytop.verify import verify_graph
 
 def reference_f(tri):
     """Face counts from every subset of every simplex's points."""
-    faces = set()
+    bit = {}
+    faces = set()  # as point bitmasks
     for simplex in tri.simplices:
-        pts = tuple(tri.points(simplex))
-        for k in range(len(pts) + 1):
-            faces.update(frozenset(sub) for sub in combinations(pts, k))
-    out = {}
-    for face in faces:
-        e = tri.dimension + 1 - len(face)
-        out[e] = out.get(e, 0) + 1
-    return Laurent1(out, "y")
+        mask = 0
+        for pt in tri.points(simplex):
+            mask |= bit.setdefault(pt, 1 << len(bit))
+        faces.add(0)  # the empty face
+        face = mask
+        while face:  # every nonempty subset, by submask enumeration
+            faces.add(face)
+            face = (face - 1) & mask
+    sizes = Counter(face.bit_count() for face in faces)
+    return Laurent1({tri.dimension + 1 - k: c for k, c in sizes.items()}, "y")
 
 
 def reference_shelling(tri):
@@ -86,16 +89,6 @@ def quadratic_shelling(tri):
         counts.append(restriction.bit_count())
         facets.update(mask ^ bits[c] for c in simplex)
     return counts
-
-
-def quadratic_f(tri):
-    """f from the generic count over the simplices' masks, which intersects
-    each simplex with every earlier one."""
-    covered = rootpolytope._covered_faces(tri.masks)
-    out = {tri.dimension + 1 - j: c for j, c in enumerate(covered) if c}
-    if tri.masks:
-        out[tri.dimension + 1] = 1
-    return Laurent1(out, "y")
 
 
 def facet_holders(g, simplices):
@@ -534,55 +527,42 @@ class TestShellingAndVectors:
                     outcomes.append(isinstance(found, str))
         assert outcomes.count(True) > 50 and outcomes.count(False) > 1000
 
-    def test_f_vector_matches_subset_reference(self, graph_corpus, grid_graph):
-        graphs = list(graph_corpus[:60]) + [
-            grid_graph(3, 3, dropped) for dropped in ((), (0,), (5,), (3, 8))
-        ]
-        for g in graphs:
-            dual = build_dual(g, kappa_edge=0)
-            tri = triangulation_from_arbtree(build_arb_tree(dual), g)
-            assert f_vector(tri) == reference_f(tri)
-
-    def test_f_vector_any_order_matches_reference(self, graph_corpus, grid_subgraphs):
-        rng = random.Random(8)
-        for g in list(graph_corpus[:60]) + grid_subgraphs[::3]:
-            tri = triangulation_of(g)
-            expected = reference_f(tri)
-            for _ in range(3):
-                order = tri.simplices[:]
-                rng.shuffle(order)
-                assert f_vector(Triangulation(g, order)) == expected
-                prefix = Triangulation(g, order[: rng.randint(0, len(order))])
-                assert f_vector(prefix) == reference_f(prefix)
-
-    def test_closed_form_on_shellings_fallback_on_shuffles(
-        self, monkeypatch, graph_corpus, grid_subgraphs
-    ):
-        # each _maximal call is one member that the closed form could not count
-        calls = []
-
-        def counting(masks):
-            calls.append(masks)
-            return maximal(masks)
-
-        maximal = rootpolytope._maximal
-        monkeypatch.setattr(rootpolytope, "_maximal", counting)
-        rng = random.Random(12)
-        shuffled_calls = []
+    def test_f_vector_matches_subset_reference(self, graph_corpus, grid_subgraphs):
+        pairs = 0
         for g in list(graph_corpus) + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
-            for r0, kappa in dual.admissible_pairs()[:3]:
+            for r0, kappa in dual.admissible_pairs():
                 tri = triangulation_from_arbtree(
                     build_arb_tree(dual.with_root(r0, kappa)), g
                 )
-                calls.clear()
-                f = f_vector(tri)
-                assert len(calls) == 0
-                order = rng.sample(tri.simplices, len(tri.simplices))
-                calls.clear()
-                assert f_vector(Triangulation(g, order)) == f
-                shuffled_calls.append(len(calls))
-        assert sum(n >= 1 for n in shuffled_calls) > 40
+                assert f_vector(tri) == reference_f(tri)
+                pairs += 1
+        assert pairs > 1000
+
+    def test_f_vector_any_order_matches_reference(self, graph_corpus, grid_subgraphs):
+        # f on a shelling order, the message of verify_shelling on any other
+        rng = random.Random(8)
+        outcomes = []
+        for g in list(graph_corpus[:60]) + grid_subgraphs[::3]:
+            tri = triangulation_of(g)
+            for _ in range(3):
+                order = tri.simplices[:]
+                rng.shuffle(order)
+                for ordered in (
+                    Triangulation(g, order),
+                    Triangulation(g, order[: rng.randint(0, len(order))]),
+                ):
+                    try:
+                        verify_shelling(ordered)
+                    except InvariantError as exc:
+                        with pytest.raises(InvariantError) as raised:
+                            f_vector(ordered)
+                        assert str(raised.value) == str(exc)
+                        outcomes.append(False)
+                    else:
+                        assert f_vector(ordered) == reference_f(ordered)
+                        outcomes.append(True)
+        assert outcomes.count(True) > 300 and outcomes.count(False) > 30
 
     def test_indexed_passes_match_quadratic_ones(self, graph_corpus, grid_subgraphs):
         rng = random.Random(13)
@@ -593,37 +573,25 @@ class TestShellingAndVectors:
                 tri = triangulation_from_arbtree(
                     build_arb_tree(dual.with_root(r0, kappa)), g
                 )
+                expected_f = reference_f(tri)  # the same for every order
                 orders = [tri.simplices] + [
                     rng.sample(tri.simplices, len(tri.simplices)) for _ in range(2)
                 ]
                 for order in orders:
                     ordered = Triangulation(g, order)
-                    assert f_vector(ordered) == quadratic_f(ordered)
                     outcomes = []
-                    for shelling in (verify_shelling, quadratic_shelling):
+                    for run in (verify_shelling, quadratic_shelling, f_vector):
                         try:
-                            outcomes.append(shelling(ordered))
+                            outcomes.append(run(ordered))
                         except InvariantError as exc:
                             outcomes.append(str(exc))
                     assert outcomes[0] == outcomes[1]
-                    raised += isinstance(outcomes[0], str)
+                    if isinstance(outcomes[0], str):
+                        assert outcomes[2] == outcomes[0]
+                        raised += 1
+                    else:
+                        assert outcomes[2] == expected_f
         assert raised > 50
-
-    def test_f_vector_comb_calls_at_most_quadratic_in_dimension(self, monkeypatch, grid_graph):
-        g = grid_graph(4, 4)
-        tri = triangulation_of(g)
-        calls = []
-        binomial = rootpolytope.comb
-
-        def counting(n, k):
-            calls.append((n, k))
-            return binomial(n, k)
-
-        monkeypatch.setattr(rootpolytope, "comb", counting)
-        f = f_vector(tri)
-        assert len(calls) <= (tri.dimension + 2) ** 2
-        monkeypatch.setattr(rootpolytope, "comb", binomial)
-        assert f == quadratic_f(tri)
 
     def test_two_h_routes_agree(self, graph_corpus):
         for g in graph_corpus[:60]:
