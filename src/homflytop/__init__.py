@@ -46,6 +46,7 @@ from .rootpolytope import (
     triangulation_from_arbtree,
     verify_shelling,
     f_vector,
+    f_from_attach_counts,
     h_from_f,
     h_from_shelling,
 )

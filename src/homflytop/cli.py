@@ -29,6 +29,7 @@ from .rootpolytope import (
     triangulation_from_arbtree,
     verify_shelling,
     f_vector,
+    f_from_attach_counts,
     h_from_f,
     h_from_shelling,
 )
@@ -200,7 +201,7 @@ def cmd_hvector(args) -> int:
         tree = build_arb_tree(dual.with_root(r0, kappa), type_one_only=True)
         tri = triangulation_from_arbtree(tree, g)
         counts = verify_shelling(tri)
-        f = f_vector(tri)
+        f = f_from_attach_counts(counts, tri.dimension)
         h = h_from_f(f)
         if h != h_from_shelling(counts, tri.dimension):
             raise InvariantError("h-vector routes disagree")

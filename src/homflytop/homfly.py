@@ -13,14 +13,16 @@ construction that produced the diagram.
 The oracle resolves the first crossing that breaks descending order
 (components in a fixed order, each walked from a basepoint) with the skein
 relation P+ = v^2 P- + vz P0 and bottoms out on descending diagrams, which
-are unlinks.  The memo holds each connected piece's value under two keys:
-the piece itself, looked up first, and its canonical code, computed only
-when the piece is not a key.  ``LinkDiagram`` is a frozen dataclass, so
-equal pieces have equal signs, strands and over bits, and a code fixes
-its piece up to renumbering of the crossings; the HOMFLY value depends on
-nothing else.  So the memo may be shared across diagrams
-(``homfly_skein(d, memo=m)``): an entry made for one diagram is correct
-for every other.
+are unlinks; a skein step is one pass that shifts exponents.  The memo
+holds each connected piece's value under two keys: the piece itself,
+looked up first, and its canonical code, computed only when the piece is
+not a key.  ``LinkDiagram`` is a frozen dataclass, so equal pieces have
+equal signs, strands and over bits, and a code fixes its piece up to
+renumbering of the crossings; the HOMFLY value depends on nothing else.
+So the memo may be shared across diagrams (``homfly_skein(d, memo=m)``):
+an entry made for one diagram is correct for every other.  The code walks
+only from the start passes of least key, a key that reads no labels (the
+steps along the strand to the same crossing's over pass, then the sign).
 
 Before it splits a diagram into pieces, the oracle removes every curl: a
 crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
@@ -57,10 +59,6 @@ class CrossingCapExceeded(ValueError):
 
 
 UNLINK_FACTOR = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/v - v)/z
-_V2 = Laurent2({(2, 0): 1})
-_VZ = Laurent2({(1, 1): 1})
-_VINV2 = Laurent2({(-2, 0): 1})
-_MINUS_VINVZ = Laurent2({(-1, 1): -1})
 # UNLINK_FACTOR ** k for the small k of split pieces, free loops and unlinks
 _UNLINK_POWERS = [UNLINK_FACTOR**k for k in range(8)]
 
@@ -334,25 +332,60 @@ class LinkDiagram:
         and records (number, over bit) for each pass, then (-1, -1) when
         its component closes; it goes on from the unvisited pass of the
         lowest-numbered crossing that has one.  The crossing signs in
-        number order follow.  The code is the least walk code over all
-        start passes.
+        number order follow.  The code is the least walk code over the
+        start passes below.
+
+        A walk from an under pass opens with (0, 0) and one from an over
+        pass with (0, 1), so only under passes are tried, and of those only
+        the ones of least key.  Crossing c with under pass u has the key:
+        the number of steps forward along the strand from u to the over
+        pass u ^ 1 (2n when u ^ 1 lies on another component), then c's
+        sign.  The key reads neither crossing numbers nor which pass is 2c,
+        so the tried starts, and with them the code, are invariant under
+        relabelling.  Any one walk code rebuilds its piece, so two pieces
+        have equal codes exactly when they have equal least codes over all
+        start passes: exactly when one is a relabelling of the other.
 
         All walk codes of one diagram have the same length, so they compare
-        entry by entry.  A walk from an under pass opens with (0, 0) and one
-        from an over pass with (0, 1), so only under passes are tried, and
-        each walk is dropped at its first entry above the best code so far.
-        The first walk always runs to the end, so a disconnected diagram
-        raises InvariantError.
+        entry by entry.  Each walk is dropped at its first entry above the
+        best code so far.  The first walk always runs to the end, so a
+        disconnected diagram raises InvariantError.
         """
         n = len(self.signs)
+        succ, over, signs = self.succ, self.over, self.signs
+        # each pass's component and its position there, from the least pass
+        component = [-1] * (2 * n)
+        position = [0] * (2 * n)
+        lengths = []
+        for start in range(2 * n):
+            if component[start] < 0:
+                k = len(lengths)
+                i = 0
+                p = start
+                while component[p] < 0:
+                    component[p] = k
+                    position[p] = i
+                    i += 1
+                    p = succ[p]
+                lengths.append(i)
         over_bit = [0] * (2 * n)
-        for c, b in enumerate(self.over):
-            over_bit[2 * c + b] = 1
+        keys = []  # 2 * steps from c's under to its over pass, + 1 if c is positive
+        for c, b in enumerate(over):
+            o = 2 * c + b
+            over_bit[o] = 1
+            k = component[o ^ 1]
+            if k == component[o]:
+                steps = (position[o] - position[o ^ 1]) % lengths[k]
+            else:
+                steps = 2 * n
+            keys.append(2 * steps + (signs[c] > 0))
+        least = min(keys, default=None)
         best = None
-        for c, b in enumerate(self.over):
-            walk = self._walk_code(2 * c + 1 - b, n, over_bit, best)
-            if walk is not None:
-                best = walk
+        for c, key in enumerate(keys):
+            if key == least:
+                walk = self._walk_code(2 * c + 1 - over[c], n, over_bit, best)
+                if walk is not None:
+                    best = walk
         if best is None:
             return None
         entries, order = best
@@ -360,7 +393,7 @@ class LinkDiagram:
         pairs = [(e >> 1, e & 1) for e in range(2 * n)] + [(-1, -1)]
         return (
             tuple(map(pairs.__getitem__, entries)),
-            tuple(map(self.signs.__getitem__, order)),
+            tuple(map(signs.__getitem__, order)),
         )
 
     def _walk_code(self, start: int, n: int, over_bit: list[int], best):
@@ -456,7 +489,9 @@ class LinkDiagram:
         """Rebuild a diagram from the pd_code() format (dict or JSON text).
 
         The imported diagram uses pass 2c for the under strand of crossing
-        c (over bit 0 throughout); compare via canonical codes.
+        c (over bit 1 throughout), so it may differ from the exported one
+        in crossing numbers and in which pass of a crossing is 2c.  The
+        canonical code reads neither, so compare the two by their codes.
         """
         if isinstance(document, (str, bytes)):
             document = json.loads(document)
@@ -621,13 +656,24 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
             # a switch keeps succ, so the switched piece is again one of these
             switched = _homfly_connected(d.switch(bad), memo)
             smoothed = _homfly(d.smooth(bad), memo)
-            if d.signs[bad] > 0:
-                value = _V2 * switched + _VZ * smoothed
-            else:
-                value = _VINV2 * switched + _MINUS_VINVZ * smoothed
+            value = _skein_step(d.signs[bad], switched, smoothed)
         memo[code] = value
     memo[d] = value
     return value
+
+
+def _skein_step(sign: int, switched: Laurent2, smoothed: Laurent2) -> Laurent2:
+    """v^2 P- + vz P0 at a positive crossing, v^-2 P+ - v^-1 z P0 at a
+    negative one, with P-/P+ the switched and P0 the smoothed value.
+
+    Each product is by a monomial, so it is a shift of exponents: one pass
+    over each operand's terms.
+    """
+    out = {(a + 2 * sign, b): c for (a, b), c in switched.coeffs.items()}
+    for (a, b), c in smoothed.coeffs.items():
+        e = (a + sign, b + 1)
+        out[e] = out.get(e, 0) + sign * c
+    return Laurent2(out)
 
 
 # -- tops ---------------------------------------------------------------------

@@ -23,7 +23,8 @@ Each audit is exact and enumerates no faces or spanning trees:
   it, so the earlier simplices containing R are |R| big-int ANDs away
   (``verify_shelling``).  In a shelling none does, and the new faces are
   those holding R, whose sizes t^|R| (1 + t)^(d + 1 - |R|) counts
-  (``f_vector``); an order that is not a shelling is rejected.
+  (``f_from_attach_counts``, and ``f_vector`` of a triangulation); an
+  order that is not a shelling is rejected.
 """
 
 from __future__ import annotations
@@ -353,19 +354,28 @@ def f_vector(tri: Triangulation) -> Laurent1:
     """Face-count polynomial f(y) = y^(d+1) + f_0 y^d + ... + f_d.
 
     Faces are the subsets of the chosen simplices' vertex sets, deduplicated
-    across simplices; the leading term counts the empty face.  Each face is
-    counted at the first simplex holding it.  In a shelling the new faces
-    of simplex i are those holding R_i (see ``verify_shelling``), so by size
-    they are the coefficients of t^|R_i| (1 + t)^(d + 1 - |R_i|) (Ziegler,
-    "Lectures on Polytopes", Lecture 8).  The attach counts are tallied and
-    the tally's sum is expanded once by Horner's rule in (1 + t), with
-    additions only; only the first simplex has R empty, and it holds the
-    empty face.  Raises ``verify_shelling``'s InvariantError when the
-    stored order is not a shelling.
+    across simplices; the leading term counts the empty face.  It is
+    ``f_from_attach_counts`` of the attach counts of ``verify_shelling``,
+    so it raises that function's InvariantError when the stored order is
+    not a shelling.
     """
-    size = tri.dimension + 1  # points per simplex
+    return f_from_attach_counts(verify_shelling(tri), tri.dimension)
+
+
+def f_from_attach_counts(counts, dimension: int) -> Laurent1:
+    """The f-vector of a shelling with the given attach counts.
+
+    Each face is counted at the first simplex holding it.  In a shelling
+    the new faces of simplex i are those holding R_i (see
+    ``verify_shelling``), so by size they are the coefficients of
+    t^|R_i| (1 + t)^(d + 1 - |R_i|) (Ziegler, "Lectures on Polytopes",
+    Lecture 8).  The counts are tallied and the tally's sum is expanded
+    once by Horner's rule in (1 + t), with additions only; only the first
+    simplex has R empty, and it holds the empty face.
+    """
+    size = dimension + 1  # points per simplex
     by_restriction = [0] * (size + 1)
-    for r in verify_shelling(tri):
+    for r in counts:
         by_restriction[r] += 1
     row = [0] * (size + 1)  # sum of count * t^r * (1 + t)^(size - r)
     for r, count in enumerate(by_restriction):

@@ -38,7 +38,7 @@ from .arborescence import (
 from .rootpolytope import (
     triangulation_from_arbtree,
     verify_shelling,
-    f_vector,
+    f_from_attach_counts,
     h_from_f,
     h_from_shelling,
 )
@@ -91,7 +91,7 @@ def _check_triangulation(report, tree, g, leaves, tag) -> Laurent1 | None:
     except InvariantError as exc:
         report.record(f"shelling [{tag}]", False, str(exc))
         return None
-    h = h_from_f(f_vector(tri))
+    h = h_from_f(f_from_attach_counts(counts, tri.dimension))
     report.record(
         f"h-from-f-equals-h-from-shelling [{tag}]",
         h == h_from_shelling(counts, tri.dimension),

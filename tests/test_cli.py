@@ -148,6 +148,37 @@ class TestCommands:
         payload = json.loads(out)
         assert {r["h"] for r in payload["results"]} == {"2*x^3 + 1*x^4"}
 
+    @pytest.mark.parametrize(
+        "argv, per_pair",
+        [
+            (
+                ("verify",),
+                lambda p: [c for c in p["checks"] if "h-count [" in c["invariant"]],
+            ),
+            (("hvector", "--all-roots"), lambda p: p["results"]),
+        ],
+        ids=["verify", "hvector"],
+    )
+    def test_one_restriction_pass_per_pair(
+        self, capsys, monkeypatch, k32_path, argv, per_pair
+    ):
+        # f is read off the attach counts already held, not a second pass
+        from homflytop import rootpolytope, verify
+
+        shelled = []
+
+        def counting(tri, run=rootpolytope.verify_shelling):
+            shelled.append(tri)
+            return run(tri)
+
+        for module in (rootpolytope, verify, cli):
+            monkeypatch.setattr(module, "verify_shelling", counting)
+        code, out, _ = run(capsys, *argv, "--input", k32_path, "--format", "json")
+        assert code == 0
+        pairs = per_pair(json.loads(out))
+        assert len(pairs) > 1
+        assert len(shelled) == len({id(tri) for tri in shelled}) == len(pairs)
+
     def test_parking(self, capsys, k32_path):
         code, out, _ = run(
             capsys, "parking", "--input", k32_path, "--format", "json", "--all-roots"

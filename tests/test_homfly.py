@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homflytop import homfly
 from homflytop.planegraph import InvariantError, build_dual
@@ -81,12 +82,52 @@ def _reference_code_from(d: LinkDiagram, start: int):
     return (tuple(seq), signs)
 
 
+def start_key(d: LinkDiagram, c: int):
+    """Crossing c's start key: the steps along the strand from its under pass
+    to its over pass (2n when they lie on different components), then its sign."""
+    u, o = d.under_pass(c), d.over_pass(c)
+    (component,) = [comp for comp in d.components() if u in comp]
+    if o in component:
+        steps = (component.index(o) - component.index(u)) % len(component)
+    else:
+        steps = 2 * d.n_crossings
+    return (steps, d.signs[c])
+
+
 def reference_code(d: LinkDiagram):
+    """The least walk code over the under passes of least start key."""
+    keys = [start_key(d, c) for c in range(d.n_crossings)]
+    least = min(keys, default=None)
+    return min(
+        (
+            _reference_code_from(d, d.under_pass(c))
+            for c, key in enumerate(keys)
+            if key == least
+        ),
+        default=None,
+    )
+
+
+def reference_code_all_starts(d: LinkDiagram):
     """The least walk code over all 2n start passes."""
     return min(
         (_reference_code_from(d, start) for start in range(len(d.succ))),
         default=None,
     )
+
+
+def with_passes_swapped(d: LinkDiagram, crossings) -> LinkDiagram:
+    """The same diagram with passes 2c and 2c+1 swapped, and over[c] flipped,
+    at each crossing c of ``crossings``."""
+
+    def m(p):
+        return p ^ 1 if p >> 1 in crossings else p
+
+    succ = [0] * len(d.succ)
+    for p, q in enumerate(d.succ):
+        succ[m(p)] = m(q)
+    over = tuple(1 - b if c in crossings else b for c, b in enumerate(d.over))
+    return LinkDiagram(d.signs, tuple(succ), over, d.free_loops)
 
 
 def grid_pieces(grid_graph) -> list[LinkDiagram]:
@@ -488,6 +529,26 @@ class TestSkeinOracle:
             assert total == homfly_skein(median_diagram(g))
 
 
+laurent2_values = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-3, 3)), st.integers(-4, 4), max_size=6
+).map(Laurent2)
+
+
+class TestSkeinStep:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent2_values, laurent2_values)
+    @example(Laurent2.zero(), Laurent2.zero())
+    @example(Laurent2({(0, 1): 1}), Laurent2({(1, 0): -1}))  # v^2 z - v^2 z = 0
+    @example(Laurent2({(0, 1): 1}), Laurent2({(-1, 0): 1}))  # v^-2 z - v^-2 z = 0
+    def test_matches_generic_arithmetic(self, switched, smoothed):
+        assert homfly._skein_step(1, switched, smoothed) == (
+            _V2 * switched + _VZ * smoothed
+        )
+        assert homfly._skein_step(-1, switched, smoothed) == (
+            _VINV2 * switched + _MINUS_VINVZ * smoothed
+        )
+
+
 class TestCurlRemoval:
     """homfly_skein, which removes curls first, against the recursion that
     does not, and the removal itself on planted curls."""
@@ -740,6 +801,40 @@ class TestCanonicalCode:
             for signs in product((1, -1), repeat=d.n_crossings):
                 signed = LinkDiagram(signs, d.succ, d.over)
                 assert signed.canonical_code() == reference_code(signed)
+
+    def test_same_classes_as_the_all_starts_code(self, graph_corpus, grid_graph):
+        # two pieces have equal codes iff they have equal least codes over
+        # all start passes, i.e. iff one is a relabelling of the other
+        diagrams = type_two_leaf_diagrams(*k32_three_strand()) + [
+            median_diagram(g) for g in graph_corpus
+        ]
+        pieces = grid_pieces(grid_graph) + [
+            piece for d in diagrams for piece in d.split_parts()
+        ]
+        for fixture in (bigon, theta, k32_three_strand):
+            d = median_diagram(fixture()[0])
+            for signs in product((1, -1), repeat=d.n_crossings):
+                pieces.append(LinkDiagram(signs, d.succ, d.over))
+        class_of: dict = {}
+        code_of: dict = {}
+        for piece in pieces:
+            code, full = piece.canonical_code(), reference_code_all_starts(piece)
+            assert class_of.setdefault(code, full) == full
+            assert code_of.setdefault(full, code) == code
+        assert len(class_of) > 100
+
+    def test_unchanged_under_pass_swaps(self, graph_corpus, grid_graph):
+        rng = random.Random(13)
+        pieces = grid_pieces(grid_graph) + [
+            piece
+            for g in graph_corpus[:60]
+            for piece in median_diagram(g).split_parts()
+        ]
+        for piece in pieces:
+            code = piece.canonical_code()
+            for _ in range(3):
+                swapped = {c for c in range(piece.n_crossings) if rng.random() < 0.5}
+                assert with_passes_swapped(piece, swapped).canonical_code() == code
 
     def test_unchanged_under_relabel(self, graph_corpus, grid_graph):
         rng = random.Random(11)
