@@ -35,6 +35,7 @@ from .arborescence import (
     build_arb_tree,
     clocked_arborescence,
     spanning_arborescences_bruteforce,
+    type_one_leaves,
 )
 from .rootpolytope import (
     Triangulation,

@@ -10,11 +10,13 @@ edge at the root face and runs counterclockwise.
 Going down the tree, the arborescence and the skipped set only grow, so a
 slot the walk has passed over stays passed over, and the walk never enters
 the new head of an added edge before reaching that edge.  The tree is
-therefore built with one walk per root-to-leaf path, each child resuming
-where its parent found its augmenting edge, and from an explicit stack:
-the tree can be as deep as the dual has edges.  Spanning nodes, the type-I
-leaves, end without a walk.  ``augmenting_edge`` runs the same walk from
-scratch for one node, as the tests' reference.
+therefore walked once per root-to-leaf path, each child resuming where its
+parent found its augmenting edge, and from an explicit stack: the tree can
+be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
+without a walk.  The walk reads a, s and the root component as bitmasks.
+``type_one_leaves`` keeps only the type-I leaves' masks, ``build_arb_tree``
+every node, with frozensets; ``augmenting_edge`` walks one node from
+scratch, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,26 +27,24 @@ from itertools import product
 from .planegraph import DualDigraph, InvariantError
 
 
-def _root_component(dual: DualDigraph, a: frozenset[int]) -> set[int]:
-    seen = {dual.r0}
+def _mask(edges) -> int:
+    return sum(1 << c for c in edges)
+
+
+def _root_component(dual: DualDigraph, a: frozenset[int]) -> int:
+    seen = 1 << dual.r0
     grew = True
     while grew:
         grew = False
         for c in a:
-            if dual.tail[c] in seen and dual.head[c] not in seen:
-                seen.add(dual.head[c])
+            if seen >> dual.tail[c] & 1 and not seen >> dual.head[c] & 1:
+                seen |= 1 << dual.head[c]
                 grew = True
     return seen
 
 
 def _walk_to_augmenting(
-    dual: DualDigraph,
-    a: frozenset[int],
-    s: frozenset[int],
-    component,
-    r: int,
-    i: int,
-    steps: int,
+    dual: DualDigraph, a: int, s: int, component: int, r: int, i: int, steps: int
 ):
     """Continue the contour walk of ``a`` from slot i at dual vertex r.
 
@@ -52,10 +52,11 @@ def _walk_to_augmenting(
     dual edge c at the current vertex.  At a tree edge end the walk crosses
     to the other end and keeps scanning there.  Returns (delta, r, i, steps)
     at the first tail end of an edge that leaves ``component``, the root
-    component of ``a``, and is not in ``s``; None when the walk closes up
-    at kappa's end.  ``steps`` counts the slots visited since kappa's end.
+    component of ``a``, and is not in ``s`` (all three bitmasks); None when
+    the walk closes up at kappa's end.  ``steps`` counts the slots visited
+    since kappa's end.
     """
-    faces, slot_of = dual.graph.faces, dual.graph.slot_of
+    faces, slot_of, head = dual.graph.faces, dual.graph.slot_of, dual.head
     start = slot_of[(dual.kappa, 1)]
     limit = 4 * dual.n_edges + 4
     while True:
@@ -67,9 +68,9 @@ def _walk_to_augmenting(
         if (r, i) == start:
             return None
         c, end = walk[i]
-        if c in a:
+        if a >> c & 1:
             r, i = slot_of[(c, 1 - end)]
-        elif end == 0 and dual.head[c] not in component and c not in s:
+        elif end == 0 and not component >> head[c] & 1 and not s >> c & 1:
             return c, r, i, steps
 
 
@@ -82,8 +83,9 @@ def augmenting_edge(
     vertex and must not have been skipped.  Ends pointing into the root
     component and edges internal to it are passed over silently.
     """
+    start = dual.graph.slot_of[(dual.kappa, 1)]
     found = _walk_to_augmenting(
-        dual, a, s, _root_component(dual, a), *dual.graph.slot_of[(dual.kappa, 1)], 0
+        dual, _mask(a), _mask(s), _root_component(dual, a), *start, 0
     )
     return None if found is None else found[0]
 
@@ -146,6 +148,10 @@ class ArbTree:
         """(arborescence, skipped count) per type-I leaf, rightmost first."""
         return [(leaf.a, len(leaf.s)) for leaf in self.leaves if leaf.leaf_type == "I"]
 
+    def type_one_masks(self) -> list[tuple[int, int]]:
+        """``type_one_leaves`` with edge masks, as ``type_one_leaves(dual)``."""
+        return [(_mask(a), k) for a, k in self.type_one_leaves()]
+
     def type_two_leaves(self) -> list[ArbNode]:
         return [leaf for leaf in self.leaves if leaf.leaf_type == "II"]
 
@@ -187,7 +193,47 @@ class ArbTree:
         return "\n".join(lines)
 
 
-def build_arb_tree(dual: DualDigraph, type_one_only: bool = False) -> ArbTree:
+def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
+    """(edge mask of a, k) per type-I leaf, rightmost first, without nodes.
+
+    Only the subtrees that hold a type-I leaf are walked: a skip child is
+    kept only when the unskipped edges still reach every dual vertex from
+    the root component.  Then a spanning arborescence holds ``a`` and misses
+    ``s``, and following its add and skip choices down the tree ends at it,
+    since it always has an unskipped edge leaving the root component;
+    without such a reach no type-I leaf lies below.  Adding an edge leaves
+    the reach as it was, so the add child stays feasible.  As the parent
+    reaches every vertex, skipping delta keeps that iff delta's head is
+    still reached, which a search back from the head decides
+    (``_reached_without``).  So the leaves, their order and their skipped
+    sets are those of the full tree, and reaching a type-II leaf raises.
+    """
+    spanning_size = dual.n_vertices - 1
+    slot_of, head = dual.graph.slot_of, dual.head
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
+    for c, (t, h) in enumerate(dual.arcs()):
+        in_arcs[h].append((c, t))
+    leaves: list[tuple[int, int]] = []
+    # (a, s, |a|, root component, resumed walk state); add child goes first
+    stack = [(0, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
+    while stack:
+        a, s, size, component, r, i, steps = stack.pop()
+        if size == spanning_size:
+            leaves.append((a, s.bit_count()))
+            continue
+        found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
+        if found is None:
+            raise InvariantError("type-I-only tree reached a type II leaf")
+        delta, r, i, steps = found
+        bit = 1 << delta
+        if _reached_without(in_arcs, component, s | bit, head[delta]):
+            stack.append((a, s | bit, size, component, r, i, steps))
+        grown = component | 1 << head[delta]
+        stack.append((a | bit, s, size + 1, grown, *slot_of[(delta, 1)], steps))
+    return leaves
+
+
+def build_arb_tree(dual: DualDigraph) -> ArbTree:
     """Grow the binary tree of (arborescence, skipped set) nodes.
 
     Right descendant adds the augmenting edge, left descendant skips it.
@@ -205,78 +251,53 @@ def build_arb_tree(dual: DualDigraph, type_one_only: bool = False) -> ArbTree:
     ``augmenting_edge`` would, after the same number of steps.  A node whose
     arborescence is spanning is a type-I leaf by definition and ends without
     a walk, so the close-up guard covers internal nodes and type-II leaves.
-
-    With ``type_one_only`` the tree keeps only the subtrees that hold a
-    type-I leaf: a skip child is grown only when the unskipped edges still
-    reach every dual vertex from the root component.  Then a spanning
-    arborescence holds ``a`` and misses ``s``, and following its add and
-    skip choices down the tree ends at it, since it always has an unskipped
-    edge leaving the root component; without such a reach no type-I leaf
-    lies below.  Adding an edge leaves the reach as it was, so the add child
-    stays feasible.  As the parent reaches every vertex, skipping delta
-    keeps that iff delta's head is still reached, which a search back from
-    the head decides (``_reached_without``).  The type-I leaves, their
-    order and their skipped sets are those of the full tree, and reaching
-    a type-II leaf raises.
     """
     spanning_size = dual.n_vertices - 1
-    slot_of = dual.graph.slot_of
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
-    if type_one_only:
-        for c, (t, h) in enumerate(dual.arcs()):
-            in_arcs[h].append((c, t))
+    slot_of, head = dual.graph.slot_of, dual.head
     leaves: list[ArbNode] = []
     root = ArbNode(frozenset(), frozenset())
-    # (node, its root component, the walk state it resumes); the right
-    # child is pushed last, so it and its subtree are grown first
-    stack = [(root, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
+    # (node, a, s, root component, resumed walk state); right child first
+    stack = [(root, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
     while stack:
-        node, component, r, i, steps = stack.pop()
-        a, s = node.a, node.s
-        if len(a) == spanning_size:
+        node, a, s, component, r, i, steps = stack.pop()
+        if len(node.a) == spanning_size:
             node.leaf_type = "I"
             leaves.append(node)
             continue
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
-            if type_one_only:
-                raise InvariantError("type-I-only tree reached a type II leaf")
             node.leaf_type = "II"
             _check_type_two(dual, component, s)
             leaves.append(node)
             continue
         delta, r, i, steps = found
+        bit = 1 << delta
         node.augmenting = delta
-        node.right = ArbNode(a | {delta}, s)
-        skipped = s | {delta}
-        if not type_one_only or _reached_without(
-            in_arcs, component, skipped, dual.head[delta]
-        ):
-            node.left = ArbNode(a, skipped)
-            stack.append((node.left, component, r, i, steps))
-        stack.append(
-            (node.right, component | {dual.head[delta]}, *slot_of[(delta, 1)], steps)
-        )
+        node.right = ArbNode(node.a | {delta}, node.s)
+        node.left = ArbNode(node.a, node.s | {delta})
+        stack.append((node.left, a, s | bit, component, r, i, steps))
+        grown = component | 1 << head[delta]
+        stack.append((node.right, a | bit, s, grown, *slot_of[(delta, 1)], steps))
     return ArbTree(dual, root, leaves)
 
 
-def _reached_without(in_arcs, component, skipped, r: int) -> bool:
+def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     """Whether the edges outside ``skipped`` reach r from the component."""
-    seen = {r}
+    seen = 1 << r
     stack = [r]
     while stack:
         for c, t in in_arcs[stack.pop()]:
-            if t not in seen and c not in skipped:
-                if t in component:
+            if not seen >> t & 1 and not skipped >> c & 1:
+                if component >> t & 1:
                     return True
-                seen.add(t)
+                seen |= 1 << t
                 stack.append(t)
     return False
 
 
-def _check_type_two(dual: DualDigraph, component, s: frozenset[int]):
-    for c in range(dual.n_edges):
-        if dual.tail[c] in component and dual.head[c] not in component and c not in s:
+def _check_type_two(dual: DualDigraph, component: int, s: int):
+    for c, (t, h) in enumerate(dual.arcs()):
+        if component >> t & 1 and not (component >> h | s >> c) & 1:
             raise InvariantError(
                 f"type II leaf has unskipped escaping edge {c}: "
                 "contradicts the leaf classification"

@@ -23,7 +23,7 @@ from .planegraph import (
     biconnected_blocks,
     block_subgraph,
 )
-from .arborescence import build_arb_tree, clocked_arborescence
+from .arborescence import build_arb_tree, clocked_arborescence, type_one_leaves
 from .rootpolytope import (
     coordinate_matrix,
     triangulation_from_arbtree,
@@ -91,6 +91,8 @@ def _load(args, with_document=False):
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"cannot decode input: {exc}") from exc
+    except OSError as exc:  # a missing or unreadable file
+        raise GraphInputError(str(exc)) from exc
     doc = decode_document(text)
     if args.kappa is not None:
         doc["kappa"] = args.kappa
@@ -178,8 +180,7 @@ def cmd_arbtree(args) -> int:
 
 def cmd_triangulate(args) -> int:
     g, dual = _load(args)
-    tree = build_arb_tree(dual, type_one_only=True)
-    tri = triangulation_from_arbtree(tree, g)
+    tri = triangulation_from_arbtree(dual, type_one_leaves(dual))
     counts = verify_shelling(tri)
     payload = tri.to_json()
     payload["attach_counts"] = counts
@@ -194,12 +195,12 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_hvector(args) -> int:
-    g, dual = _load(args)
+    _, dual = _load(args)
     pairs = dual.admissible_pairs() if args.all_roots else [(dual.r0, dual.kappa)]
     results = []
     for r0, kappa in pairs:
-        tree = build_arb_tree(dual.with_root(r0, kappa), type_one_only=True)
-        tri = triangulation_from_arbtree(tree, g)
+        rooted = dual.with_root(r0, kappa)
+        tri = triangulation_from_arbtree(rooted, type_one_leaves(rooted))
         counts = verify_shelling(tri)
         f = f_from_attach_counts(counts, tri.dimension)
         h = h_from_f(f)
@@ -272,11 +273,10 @@ def cmd_parking(args) -> int:
 def cmd_top(args) -> int:
     g, dual = _load(args)
     n, s = g.n_edges, g.n_vertices
-    tree = build_arb_tree(dual, type_one_only=True)
-    tri = triangulation_from_arbtree(tree, g)
-    h = h_from_f(f_vector(tri))
+    leaves = type_one_leaves(dual)
+    h = h_from_f(f_vector(triangulation_from_arbtree(dual, leaves)))
     _, p = parking_for_dual(dual)
-    t_tree = top_via_tree(tree, n, s)
+    t_tree = top_via_tree(leaves, n, s)
     t_h = top_via_h(h, n, s)
     t_p = top_via_p(p, n, s)
     if not (t_tree == t_h == t_p):
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return HANDLERS[args.command](args)
-    except (GraphInputError, CrossingCapExceeded, OSError) as exc:
+    except (GraphInputError, CrossingCapExceeded) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
-from .arborescence import ArbNode, ArbTree
+from .arborescence import ArbNode
 from .parking import leaf_enumerator
 
 
@@ -693,9 +693,10 @@ def top_coefficient(P: Laurent2, n: int, s: int) -> TopPolynomial:
     return TopPolynomial(Laurent1(P.slice_second(k).coeffs, "v"), k)
 
 
-def top_via_tree(tree: ArbTree, n: int, s: int) -> TopPolynomial:
-    """Each type-I leaf with k skipped edges contributes v^(n - s + 1 + 2k)."""
-    return top_via_p(leaf_enumerator(tree), n, s)
+def top_via_tree(leaves, n: int, s: int) -> TopPolynomial:
+    """Each type-I leaf (see ``leaf_enumerator``) with k skipped edges
+    contributes v^(n - s + 1 + 2k)."""
+    return top_via_p(leaf_enumerator(leaves), n, s)
 
 
 def top_via_h(h: Laurent1, n: int, s: int) -> TopPolynomial:

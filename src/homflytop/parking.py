@@ -167,10 +167,13 @@ def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> frozense
     return node.a
 
 
-def leaf_enumerator(tree: ArbTree) -> Laurent1:
-    """Enumerator of skipped-edge counts over type-I leaves."""
+def leaf_enumerator(leaves) -> Laurent1:
+    """Enumerator of k over the type-I leaves' (arborescence, k), or an
+    ArbTree's."""
+    if isinstance(leaves, ArbTree):
+        leaves = leaves.type_one_leaves()
     out: dict[int, int] = {}
-    for _, k in tree.type_one_leaves():
+    for _, k in leaves:
         out[k] = out.get(k, 0) + 1
     return Laurent1(out, "u")
 

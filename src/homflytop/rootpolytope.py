@@ -1,9 +1,10 @@
 """Root polytope of a bipartite graph: simplices, triangulation, shelling.
 
 Vertices of the polytope are the 0/1 vectors e + v over edges ev; parallel
-edges give the same point.  A simplex is the bitmask of its points, made
-once per triangulation and cached nowhere.  A triangulation built from an
-arborescence tree is validated combinatorially: cardinality equal to the
+edges give the same point.  A simplex is an int bitmask, of its edges (the
+complement of a type-I leaf's arborescence) and of its points; sorted edge
+lists are made only for output and messages.  A triangulation built from
+the type-I leaves is validated combinatorially: cardinality equal to the
 number of hypertrees, the normalised volume (Postnikov, "Permutohedra,
 associahedra, and beyond", 2009, section 12), and the facet condition of
 De Loera, Rambau and Santos ("Triangulations", 2010, section 4.5): every
@@ -12,19 +13,18 @@ Each audit is exact and enumerates no faces or spanning trees:
 
 - the hypertree count, as the number of spanning arborescences of the dual
   (Kalman 2013), a determinant (``arborescence_count``);
-- facets, in one pass over a map from each facet to the simplices holding
-  it, with a few mask operations per facet (``_check_facets``);
+- facets and shelling, in one pass over a map from each facet seen to what
+  its first simplex left there (``_facet_pass``).  A few mask operations
+  per facet audit it, and the facets already in the map give R, the
+  points of a simplex whose opposite facet lies in an earlier simplex.
+  Each point keeps a bitset of the simplices holding it, so the earlier
+  simplices containing R are |R| big-int ANDs away.  In a shelling none
+  does (``verify_shelling``), and the new faces are those holding R, whose
+  sizes t^|R| (1 + t)^(d + 1 - |R|) counts (``f_from_attach_counts``, and
+  ``f_vector`` of a triangulation);
 - compatibility of two simplices (``compatible``, the pairwise reference
   for the facet audit), by its definition: a search over simple paths for
-  an alternating cycle (Postnikov 2009);
-- shelling and f-vector: the faces new in each simplex.  Let R be its
-  points whose opposite facet lies in an earlier simplex, read off the set
-  of earlier facets.  Each point keeps a bitset of the simplices holding
-  it, so the earlier simplices containing R are |R| big-int ANDs away
-  (``verify_shelling``).  In a shelling none does, and the new faces are
-  those holding R, whose sizes t^|R| (1 + t)^(d + 1 - |R|) counts
-  (``f_from_attach_counts``, and ``f_vector`` of a triangulation); an
-  order that is not a shelling is rejected.
+  an alternating cycle (Postnikov 2009).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .laurent import Laurent1
-from .planegraph import InvariantError, PlaneBipartiteGraph
-from .arborescence import ArbTree, _determinant, arborescence_count
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
+from .arborescence import _determinant, arborescence_count
 
 
 # -- affine independence, two ways -----------------------------------------
@@ -158,71 +158,78 @@ def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
 # -- triangulation ------------------------------------------------------------
 
 
+def _bit_positions(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    return [j for j, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
+
+
 @dataclass
 class Triangulation:
     """Ordered maximal simplices of the root polytope, with face data.
 
-    Simplices are stored as frozensets of edge ids (spanning trees of the
-    graph).  Made once with them: ``pair_ids``, what ``_pair_ids`` gives
-    for the graph, ``bits``, the bit of each edge's polytope point
-    (parallel edges share one), and ``masks``, each simplex's points.
+    Simplices are edge bitmasks of spanning trees of the graph.  Made with
+    them: ``pair_ids`` (see ``_pair_ids``) and ``masks``, the simplices over
+    pair ids (parallel edges share one), which are the edge ids when no two
+    edges are parallel.  ``_facet_pass`` sets ``shelled``: the attach counts
+    and the first simplex that breaks the shelling, or None.
     """
 
     graph: PlaneBipartiteGraph
-    simplices: list[frozenset[int]]
+    simplices: list[int]
     dimension: int = field(init=False)
     pair_ids: tuple = field(init=False, repr=False)
-    bits: list[int] = field(init=False, repr=False)
     masks: list[int] = field(init=False, repr=False)
+    shelled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = self.graph.n_vertices - 2
-        self.pair_ids = _pair_ids(self.graph)
-        self.bits = [1 << p for p in self.pair_ids[0]]
-        self.masks = [sum({self.bits[c] for c in s}) for s in self.simplices]
-
-    def points(self, simplex: frozenset[int]) -> frozenset[tuple[str, str]]:
-        return frozenset(self.graph.edges[c] for c in simplex)
+        self.pair_ids = of_edge, ends, _ = _pair_ids(self.graph)
+        bits = [1 << p for p in of_edge]
+        self.masks = self.simplices if len(ends) == len(of_edge) else [
+            sum({bits[c] for c in _bit_positions(s)}) for s in self.simplices
+        ]
 
     def to_json(self):
         return {
             "dimension": self.dimension,
-            "simplices": [sorted(s) for s in self.simplices],
+            "simplices": [_bit_positions(s) for s in self.simplices],
         }
 
 
-def triangulation_from_arbtree(tree: ArbTree, g: PlaneBipartiteGraph) -> Triangulation:
-    """Simplices dual to the type-I leaves, in right-to-left leaf order.
+def triangulation_from_arbtree(dual: DualDigraph, leaves) -> Triangulation:
+    """Simplices dual to the type-I leaves, (edge mask of a, k) each as
+    ``type_one_leaves`` gives them, in that order: the complements of a.
 
     Validates the hypertree count, as the dual's arborescence count (Kalman
-    2013), distinct vertex sets and the facets (see ``_check_facets``);
-    these always hold for trees built from a valid dual, so a failure means
-    a bug.
+    2013), distinct vertex sets and the facets (see ``_facet_pass``, which
+    also shells the order); these always hold for trees built from a valid
+    dual, so a failure means a bug.
     """
-    all_edges = frozenset(range(g.n_edges))
-    simplices = [all_edges - a for a, _ in tree.type_one_leaves()]
-    expected = arborescence_count(tree.dual)
+    all_edges = (1 << dual.n_edges) - 1
+    simplices = [all_edges ^ a for a, _ in leaves]
+    expected = arborescence_count(dual)
     if len(simplices) != expected:
         raise InvariantError(f"{len(simplices)} simplices but {expected} hypertrees")
-    tri = Triangulation(g, simplices)
+    tri = Triangulation(dual.graph, simplices)
     if len(set(tri.masks)) != len(simplices):
         raise InvariantError("two simplices share the same vertex set")
-    if len(simplices) > 1:
-        _check_facets(tri)
+    fault = _facet_pass(tri)
+    if fault is not None:
+        raise InvariantError(fault)
     return tri
 
 
-def _check_facets(tri: Triangulation):
-    """Raise unless the simplices, as many as the hypertrees, triangulate Q_G.
+def _facet_pass(tri: Triangulation) -> str | None:
+    """Audit the facets and shell the order in one pass over the facets;
+    store ``tri.shelled`` and return the audit's first fault, or None.
 
-    The statement used (De Loera, Rambau and Santos, "Triangulations",
-    2010, section 4.5): full-dimensional simplices spanned by points of a
-    polytope triangulate it iff every facet of one of them that is interior
-    to the polytope lies in exactly one other, on the opposite side, and
-    their volumes add up to the volume of the polytope.  Every simplex of
-    Q_G spanned by a spanning tree is unimodular, and the normalised volume
-    of Q_G is the number of hypertrees (Postnikov 2009, section 12), which
-    the caller has checked as the dual's arborescence count (Kalman 2013).
+    Full-dimensional simplices spanned by points of a polytope triangulate
+    it iff every facet of one of them that is interior to the polytope
+    lies in exactly one other, on the opposite side, and their volumes add
+    up to the polytope's (De Loera, Rambau and Santos, 2010, section 4.5).
+    Each simplex of Q_G spanned by a spanning tree is unimodular, and the
+    caller has checked their number against the hypertrees, the normalised
+    volume of Q_G (Postnikov 2009, section 12).
 
     The facet of the tree T opposite its edge t: removing t splits the
     vertices into C1, the side of t's E-end, and C2.  The facet lies on the
@@ -231,119 +238,128 @@ def _check_facets(tri: Triangulation):
     a boundary facet iff G has no edge from E & C2 to V & C1.  Per tree, the
     vertex set of each subtree and the neighbours of its vertices are
     unions over the children, so each facet costs a few mask operations.
+    C1 and C2 are the parts of the facet's forest, one the subtree cut off
+    by the edge at hand: a facet keeps its first tree's E-end of t, and a
+    second tree's edge lies on the other side iff its E-end is not in that
+    end's part.  The facets met earlier give R_i of ``verify_shelling``.
     """
+    if len(tri.masks) < 2:  # a lone simplex shares no facet and is shelled
+        tri.shelled = [0] * len(tri.masks), None
+        return None
     g = tri.graph
-    of_edge, ends, nbrs = tri.pair_ids
-    other_end = [e ^ v for e, v in ends]  # x ^ other_end[p] is p's other end
+    _, ends, nbrs = tri.pair_ids
     n = g.n_vertices
     k = len(g.e_vertices)
     e_class = (1 << k) - 1
-    every = (1 << n) - 1
+    # per vertex: its class, and (pair id, other end) per pair at it
+    same_class = [e_class if x < k else ((1 << n) - 1) ^ e_class for x in range(n)]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, (e, v) in enumerate(ends):
+        incident[e].append((p, v))
+        incident[v].append((p, e))
     singletons = [1 << x for x in range(n)]
-    # ints only, which the garbage collector does not scan: per facet seen
-    # the C1 mask in its first simplex, and the interior facets held once
-    # so far, in the order seen
-    side: dict[int, int] = {}
-    lonely: dict[int, None] = {}
-    shared: set[int] = set()  # facets lying in two simplices
+    bits = [1 << p for p in range(len(ends))]
+    e_end = [e for e, _ in ends]
+    # an int hashes as its value mod 2^61 - 1, so wider facet masks that
+    # differ in bits p and p + 61 would collide; their bytes are the keys
+    width = (len(ends) + 7) // 8 if len(ends) > 60 else 0
+    # per facet seen: the E-end of its first tree's edge, -1 once a second
+    # simplex holds it; and the interior facets held once so far, in order
+    first_end: dict = {}
+    lonely: dict = {}
+    fault = None
+    rows = [bytearray(len(tri.masks) // 8 + 1) for _ in ends]
+    restrictions = []
 
     def holder(facet):  # the first simplex holding a facet, for messages
-        return next(s for s, m in zip(tri.simplices, tri.masks) if m & facet == facet)
+        return next(
+            _bit_positions(s) for s, m in zip(tri.simplices, tri.masks)
+            if m & facet == facet
+        )
 
-    for simplex, mask in zip(tri.simplices, tri.masks):
-        adjacent: list[list[int]] = [[] for _ in range(n)]  # pair ids per vertex
-        for c in simplex:
-            p = of_edge[c]
-            e, v = ends[p]
-            adjacent[e].append(p)
-            adjacent[v].append(p)
-        # breadth-first from vertex 0: parent and pair towards it
-        parent_of = [-1] * n
-        parent_of[0] = 0
-        via = [0] * n
-        order = [0]
-        for x in order:
-            for p in adjacent[x]:
-                y = x ^ other_end[p]
-                if parent_of[y] < 0:
-                    parent_of[y], via[y] = x, p
-                    order.append(y)
+    for i, (simplex, mask) in enumerate(zip(tri.simplices, tri.masks)):
+        byte, bit = i >> 3, 1 << (i & 7)
+        # breadth-first from vertex 0: (vertex, its parent, the pair between)
+        placed = [False] * n
+        placed[0] = True
+        order = [(0, 0, 0)]
+        for x, _, _ in order:
+            for p, y in incident[x]:
+                if mask >> p & 1 and not placed[y]:
+                    placed[y] = True
+                    order.append((y, x, p))
+                    rows[p][byte] |= bit
         below = singletons[:]  # subtree vertices
         reach = nbrs[:]  # their neighbours in G
-        for x in reversed(order[1:]):  # children before parents
-            p = via[x]
-            parent = parent_of[x]
-            facet = mask ^ (1 << p)
-            c1 = side.get(facet)
-            if c1 is None:
-                # x is the end of p in C1 if it is an E-vertex, else in C2;
-                # a - side edge joins the subtree to a vertex of x's class
-                if x < k:
-                    c1, same_class = below[x], e_class
-                else:
-                    c1, same_class = every ^ below[x], every ^ e_class
-                side[facet] = c1
-                if reach[x] & same_class & ~below[x]:
-                    lonely[facet] = None
-            elif facet in shared:
-                raise InvariantError(
-                    f"incompatible simplices: a facet of {sorted(simplex)} "
-                    "lies in three simplices"
-                )
-            elif c1 >> ends[p][0] & 1 or not c1 >> ends[p][1] & 1:
-                raise InvariantError(
-                    f"incompatible simplices {sorted(holder(facet))} and "
-                    f"{sorted(simplex)}: on one side of a shared facet"
-                )
-            else:
-                shared.add(facet)
-                lonely.pop(facet, None)
+        restriction = 0
+        for x, parent, p in reversed(order[1:]):  # children before parents
             below[parent] |= below[x]
             reach[parent] |= reach[x]
-    if lonely:
-        simplex = holder(next(iter(lonely)))
-        raise InvariantError(
-            f"incompatible simplices: an interior facet of {sorted(simplex)} "
-            "lies in no other simplex"
+            facet = mask ^ bits[p]
+            key = facet.to_bytes(width, "little") if width else facet
+            seen = first_end.get(key)
+            if seen is None:
+                first_end[key] = e_end[p]
+                # x is the end of p in C1 if it is an E-vertex, else in C2;
+                # a - side edge joins the subtree to a vertex of x's class
+                if reach[x] & same_class[x] & ~below[x]:
+                    lonely[key] = facet
+                continue
+            restriction |= bits[p]
+            if fault is not None:  # only the first fault is reported
+                continue
+            if seen < 0:
+                fault = (
+                    "incompatible simplices: a facet of "
+                    f"{_bit_positions(simplex)} lies in three simplices"
+                )
+            elif below[x] >> e_end[p] & 1 == below[x] >> seen & 1:
+                fault = (
+                    f"incompatible simplices {holder(facet)} and "
+                    f"{_bit_positions(simplex)}: on one side of a shared facet"
+                )
+            else:
+                first_end[key] = -1
+                lonely.pop(key, None)
+        restrictions.append(restriction)
+    if fault is None and lonely:
+        fault = (
+            f"incompatible simplices: an interior facet of "
+            f"{holder(next(iter(lonely.values())))} lies in no other simplex"
         )
+    holders = [int.from_bytes(row, "little") for row in rows]
+    broken = None
+    for i, restriction in enumerate(restrictions):
+        containing = (1 << i) - 1  # earlier simplices holding R_i so far
+        while restriction and containing:
+            low = restriction & -restriction
+            containing &= holders[low.bit_length() - 1]
+            restriction ^= low
+        if containing:
+            broken = i
+            break
+    tri.shelled = [r.bit_count() for r in restrictions], broken
+    return fault
 
 
 def verify_shelling(tri: Triangulation) -> list[int]:
     """Check the stored order is a shelling; return the attach counts.
 
     The restriction set R_i of simplex i holds its vertices whose opposite
-    facet lies in an earlier simplex, read off the set of earlier facets;
-    the attach count is |R_i|.  A face of simplex i lies in one of those
-    facets iff it misses a vertex of R_i, so a list of equal-size simplices
-    is shelled iff no earlier simplex contains R_i (Ziegler, "Lectures on
-    Polytopes", section 8.2).  Each point has a bitset of the simplices
-    holding it, bit j for simplex j, so the earlier simplices containing
-    R_i are the AND of |R_i| bitsets with the bits below i, not a pass over
-    the earlier simplices.
+    facet lies in an earlier simplex; the attach count is |R_i|.  A face of
+    simplex i lies in one of those facets iff it misses a vertex of R_i, so
+    a list of equal-size simplices is shelled iff no earlier simplex
+    contains R_i (Ziegler, "Lectures on Polytopes", section 8.2).  Read off
+    ``_facet_pass``, run here unless the construction ran it.
     """
-    bits, masks = tri.bits, tri.masks
-    of_edge = tri.pair_ids[0]
-    rows = [bytearray(len(masks) // 8 + 1) for _ in tri.pair_ids[1]]
-    for j, simplex in enumerate(tri.simplices):
-        for c in simplex:
-            rows[of_edge[c]][j >> 3] |= 1 << (j & 7)
-    holders = [int.from_bytes(row, "little") for row in rows]
-    facets: set[int] = set()  # facets of the earlier simplices
-    counts = []
-    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
-        count = 0
-        containing = (1 << i) - 1  # earlier simplices holding R_i so far
-        for c in simplex:
-            if mask ^ bits[c] in facets:
-                count += 1
-                containing &= holders[of_edge[c]]
-        if containing:
-            raise InvariantError(
-                f"simplex {i} meets an earlier simplex outside its "
-                "shared facets: not a shelling"
-            )
-        counts.append(count)
-        facets.update(mask ^ bits[c] for c in simplex)
+    if tri.shelled is None:
+        _facet_pass(tri)
+    counts, broken = tri.shelled
+    if broken is not None:
+        raise InvariantError(
+            f"simplex {broken} meets an earlier simplex outside its "
+            "shared facets: not a shelling"
+        )
     return counts
 
 

@@ -75,14 +75,14 @@ class VerifyReport:
         return {"ok": self.ok, "summary": self.summary, "checks": self.checks}
 
 
-def _check_triangulation(report, tree, g, leaves, tag) -> Laurent1 | None:
+def _check_triangulation(report, tree, leaves, tag) -> Laurent1 | None:
     """Triangulation, shelling and h-vector checks of one (r0, kappa) pair.
 
     Returns h, or None when the triangulation or its shelling failed its
     own audit.
     """
     try:
-        tri = triangulation_from_arbtree(tree, g)
+        tri = triangulation_from_arbtree(tree.dual, tree.type_one_masks())
     except InvariantError as exc:
         report.record(f"triangulation [{tag}]", False, str(exc))
         return None
@@ -178,11 +178,11 @@ def verify_graph(
             leaves[0][0] == clocked_arborescence(rooted) and leaves[0][1] == 0,
         )
 
-        h = _check_triangulation(report, tree, g, leaves, tag)
+        h = _check_triangulation(report, tree, leaves, tag)
         if h is not None:
             h_values.add(h)
 
-        report.record(f"leaf-enumerator-equals-p [{tag}]", leaf_enumerator(tree) == p)
+        report.record(f"leaf-enumerator-equals-p [{tag}]", leaf_enumerator(leaves) == p)
         round_trips = True
         images = set()
         try:
@@ -202,7 +202,7 @@ def verify_graph(
                 f"parking-bijection [{tag}]", round_trips and images == expected
             )
 
-        t_tree = top_via_tree(tree, n, s)
+        t_tree = top_via_tree(leaves, n, s)
         if h is not None:
             t_h = top_via_h(h, n, s)
             t_p = top_via_p(p, n, s)

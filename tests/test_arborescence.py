@@ -14,8 +14,9 @@ from homflytop.arborescence import (
     build_arb_tree,
     clocked_arborescence,
     spanning_arborescences_bruteforce,
+    type_one_leaves,
 )
-from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
+from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand, k_m2
 
 
 def reference_build_arb_tree(dual):
@@ -36,6 +37,80 @@ def reference_build_arb_tree(dual):
         return node
 
     return ArbTree(dual, grow(frozenset(), frozenset()), leaves)
+
+
+def reference_walk_to_augmenting(dual, a, s, component, r, i, steps):
+    """The resumed contour walk on frozensets and a set, the reference for
+    the bitmask walk."""
+    faces, slot_of = dual.graph.faces, dual.graph.slot_of
+    start = slot_of[(dual.kappa, 1)]
+    limit = 4 * dual.n_edges + 4
+    while True:
+        steps += 1
+        if steps > limit:
+            raise InvariantError("contour walk failed to close up")
+        walk = faces[r]
+        i = (i + 1) % len(walk)
+        if (r, i) == start:
+            return None
+        c, end = walk[i]
+        if c in a:
+            r, i = slot_of[(c, 1 - end)]
+        elif end == 0 and dual.head[c] not in component and c not in s:
+            return c, r, i, steps
+
+
+def reference_reached_without(in_arcs, component, skipped, r):
+    """Whether the edges outside ``skipped`` reach r from the component."""
+    seen = {r}
+    stack = [r]
+    while stack:
+        for c, t in in_arcs[stack.pop()]:
+            if t not in seen and c not in skipped:
+                if t in component:
+                    return True
+                seen.add(t)
+                stack.append(t)
+    return False
+
+
+def reference_type_one_only_tree(dual):
+    """The tree pruned to the subtrees holding a type-I leaf, with nodes: a
+    skip child is grown only while the unskipped edges still reach its
+    augmenting edge's head."""
+    spanning_size = dual.n_vertices - 1
+    slot_of = dual.graph.slot_of
+    in_arcs = [[] for _ in range(dual.n_vertices)]
+    for c, (t, h) in enumerate(dual.arcs()):
+        in_arcs[h].append((c, t))
+    leaves = []
+    root = ArbNode(frozenset(), frozenset())
+    stack = [(root, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
+    while stack:
+        node, component, r, i, steps = stack.pop()
+        a, s = node.a, node.s
+        if len(a) == spanning_size:
+            node.leaf_type = "I"
+            leaves.append(node)
+            continue
+        found = reference_walk_to_augmenting(dual, a, s, component, r, i, steps)
+        if found is None:
+            raise InvariantError("type-I-only tree reached a type II leaf")
+        delta, r, i, steps = found
+        node.augmenting = delta
+        node.right = ArbNode(a | {delta}, s)
+        skipped = s | {delta}
+        if reference_reached_without(in_arcs, component, skipped, dual.head[delta]):
+            node.left = ArbNode(a, skipped)
+            stack.append((node.left, component, r, i, steps))
+        stack.append(
+            (node.right, component | {dual.head[delta]}, *slot_of[(delta, 1)], steps)
+        )
+    return ArbTree(dual, root, leaves)
+
+
+def edge_mask(edges):
+    return sum(1 << c for c in edges)
 
 
 def node_fields(node):
@@ -122,6 +197,9 @@ class TestResumedWalk:
 
 
 class TestTypeOneOnly:
+    """``type_one_leaves``, the leaf stream, against the full tree and the
+    pruned tree with nodes it replaces."""
+
     def test_same_type_one_leaves_as_full_tree(self, graph_corpus, grid_subgraphs):
         pruned_nodes = full_nodes = 0
         for g in graph_corpus + grid_subgraphs:
@@ -129,15 +207,58 @@ class TestTypeOneOnly:
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
                 full = build_arb_tree(rooted)
-                pruned = build_arb_tree(rooted, type_one_only=True)
+                pruned = reference_type_one_only_tree(rooted)
                 assert [(x.a, x.s) for x in pruned.leaves] == [
                     (x.a, x.s) for x in full.leaves if x.leaf_type == "I"
                 ]
                 assert pruned.type_one_leaves() == full.type_one_leaves()
+                assert type_one_leaves(rooted) == full.type_one_masks()
                 assert all(x.leaf_type == "I" for x in pruned.leaves)
                 pruned_nodes += len(node_fields(pruned.root))
                 full_nodes += len(node_fields(full.root))
         assert pruned_nodes < full_nodes
+
+    def test_stream_matches_the_pruned_tree(self, graph_corpus, grid_subgraphs):
+        # (edge mask of a, k) per leaf, in the same right-to-left order, at
+        # every admissible pair; K_{m,2} has m leaves, k_m2(m) at up to 12
+        leaves = 0
+        graphs = graph_corpus + grid_subgraphs + [k_m2(m)[0] for m in range(1, 13)]
+        for g in graphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                expected = [
+                    (edge_mask(a), k)
+                    for a, k in reference_type_one_only_tree(rooted).type_one_leaves()
+                ]
+                found = type_one_leaves(rooted)
+                assert found == expected
+                assert all(type(a) is int for a, _ in found)
+                leaves += len(found)
+        assert leaves > 5_000
+
+    def test_stream_walks_like_the_full_tree(self, monkeypatch, grid_subgraphs):
+        # each walk of the stream starts where the full tree's walk at the
+        # same node starts, and the full tree walks at every node it keeps
+        starts = []
+        walk = arborescence._walk_to_augmenting
+
+        def recording(*args):
+            starts.append(args[1:])
+            return walk(*args)
+
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", recording)
+        walks = 0
+        for g in grid_subgraphs[::5]:
+            dual = build_dual(g, kappa_edge=0)
+            starts.clear()
+            build_arb_tree(dual)
+            full = set(starts)
+            starts.clear()
+            type_one_leaves(dual)
+            assert set(starts) <= full
+            walks += len(starts)
+        assert walks > 100
 
     def test_reaching_a_type_two_leaf_raises(self, monkeypatch):
         # without the reach test every skip child is grown, type-II leaves too
@@ -145,7 +266,7 @@ class TestTypeOneOnly:
         _, dual = k32_three_strand()
         assert build_arb_tree(dual).type_two_leaves()
         with pytest.raises(InvariantError, match="type-I-only tree reached a type II leaf"):
-            build_arb_tree(dual, type_one_only=True)
+            type_one_leaves(dual)
 
 
 class TestClocked:

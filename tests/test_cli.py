@@ -73,13 +73,15 @@ def h_per_pair():
 
 
 def last_simplex_second(real):
-    """Stand-in for ``triangulation_from_arbtree``: the tree's triangulation
+    """Stand-in for ``triangulation_from_arbtree``: the leaves' triangulation
     with its last simplex moved to second place.  On K_{3,2} that order is
     not a shelling at any (r0, kappa) pair."""
 
-    def stand_in(tree, g):
-        simplices = real(tree, g).simplices
-        return Triangulation(g, simplices[:1] + simplices[-1:] + simplices[1:-1])
+    def stand_in(dual, leaves):
+        simplices = real(dual, leaves).simplices
+        return Triangulation(
+            dual.graph, simplices[:1] + simplices[-1:] + simplices[1:-1]
+        )
 
     return stand_in
 
@@ -463,6 +465,26 @@ class TestErrors:
         code, _, err = run(capsys, "verify")
         assert code == 2
         assert json.loads(err)["error"] == "input"
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "top", "--input", str(missing))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "input"
+        assert str(missing) in error["message"]
+
+    @pytest.mark.parametrize("command", ["top", "homfly", "verify"])
+    def test_closed_stdout_is_not_an_input_error(self, capsys, k32_path, command):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with redirect_stdout(ClosedPipe()), redirect_stderr(err):
+            with pytest.raises(BrokenPipeError):
+                main([command, "--input", k32_path, "--format", "json"])
+        assert err.getvalue() == ""
 
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

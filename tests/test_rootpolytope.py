@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from homflytop import rootpolytope
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph, build_dual
 from homflytop.arborescence import arborescence_count, build_arb_tree
+from homflytop.fixtures import k_m2
 from homflytop.laurent import Laurent1
 from homflytop.rootpolytope import (
+    _pair_ids,
     affine_independence_check,
     compatible,
     hypertrees,
@@ -24,6 +27,179 @@ from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
 from homflytop.verify import verify_graph
 
 
+# -- reference implementations: the audits as two passes over edge sets ------
+
+
+@dataclass
+class ReferenceTriangulation:
+    """Ordered maximal simplices of the root polytope, with face data.
+
+    Simplices are stored as frozensets of edge ids (spanning trees of the
+    graph).  Made once with them: ``pair_ids``, what ``_pair_ids`` gives
+    for the graph, ``bits``, the bit of each edge's polytope point
+    (parallel edges share one), and ``masks``, each simplex's points.
+    """
+
+    graph: PlaneBipartiteGraph
+    simplices: list[frozenset[int]]
+    dimension: int = field(init=False)
+    pair_ids: tuple = field(init=False, repr=False)
+    bits: list[int] = field(init=False, repr=False)
+    masks: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.dimension = self.graph.n_vertices - 2
+        self.pair_ids = _pair_ids(self.graph)
+        self.bits = [1 << p for p in self.pair_ids[0]]
+        self.masks = [sum({self.bits[c] for c in s}) for s in self.simplices]
+
+
+def reference_check_facets(tri: ReferenceTriangulation):
+    """Raise unless the simplices, as many as the hypertrees, triangulate Q_G.
+
+    The facet audit as a pass of its own, each facet keyed by its point
+    mask and mapped to the C1 side of its first simplex.
+    """
+    g = tri.graph
+    of_edge, ends, nbrs = tri.pair_ids
+    other_end = [e ^ v for e, v in ends]  # x ^ other_end[p] is p's other end
+    n = g.n_vertices
+    k = len(g.e_vertices)
+    e_class = (1 << k) - 1
+    every = (1 << n) - 1
+    singletons = [1 << x for x in range(n)]
+    # ints only, which the garbage collector does not scan: per facet seen
+    # the C1 mask in its first simplex, and the interior facets held once
+    # so far, in the order seen
+    side: dict[int, int] = {}
+    lonely: dict[int, None] = {}
+    shared: set[int] = set()  # facets lying in two simplices
+
+    def holder(facet):  # the first simplex holding a facet, for messages
+        return next(s for s, m in zip(tri.simplices, tri.masks) if m & facet == facet)
+
+    for simplex, mask in zip(tri.simplices, tri.masks):
+        adjacent: list[list[int]] = [[] for _ in range(n)]  # pair ids per vertex
+        for c in simplex:
+            p = of_edge[c]
+            e, v = ends[p]
+            adjacent[e].append(p)
+            adjacent[v].append(p)
+        # breadth-first from vertex 0: parent and pair towards it
+        parent_of = [-1] * n
+        parent_of[0] = 0
+        via = [0] * n
+        order = [0]
+        for x in order:
+            for p in adjacent[x]:
+                y = x ^ other_end[p]
+                if parent_of[y] < 0:
+                    parent_of[y], via[y] = x, p
+                    order.append(y)
+        below = singletons[:]  # subtree vertices
+        reach = nbrs[:]  # their neighbours in G
+        for x in reversed(order[1:]):  # children before parents
+            p = via[x]
+            parent = parent_of[x]
+            facet = mask ^ (1 << p)
+            c1 = side.get(facet)
+            if c1 is None:
+                # x is the end of p in C1 if it is an E-vertex, else in C2;
+                # a - side edge joins the subtree to a vertex of x's class
+                if x < k:
+                    c1, same_class = below[x], e_class
+                else:
+                    c1, same_class = every ^ below[x], every ^ e_class
+                side[facet] = c1
+                if reach[x] & same_class & ~below[x]:
+                    lonely[facet] = None
+            elif facet in shared:
+                raise InvariantError(
+                    f"incompatible simplices: a facet of {sorted(simplex)} "
+                    "lies in three simplices"
+                )
+            elif c1 >> ends[p][0] & 1 or not c1 >> ends[p][1] & 1:
+                raise InvariantError(
+                    f"incompatible simplices {sorted(holder(facet))} and "
+                    f"{sorted(simplex)}: on one side of a shared facet"
+                )
+            else:
+                shared.add(facet)
+                lonely.pop(facet, None)
+            below[parent] |= below[x]
+            reach[parent] |= reach[x]
+    if lonely:
+        simplex = holder(next(iter(lonely)))
+        raise InvariantError(
+            f"incompatible simplices: an interior facet of {sorted(simplex)} "
+            "lies in no other simplex"
+        )
+
+
+def reference_verify_shelling(tri: ReferenceTriangulation) -> list[int]:
+    """Check the stored order is a shelling; return the attach counts.
+
+    The shelling as a pass of its own: R_i read off the set of earlier
+    facets, and the earlier simplices containing it found by |R_i| ANDs of
+    per-point bitsets built before the pass.
+    """
+    bits, masks = tri.bits, tri.masks
+    of_edge = tri.pair_ids[0]
+    rows = [bytearray(len(masks) // 8 + 1) for _ in tri.pair_ids[1]]
+    for j, simplex in enumerate(tri.simplices):
+        for c in simplex:
+            rows[of_edge[c]][j >> 3] |= 1 << (j & 7)
+    holders = [int.from_bytes(row, "little") for row in rows]
+    facets: set[int] = set()  # facets of the earlier simplices
+    counts = []
+    for i, (simplex, mask) in enumerate(zip(tri.simplices, masks)):
+        count = 0
+        containing = (1 << i) - 1  # earlier simplices holding R_i so far
+        for c in simplex:
+            if mask ^ bits[c] in facets:
+                count += 1
+                containing &= holders[of_edge[c]]
+        if containing:
+            raise InvariantError(
+                f"simplex {i} meets an earlier simplex outside its "
+                "shared facets: not a shelling"
+            )
+        counts.append(count)
+        facets.update(mask ^ bits[c] for c in simplex)
+    return counts
+
+
+def points(tri, simplex):
+    """The polytope points of a simplex given as an edge mask."""
+    return {tri.graph.edges[c] for c in range(tri.graph.n_edges) if simplex >> c & 1}
+
+
+def triangulate(tree):
+    """The triangulation of a full tree's type-I leaves, as ``verify`` makes it."""
+    return triangulation_from_arbtree(tree.dual, tree.type_one_masks())
+
+
+def edge_sets(tri):
+    """The simplices of a triangulation as frozensets of edge ids."""
+    return [frozenset(s) for s in tri.to_json()["simplices"]]
+
+
+def as_reference(tri):
+    return ReferenceTriangulation(tri.graph, edge_sets(tri))
+
+
+def cycle(k):
+    """The cycle e0 v0 e1 v1 ... e(k-1) v(k-1) of 2k edges."""
+    edges = [(f"e{(i + 1) // 2 % k}", f"v{i // 2}") for i in range(2 * k)]
+    rotations = {}
+    for c, (e, v) in enumerate(edges):
+        rotations.setdefault(e, []).append(c)
+        rotations.setdefault(v, []).append(c)
+    return PlaneBipartiteGraph(
+        [f"e{i}" for i in range(k)], [f"v{i}" for i in range(k)], edges, rotations
+    )
+
+
 # -- reference implementations: the exhaustive definitions --------------------
 
 
@@ -33,7 +209,7 @@ def reference_f(tri):
     faces = set()  # as point bitmasks
     for simplex in tri.simplices:
         mask = 0
-        for pt in tri.points(simplex):
+        for pt in points(tri, simplex):
             mask |= bit.setdefault(pt, 1 << len(bit))
         faces.add(0)  # the empty face
         face = mask
@@ -53,7 +229,7 @@ def reference_shelling(tri):
     counts = []
     for i, simplex in enumerate(tri.simplices):
         mask = 0
-        for pt in tri.points(simplex):
+        for pt in points(tri, simplex):
             mask |= bit.setdefault(pt, 1 << len(bit))
         faces = [mask]
         while faces[-1]:
@@ -73,6 +249,7 @@ def reference_shelling(tri):
 def quadratic_shelling(tri):
     """Attach counts, reading R_i off the earlier facets and scanning every
     earlier simplex for one containing it."""
+    tri = as_reference(tri)
     bits, masks = tri.bits, tri.masks
     facets = set()
     counts = []
@@ -110,7 +287,7 @@ def report_simplices(tree, g, simplices):
 
 
 def triangulation_of(g):
-    return triangulation_from_arbtree(build_arb_tree(build_dual(g, kappa_edge=0)), g)
+    return triangulate(build_arb_tree(build_dual(g, kappa_edge=0)))
 
 
 def quadrilateral():
@@ -223,8 +400,8 @@ class TestCompatibility:
     def test_triangulation_trees_pairwise_compatible(self):
         g, dual = k32_three_strand()
         tree = build_arb_tree(dual)
-        tri = triangulation_from_arbtree(tree, g)
-        for s1, s2 in combinations(tri.simplices, 2):
+        tri = triangulate(tree)
+        for s1, s2 in combinations(edge_sets(tri), 2):
             assert compatible(g, s1, s2)
 
 
@@ -279,21 +456,21 @@ class TestHypertrees:
 class TestTriangulation:
     def test_single_edge_is_a_point(self):
         g, dual = single_edge()
-        tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+        tri = triangulate(build_arb_tree(dual))
         assert tri.dimension == 0
         assert len(tri.simplices) == 1
 
     def test_bigon_is_a_point(self):
         g, dual = bigon()
-        tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+        tri = triangulate(build_arb_tree(dual))
         assert tri.dimension == 0
         assert len(tri.simplices) == 1
 
     def test_k32_three_tetrahedra(self):
         g, dual = k32_three_strand()
-        tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+        tri = triangulate(build_arb_tree(dual))
         assert tri.dimension == 3
-        assert tri.simplices == [
+        assert edge_sets(tri) == [
             frozenset({0, 2, 4, 5}),
             frozenset({0, 2, 3, 5}),
             frozenset({0, 1, 3, 5}),
@@ -302,7 +479,7 @@ class TestTriangulation:
     def test_simplex_count_is_hypertree_count(self, graph_corpus):
         for g in graph_corpus[:80]:
             dual = build_dual(g, kappa_edge=0)
-            tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+            tri = triangulate(build_arb_tree(dual))
             assert len(tri.simplices) == len(hypertrees(g))
 
     def test_answer_path_enumerates_no_hypertrees(self, monkeypatch, grid_graph):
@@ -319,7 +496,7 @@ class TestTriangulation:
         leaves = tree.type_one_leaves()
         tree.type_one_leaves = lambda: leaves[:-1]
         with pytest.raises(InvariantError, match="hypertrees"):
-            triangulation_from_arbtree(tree, g)
+            triangulate(tree)
 
 
 class TestTriangulationRejectsBadInput:
@@ -331,7 +508,7 @@ class TestTriangulationRejectsBadInput:
             leaves = tree.type_one_leaves()
             tree.type_one_leaves = lambda: leaves[:-1]
             with pytest.raises(InvariantError, match="hypertrees"):
-                triangulation_from_arbtree(tree, g)
+                triangulate(tree)
 
     @pytest.mark.parametrize("shape", ["quadrilateral", "grid-3x3"])
     def test_swapped_in_incompatible_tree(self, grid_graph, shape):
@@ -348,7 +525,7 @@ class TestTriangulationRejectsBadInput:
         mutated = leaves[:-1] + [(all_edges - swap, leaves[-1][1])]
         tree.type_one_leaves = lambda: mutated
         with pytest.raises(InvariantError, match="incompatible"):
-            triangulation_from_arbtree(tree, g)
+            triangulate(tree)
 
     def test_parallel_twin_repeats_a_vertex_set(self, graph_corpus):
         # swapping an edge for its parallel twin keeps the simplex's points
@@ -362,7 +539,7 @@ class TestTriangulationRejectsBadInput:
 
         for g in graph_corpus:
             tree = build_arb_tree(build_dual(g, kappa_edge=0))
-            simplices = triangulation_from_arbtree(tree, g).simplices
+            simplices = edge_sets(triangulate(tree))
             j, copy = next(twin_swaps(g, simplices), (None, None))
             if copy is not None and len(simplices) > 1:
                 break
@@ -371,7 +548,7 @@ class TestTriangulationRejectsBadInput:
         i = 1 if j == 0 else 0  # any simplex other than j
         report_simplices(tree, g, simplices[:i] + [copy] + simplices[i + 1:])
         with pytest.raises(InvariantError, match="share the same vertex set"):
-            triangulation_from_arbtree(tree, g)
+            triangulate(tree)
 
 
 class TestFacetAudit:
@@ -384,7 +561,7 @@ class TestFacetAudit:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs()[:3]:
                 tree = build_arb_tree(dual.with_root(r0, kappa))
-                simplices = triangulation_from_arbtree(tree, g).simplices
+                simplices = edge_sets(triangulate(tree))
                 for s1, s2 in combinations(simplices, 2):
                     assert compatible(g, s1, s2)
                 checked += len(simplices) > 2
@@ -397,7 +574,7 @@ class TestFacetAudit:
         outcomes = []
         for g in graphs:
             tree = build_arb_tree(build_dual(g, kappa_edge=0))
-            simplices = triangulation_from_arbtree(tree, g).simplices
+            simplices = edge_sets(triangulate(tree))
             trees = spanning_trees(g)
             for draw in range(9):
                 i = rng.randrange(len(simplices))
@@ -410,7 +587,7 @@ class TestFacetAudit:
                 oracle = all(compatible(g, a, b) for a, b in combinations(mutated, 2))
                 report_simplices(tree, g, mutated)
                 try:
-                    triangulation_from_arbtree(tree, g)
+                    triangulate(tree)
                 except InvariantError as exc:
                     assert str(exc).startswith("incompatible simplices")
                     outcomes.append(False)
@@ -434,10 +611,10 @@ class TestFacetAudit:
 
     def check_swap_raises(self, g, wanted, message):
         tree = build_arb_tree(build_dual(g, kappa_edge=0))
-        simplices = triangulation_from_arbtree(tree, g).simplices
+        simplices = edge_sets(triangulate(tree))
         report_simplices(tree, g, self.swap_last(g, simplices, wanted(g, simplices)))
         with pytest.raises(InvariantError, match=message):
-            triangulation_from_arbtree(tree, g)
+            triangulate(tree)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
     def test_facet_of_two_simplices_on_one_side(self, grid_graph, shape):
@@ -477,14 +654,14 @@ class TestShellingAndVectors:
     def test_point_triangulations(self):
         for fixture in (single_edge, bigon):
             g, dual = fixture()
-            tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+            tri = triangulate(build_arb_tree(dual))
             assert verify_shelling(tri) == [0]
             assert f_vector(tri) == Laurent1({1: 1, 0: 1})
             assert h_from_f(f_vector(tri)) == Laurent1({1: 1})
 
     def test_k32_shelling(self):
         g, dual = k32_three_strand()
-        tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+        tri = triangulate(build_arb_tree(dual))
         counts = verify_shelling(tri)
         assert counts == [0, 1, 1]
         f = f_vector(tri)
@@ -500,7 +677,7 @@ class TestShellingAndVectors:
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
                 tree = build_arb_tree(rooted)
-                tri = triangulation_from_arbtree(tree, g)
+                tri = triangulate(tree)
                 counts = verify_shelling(tri)
                 skipped = [k for _, k in tree.type_one_leaves()]
                 assert sorted(counts) == sorted(skipped)
@@ -511,9 +688,7 @@ class TestShellingAndVectors:
         for g in list(graph_corpus) + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs()[:3]:
-                tri = triangulation_from_arbtree(
-                    build_arb_tree(dual.with_root(r0, kappa)), g
-                )
+                tri = triangulate(build_arb_tree(dual.with_root(r0, kappa)))
                 orders = [tri.simplices] + [
                     rng.sample(tri.simplices, len(tri.simplices)) for _ in range(2)
                 ]
@@ -532,9 +707,7 @@ class TestShellingAndVectors:
         for g in list(graph_corpus) + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
-                tri = triangulation_from_arbtree(
-                    build_arb_tree(dual.with_root(r0, kappa)), g
-                )
+                tri = triangulate(build_arb_tree(dual.with_root(r0, kappa)))
                 assert f_vector(tri) == reference_f(tri)
                 pairs += 1
         assert pairs > 1000
@@ -570,9 +743,7 @@ class TestShellingAndVectors:
         for g in list(graph_corpus) + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs()[:3]:
-                tri = triangulation_from_arbtree(
-                    build_arb_tree(dual.with_root(r0, kappa)), g
-                )
+                tri = triangulate(build_arb_tree(dual.with_root(r0, kappa)))
                 expected_f = reference_f(tri)  # the same for every order
                 orders = [tri.simplices] + [
                     rng.sample(tri.simplices, len(tri.simplices)) for _ in range(2)
@@ -597,14 +768,14 @@ class TestShellingAndVectors:
         for g in graph_corpus[:60]:
             dual = build_dual(g, kappa_edge=0)
             tree = build_arb_tree(dual)
-            tri = triangulation_from_arbtree(tree, g)
+            tri = triangulate(tree)
             counts = verify_shelling(tri)
             assert h_from_f(f_vector(tri)) == h_from_shelling(counts, tri.dimension)
 
     def test_h_count_equals_simplices(self, graph_corpus):
         for g in graph_corpus[:60]:
             dual = build_dual(g, kappa_edge=0)
-            tri = triangulation_from_arbtree(build_arb_tree(dual), g)
+            tri = triangulate(build_arb_tree(dual))
             h = h_from_f(f_vector(tri))
             assert h.eval_int(1) == len(tri.simplices)
 
@@ -614,6 +785,129 @@ class TestShellingAndVectors:
             values = set()
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
-                tri = triangulation_from_arbtree(build_arb_tree(rooted), g)
+                tri = triangulate(build_arb_tree(rooted))
                 values.add(h_from_f(f_vector(tri)))
             assert len(values) == 1
+
+
+class TestOnePass:
+    """The facet pass against the facet audit and the shelling run as two
+    passes (``reference_check_facets``, ``reference_verify_shelling``)."""
+
+    @staticmethod
+    def outcomes(g, simplices):
+        """(facet fault, attach counts or shelling fault), one pass and
+        reference, for simplices given as edge sets."""
+        tri = Triangulation(g, [sum(1 << c for c in s) for s in simplices])
+        fault = rootpolytope._facet_pass(tri)
+        try:
+            shelled = verify_shelling(tri)
+        except InvariantError as exc:
+            shelled = str(exc)
+        reference = ReferenceTriangulation(g, simplices)
+        try:
+            reference_check_facets(reference)
+            expected_fault = None
+        except InvariantError as exc:
+            expected_fault = str(exc)
+        try:
+            expected = reference_verify_shelling(reference)
+        except InvariantError as exc:
+            expected = str(exc)
+        assert (fault, shelled) == (expected_fault, expected)
+        return fault, shelled
+
+    @staticmethod
+    def graphs(graph_corpus, grid_graph):
+        # parallel edges, grids, and a cycle of 80 points, whose facet keys
+        # are bytes
+        parallel = [g for g in graph_corpus if len(set(g.edges)) < g.n_edges]
+        return parallel[:20] + [
+            k32_three_strand()[0], grid_graph(3, 3), grid_graph(3, 4), cycle(40),
+        ]
+
+    def test_valid_orders_and_shuffles(self, graph_corpus, grid_graph):
+        rng = random.Random(21)
+        outcomes = []
+        for g in self.graphs(graph_corpus, grid_graph):
+            simplices = edge_sets(triangulation_of(g))
+            assert self.outcomes(g, simplices) == (None, verify_shelling(triangulation_of(g)))
+            for _ in range(3):
+                outcomes.append(self.outcomes(g, rng.sample(simplices, len(simplices))))
+        assert all(fault is None for fault, _ in outcomes)
+        assert any(isinstance(shelled, str) for _, shelled in outcomes)
+
+    def test_planted_faults(self, graph_corpus, grid_graph):
+        faults = Counter()
+        for g in self.graphs(graph_corpus, grid_graph):
+            simplices = edge_sets(triangulation_of(g))
+            if len(simplices) < 3:
+                continue
+            planted = {
+                "last simplex second": simplices[:1] + simplices[-1:] + simplices[1:-1],
+                "duplicated simplex": simplices + simplices[1:2],
+                "dropped simplex": simplices[:-1],
+            }
+            try:
+                planted["third holder"] = TestFacetAudit.swap_last(
+                    g, simplices, lambda held: sorted(held.values())[-2:] == [0, 2]
+                )
+            except AssertionError:  # no facet is held twice by the others
+                pass
+            for name, order in planted.items():
+                fault, shelled = self.outcomes(g, order)
+                kind = fault and fault.rsplit(": ", 1)[-1]
+                faults[name, kind, isinstance(shelled, str)] += 1
+        # every kind of fault is planted and found, on the cycle too
+        assert faults["last simplex second", None, True] >= 3
+        assert faults["duplicated simplex", "on one side of a shared facet", True] >= 3
+        assert sum(
+            n for (name, kind, _), n in faults.items()
+            if name == "dropped simplex" and kind.endswith("lies in no other simplex")
+        ) >= 3
+        assert sum(
+            n for (name, kind, _), n in faults.items()
+            if name == "third holder" and kind.endswith("lies in three simplices")
+        ) >= 3
+
+    def test_construction_checks_vertex_sets_before_facets(self, grid_graph):
+        # a repeated simplex also repeats every facet; the vertex-set check
+        # runs first and names the fault
+        g = grid_graph(3, 3)
+        tree = build_arb_tree(build_dual(g, kappa_edge=0))
+        simplices = edge_sets(triangulate(tree))
+        report_simplices(tree, g, simplices[:-1] + simplices[:1])
+        with pytest.raises(InvariantError, match="share the same vertex set"):
+            triangulate(tree)
+
+    def test_pass_runs_once_per_triangulation(self, monkeypatch, grid_graph):
+        calls = []
+        one_pass = rootpolytope._facet_pass
+
+        def counting(tri):
+            calls.append(tri)
+            return one_pass(tri)
+
+        monkeypatch.setattr(rootpolytope, "_facet_pass", counting)
+        g = grid_graph(3, 3)
+        tri = triangulation_of(g)
+        counts = verify_shelling(tri)
+        assert f_vector(tri) == f_vector(tri)
+        assert calls == [tri]
+        # built directly, the pass runs at the first shelling test
+        ordered = Triangulation(g, tri.simplices[::-1])
+        assert calls == [tri]
+        assert sorted(verify_shelling(ordered)) == sorted(counts)
+        verify_shelling(ordered)
+        assert calls == [tri, ordered]
+
+    @pytest.mark.parametrize("k", [30, 31, 200])
+    def test_wide_facet_keys(self, k):
+        # 2k points: facet masks past 60 bits are keyed by their bytes
+        g = cycle(k)
+        tree = build_arb_tree(build_dual(g, kappa_edge=0))
+        tri = triangulate(tree)
+        assert len(tri.simplices) == k
+        counts = verify_shelling(tri)
+        assert counts == reference_verify_shelling(as_reference(tri))
+        assert counts == [n for _, n in tree.type_one_leaves()]
