@@ -1,14 +1,15 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, a malformed
-command line included.  All commands read a graph document (JSON) unless
-noted; ``gen`` writes documents.
+command line included, 141 when the reader closes stdout.  All commands
+read a graph document (JSON) unless noted; ``gen`` writes documents.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -418,6 +419,14 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(json.dumps({"error": "invariant", "message": str(exc)}), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, nowhere
+        try:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, ValueError):  # a stdout without a descriptor
+            pass
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ not a key.  ``LinkDiagram`` is a frozen dataclass, so equal pieces have
 equal signs, strands and over bits, and a code fixes its piece up to
 renumbering of the crossings; the HOMFLY value depends on nothing else.
 So the memo may be shared across diagrams (``homfly_skein(d, memo=m)``):
-an entry made for one diagram is correct for every other.  The code walks
-only from the start passes of least key, a key that reads no labels (the
-steps along the strand to the same crossing's over pass, then the sign).
+an entry made for one diagram is correct for every other.  A code costs a
+pass that hashes its piece's profile, which reads no labels, and walks the
+piece only when the memo holds a code of the same hash.
 
 Before it splits a diagram into pieces, the oracle removes every curl: a
 crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
@@ -325,15 +325,15 @@ class LinkDiagram:
                 p = succ[p]
         return None
 
-    def canonical_code(self):
+    def canonical_code(self) -> "CanonicalCode":
         """Relabeling-invariant code; defined for interaction-connected diagrams.
 
         A walk from a start pass numbers crossings in order of first visit
         and records (number, over bit) for each pass, then (-1, -1) when
         its component closes; it goes on from the unvisited pass of the
         lowest-numbered crossing that has one.  The crossing signs in
-        number order follow.  The code is the least walk code over the
-        start passes below.
+        number order follow.  The walk code is the least walk code over the
+        start passes below; the returned code's ``walk`` gives it.
 
         A walk from an under pass opens with (0, 0) and one from an over
         pass with (0, 1), so only under passes are tried, and of those only
@@ -346,11 +346,18 @@ class LinkDiagram:
         have equal codes exactly when they have equal least codes over all
         start passes: exactly when one is a relabelling of the other.
 
-        All walk codes of one diagram have the same length, so they compare
-        entry by entry.  Each walk is dropped at its first entry above the
-        best code so far.  The first walk always runs to the end, so a
-        disconnected diagram raises InvariantError.
+        This pass reads the keys only: the code hashes as the sorted
+        component lengths and keys and walks when compared (``CanonicalCode``).
+        A diagram that is not one piece with crossings raises InvariantError.
         """
+        keys, lengths, _, joined = self._start_keys()
+        if not joined:
+            raise InvariantError("canonical code requires a connected diagram")
+        return CanonicalCode(self, hash((tuple(sorted(lengths)), tuple(sorted(keys)))))
+
+    def _start_keys(self):
+        """Start keys (2 * steps, + 1 if positive), component lengths, over
+        bits, and whether the crossings join the components (one piece)."""
         n = len(self.signs)
         succ, over, signs = self.succ, self.over, self.signs
         # each pass's component and its position there, from the least pass
@@ -368,33 +375,20 @@ class LinkDiagram:
                     i += 1
                     p = succ[p]
                 lengths.append(i)
-        over_bit = [0] * (2 * n)
-        keys = []  # 2 * steps from c's under to its over pass, + 1 if c is positive
+        over_bit, keys = [0] * (2 * n), []
+        joined = list(range(len(lengths)))  # per component, its class so far
         for c, b in enumerate(over):
             o = 2 * c + b
             over_bit[o] = 1
-            k = component[o ^ 1]
-            if k == component[o]:
+            k, j = component[o ^ 1], component[o]
+            if k == j:
                 steps = (position[o] - position[o ^ 1]) % lengths[k]
             else:
                 steps = 2 * n
+                if joined[k] != joined[j]:
+                    joined = [joined[k] if x == joined[j] else x for x in joined]
             keys.append(2 * steps + (signs[c] > 0))
-        least = min(keys, default=None)
-        best = None
-        for c, key in enumerate(keys):
-            if key == least:
-                walk = self._walk_code(2 * c + 1 - over[c], n, over_bit, best)
-                if walk is not None:
-                    best = walk
-        if best is None:
-            return None
-        entries, order = best
-        # entry e is the pair (e >> 1, e & 1); the last slot serves e = -1
-        pairs = [(e >> 1, e & 1) for e in range(2 * n)] + [(-1, -1)]
-        return (
-            tuple(map(pairs.__getitem__, entries)),
-            tuple(map(signs.__getitem__, order)),
-        )
+        return keys, lengths, over_bit, len(set(joined)) == 1
 
     def _walk_code(self, start: int, n: int, over_bit: list[int], best):
         """Walk code from ``start`` as (entries, crossing order); None unless
@@ -449,8 +443,6 @@ class LinkDiagram:
                 next_crossing += 1
             else:
                 break
-        if m != n:
-            raise InvariantError("canonical code requires a connected diagram")
         if bound is not None:
             # the same entries as ``best``: the signs in number order decide
             signs = self.signs
@@ -524,6 +516,45 @@ class LinkDiagram:
             tuple(1 for _ in signs),
             int(document.get("free_loops", 0)),
         )
+
+
+class CanonicalCode:
+    """A piece's canonical code: it hashes as the piece's profile, equals a
+    code of equal walk code, and walks when first compared with a code of
+    the same hash, so relabelled pieces, whose profiles agree, find it."""
+
+    __slots__ = ("piece", "_hash", "_walk")
+
+    def __init__(self, piece: LinkDiagram, profile_hash: int):
+        self.piece, self._hash, self._walk = piece, profile_hash, None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CanonicalCode:
+            return NotImplemented
+        return self._hash == other._hash and self._least() == other._least()
+
+    def _least(self):
+        """The walk code as (entries, signs in number order), made once."""
+        if self._walk is None:
+            d = self.piece
+            keys, _, over_bit, _ = d._start_keys()
+            least, best = min(keys), None
+            for c, key in enumerate(keys):
+                if key == least:
+                    u = 2 * c + 1 - d.over[c]
+                    best = d._walk_code(u, len(keys), over_bit, best) or best
+            entries, order = best
+            self._walk = tuple(entries), tuple(map(d.signs.__getitem__, order))
+        return self._walk
+
+    @property
+    def walk(self) -> tuple:
+        """The walk code: its (number, over bit) pairs, then its signs."""
+        entries, signs = self._least()
+        return tuple((e >> 1, e & 1) if e >= 0 else (-1, -1) for e in entries), signs
 
 
 # -- median construction -----------------------------------------------------
@@ -605,12 +636,12 @@ def homfly_skein(
 
     ``memo`` maps connected pieces, curls removed, and their canonical
     codes to their values; the code is computed only for a piece that is
-    not yet a key.  Pass one dict to several calls to share it across
-    diagrams (default: a fresh dict).  The switched diagram at a skein
-    step skips curl removal and splitting, since a switch keeps the strands
-    of a connected, curl-free piece.  Every run is audited against the
-    degree bound maxdeg_z <= n - s + 1; a violation would mean the
-    computation is broken.
+    not yet a key, and walked only when its hash is one of the memo's.
+    Pass one dict to several calls to share it across diagrams (default: a
+    fresh dict).  The switched diagram at a skein step skips curl removal
+    and splitting, since a switch keeps the strands of a connected,
+    curl-free piece.  Every run is audited against the degree bound
+    maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
         raise CrossingCapExceeded(

@@ -482,9 +482,8 @@ class TestErrors:
 
         err = io.StringIO()
         with redirect_stdout(ClosedPipe()), redirect_stderr(err):
-            with pytest.raises(BrokenPipeError):
-                main([command, "--input", k32_path, "--format", "json"])
-        assert err.getvalue() == ""
+            code = main([command, "--input", k32_path, "--format", "json"])
+        assert (code, err.getvalue()) == (141, "")
 
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -827,6 +826,23 @@ class TestModuleEntryPoint:
         code, out, _ = run(capsys, "faces", "--input", k32_path)
         assert done.returncode == code == 0
         assert done.stdout == out and done.stderr == ""
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self, tmp_path, grid_graph):
+        # 750 kB of JSON, far past a pipe's buffer, so a write meets the close
+        path = tmp_path / "grid_4x4.json"
+        path.write_text(json.dumps(grid_graph(4, 4).to_document(kappa=0)))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "homflytop", "arbtree", "--format", "json",
+             "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert child.stdout.read(10) == b'{\n  "clock'
+        child.stdout.close()
+        assert child.wait(timeout=120) == 141
+        assert child.stderr.read() == b""
+        child.stderr.close()
 
     def test_malformed_document_exits_2_with_one_json_line(self):
         doc = '{"E": "e", "V": "v", "edges": ["ev"], "rotation": {"e": [0], "v": [0]}}'

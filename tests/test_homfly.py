@@ -16,6 +16,7 @@ from homflytop.rootpolytope import (
 )
 from homflytop.homfly import (
     LinkDiagram,
+    CanonicalCode,
     DecoratedSubgraph,
     CrossingCapExceeded,
     decorated_subgraph_at,
@@ -88,11 +89,12 @@ def _reference_code_from(d: LinkDiagram, start: int):
     return (tuple(seq), signs)
 
 
-def start_key(d: LinkDiagram, c: int):
+def start_key(d: LinkDiagram, c: int, components):
     """Crossing c's start key: the steps along the strand from its under pass
-    to its over pass (2n when they lie on different components), then its sign."""
+    to its over pass (2n when they lie on different components), then its
+    sign; ``components`` are d's components."""
     u, o = d.under_pass(c), d.over_pass(c)
-    (component,) = [comp for comp in d.components() if u in comp]
+    (component,) = [comp for comp in components if u in comp]
     if o in component:
         steps = (component.index(o) - component.index(u)) % len(component)
     else:
@@ -102,7 +104,8 @@ def start_key(d: LinkDiagram, c: int):
 
 def reference_code(d: LinkDiagram):
     """The least walk code over the under passes of least start key."""
-    keys = [start_key(d, c) for c in range(d.n_crossings)]
+    components = d.components()
+    keys = [start_key(d, c, components) for c in range(d.n_crossings)]
     least = min(keys, default=None)
     return min(
         (
@@ -156,8 +159,8 @@ _MINUS_VINVZ = Laurent2({(-1, 1): -1})
 def reference_homfly(d: LinkDiagram, memo: dict | None = None) -> Laurent2:
     """The skein recursion without curl removal (reference for homfly_skein).
 
-    It memoizes on canonical codes of connected pieces in its own memo,
-    which homfly_skein never sees.
+    It memoizes on the tests' ``reference_code`` of connected pieces in its
+    own memo, which homfly_skein never sees.
     """
     return _reference(d, {} if memo is None else memo)
 
@@ -176,7 +179,7 @@ def _reference(d: LinkDiagram, memo) -> Laurent2:
 
 
 def _reference_connected(d: LinkDiagram, memo) -> Laurent2:
-    key = d.canonical_code()
+    key = reference_code(d)
     if key in memo:
         return memo[key]
     bad = d.first_bad_crossing()
@@ -782,7 +785,7 @@ class TestCanonicalCode:
     def test_matches_reference_on_corpus_medians(self, graph_corpus):
         for g in graph_corpus:
             for piece in median_diagram(g).split_parts():
-                assert piece.canonical_code() == reference_code(piece)
+                assert piece.canonical_code().walk == reference_code(piece)
 
     def test_matches_reference_on_k32_type_two_leaves(self):
         g, dual = k32_three_strand()
@@ -793,11 +796,11 @@ class TestCanonicalCode:
         ]
         assert pieces
         for piece in pieces:
-            assert piece.canonical_code() == reference_code(piece)
+            assert piece.canonical_code().walk == reference_code(piece)
 
     def test_matches_reference_on_grid_subgraphs(self, grid_graph):
         for piece in grid_pieces(grid_graph):
-            assert piece.canonical_code() == reference_code(piece)
+            assert piece.canonical_code().walk == reference_code(piece)
 
     def test_matches_reference_on_every_sign_pattern(self):
         # symmetric shadows give equal walks from several starts; the signs
@@ -806,7 +809,7 @@ class TestCanonicalCode:
             d = median_diagram(fixture()[0])
             for signs in product((1, -1), repeat=d.n_crossings):
                 signed = LinkDiagram(signs, d.succ, d.over)
-                assert signed.canonical_code() == reference_code(signed)
+                assert signed.canonical_code().walk == reference_code(signed)
 
     def test_same_classes_as_the_all_starts_code(self, graph_corpus, grid_graph):
         # two pieces have equal codes iff they have equal least codes over
@@ -915,6 +918,94 @@ class TestPieceMemo:
     def test_matches_reference_on_full_grids(self, grid_graph, a, b):
         d = median_diagram(grid_graph(a, b))
         assert homfly_skein(d, cap=d.n_crossings) == reference_homfly(d)
+
+
+class TestLazyCode:
+    """A canonical code hashes as its piece's profile and walks only when a
+    dict compares it with a code of the same hash."""
+
+    def test_piece_with_a_new_profile_makes_no_walk(self, grid_graph, monkeypatch):
+        memo: dict = {}
+        homfly_skein(median_diagram(grid_graph(3, 4)), cap=17, memo=memo)
+        pieces = [key for key in memo if isinstance(key, LinkDiagram)]
+        relabelled = [
+            piece.relabel(list(range(piece.n_crossings))[::-1]) for piece in pieces
+        ]
+        walked: list[LinkDiagram] = []
+        walk_code = LinkDiagram._walk_code
+
+        def counted(self, *args):
+            walked.append(self)
+            return walk_code(self, *args)
+
+        monkeypatch.setattr(LinkDiagram, "_walk_code", counted)
+        codes: dict = {}
+        profiles: set[int] = set()
+        new = 0
+        for piece in pieces + relabelled:
+            before = len(walked)
+            code = piece.canonical_code()
+            assert type(code) is CanonicalCode and code.piece is piece
+            codes.setdefault(code, piece)
+            if hash(code) not in profiles:
+                assert len(walked) == before
+                new += 1
+            profiles.add(hash(code))
+        assert 100 < new < len(pieces) < len(walked)
+        # each relabelled copy finds its piece's code, and every walk code
+        # is the reference one
+        assert len(codes) == len({code.walk for code in codes})
+        for piece, copy in zip(pieces, relabelled):
+            assert codes[copy.canonical_code()] is codes[piece.canonical_code()]
+            assert piece.canonical_code().walk == reference_code(piece)
+
+    def test_same_hits_as_the_eager_walk_code(self, grid_graph, monkeypatch):
+        # one memo across the full 3x4 grid and the K_{3,2} type-II leaf
+        # diagrams, with the lazy code and then with its walk tuple as key
+        diagrams = [median_diagram(grid_graph(3, 4))] + type_two_leaf_diagrams(
+            *k32_three_strand()
+        )
+        canonical_code = LinkDiagram.canonical_code
+        first_bad_crossing = LinkDiagram.first_bad_crossing
+
+        def code_lookups(eager: bool):
+            events: list = []
+
+            def code(self):
+                events.append(("code", self))
+                lazy = canonical_code(self)
+                return lazy.walk if eager else lazy
+
+            def bad(self):
+                events.append(("miss", self))
+                return first_bad_crossing(self)
+
+            monkeypatch.setattr(LinkDiagram, "canonical_code", code)
+            monkeypatch.setattr(LinkDiagram, "first_bad_crossing", bad)
+            memo: dict = {}
+            values = [homfly_skein(d, cap=17, memo=memo) for d in diagrams]
+            monkeypatch.undo()
+            # a code lookup hits unless the miss of the same piece follows it
+            events.append(("end", None))
+            hits = [
+                piece
+                for (kind, piece), (after, other) in zip(events, events[1:])
+                if kind == "code" and not (after == "miss" and other is piece)
+            ]
+            return values, [kind for kind, _ in events], hits
+
+        lazy, eager = code_lookups(eager=False), code_lookups(eager=True)
+        assert lazy == eager
+        values, kinds, hits = lazy
+        assert len(hits) > 40 and kinds.count("miss") > 400
+
+    def test_codes_compare_by_walk(self, grid_graph):
+        codes = [piece.canonical_code() for piece in grid_pieces(grid_graph)]
+        for code in codes:
+            assert code != code.walk and code.walk != code
+            for other in codes:
+                assert (code == other) == (code.walk == other.walk)
+        assert len(set(codes)) < len(codes)
 
 
 class TestSharedMemo:
