@@ -22,7 +22,6 @@ from .planegraph import (
     parse_plane_graph,
     build_dual,
     overlay_dot,
-    dual_subgraph,
     check_strong_connectivity,
     biconnected_blocks,
     block_subgraph,
@@ -39,7 +38,6 @@ from .arborescence import (
 )
 from .rootpolytope import (
     Triangulation,
-    affine_independence_check,
     compatible,
     coordinate_matrix,
     hypertrees,
@@ -52,7 +50,6 @@ from .rootpolytope import (
     h_from_shelling,
 )
 from .parking import (
-    relative_indegree,
     is_parking_function,
     enumerate_parking,
     parking_enumerator,
@@ -60,10 +57,6 @@ from .parking import (
     parking_from_leaf,
     arborescence_from_parking,
     leaf_enumerator,
-    tutte,
-    doubled_digraph,
-    tutte_doubled_identity,
-    tutte_dual_identity,
 )
 from .homfly import (
     LinkDiagram,

@@ -129,9 +129,6 @@ class LinkDiagram:
         """Link components as pass cycles (free loops not included)."""
         return self._cycles(self.succ)
 
-    def component_count(self) -> int:
-        return len(self.components()) + self.free_loops
-
     def seifert_circle_count(self) -> int:
         """Circles left by the orientation-preserving smoothing of every crossing."""
         return len(self._cycles([q ^ 1 for q in self.succ])) + self.free_loops
@@ -222,23 +219,6 @@ class LinkDiagram:
             tuple(self.over[c] for c in kept),
             free,
         )
-
-    def relabel(self, perm) -> "LinkDiagram":
-        """Renumber crossings by perm (old index -> new index)."""
-        n = self.n_crossings
-
-        def m(p):
-            return 2 * perm[p // 2] + (p & 1)
-
-        succ = [0] * (2 * n)
-        for p, q in enumerate(self.succ):
-            succ[m(p)] = m(q)
-        signs = [0] * n
-        over = [0] * n
-        for i in range(n):
-            signs[perm[i]] = self.signs[i]
-            over[perm[i]] = self.over[i]
-        return LinkDiagram(tuple(signs), tuple(succ), tuple(over), self.free_loops)
 
     # -- structure --------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Exact sparse Laurent polynomials over arbitrary-precision integers.
 
 Two flavours: one variable (h-vectors, parking enumerators, HOMFLY tops) and
-two variables (full HOMFLY values, Tutte polynomials).  Values are
+two variables (full HOMFLY values).  Values are
 canonical sparse maps exponent -> coefficient with no stored zeros, treated
 as immutable, so equality is exact map equality and hashing is safe.
 """
@@ -240,10 +240,6 @@ class Laurent2(_Laurent):
     __slots__ = ()
     _ONE = (0, 0)
     _DEFAULT = ("v", "z")
-
-    @classmethod
-    def term(cls, c: int, a: int, b: int, vars=("v", "z")) -> "Laurent2":
-        return cls({(a, b): c}, vars)
 
     def __mul__(self, other):
         other = self._coerce(other)

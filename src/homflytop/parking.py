@@ -6,29 +6,19 @@ algorithm (Dhar, "Self-organized critical state of sandpile automaton
 models", 1990), in time linear in the digraph.  The enumerator searches the
 down-set of parking functions depth first, one burning test per child, so
 its cost follows the number of functions found.  The inverse bijection
-descends the built tree.  A naive deletion-contraction Tutte polynomial
-supports the two cross-check identities (doubled digraphs, and duals whose
-E class is all degree 2).
+descends the built tree.
 """
 
 from __future__ import annotations
 
-from .laurent import Laurent1, Laurent2
-from .planegraph import DualDigraph, InvariantError, bfs_tree
+from .laurent import Laurent1
+from .planegraph import DualDigraph, InvariantError
 from .arborescence import ArbTree
 
 
 # -- definitions on a generic rooted digraph --------------------------------
 # A digraph is (n_vertices, arcs, r0) with arcs a sequence of (tail, head)
 # pairs over vertices 0..n-1.  DualDigraph supplies this via .arcs().
-
-
-def relative_indegree(arcs, r_subset, r) -> int:
-    """Edges ending at r whose startpoint lies outside the subset."""
-    r_subset = set(r_subset)
-    if r not in r_subset:
-        raise ValueError("vertex must belong to the subset")
-    return sum(1 for tail, head in arcs if head == r and tail not in r_subset)
 
 
 def _burning_test(n_vertices: int, arcs, r0: int):
@@ -177,97 +167,3 @@ def leaf_enumerator(leaves) -> Laurent1:
         out[k] = out.get(k, 0) + 1
     return Laurent1(out, "u")
 
-
-# -- Tutte polynomial and the two cross-check identities ---------------------
-
-
-def tutte(n_vertices: int, edges) -> Laurent2:
-    """Tutte polynomial of a connected undirected multigraph.
-
-    Plain deletion-contraction with loop/bridge base cases, exponential in
-    the edge count.  Edges are (u, w) pairs over 0..n-1; loops allowed.
-    Intended for small graphs (the cross-checks cap at ten edges).
-    """
-    edges = list(edges)
-    if len(edges) > 10:
-        raise ValueError("tutte computation capped at 10 edges")
-    if not _connected(n_vertices, edges):
-        raise ValueError("graph is not connected")
-    return _tutte(n_vertices, edges)
-
-
-def _connected(n_vertices, edges) -> bool:
-    return n_vertices <= 1 or len(bfs_tree(range(n_vertices), edges)) == n_vertices
-
-
-def _tutte(n_vertices, edges) -> Laurent2:
-    if not edges:
-        return Laurent2.const(1, ("x", "y"))
-    (u, w), rest = edges[0], edges[1:]
-    if u == w:
-        # loop: y * T(G - e)
-        return Laurent2.term(1, 0, 1, ("x", "y")) * _tutte(n_vertices, rest)
-    contracted = _tutte(*_contract(n_vertices, rest, u, w))
-    if not _connected(n_vertices, rest):
-        # bridge: x * T(G / e)
-        return Laurent2.term(1, 1, 0, ("x", "y")) * contracted
-    return _tutte(n_vertices, rest) + contracted
-
-
-def _contract(n_vertices, edges, u, w):
-    """Identify w with u and relabel to a dense range."""
-    def squash(x):
-        x = u if x == w else x
-        return x - 1 if x > w else x
-
-    return n_vertices - 1, [(squash(a), squash(b)) for a, b in edges]
-
-
-def doubled_digraph(n_vertices: int, edges):
-    """Replace each undirected edge by a pair of opposite arcs."""
-    arcs = []
-    for u, w in edges:
-        arcs.append((u, w))
-        arcs.append((w, u))
-    return n_vertices, arcs
-
-
-def tutte_doubled_identity(n_vertices: int, edges, r0: int = 0) -> bool:
-    """Check p_J(u) = u^b1(K) * T_K(1, 1/u) for J the doubled digraph of K."""
-    t = tutte(n_vertices, edges)
-    b1 = len(edges) - n_vertices + 1
-    # u^b1 * T(1, 1/u): term x^i y^j evaluates to u^(b1 - j)
-    expected: dict[int, int] = {}
-    for (_, j), c in t.coeffs.items():
-        e = b1 - j
-        expected[e] = expected.get(e, 0) + c
-    if any(e < 0 for e in expected):
-        return False
-    _, arcs = doubled_digraph(n_vertices, edges)
-    p = parking_enumerator(enumerate_parking(n_vertices, arcs, r0))
-    return p == Laurent1(expected, "u")
-
-
-def tutte_dual_identity(dual: DualDigraph) -> bool:
-    """Check p_G*(u) = u^(|V|-1) * T_K*(1/u, 1) when E is all degree 2.
-
-    Here K* is the graph on the V class whose edges are the E-vertices.
-    """
-    g = dual.graph
-    neighbors: dict[str, list[str]] = {e: [] for e in g.e_vertices}
-    for e, v in g.edges:
-        neighbors[e].append(v)
-    if any(len(vs) != 2 for vs in neighbors.values()):
-        raise ValueError("identity requires every E-vertex to have degree 2")
-    vpos = {v: i for i, v in enumerate(g.v_vertices)}
-    kstar_edges = [tuple(sorted((vpos[a], vpos[b]))) for a, b in neighbors.values()]
-    t = tutte(len(g.v_vertices), kstar_edges)
-    shift = len(g.v_vertices) - 1
-    expected: dict[int, int] = {}
-    for (i, _), c in t.coeffs.items():
-        e = shift - i
-        expected[e] = expected.get(e, 0) + c
-    if any(e < 0 for e in expected):
-        return False
-    _, p = parking_for_dual(dual)
-    return p == Laurent1(expected, "u")

@@ -352,16 +352,6 @@ def block_subgraph(g: PlaneBipartiteGraph, edge_ids) -> PlaneBipartiteGraph:
     )
 
 
-def dual_subgraph(g: PlaneBipartiteGraph, primal_edges) -> frozenset[int]:
-    """Edge ids of the dual subgraph: the complement of the given set.
-
-    A set of edges of G is paired with the complementary set of dual edges,
-    so applying this twice returns the original set.
-    """
-    keep = set(primal_edges)
-    return frozenset(c for c in range(g.n_edges) if c not in keep)
-
-
 def check_strong_connectivity(dual: DualDigraph) -> bool:
     """Whether every dual vertex reaches every other along directed edges.
 

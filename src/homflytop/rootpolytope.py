@@ -34,47 +34,7 @@ from itertools import combinations
 
 from .laurent import Laurent1
 from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
-from .arborescence import _determinant, arborescence_count
-
-
-# -- affine independence, two ways -----------------------------------------
-
-
-def _is_forest(g: PlaneBipartiteGraph, edge_ids) -> bool:
-    parent: dict[str, str] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent.setdefault(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for c in edge_ids:
-        e, v = g.edges[c]
-        re, rv = find(e), find(v)
-        if re == rv:
-            return False
-        parent[re] = rv
-    return True
-
-
-def _affine_rank_full(g: PlaneBipartiteGraph, edge_ids) -> bool:
-    """Whether the polytope vertices of the given edges are affinely independent.
-
-    The differences from the first point are independent iff their Gram
-    matrix is nonsingular, which an exact integer determinant decides.
-    """
-    points = coordinate_matrix(g, edge_ids)["rows"]
-    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    gram = [[sum(a * b for a, b in zip(x, y)) for y in diffs] for x in diffs]
-    return _determinant(gram) != 0
-
-
-def affine_independence_check(g: PlaneBipartiteGraph, edge_ids) -> tuple[bool, bool]:
-    """(cycle-free test, exact affine-rank test); the two must agree."""
-    edge_ids = list(edge_ids)
-    return _is_forest(g, edge_ids), _affine_rank_full(g, edge_ids)
+from .arborescence import arborescence_count
 
 
 # -- polytope points ----------------------------------------------------------
@@ -131,6 +91,25 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
 
 
 # -- spanning trees and hypertrees ------------------------------------------
+
+
+def _is_forest(g: PlaneBipartiteGraph, edge_ids) -> bool:
+    parent: dict[str, str] = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent.setdefault(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for c in edge_ids:
+        e, v = g.edges[c]
+        re, rv = find(e), find(v)
+        if re == rv:
+            return False
+        parent[re] = rv
+    return True
 
 
 def spanning_trees(g: PlaneBipartiteGraph) -> list[frozenset[int]]:
@@ -415,18 +394,16 @@ def h_from_shelling(counts, dimension: int) -> Laurent1:
     return Laurent1(out, "x")
 
 
-def coordinate_matrix(g: PlaneBipartiteGraph, edge_ids=None):
-    """0/1 coordinate rows of the polytope vertices of the given edges.
+def coordinate_matrix(g: PlaneBipartiteGraph):
+    """0/1 coordinate rows of the polytope vertices, one per edge.
 
     Columns follow the E-vertices then the V-vertices; each row has exactly
     two ones.  Intended for export to external polytope tools.
     """
     names = list(g.e_vertices) + list(g.v_vertices)
     pos = {x: i for i, x in enumerate(names)}
-    if edge_ids is None:
-        edge_ids = range(g.n_edges)
     rows = []
-    for c in edge_ids:
+    for c in range(g.n_edges):
         row = [0] * len(names)
         e, v = g.edges[c]
         row[pos[e]] = 1

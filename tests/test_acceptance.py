@@ -13,7 +13,6 @@ from homflytop.planegraph import build_dual, biconnected_blocks, PlaneBipartiteG
 from homflytop.arborescence import build_arb_tree, spanning_arborescences_bruteforce
 from homflytop.laurent import Laurent1, Laurent2, conway_and_alexander
 from homflytop.rootpolytope import (
-    affine_independence_check,
     compatible,
     hypertrees,
     triangulation_from_arbtree,
@@ -26,8 +25,6 @@ from homflytop.parking import (
     parking_for_dual,
     parking_from_leaf,
     arborescence_from_parking,
-    tutte_doubled_identity,
-    tutte_dual_identity,
 )
 from homflytop.homfly import (
     DecoratedSubgraph,
@@ -43,6 +40,10 @@ from homflytop.homfly import (
 )
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand
+
+from crosschecks import (
+    _connected, affine_independence_check, tutte_doubled_identity, tutte_dual_identity
+)
 
 
 def triangulate(tree):
@@ -192,23 +193,6 @@ def test_criterion_6_morton_audits(graph_corpus):
 
 
 # -- criterion 7: small-graph enumeration ------------------------------------
-
-
-def _connected(n, edges):
-    if n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    adjacency = {x: set() for x in range(n)}
-    for u, w in edges:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-    while stack:
-        for y in adjacency[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
 
 
 def _canonical(n, edges):

@@ -40,6 +40,8 @@ from homflytop.fixtures import (
     block_sum_bigon_theta,
 )
 
+from crosschecks import component_count, relabel
+
 
 def triangulate(tree):
     """The triangulation of a full tree's type-I leaves, as ``verify`` makes it."""
@@ -362,7 +364,7 @@ class TestMedianConstruction:
         d = median_diagram(g)
         assert d.n_crossings == 1
         assert d.seifert_circle_count() == 2
-        assert d.component_count() == 1
+        assert component_count(d) == 1
         assert d.writhe() == 1
 
     def test_bigon_is_the_hopf_diagram(self):
@@ -370,7 +372,7 @@ class TestMedianConstruction:
         d = median_diagram(g)
         assert d.n_crossings == 2
         assert d.seifert_circle_count() == 2
-        assert d.component_count() == 2
+        assert component_count(d) == 2
         assert d.writhe() == 2
 
     def test_k32_counts(self):
@@ -378,7 +380,7 @@ class TestMedianConstruction:
         d = median_diagram(g)
         assert d.n_crossings == 6
         assert d.seifert_circle_count() == 5
-        assert d.component_count() == 3
+        assert component_count(d) == 3
         assert d.writhe() == 6
 
     def test_one_circle_per_vertex(self, graph_corpus):
@@ -483,7 +485,7 @@ class TestSkeinOracle:
             value = homfly_skein(d)
             perm = list(range(d.n_crossings))
             rng.shuffle(perm)
-            assert homfly_skein(d.relabel(perm)) == value
+            assert homfly_skein(relabel(d, perm)) == value
 
     def test_switch_then_switch_is_identity(self):
         g, _ = k32_three_strand()
@@ -518,7 +520,7 @@ class TestSkeinOracle:
                 if leaf.leaf_type != "I":
                     continue
                 d = median_diagram(g, decorated_subgraph_at(g, leaf))
-                assert d.component_count() == 1
+                assert component_count(d) == 1
                 assert homfly_skein(d) == 1
 
     def test_tree_decomposition_reassembles_the_polynomial(self, graph_corpus):
@@ -857,7 +859,7 @@ class TestCanonicalCode:
             for _ in range(3):
                 perm = list(range(piece.n_crossings))
                 rng.shuffle(perm)
-                assert piece.relabel(perm).canonical_code() == code
+                assert relabel(piece, perm).canonical_code() == code
 
     def test_disconnected_diagram_raises(self):
         g, _ = bigon()
@@ -907,7 +909,7 @@ class TestPieceMemo:
         value = homfly_skein(d, memo=memo)
         perm = list(range(d.n_crossings))
         random.Random(5).shuffle(perm)
-        relabelled = d.relabel(perm)
+        relabelled = relabel(d, perm)
         assert relabelled != d and relabelled not in memo
         size = len(memo)
         assert homfly_skein(relabelled, memo=memo) == value
@@ -929,7 +931,7 @@ class TestLazyCode:
         homfly_skein(median_diagram(grid_graph(3, 4)), cap=17, memo=memo)
         pieces = [key for key in memo if isinstance(key, LinkDiagram)]
         relabelled = [
-            piece.relabel(list(range(piece.n_crossings))[::-1]) for piece in pieces
+            relabel(piece, list(range(piece.n_crossings))[::-1]) for piece in pieces
         ]
         walked: list[LinkDiagram] = []
         walk_code = LinkDiagram._walk_code

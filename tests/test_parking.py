@@ -7,7 +7,6 @@ from homflytop.planegraph import build_dual
 from homflytop.arborescence import arborescence_count, build_arb_tree
 from homflytop.laurent import Laurent1, Laurent2
 from homflytop.parking import (
-    relative_indegree,
     is_parking_function,
     enumerate_parking,
     parking_enumerator,
@@ -15,12 +14,12 @@ from homflytop.parking import (
     parking_from_leaf,
     arborescence_from_parking,
     leaf_enumerator,
-    tutte,
-    doubled_digraph,
-    tutte_doubled_identity,
-    tutte_dual_identity,
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand, k_m2
+
+from crosschecks import (
+    doubled_digraph, relative_indegree, tutte, tutte_doubled_identity, tutte_dual_identity
+)
 
 
 def reference_is_parking_function(values, n_vertices, arcs, r0):
@@ -352,16 +351,3 @@ class TestTutteIdentities:
         _, dual = theta()
         with pytest.raises(ValueError):
             tutte_dual_identity(dual)
-
-    def test_dual_identity_on_corpus(self, graph_corpus):
-        tested = 0
-        for g in graph_corpus:
-            degrees = {e: 0 for e in g.e_vertices}
-            for e, _ in g.edges:
-                degrees[e] += 1
-            if any(d != 2 for d in degrees.values()):
-                continue
-            dual = build_dual(g, kappa_edge=0)
-            assert tutte_dual_identity(dual)
-            tested += 1
-        assert tested > 0

@@ -10,7 +10,6 @@ from homflytop.planegraph import (
     PlaneBipartiteGraph,
     parse_plane_graph,
     build_dual,
-    dual_subgraph,
     check_strong_connectivity,
     biconnected_blocks,
     SignedBlock,
@@ -23,6 +22,8 @@ from homflytop.fixtures import (
     k32_three_strand,
     block_sum_of_bigons,
 )
+
+from crosschecks import _connected, dual_subgraph
 
 
 def replace_document(doc, **fields):
@@ -192,22 +193,11 @@ class TestSubgraphDuality:
 
     @staticmethod
     def _is_spanning_tree(n_vertices, vertex_pairs):
-        if len(vertex_pairs) != n_vertices - 1:
-            return False
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a, b in vertex_pairs:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
+        # n - 1 edges make a spanning tree iff they connect all n vertices
+        index = {}
+        pairs = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+                 for a, b in vertex_pairs]
+        return len(pairs) == n_vertices - 1 and _connected(n_vertices, pairs)
 
     @pytest.mark.parametrize("fixture", [single_edge, bigon, theta, k32_three_strand])
     def test_spanning_tree_duality_on_all_subsets(self, fixture):

@@ -12,7 +12,6 @@ from homflytop.fixtures import k_m2
 from homflytop.laurent import Laurent1
 from homflytop.rootpolytope import (
     _pair_ids,
-    affine_independence_check,
     compatible,
     hypertrees,
     spanning_trees,
@@ -25,6 +24,8 @@ from homflytop.rootpolytope import (
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand
 from homflytop.verify import verify_graph
+
+from crosschecks import affine_independence_check
 
 
 # -- reference implementations: the audits as two passes over edge sets ------
