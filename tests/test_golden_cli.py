@@ -9,9 +9,10 @@ whose shelling attaches simplices along up to three facets, the full 4x4
 grid, whose triangulation has 384 simplices and whose f-vector ``hvector``
 prints and whose 24 crossings make the largest pinned oracle run, the full
 3x4 grid, whose 17 crossings run the skein oracle of ``homfly`` and
-``top``, and corpus graph 139, whose degree-1 vertices put
-curls in its median.  Regenerate both only when an output change is
-intended:
+``top`` and whose arborescence tree, 56 type-I and 207 type-II leaves,
+pins ``arbtree`` and ``verify`` beyond K_{3,2}, and corpus graph 139,
+whose degree-1 vertices put curls in its median.  Regenerate both only
+when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -58,6 +59,10 @@ MORE_LINES = [
     ("grid-3x4", "homfly --cap 17 --format json"),
     ("grid-3x4", "top --cap 17 --format json"),
     ("grid-3x4", "hvector --format json"),
+    ("grid-3x4", "arbtree --format json"),
+    ("grid-3x4", "arbtree --format text"),
+    ("grid-3x4", "arbtree --format dot"),
+    ("grid-3x4", "verify --format json"),
     ("corpus-139", "homfly --format json"),
 ]
 
