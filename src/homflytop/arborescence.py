@@ -13,10 +13,11 @@ the new head of an added edge before reaching that edge.  The tree is
 therefore walked once per root-to-leaf path, each child resuming where its
 parent found its augmenting edge, and from an explicit stack: the tree can
 be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
-without a walk.  The walk reads a, s and the root component as bitmasks.
-``type_one_leaves`` keeps only the type-I leaves' masks, ``build_arb_tree``
-every node, with frozensets; ``augmenting_edge`` walks one node from
-scratch, as the tests' reference.
+without a walk.  Edge sets (a, s) and vertex sets (the root component)
+are int bitmasks throughout; ``_bit_positions`` lists one only for output.
+``type_one_leaves`` keeps only the type-I leaves, ``build_arb_tree`` every
+node; ``augmenting_edge`` walks one node from scratch, as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from itertools import product
 from .planegraph import DualDigraph, InvariantError
 
 
-def _mask(edges) -> int:
-    return sum(1 << c for c in edges)
+def _bit_positions(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    return [j for j, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
-def _root_component(dual: DualDigraph, a: frozenset[int]) -> int:
+def _root_component(dual: DualDigraph, a: int) -> int:
     seen = 1 << dual.r0
     grew = True
     while grew:
         grew = False
-        for c in a:
+        for c in _bit_positions(a):
             if seen >> dual.tail[c] & 1 and not seen >> dual.head[c] & 1:
                 seen |= 1 << dual.head[c]
                 grew = True
@@ -74,58 +76,54 @@ def _walk_to_augmenting(
             return c, r, i, steps
 
 
-def augmenting_edge(
-    dual: DualDigraph, a: frozenset[int], s: frozenset[int]
-) -> int | None:
-    """First dual edge along the contour that can extend the arborescence.
+def augmenting_edge(dual: DualDigraph, a: int, s: int) -> int | None:
+    """First dual edge along the contour that can extend the arborescence
+    ``a``, skipping ``s`` (edge masks).
 
     The edge must leave the root component of ``a`` toward an isolated
     vertex and must not have been skipped.  Ends pointing into the root
     component and edges internal to it are passed over silently.
     """
     start = dual.graph.slot_of[(dual.kappa, 1)]
-    found = _walk_to_augmenting(
-        dual, _mask(a), _mask(s), _root_component(dual, a), *start, 0
-    )
+    found = _walk_to_augmenting(dual, a, s, _root_component(dual, a), *start, 0)
     return None if found is None else found[0]
 
 
-def clocked_arborescence(dual: DualDigraph) -> frozenset[int]:
-    """Greedy depth-first arborescence from (r0, kappa).
+def clocked_arborescence(dual: DualDigraph) -> int:
+    """Greedy depth-first arborescence from (r0, kappa), as an edge mask.
 
     Turns counterclockwise around each visited vertex, descending along each
     selected edge immediately and resuming the scan on return.  Independent
     of the arborescence-tree machinery; equals the tree's rightmost leaf.
     """
     visited = {dual.r0}
-    chosen: set[int] = set()
 
-    def scan(r: int, start_i: int):
+    def scan(r: int, start_i: int) -> int:  # the edges chosen from r on
         walk = dual.graph.faces[r]
-        i = start_i
+        i, chosen = start_i, 0
         for _ in range(len(walk)):
             i = (i + 1) % len(walk)
             c, end = walk[i]
             if end != 0 or dual.head[c] in visited:
                 continue
-            chosen.add(c)
             visited.add(dual.head[c])
             _, j = dual.graph.slot_of[(c, 1)]
-            scan(dual.head[c], j)
+            chosen |= 1 << c | scan(dual.head[c], j)
+        return chosen
 
     _, start = dual.graph.slot_of[(dual.kappa, 1)]
-    scan(dual.r0, start)
+    chosen = scan(dual.r0, start)
     if len(visited) != dual.n_vertices:
         raise InvariantError("clocked search did not reach every dual vertex")
-    return frozenset(chosen)
+    return chosen
 
 
 @dataclass
 class ArbNode:
-    """Node of the binary arborescence tree: (arborescence, skipped edges)."""
+    """Node of the binary arborescence tree: edge masks (arborescence, skipped)."""
 
-    a: frozenset[int]
-    s: frozenset[int]
+    a: int
+    s: int
     augmenting: int | None = None
     right: "ArbNode | None" = None
     left: "ArbNode | None" = None
@@ -144,13 +142,9 @@ class ArbTree:
     root: ArbNode
     leaves: list[ArbNode]
 
-    def type_one_leaves(self) -> list[tuple[frozenset[int], int]]:
-        """(arborescence, skipped count) per type-I leaf, rightmost first."""
-        return [(leaf.a, len(leaf.s)) for leaf in self.leaves if leaf.leaf_type == "I"]
-
-    def type_one_masks(self) -> list[tuple[int, int]]:
-        """``type_one_leaves`` with edge masks, as ``type_one_leaves(dual)``."""
-        return [(_mask(a), k) for a, k in self.type_one_leaves()]
+    def type_one_leaves(self) -> list[tuple[int, int]]:
+        """(edge mask of a, k) per type-I leaf, rightmost first."""
+        return [(x.a, x.s.bit_count()) for x in self.leaves if x.leaf_type == "I"]
 
     def type_two_leaves(self) -> list[ArbNode]:
         return [leaf for leaf in self.leaves if leaf.leaf_type == "II"]
@@ -162,9 +156,9 @@ class ArbTree:
             "leaves": [
                 {
                     "type": leaf.leaf_type,
-                    "arborescence": sorted(leaf.a),
-                    "skipped": sorted(leaf.s),
-                    "k": len(leaf.s),
+                    "arborescence": _bit_positions(leaf.a),
+                    "skipped": _bit_positions(leaf.s),
+                    "k": leaf.s.bit_count(),
                 }
                 for leaf in self.leaves
             ],
@@ -183,7 +177,7 @@ class ArbTree:
                 lines.append(f"  {name} -> {names[id(node.left)]} [label=L];")
                 continue
             name = names[id(node)] = f"n{len(names)}"
-            label = f"A={sorted(node.a)} S={sorted(node.s)}"
+            label = f"A={_bit_positions(node.a)} S={_bit_positions(node.s)}"
             if node.leaf_type:
                 label += f" type {node.leaf_type}"
             lines.append(f'  {name} [label="{label}"];')
@@ -254,30 +248,32 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     """
     spanning_size = dual.n_vertices - 1
     slot_of, head = dual.graph.slot_of, dual.head
+    arcs = dual.arcs()
     leaves: list[ArbNode] = []
-    root = ArbNode(frozenset(), frozenset())
-    # (node, a, s, root component, resumed walk state); right child first
-    stack = [(root, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
+    root = ArbNode(0, 0)
+    # (node, root component, resumed walk state); right child first
+    stack = [(root, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
     while stack:
-        node, a, s, component, r, i, steps = stack.pop()
-        if len(node.a) == spanning_size:
+        node, component, r, i, steps = stack.pop()
+        a, s = node.a, node.s
+        if a.bit_count() == spanning_size:
             node.leaf_type = "I"
             leaves.append(node)
             continue
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
             node.leaf_type = "II"
-            _check_type_two(dual, component, s)
+            _check_type_two(arcs, component, s)
             leaves.append(node)
             continue
         delta, r, i, steps = found
         bit = 1 << delta
         node.augmenting = delta
-        node.right = ArbNode(node.a | {delta}, node.s)
-        node.left = ArbNode(node.a, node.s | {delta})
-        stack.append((node.left, a, s | bit, component, r, i, steps))
+        node.right = ArbNode(a | bit, s)
+        node.left = ArbNode(a, s | bit)
+        stack.append((node.left, component, r, i, steps))
         grown = component | 1 << head[delta]
-        stack.append((node.right, a | bit, s, grown, *slot_of[(delta, 1)], steps))
+        stack.append((node.right, grown, *slot_of[(delta, 1)], steps))
     return ArbTree(dual, root, leaves)
 
 
@@ -295,8 +291,9 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     return False
 
 
-def _check_type_two(dual: DualDigraph, component: int, s: int):
-    for c, (t, h) in enumerate(dual.arcs()):
+def _check_type_two(arcs, component: int, s: int):
+    """Raise unless every edge leaving ``component`` is in ``s``."""
+    for c, (t, h) in enumerate(arcs):
         if component >> t & 1 and not (component >> h | s >> c) & 1:
             raise InvariantError(
                 f"type II leaf has unskipped escaping edge {c}: "
@@ -304,8 +301,9 @@ def _check_type_two(dual: DualDigraph, component: int, s: int):
             )
 
 
-def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
-    """All spanning arborescences, found independently of the tree machinery.
+def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[int]:
+    """All spanning arborescences as edge masks, found independently of the
+    tree machinery.
 
     An arborescence rooted at r0 picks one non-loop in-edge for every other
     vertex, such that from every vertex the walk back along the picked edges
@@ -317,7 +315,7 @@ def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
         [c for c in range(dual.n_edges) if dual.head[c] == r and dual.tail[c] != r]
         for r in others
     ]
-    found: set[frozenset[int]] = set()
+    found: set[int] = set()
     for choice in product(*in_edges):
         parent = dict(zip(others, (dual.tail[c] for c in choice)))
 
@@ -329,7 +327,7 @@ def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[frozenset[int]]:
             return r == dual.r0
 
         if all(reaches_root(r) for r in others):
-            found.add(frozenset(choice))
+            found.add(sum(1 << c for c in choice))
     return found
 
 

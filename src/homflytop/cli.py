@@ -24,7 +24,12 @@ from .planegraph import (
     biconnected_blocks,
     block_subgraph,
 )
-from .arborescence import build_arb_tree, clocked_arborescence, type_one_leaves
+from .arborescence import (
+    _bit_positions,
+    build_arb_tree,
+    clocked_arborescence,
+    type_one_leaves,
+)
 from .rootpolytope import (
     coordinate_matrix,
     triangulation_from_arbtree,
@@ -167,7 +172,7 @@ def cmd_arbtree(args) -> int:
         print(tree.to_dot())
         return 0
     payload = tree.to_json()
-    payload["clocked"] = sorted(clocked_arborescence(dual))
+    payload["clocked"] = _bit_positions(clocked_arborescence(dual))
     _emit(
         payload, args,
         lambda p: "\n".join(

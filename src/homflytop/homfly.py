@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
-from .arborescence import ArbNode
+from .arborescence import ArbNode, _bit_positions
 from .parking import leaf_enumerator
 
 
@@ -555,8 +555,8 @@ class DecoratedSubgraph:
 def decorated_subgraph_at(g: PlaneBipartiteGraph, node: ArbNode) -> DecoratedSubgraph:
     """Subgraph of G at a tree node: duals of the non-arborescence edges,
     with the skipped edges dotted."""
-    present = frozenset(range(g.n_edges)) - node.a
-    return DecoratedSubgraph(present, frozenset(node.s))
+    present = frozenset(_bit_positions(((1 << g.n_edges) - 1) ^ node.a))
+    return DecoratedSubgraph(present, frozenset(_bit_positions(node.s)))
 
 
 def median_diagram(

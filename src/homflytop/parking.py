@@ -5,15 +5,15 @@ The parking test decides the subset definition exactly with Dhar's burning
 algorithm (Dhar, "Self-organized critical state of sandpile automaton
 models", 1990), in time linear in the digraph.  The enumerator searches the
 down-set of parking functions depth first, one burning test per child, so
-its cost follows the number of functions found.  The inverse bijection
-descends the built tree.
+its cost follows the number of functions found.  The bijection reads a
+leaf's edge masks; its inverse descends the built tree.
 """
 
 from __future__ import annotations
 
 from .laurent import Laurent1
 from .planegraph import DualDigraph, InvariantError
-from .arborescence import ArbTree
+from .arborescence import ArbTree, _bit_positions
 
 
 # -- definitions on a generic rooted digraph --------------------------------
@@ -117,14 +117,13 @@ def parking_for_dual(dual: DualDigraph) -> tuple[list[dict[int, int]], Laurent1]
 # -- the bijection with type-I leaves ----------------------------------------
 
 
-def parking_from_leaf(
-    dual: DualDigraph, a: frozenset[int], s: frozenset[int]
-) -> dict[int, int]:
-    """Count, per non-root vertex, the skipped edges pointing to it."""
-    if len(a) != dual.n_vertices - 1:
+def parking_from_leaf(dual: DualDigraph, a: int, s: int) -> dict[int, int]:
+    """Count, per non-root vertex, the skipped edges (of the mask ``s``)
+    pointing to it; ``a`` is the leaf's arborescence mask."""
+    if a.bit_count() != dual.n_vertices - 1:
         raise ValueError("leaf is not type I: arborescence is not spanning")
     values = {r: 0 for r in range(dual.n_vertices) if r != dual.r0}
-    for c in s:
+    for c in _bit_positions(s):
         head = dual.head[c]
         if head == dual.r0:
             raise InvariantError("skipped edge points at the root")
@@ -132,8 +131,9 @@ def parking_from_leaf(
     return values
 
 
-def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> frozenset[int]:
-    """Descend the arborescence tree guided by the function.
+def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
+    """Descend the arborescence tree guided by the function to the edge mask
+    of a type-I leaf's arborescence.
 
     At a node whose augmenting edge delta points into r: go left (skip
     delta) while the function value at r exceeds the number of edges into r
@@ -158,7 +158,7 @@ def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> frozense
 
 
 def leaf_enumerator(leaves) -> Laurent1:
-    """Enumerator of k over the type-I leaves' (arborescence, k), or an
+    """Enumerator of k over the type-I leaves' (edge mask of a, k), or an
     ArbTree's."""
     if isinstance(leaves, ArbTree):
         leaves = leaves.type_one_leaves()

@@ -34,7 +34,7 @@ from itertools import combinations
 
 from .laurent import Laurent1
 from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
-from .arborescence import arborescence_count
+from .arborescence import _bit_positions, arborescence_count
 
 
 # -- polytope points ----------------------------------------------------------
@@ -135,11 +135,6 @@ def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
 
 
 # -- triangulation ------------------------------------------------------------
-
-
-def _bit_positions(mask: int) -> list[int]:
-    """The set bits of a mask, lowest first."""
-    return [j for j, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
 @dataclass

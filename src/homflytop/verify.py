@@ -82,7 +82,7 @@ def _check_triangulation(report, tree, leaves, tag) -> Laurent1 | None:
     own audit.
     """
     try:
-        tri = triangulation_from_arbtree(tree.dual, tree.type_one_masks())
+        tri = triangulation_from_arbtree(tree.dual, leaves)
     except InvariantError as exc:
         report.record(f"triangulation [{tag}]", False, str(exc))
         return None
@@ -191,7 +191,7 @@ def verify_graph(
                     continue
                 pi = parking_from_leaf(rooted, leaf.a, leaf.s)
                 images.add(tuple(sorted(pi.items())))
-                if sum(pi.values()) != len(leaf.s):
+                if sum(pi.values()) != leaf.s.bit_count():
                     round_trips = False
                 if arborescence_from_parking(tree, pi) != leaf.a:
                     round_trips = False

@@ -48,7 +48,7 @@ from crosschecks import (
 
 def triangulate(tree):
     """The triangulation of a full tree's type-I leaves, as ``verify`` makes it."""
-    return triangulation_from_arbtree(tree.dual, tree.type_one_masks())
+    return triangulation_from_arbtree(tree.dual, tree.type_one_leaves())
 
 
 CAP = 14

@@ -29,14 +29,14 @@ def reference_build_arb_tree(dual):
         delta = augmenting_edge(dual, a, s)
         node = ArbNode(a, s, augmenting=delta)
         if delta is None:
-            node.leaf_type = "I" if len(a) == spanning_size else "II"
+            node.leaf_type = "I" if a.bit_count() == spanning_size else "II"
             leaves.append(node)
             return node
-        node.right = grow(a | {delta}, s)
-        node.left = grow(a, s | {delta})
+        node.right = grow(a | 1 << delta, s)
+        node.left = grow(a, s | 1 << delta)
         return node
 
-    return ArbTree(dual, grow(frozenset(), frozenset()), leaves)
+    return ArbTree(dual, grow(0, 0), leaves)
 
 
 def reference_walk_to_augmenting(dual, a, s, component, r, i, steps):
@@ -77,18 +77,18 @@ def reference_reached_without(in_arcs, component, skipped, r):
 def reference_type_one_only_tree(dual):
     """The tree pruned to the subtrees holding a type-I leaf, with nodes: a
     skip child is grown only while the unskipped edges still reach its
-    augmenting edge's head."""
+    augmenting edge's head.  It walks on frozensets; its nodes hold masks."""
     spanning_size = dual.n_vertices - 1
     slot_of = dual.graph.slot_of
     in_arcs = [[] for _ in range(dual.n_vertices)]
     for c, (t, h) in enumerate(dual.arcs()):
         in_arcs[h].append((c, t))
     leaves = []
-    root = ArbNode(frozenset(), frozenset())
-    stack = [(root, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
+    root = ArbNode(0, 0)
+    empty = frozenset()
+    stack = [(root, empty, empty, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
     while stack:
-        node, component, r, i, steps = stack.pop()
-        a, s = node.a, node.s
+        node, a, s, component, r, i, steps = stack.pop()
         if len(a) == spanning_size:
             node.leaf_type = "I"
             leaves.append(node)
@@ -98,19 +98,26 @@ def reference_type_one_only_tree(dual):
             raise InvariantError("type-I-only tree reached a type II leaf")
         delta, r, i, steps = found
         node.augmenting = delta
-        node.right = ArbNode(a | {delta}, s)
+        node.right = ArbNode(edge_mask(a | {delta}), node.s)
         skipped = s | {delta}
         if reference_reached_without(in_arcs, component, skipped, dual.head[delta]):
-            node.left = ArbNode(a, skipped)
-            stack.append((node.left, component, r, i, steps))
-        stack.append(
-            (node.right, component | {dual.head[delta]}, *slot_of[(delta, 1)], steps)
-        )
+            node.left = ArbNode(node.a, edge_mask(skipped))
+            stack.append((node.left, a, skipped, component, r, i, steps))
+        grown = component | {dual.head[delta]}
+        stack.append((node.right, a | {delta}, s, grown, *slot_of[(delta, 1)], steps))
     return ArbTree(dual, root, leaves)
 
 
 def edge_mask(edges):
     return sum(1 << c for c in edges)
+
+
+def edge_list(mask):
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def proper_superset(mask, sub):
+    return mask & sub == sub and mask != sub
 
 
 def node_fields(node):
@@ -130,22 +137,22 @@ class TestAugmentingEdge:
     def test_bigon_root_node(self):
         _, dual = bigon()
         out = next(c for c in range(2) if dual.tail[c] == dual.r0)
-        assert augmenting_edge(dual, frozenset(), frozenset()) == out
+        assert augmenting_edge(dual, 0, 0) == out
 
     def test_bigon_after_skip_is_stuck(self):
         _, dual = bigon()
-        out = augmenting_edge(dual, frozenset(), frozenset())
-        assert augmenting_edge(dual, frozenset(), frozenset([out])) is None
+        out = augmenting_edge(dual, 0, 0)
+        assert augmenting_edge(dual, 0, 1 << out) is None
 
     def test_k32_first_candidate_follows_kappa(self):
         _, dual = k32_three_strand()
         # scanning counterclockwise from kappa's end picks the out-edge that
         # crosses the root face walk right after kappa
-        assert augmenting_edge(dual, frozenset(), frozenset()) == 1
+        assert augmenting_edge(dual, 0, 0) == 1
 
     def test_single_edge_has_no_candidate(self):
         _, dual = single_edge()
-        assert augmenting_edge(dual, frozenset(), frozenset()) is None
+        assert augmenting_edge(dual, 0, 0) is None
 
 
 class TestResumedWalk:
@@ -186,6 +193,15 @@ class TestResumedWalk:
                 )
                 assert len(calls) == internal + len(tree.type_two_leaves())
 
+    def test_type_two_audit_catches_an_unskipped_escape(self, monkeypatch):
+        # a walk that finds nothing makes the root a type-II leaf while its
+        # out-edges are unskipped; the audit names the first of them
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", lambda *args: None)
+        _, dual = k32_three_strand()
+        first = next(c for c, (t, h) in enumerate(dual.arcs()) if t == dual.r0 != h)
+        with pytest.raises(InvariantError, match=f"unskipped escaping edge {first}:"):
+            build_arb_tree(dual)
+
     @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
     def test_walk_that_never_closes_up_is_stopped(self, build):
         g, dual = k32_three_strand()
@@ -212,7 +228,7 @@ class TestTypeOneOnly:
                     (x.a, x.s) for x in full.leaves if x.leaf_type == "I"
                 ]
                 assert pruned.type_one_leaves() == full.type_one_leaves()
-                assert type_one_leaves(rooted) == full.type_one_masks()
+                assert full.type_one_leaves() == type_one_leaves(rooted)
                 assert all(x.leaf_type == "I" for x in pruned.leaves)
                 pruned_nodes += len(node_fields(pruned.root))
                 full_nodes += len(node_fields(full.root))
@@ -227,10 +243,7 @@ class TestTypeOneOnly:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
-                expected = [
-                    (edge_mask(a), k)
-                    for a, k in reference_type_one_only_tree(rooted).type_one_leaves()
-                ]
+                expected = reference_type_one_only_tree(rooted).type_one_leaves()
                 found = type_one_leaves(rooted)
                 assert found == expected
                 assert all(type(a) is int for a, _ in found)
@@ -272,16 +285,16 @@ class TestTypeOneOnly:
 class TestClocked:
     def test_single_edge(self):
         _, dual = single_edge()
-        assert clocked_arborescence(dual) == frozenset()
+        assert clocked_arborescence(dual) == 0
 
     def test_bigon(self):
         _, dual = bigon()
         out = next(c for c in range(2) if dual.tail[c] == dual.r0)
-        assert clocked_arborescence(dual) == frozenset([out])
+        assert clocked_arborescence(dual) == 1 << out
 
     def test_k32(self):
         _, dual = k32_three_strand()
-        assert clocked_arborescence(dual) == frozenset({1, 3})
+        assert clocked_arborescence(dual) == edge_mask({1, 3})
 
     def test_equals_rightmost_leaf_everywhere(self, graph_corpus):
         for g in graph_corpus[:60]:
@@ -298,7 +311,7 @@ class TestTree:
     def test_single_edge_tree_is_one_type_one_leaf(self):
         _, dual = single_edge()
         tree = build_arb_tree(dual)
-        assert tree.type_one_leaves() == [(frozenset(), 0)]
+        assert tree.type_one_leaves() == [(0, 0)]
         assert not tree.type_two_leaves()
 
     def test_bigon_tree(self):
@@ -321,11 +334,11 @@ class TestTree:
         leaves = tree.type_one_leaves()
         assert len(leaves) == 3
         assert sorted(k for _, k in leaves) == [0, 1, 1]
-        assert leaves[0] == (frozenset({1, 3}), 0)
+        assert leaves[0] == (edge_mask({1, 3}), 0)
         assert {a for a, _ in leaves} == {
-            frozenset({1, 3}),
-            frozenset({1, 4}),
-            frozenset({2, 4}),
+            edge_mask({1, 3}),
+            edge_mask({1, 4}),
+            edge_mask({2, 4}),
         }
         if len(tree.type_two_leaves()) != 3:
             warnings.warn(
@@ -340,8 +353,8 @@ class TestTree:
         def visit(node):
             if node.is_leaf:
                 return
-            assert node.right.a > node.a and node.right.s == node.s
-            assert node.left.s > node.s and node.left.a == node.a
+            assert proper_superset(node.right.a, node.a) and node.right.s == node.s
+            assert proper_superset(node.left.s, node.s) and node.left.a == node.a
             visit(node.right)
             visit(node.left)
 
@@ -355,13 +368,13 @@ class TestTree:
             grew = True
             while grew:
                 grew = False
-                for c in leaf.a:
+                for c in edge_list(leaf.a):
                     if dual.tail[c] in component and dual.head[c] not in component:
                         component.add(dual.head[c])
                         grew = True
             for c in range(dual.n_edges):
                 if dual.tail[c] in component and dual.head[c] not in component:
-                    assert c in leaf.s
+                    assert leaf.s >> c & 1
 
 
 class TestBruteForceAgreement:

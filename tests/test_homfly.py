@@ -45,7 +45,7 @@ from crosschecks import component_count, relabel
 
 def triangulate(tree):
     """The triangulation of a full tree's type-I leaves, as ``verify`` makes it."""
-    return triangulation_from_arbtree(tree.dual, tree.type_one_masks())
+    return triangulation_from_arbtree(tree.dual, tree.type_one_leaves())
 
 
 HOPF = Laurent2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -534,7 +534,7 @@ class TestSkeinOracle:
             tree = build_arb_tree(dual)
             total = Laurent2.zero()
             for leaf in tree.leaves:
-                weight = vz ** len(leaf.a) * v2 ** len(leaf.s)
+                weight = vz ** leaf.a.bit_count() * v2 ** leaf.s.bit_count()
                 value = homfly_skein(median_diagram(g, decorated_subgraph_at(g, leaf)))
                 total = total + weight * value
             assert total == homfly_skein(median_diagram(g))

@@ -177,7 +177,7 @@ def points(tri, simplex):
 
 def triangulate(tree):
     """The triangulation of a full tree's type-I leaves, as ``verify`` makes it."""
-    return triangulation_from_arbtree(tree.dual, tree.type_one_masks())
+    return triangulation_from_arbtree(tree.dual, tree.type_one_leaves())
 
 
 def edge_sets(tri):
@@ -279,11 +279,15 @@ def facet_holders(g, simplices):
     return count
 
 
+def edge_mask(edges):
+    return sum(1 << c for c in edges)
+
+
 def report_simplices(tree, g, simplices):
     """Make the tree report the complements of the given spanning trees as
     its type-I leaves, so that they become the triangulation's simplices."""
     all_edges = frozenset(range(g.n_edges))
-    leaves = [(all_edges - s, 0) for s in simplices]
+    leaves = [(edge_mask(all_edges - s), 0) for s in simplices]
     tree.type_one_leaves = lambda: leaves
 
 
@@ -323,13 +327,6 @@ class TestAffineIndependence:
     def test_iterator_is_read_once_for_both_tests(self):
         g, _ = k32_three_strand()
         assert affine_independence_check(g, iter(range(6))) == (False, False)
-
-    def test_rank_oracle_agrees_on_all_subsets(self, graph_corpus):
-        for g in graph_corpus:
-            for k in range(g.n_edges + 1):
-                for subset in combinations(range(g.n_edges), k):
-                    forest, affine = affine_independence_check(g, subset)
-                    assert forest == affine
 
 
 def _compatible_bruteforce(g, t1, t2):
@@ -517,13 +514,15 @@ class TestTriangulationRejectsBadInput:
         tree = build_arb_tree(build_dual(g, kappa_edge=0))
         leaves = tree.type_one_leaves()
         all_edges = frozenset(range(g.n_edges))
-        simplices = [all_edges - a for a, _ in leaves]
+        simplices = [
+            frozenset(c for c in all_edges if not a >> c & 1) for a, _ in leaves
+        ]
         swap = next(
             t for t in spanning_trees(g)
             if t not in simplices and not compatible(g, simplices[0], t)
         )
         # same simplex count, so only the compatibility audit can object
-        mutated = leaves[:-1] + [(all_edges - swap, leaves[-1][1])]
+        mutated = leaves[:-1] + [(edge_mask(all_edges - swap), leaves[-1][1])]
         tree.type_one_leaves = lambda: mutated
         with pytest.raises(InvariantError, match="incompatible"):
             triangulate(tree)
