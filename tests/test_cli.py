@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -16,6 +17,7 @@ import homflytop
 from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
+from homflytop.gen import corpus_documents
 from homflytop.laurent import Laurent1
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
 from homflytop.rootpolytope import Triangulation
@@ -255,6 +257,51 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "homogeneous", "--input", str(path))
         assert code == 2
+
+    def test_homogeneous_per_block_signs_match_oracle(
+        self, capsys, tmp_path, grid_subgraphs
+    ):
+        # one seeded sign per block: the product formula meets the oracle;
+        # one edge of a block with two or more edges flipped mixes the block
+        rng = random.Random(0)
+        docs = corpus_documents(0, 100, max_edges=10) + [
+            g.to_document() for g in grid_subgraphs if g.n_edges <= 14
+        ]
+        path = tmp_path / "signed.json"
+
+        def homogeneous(doc, signs):
+            path.write_text(json.dumps({**doc, "signs": signs}))
+            return run(capsys, "homogeneous", "--input", str(path), "--format", "json")
+
+        mixed = flipped = 0
+        for doc in docs:
+            code, out, _ = homogeneous(doc, [1] * len(doc["edges"]))
+            assert code == 0
+            blocks = [b["edges"] for b in json.loads(out)["blocks"]]
+            signs = [0] * len(doc["edges"])
+            for block in blocks:
+                sign = rng.choice((1, -1))
+                for c in block:
+                    signs[c] = sign
+            code, out, err = homogeneous(doc, signs)
+            payload = json.loads(out)
+            assert (code, err) == (0, "")
+            assert payload["top"] == payload["oracle"]
+            assert payload["writhe"] == sum(signs)
+            assert [b["edges"] for b in payload["blocks"]] == blocks
+            mixed += len(set(signs)) == 2
+            wide = [block for block in blocks if len(block) >= 2]
+            if wide:
+                c = rng.choice(rng.choice(wide))
+                signs[c] = -signs[c]
+                code, out, err = homogeneous(doc, signs)
+                assert (code, out) == (2, "")
+                assert json.loads(err) == {
+                    "error": "input",
+                    "message": "block mixes positive and negative edges",
+                }
+                flipped += 1
+        assert mixed >= 40 and flipped >= 80
 
     def test_verify_passes(self, capsys, k32_path):
         code, out, _ = run(capsys, "verify", "--input", k32_path, "--format", "json")
