@@ -18,7 +18,6 @@ from .planegraph import (
     PlaneBipartiteGraph,
     DualDigraph,
     SignedBlock,
-    SignedBlockGraph,
     parse_plane_graph,
     build_dual,
     overlay_dot,

@@ -14,7 +14,8 @@ therefore walked once per root-to-leaf path, each child resuming where its
 parent found its augmenting edge, and from an explicit stack: the tree can
 be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
 without a walk.  Edge sets (a, s) and vertex sets (the root component)
-are int bitmasks throughout; ``_bit_positions`` lists one only for output.
+are int bitmasks throughout; ``_bit_positions`` lists one for output and
+for the crossings of a median diagram.
 ``type_one_leaves`` keeps only the type-I leaves, ``build_arb_tree`` every
 node; ``augmenting_edge`` walks one node from scratch, as the tests'
 reference.

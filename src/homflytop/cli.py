@@ -343,25 +343,19 @@ def cmd_homogeneous(args) -> int:
         raise GraphInputError("every sign must be 1 or -1")
     names = list(g.e_vertices) + list(g.v_vertices)
     blocks = biconnected_blocks(names, list(g.edges), signs)
-    pos, neg = [], []
-    for block in blocks.blocks:
-        sub = block_subgraph(g, block.edge_ids)
-        sub_dual = build_dual(sub, kappa_edge=0)
-        _, p = parking_for_dual(sub_dual)
-        (pos if block.sign > 0 else neg).append(p)
-    formula = homogeneous_top(blocks, pos, neg)
+    enumerators = [
+        parking_for_dual(build_dual(block_subgraph(g, b.edge_ids), kappa_edge=0))[1]
+        for b in blocks
+    ]
+    formula = homogeneous_top(blocks, enumerators)
     payload = {
-        "blocks": [
-            {"sign": b.sign, "edges": list(b.edge_ids)} for b in blocks.blocks
-        ],
-        "writhe": blocks.writhe,
+        "blocks": [{"sign": b.sign, "edges": list(b.edge_ids)} for b in blocks],
+        "writhe": sum(signs),
         "top": str(formula),
     }
     if g.n_edges <= args.cap:
-        dotted = frozenset(c for c, s in enumerate(signs) if s < 0)
-        d = median_diagram(
-            g, DecoratedSubgraph(frozenset(range(g.n_edges)), dotted)
-        )
+        dotted = sum(1 << c for c, s in enumerate(signs) if s < 0)
+        d = median_diagram(g, DecoratedSubgraph((1 << g.n_edges) - 1, dotted))
         P = homfly_skein(d, cap=args.cap)
         slice_ = top_coefficient(P, d.n_crossings, d.seifert_circle_count())
         payload["oracle"] = str(slice_.poly)

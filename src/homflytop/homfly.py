@@ -542,21 +542,21 @@ class CanonicalCode:
 
 @dataclass(frozen=True)
 class DecoratedSubgraph:
-    """Spanning subgraph with a dotted subset, as produced by tree nodes."""
+    """Spanning subgraph with a dotted subset, as produced by tree nodes:
+    both are int edge masks."""
 
-    present: frozenset[int]
-    dotted: frozenset[int]
+    present: int
+    dotted: int
 
     def __post_init__(self):
-        if not self.dotted <= self.present:
+        if self.dotted & ~self.present:
             raise ValueError("dotted edges must be present")
 
 
 def decorated_subgraph_at(g: PlaneBipartiteGraph, node: ArbNode) -> DecoratedSubgraph:
     """Subgraph of G at a tree node: duals of the non-arborescence edges,
     with the skipped edges dotted."""
-    present = frozenset(_bit_positions(((1 << g.n_edges) - 1) ^ node.a))
-    return DecoratedSubgraph(present, frozenset(_bit_positions(node.s)))
+    return DecoratedSubgraph(((1 << g.n_edges) - 1) ^ node.a, node.s)
 
 
 def median_diagram(
@@ -575,8 +575,8 @@ def median_diagram(
     the E-circle to the V-circle and is the over strand of a solid edge.
     """
     if subgraph is None:
-        subgraph = DecoratedSubgraph(frozenset(range(g.n_edges)), frozenset())
-    present = sorted(subgraph.present)
+        subgraph = DecoratedSubgraph((1 << g.n_edges) - 1, 0)
+    present = _bit_positions(subgraph.present)
     dotted = subgraph.dotted
     index = {c: i for i, c in enumerate(present)}
 
@@ -592,8 +592,8 @@ def median_diagram(
                 free += 1
             for i, j in zip(ring, ring[1:] + ring[:1]):
                 succ[2 * i + leaving] = 2 * j + 1 - leaving
-    signs = tuple(-1 if c in dotted else 1 for c in present)
-    over = tuple(1 if c in dotted else 0 for c in present)
+    signs = tuple(-1 if dotted >> c & 1 else 1 for c in present)
+    over = tuple(dotted >> c & 1 for c in present)
     return LinkDiagram(signs, tuple(succ), over, free)
 
 
@@ -722,24 +722,24 @@ def top_via_p(p: Laurent1, n: int, s: int) -> TopPolynomial:
     return TopPolynomial(Laurent1(out, "v"), n - s + 1)
 
 
-def homogeneous_top(blocks, positive_enumerators, negative_enumerators) -> Laurent1:
-    """Closed form for the top of a homogeneous link from its block data.
+def homogeneous_top(blocks, enumerators) -> Laurent1:
+    """Top of a homogeneous link: the product of its blocks' tops.
 
-    ``blocks`` is a SignedBlockGraph; the enumerator lists hold the dual
-    parking enumerators of the positive and negative blocks respectively.
-    For a single positive block this reduces to v^(n - s + 1) p(v^2).
+    A homogeneous diagram is a Murasugi sum of its sign-homogeneous blocks
+    (Cromwell 1989), and the tops multiply.  ``blocks`` are the SignedBlocks
+    of ``biconnected_blocks`` and ``enumerators`` their dual parking
+    enumerators, in block order.  A positive block with n edges and s
+    vertices gives ``top_via_p(p, n, s)``; a negative block gives the mirror
+    image of that, v -> -1/v.
     """
-    k, l = blocks.k_positive, blocks.l_negative
-    if len(positive_enumerators) != k or len(negative_enumerators) != l:
+    if len(enumerators) != len(blocks):
         raise ValueError("one enumerator per block is required")
-    s_plus, n_plus, s_minus, n_minus = blocks.totals()
-    w = n_plus - n_minus
-    sign = (-1) ** (n_minus - s_minus + l)
-    result = Laurent1.term(sign, w - s_plus + s_minus + k - l, "v")
-    for p in positive_enumerators:
-        result = result * p.substitute_power(2, "v")
-    for p in negative_enumerators:
-        result = result * p.substitute_power(-2, "v")
+    result = Laurent1.const(1, "v")
+    for block, p in zip(blocks, enumerators):
+        top = top_via_p(p, len(block.edge_ids), len(block.vertices)).poly
+        if block.sign < 0:
+            top = Laurent1({-e: (-1) ** e * c for e, c in top.coeffs.items()}, "v")
+        result = result * top
     return result
 
 

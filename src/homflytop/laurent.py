@@ -151,10 +151,6 @@ class Laurent1(_Laurent):
     _ONE = 0
     _DEFAULT = "x"
 
-    @classmethod
-    def term(cls, c: int, e: int, var: str = "x") -> "Laurent1":
-        return cls({e: c}, var)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -181,15 +177,6 @@ class Laurent1(_Laurent):
         low = min([0, *self.coeffs])
         total = sum(c * x ** (e - low) for e, c in self.coeffs.items())
         return _exact_quotient(total, x ** -low)
-
-    def substitute_power(self, exponent: int, var: str | None = None) -> "Laurent1":
-        """Replace the variable x by y^exponent: c*x^k becomes c*y^(k*exponent)."""
-        if exponent == 0:
-            raise ValueError("substitution exponent must be nonzero")
-        return Laurent1(
-            {e * exponent: c for e, c in self.coeffs.items()},
-            var if var is not None else self._names,
-        )
 
     def substitute_shifted(self, shift: int, var: str | None = None) -> "Laurent1":
         """Return f(x + shift), expanded exactly.

@@ -387,37 +387,6 @@ class SignedBlock:
     edge_ids: tuple[int, ...]
 
 
-@dataclass
-class SignedBlockGraph:
-    """Biconnected blocks of a connected graph with sign-homogeneous blocks.
-
-    Vertices shared by several blocks (cut vertices) are counted once per
-    block in the totals.
-    """
-
-    blocks: list[SignedBlock]
-
-    @property
-    def k_positive(self) -> int:
-        return sum(1 for b in self.blocks if b.sign > 0)
-
-    @property
-    def l_negative(self) -> int:
-        return sum(1 for b in self.blocks if b.sign < 0)
-
-    def totals(self):
-        s_plus = sum(len(b.vertices) for b in self.blocks if b.sign > 0)
-        n_plus = sum(len(b.edge_ids) for b in self.blocks if b.sign > 0)
-        s_minus = sum(len(b.vertices) for b in self.blocks if b.sign < 0)
-        n_minus = sum(len(b.edge_ids) for b in self.blocks if b.sign < 0)
-        return s_plus, n_plus, s_minus, n_minus
-
-    @property
-    def writhe(self) -> int:
-        _, n_plus, _, n_minus = self.totals()
-        return n_plus - n_minus
-
-
 def bfs_tree(vertices, edges) -> dict:
     """Breadth-first spanning tree of the first vertex's component.
 
@@ -440,7 +409,7 @@ def bfs_tree(vertices, edges) -> dict:
     return tree
 
 
-def biconnected_blocks(vertices, edges, signs) -> SignedBlockGraph:
+def biconnected_blocks(vertices, edges, signs) -> list[SignedBlock]:
     """Split a connected multigraph into biconnected blocks.
 
     Two edges share a block iff they lie on a common cycle, so each non-tree
@@ -453,6 +422,9 @@ def biconnected_blocks(vertices, edges, signs) -> SignedBlockGraph:
         vertices: iterable of vertex names.
         edges: list of loopless (u, w) pairs; the index is the edge id.
         signs: per-edge +1/-1 labels; each block must be sign-homogeneous.
+
+    Returns one SignedBlock per block, by least edge id.  A block's vertices
+    are those its edges touch, so a cut vertex is in each of its blocks.
     """
     vertices = list(vertices)
     if not vertices:
@@ -488,4 +460,4 @@ def biconnected_blocks(vertices, edges, signs) -> SignedBlockGraph:
             raise GraphInputError("block mixes positive and negative edges")
         touched = frozenset(x for c in block for x in edges[c])
         out.append(SignedBlock(block_signs.pop(), touched, tuple(block)))
-    return SignedBlockGraph(out)
+    return out

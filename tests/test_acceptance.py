@@ -286,7 +286,7 @@ def _block_sum(band_counts):
 
 def test_criterion_8_mirror_and_block_sums(graph_corpus):
     for g in list(graph_corpus[:30]) + [k32_three_strand()[0]]:
-        edges = frozenset(range(g.n_edges))
+        edges = (1 << g.n_edges) - 1
         solid = homfly_skein(median_diagram(g), cap=CAP)
         dotted = homfly_skein(
             median_diagram(g, DecoratedSubgraph(edges, edges)), cap=CAP
@@ -300,16 +300,13 @@ def test_criterion_8_mirror_and_block_sums(graph_corpus):
         for signs in _sign_patterns(bands):
             names = list(g.e_vertices) + list(g.v_vertices)
             blocks = biconnected_blocks(names, list(g.edges), signs)
-            pos, neg = [], []
-            for block in blocks.blocks:
-                sub = _subgraph(g, block.edge_ids)
-                _, p = parking_for_dual(build_dual(sub, kappa_edge=0))
-                (pos if block.sign > 0 else neg).append(p)
-            formula = homogeneous_top(blocks, pos, neg)
-            dotted_set = frozenset(c for c, s in enumerate(signs) if s < 0)
-            d = median_diagram(
-                g, DecoratedSubgraph(frozenset(range(g.n_edges)), dotted_set)
-            )
+            enumerators = [
+                parking_for_dual(build_dual(_subgraph(g, b.edge_ids), kappa_edge=0))[1]
+                for b in blocks
+            ]
+            formula = homogeneous_top(blocks, enumerators)
+            dotted = sum(1 << c for c, s in enumerate(signs) if s < 0)
+            d = median_diagram(g, DecoratedSubgraph((1 << g.n_edges) - 1, dotted))
             P = homfly_skein(d, cap=CAP)
             z_slice = top_coefficient(P, d.n_crossings, d.seifert_circle_count())
             assert formula == z_slice.poly

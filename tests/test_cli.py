@@ -588,7 +588,9 @@ class TestErrors:
             ),
             (
                 ("homogeneous",),
-                lambda: {"homogeneous_top": lambda blocks, pos, neg: Laurent1.zero()},
+                lambda: {
+                    "homogeneous_top": lambda blocks, enumerators: Laurent1.zero()
+                },
                 "product formula disagrees with the oracle",
             ),
         ],
@@ -863,7 +865,7 @@ class TestPackageSurface:
         assert sorted(homflytop.__all__) == sorted("""
             ArbNode ArbTree CrossingCapExceeded DecoratedSubgraph DualDigraph
             GraphInputError InvariantError Laurent1 Laurent2 LinkDiagram
-            PlaneBipartiteGraph SignedBlock SignedBlockGraph TopPolynomial
+            PlaneBipartiteGraph SignedBlock TopPolynomial
             Triangulation UNLINK_FACTOR VerifyReport arborescence_count
             arborescence_from_parking augmenting_edge biconnected_blocks
             block_subgraph build_arb_tree build_dual check_strong_connectivity

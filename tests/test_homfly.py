@@ -318,9 +318,9 @@ def reference_median_diagram(g, subgraph=None) -> LinkDiagram:
     """The median construction with each circle as a list and two index
     scans per crossing to find the next crossing on each of its circles."""
     if subgraph is None:
-        subgraph = DecoratedSubgraph(frozenset(range(g.n_edges)), frozenset())
-    present = sorted(subgraph.present)
-    dotted = subgraph.dotted
+        subgraph = DecoratedSubgraph((1 << g.n_edges) - 1, 0)
+    present = [c for c in range(g.n_edges) if subgraph.present >> c & 1]
+    dotted = [c for c in present if subgraph.dotted >> c & 1]
     index = {c: i for i, c in enumerate(present)}
 
     circles: dict[str, list[int]] = {}
@@ -392,7 +392,7 @@ class TestMedianConstruction:
     def test_dotting_flips_signs_only(self):
         g, _ = bigon()
         dotted = median_diagram(
-            g, DecoratedSubgraph(frozenset({0, 1}), frozenset({0}))
+            g, DecoratedSubgraph(0b11, 0b01)
         )
         assert dotted.writhe() == 0
         assert dotted.seifert_circle_count() == 2
@@ -401,7 +401,7 @@ class TestMedianConstruction:
         g, _ = k32_three_strand()
         # spanning tree minus an edge isolates nothing; a single edge leaves
         # three of the five vertices isolated
-        d = median_diagram(g, DecoratedSubgraph(frozenset({0}), frozenset()))
+        d = median_diagram(g, DecoratedSubgraph(0b1, 0))
         assert d.free_loops == 3
         assert d.n_crossings == 1
 
@@ -424,10 +424,10 @@ class TestMedianConstruction:
 
     def test_smoothing_matches_edge_removal(self):
         g, _ = k32_three_strand()
-        full = frozenset(range(6))
+        full = (1 << 6) - 1
         for c in range(6):
             smoothed = median_diagram(g).smooth(c)
-            removed = median_diagram(g, DecoratedSubgraph(full - {c}, frozenset()))
+            removed = median_diagram(g, DecoratedSubgraph(full ^ 1 << c, 0))
             assert smoothed == removed
 
 
@@ -473,7 +473,7 @@ class TestSkeinOracle:
 
     def test_mirror_rule(self, graph_corpus):
         for g in graph_corpus[:25]:
-            edges = frozenset(range(g.n_edges))
+            edges = (1 << g.n_edges) - 1
             solid = homfly_skein(median_diagram(g))
             dotted = homfly_skein(median_diagram(g, DecoratedSubgraph(edges, edges)))
             assert dotted == solid.mirror_first()
@@ -588,9 +588,8 @@ class TestCurlRemoval:
     def test_matches_reference_on_every_sign_pattern(self):
         for fixture in (bigon, theta, k32_three_strand):
             g = fixture()[0]
-            edges = frozenset(range(g.n_edges))
-            for mask in range(1 << g.n_edges):
-                dotted = frozenset(c for c in edges if mask >> c & 1)
+            edges = (1 << g.n_edges) - 1
+            for dotted in range(1 << g.n_edges):
                 d = median_diagram(g, DecoratedSubgraph(edges, dotted))
                 assert homfly_skein(d) == reference_homfly(d)
 
@@ -1144,31 +1143,29 @@ class TestHomogeneous:
     def _block_enumerators(g, signs):
         names = list(g.e_vertices) + list(g.v_vertices)
         blocks = biconnected_blocks(names, list(g.edges), signs)
-        pos, neg = [], []
-        for block in blocks.blocks:
-            sub = block_subgraph(g, block.edge_ids)
-            _, p = parking_for_dual(build_dual(sub, kappa_edge=0))
-            (pos if block.sign > 0 else neg).append(p)
-        return blocks, pos, neg
+        return blocks, [
+            parking_for_dual(build_dual(block_subgraph(g, b.edge_ids), kappa_edge=0))[1]
+            for b in blocks
+        ]
 
     def test_single_positive_block_reduces_to_p_formula(self):
         g, dual = k32_three_strand()
-        blocks, pos, neg = self._block_enumerators(g, [1] * 6)
+        blocks, enumerators = self._block_enumerators(g, [1] * 6)
         _, p = parking_for_dual(dual)
-        assert homogeneous_top(blocks, pos, neg) == top_via_p(p, 6, 5).poly
+        assert homogeneous_top(blocks, enumerators) == top_via_p(p, 6, 5).poly
 
     def test_negative_k32_matches_mirror(self):
         g, _ = k32_three_strand()
-        blocks, pos, neg = self._block_enumerators(g, [-1] * 6)
-        formula = homogeneous_top(blocks, pos, neg)
+        blocks, enumerators = self._block_enumerators(g, [-1] * 6)
+        formula = homogeneous_top(blocks, enumerators)
         mirrored = K32_HOMFLY.mirror_first()
         assert formula == top_coefficient(mirrored, 6, 5).poly
         assert formula == Laurent1({-2: 1, -4: 2}, "v")
 
     def test_two_positive_bigon_blocks(self):
         g, _ = block_sum_of_bigons()
-        blocks, pos, neg = self._block_enumerators(g, [1] * 4)
-        formula = homogeneous_top(blocks, pos, neg)
+        blocks, enumerators = self._block_enumerators(g, [1] * 4)
+        formula = homogeneous_top(blocks, enumerators)
         assert formula == Laurent1({2: 1}, "v")
         d = median_diagram(g)
         P = homfly_skein(d)
@@ -1182,19 +1179,19 @@ class TestHomogeneous:
     )
     def test_bigon_theta_sums_match_oracle(self, signs):
         g, _ = block_sum_bigon_theta()
-        blocks, pos, neg = self._block_enumerators(g, signs)
-        formula = homogeneous_top(blocks, pos, neg)
-        dotted = frozenset(c for c, s in enumerate(signs) if s < 0)
-        d = median_diagram(g, DecoratedSubgraph(frozenset(range(5)), dotted))
+        blocks, enumerators = self._block_enumerators(g, signs)
+        formula = homogeneous_top(blocks, enumerators)
+        dotted = sum(1 << c for c, s in enumerate(signs) if s < 0)
+        d = median_diagram(g, DecoratedSubgraph(0b11111, dotted))
         P = homfly_skein(d)
         slice_ = top_coefficient(P, d.n_crossings, d.seifert_circle_count())
         assert formula == slice_.poly
 
     def test_enumerator_count_validated(self):
         g, _ = k32_three_strand()
-        blocks, pos, neg = self._block_enumerators(g, [1] * 6)
+        blocks, _ = self._block_enumerators(g, [1] * 6)
         with pytest.raises(ValueError):
-            homogeneous_top(blocks, [], [])
+            homogeneous_top(blocks, [])
 
 
 class TestMorton:
@@ -1266,4 +1263,4 @@ class TestDiagramValidation:
 
     def test_decorated_subgraph_validates(self):
         with pytest.raises(ValueError):
-            DecoratedSubgraph(frozenset({1}), frozenset({2}))
+            DecoratedSubgraph(0b010, 0b100)

@@ -176,21 +176,6 @@ class TestEvaluationMatchesFractions:
 
 
 class TestSubstitutions:
-    def test_power_substitution(self):
-        p = L1({0: 1, 1: 2}, "u")
-        assert p.substitute_power(2, "v") == L1({0: 1, 2: 2}, "v")
-        h = L1({4: 1, 3: 2})
-        assert h.substitute_power(-2) == L1({-8: 1, -6: 2})
-        assert L1({0: 1}).substitute_power(2) == 1
-
-    def test_power_substitution_identity(self):
-        p = L1({-2: 3, 5: 1})
-        assert p.substitute_power(1) == p
-
-    def test_power_substitution_zero_rejected(self):
-        with pytest.raises(ValueError):
-            L1({1: 1}).substitute_power(0)
-
     def test_shift_examples(self):
         f = L1({4: 1, 3: 6, 2: 12, 1: 10, 0: 3}, "y")
         assert f.substitute_shifted(-1, "x") == L1({4: 1, 3: 2}, "x")

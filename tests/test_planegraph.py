@@ -13,7 +13,6 @@ from homflytop.planegraph import (
     check_strong_connectivity,
     biconnected_blocks,
     SignedBlock,
-    SignedBlockGraph,
 )
 from homflytop.fixtures import (
     single_edge,
@@ -257,24 +256,27 @@ class TestStrongConnectivity:
         assert not check_strong_connectivity(planted)
 
 
+def _shapes(blocks):
+    """(sign, vertex count, edge count) per block."""
+    return [(b.sign, len(b.vertices), len(b.edge_ids)) for b in blocks]
+
+
 class TestBlocks:
     def test_single_block(self):
         g, _ = bigon()
         blocks = biconnected_blocks(
             list(g.e_vertices) + list(g.v_vertices), list(g.edges), [1, 1]
         )
-        assert blocks.k_positive == 1 and blocks.l_negative == 0
-        assert blocks.totals() == (2, 2, 0, 0)
+        assert _shapes(blocks) == [(1, 2, 2)]
 
     def test_two_positive_blocks_share_a_vertex(self):
         g, _ = block_sum_of_bigons()
         blocks = biconnected_blocks(
             list(g.e_vertices) + list(g.v_vertices), list(g.edges), [1] * 4
         )
-        assert blocks.k_positive == 2 and blocks.l_negative == 0
-        # the shared vertex is counted once per block
-        assert blocks.totals() == (4, 4, 0, 0)
-        assert blocks.writhe == 4
+        # the shared vertex is in each block
+        assert _shapes(blocks) == [(1, 2, 2), (1, 2, 2)]
+        assert sum(b.sign * len(b.edge_ids) for b in blocks) == 4
 
     def test_opposite_sign_blocks(self):
         g, _ = block_sum_of_bigons()
@@ -283,10 +285,8 @@ class TestBlocks:
             list(g.edges),
             [1, 1, -1, -1],
         )
-        assert blocks.k_positive == 1 and blocks.l_negative == 1
-        s_plus, n_plus, s_minus, n_minus = blocks.totals()
-        assert (n_plus, n_minus) == (2, 2)
-        assert blocks.writhe == 0
+        assert _shapes(blocks) == [(1, 2, 2), (-1, 2, 2)]
+        assert sum(b.sign * len(b.edge_ids) for b in blocks) == 0
 
     def test_mixed_sign_block_rejected(self):
         g, _ = bigon()
@@ -300,11 +300,10 @@ class TestBlocks:
         blocks = biconnected_blocks(
             ["e0", "v0", "e1"], [("e0", "v0"), ("e1", "v0")], [1, 1]
         )
-        assert len(blocks.blocks) == 2
-        assert blocks.totals() == (4, 2, 0, 0)
+        assert _shapes(blocks) == [(1, 2, 1), (1, 2, 1)]
 
 
-def reference_blocks(vertices, edges, signs) -> SignedBlockGraph:
+def reference_blocks(vertices, edges, signs) -> list[SignedBlock]:
     """Blocks by the cut-vertex definition: distinct edges share a block iff
     no vertex x separates their endpoints other than x in G - x."""
     if not vertices:
@@ -350,12 +349,12 @@ def reference_blocks(vertices, edges, signs) -> SignedBlockGraph:
             raise GraphInputError("block mixes positive and negative edges")
         touched = frozenset(y for i in block for y in edges[i])
         out.append(SignedBlock(block_signs.pop(), touched, tuple(block)))
-    return SignedBlockGraph(sorted(out, key=lambda b: b.edge_ids))
+    return sorted(out, key=lambda b: b.edge_ids)
 
 
 def _block_outcome(blocks, vertices, edges, signs):
     try:
-        return blocks(vertices, edges, signs).blocks
+        return blocks(vertices, edges, signs)
     except GraphInputError as exc:
         return str(exc)
 
