@@ -391,9 +391,7 @@ class TestMedianConstruction:
 
     def test_dotting_flips_signs_only(self):
         g, _ = bigon()
-        dotted = median_diagram(
-            g, DecoratedSubgraph(0b11, 0b01)
-        )
+        dotted = median_diagram(g, DecoratedSubgraph(0b11, 0b01))
         assert dotted.writhe() == 0
         assert dotted.seifert_circle_count() == 2
 
