@@ -16,9 +16,10 @@ be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
 without a walk.  Edge sets (a, s) and vertex sets (the root component)
 are int bitmasks throughout; ``_bit_positions`` lists one for output and
 for the crossings of a median diagram.
-``type_one_leaves`` keeps only the type-I leaves, ``build_arb_tree`` every
-node; ``augmenting_edge`` walks one node from scratch, as the tests'
-reference.
+``_walk`` is the one walk of the tree, a preorder stream of its nodes:
+``type_one_leaves`` reads its pruned form and keeps the type-I leaves,
+``build_arb_tree`` links every node from it; ``augmenting_edge`` walks one
+node from scratch, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -188,94 +189,90 @@ class ArbTree:
         return "\n".join(lines)
 
 
-def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
-    """(edge mask of a, k) per type-I leaf, rightmost first, without nodes.
+def _walk(dual: DualDigraph, prune: bool = False):
+    """The nodes of the binary arborescence tree in preorder, as (a, s,
+    delta, leaf_type): edge masks (arborescence, skipped), the augmenting
+    edge (None at a leaf) and "I" or "II" at a leaf (None inside).
 
-    Only the subtrees that hold a type-I leaf are walked: a skip child is
-    kept only when the unskipped edges still reach every dual vertex from
-    the root component.  Then a spanning arborescence holds ``a`` and misses
-    ``s``, and following its add and skip choices down the tree ends at it,
-    since it always has an unskipped edge leaving the root component;
-    without such a reach no type-I leaf lies below.  Adding an edge leaves
-    the reach as it was, so the add child stays feasible.  As the parent
-    reaches every vertex, skipping delta keeps that iff delta's head is
-    still reached, which a search back from the head decides
-    (``_reached_without``).  So the leaves, their order and their skipped
-    sets are those of the full tree, and reaching a type-II leaf raises.
+    The add (right) child of a node adds delta to a and comes first, the
+    skip (left) child adds it to s; so the leaves come rightmost first, the
+    clocked arborescence first of all.  One contour walk runs down each
+    root-to-leaf path: a child resumes its parent's walk at delta's tail
+    end, the add child after crossing delta.  Up to that slot the child's
+    walk is its parent's, since delta's head is outside the parent's root
+    component, and slots passed over stay rejected below: a head end stays
+    one, the component only grows and so does s.  So each node finds the
+    edge ``augmenting_edge`` would, after as many steps.  A spanning node is
+    a type-I leaf and ends without a walk, so the close-up guard covers the
+    other nodes.  Each type-II leaf is audited as it is made.
+
+    With ``prune``, a skip child is kept only when the unskipped edges still
+    reach every dual vertex from the root component, and nothing is audited.
+    Without that reach no type-I leaf lies below; with it, a spanning
+    arborescence that holds a and misses s is reached by following its add
+    and skip choices, as it always has an unskipped edge leaving the root
+    component.  Adding an edge keeps the reach, and skipping delta keeps it
+    iff a search back from delta's head still meets the component
+    (``_reached_without``).  So the type-I leaves, their order and their
+    skipped sets are the full tree's, and a type-II leaf means a fault.
     """
     spanning_size = dual.n_vertices - 1
-    slot_of, head = dual.graph.slot_of, dual.head
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
-    for c, (t, h) in enumerate(dual.arcs()):
-        in_arcs[h].append((c, t))
-    leaves: list[tuple[int, int]] = []
+    slot_of, head, arcs = dual.graph.slot_of, dual.head, dual.arcs()
+    if prune:
+        in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
+        for c, (t, h) in enumerate(arcs):
+            in_arcs[h].append((c, t))
     # (a, s, |a|, root component, resumed walk state); add child goes first
     stack = [(0, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
     while stack:
         a, s, size, component, r, i, steps = stack.pop()
         if size == spanning_size:
-            leaves.append((a, s.bit_count()))
+            yield a, s, None, "I"
             continue
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
-            raise InvariantError("type-I-only tree reached a type II leaf")
+            if not prune:
+                _check_type_two(arcs, component, s)
+            yield a, s, None, "II"
+            continue
         delta, r, i, steps = found
+        yield a, s, delta, None
         bit = 1 << delta
-        if _reached_without(in_arcs, component, s | bit, head[delta]):
+        if not prune or _reached_without(in_arcs, component, s | bit, head[delta]):
             stack.append((a, s | bit, size, component, r, i, steps))
         grown = component | 1 << head[delta]
         stack.append((a | bit, s, size + 1, grown, *slot_of[(delta, 1)], steps))
+
+
+def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
+    """(edge mask of a, k) per type-I leaf, rightmost first, read from the
+    pruned walk without keeping nodes; a type-II leaf raises."""
+    leaves: list[tuple[int, int]] = []
+    for a, s, _, leaf_type in _walk(dual, prune=True):
+        if leaf_type == "II":
+            raise InvariantError("type-I-only tree reached a type II leaf")
+        if leaf_type:
+            leaves.append((a, s.bit_count()))
     return leaves
 
 
 def build_arb_tree(dual: DualDigraph) -> ArbTree:
-    """Grow the binary tree of (arborescence, skipped set) nodes.
-
-    Right descendant adds the augmenting edge, left descendant skips it.
-    Leaves are collected rightmost-first, so the first type-I leaf is the
-    clocked arborescence.
-
-    One contour walk runs down each root-to-leaf path: a child resumes the
-    walk of its parent from the slot of delta's tail end, with the right
-    child first crossing delta to its head end.  The walk of a child matches
-    its parent's up to that slot, since delta's head is not in the parent's
-    root component and so has not been visited.  Slots passed over stay
-    rejected below: a head end stays a head end, a head inside the root
-    component stays inside (the component only grows) and a skipped edge
-    stays skipped (s only grows).  So each node finds the edge that
-    ``augmenting_edge`` would, after the same number of steps.  A node whose
-    arborescence is spanning is a type-I leaf by definition and ends without
-    a walk, so the close-up guard covers internal nodes and type-II leaves.
-    """
-    spanning_size = dual.n_vertices - 1
-    slot_of, head = dual.graph.slot_of, dual.head
-    arcs = dual.arcs()
+    """The whole tree of (arborescence, skipped set) nodes, linked from the
+    preorder walk; the right child adds the augmenting edge, the left skips it."""
+    above = ArbNode(0, 0)  # holds the root as its right child
+    missing = [above]  # internal nodes still missing a child, innermost last
     leaves: list[ArbNode] = []
-    root = ArbNode(0, 0)
-    # (node, root component, resumed walk state); right child first
-    stack = [(root, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
-    while stack:
-        node, component, r, i, steps = stack.pop()
-        a, s = node.a, node.s
-        if a.bit_count() == spanning_size:
-            node.leaf_type = "I"
+    for a, s, delta, leaf_type in _walk(dual):
+        node = ArbNode(a, s, delta, leaf_type=leaf_type)
+        if missing[-1].right is None:
+            missing[-1].right = node
+        else:
+            missing.pop().left = node
+        if leaf_type:
             leaves.append(node)
-            continue
-        found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
-        if found is None:
-            node.leaf_type = "II"
-            _check_type_two(arcs, component, s)
-            leaves.append(node)
-            continue
-        delta, r, i, steps = found
-        bit = 1 << delta
-        node.augmenting = delta
-        node.right = ArbNode(a | bit, s)
-        node.left = ArbNode(a, s | bit)
-        stack.append((node.left, component, r, i, steps))
-        grown = component | 1 << head[delta]
-        stack.append((node.right, grown, *slot_of[(delta, 1)], steps))
-    return ArbTree(dual, root, leaves)
+        else:
+            missing.append(node)
+    return ArbTree(dual, above.right, leaves)
 
 
 def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
