@@ -217,11 +217,13 @@ def _walk(dual: DualDigraph, prune: bool = False):
     skipped sets are the full tree's, and a type-II leaf means a fault.
     """
     spanning_size = dual.n_vertices - 1
-    slot_of, head, arcs = dual.graph.slot_of, dual.head, dual.arcs()
+    slot_of, head = dual.graph.slot_of, dual.head
     if prune:
         in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
-        for c, (t, h) in enumerate(arcs):
+        for c, (t, h) in enumerate(dual.arcs()):
             in_arcs[h].append((c, t))
+    else:
+        masks = _edge_masks(dual)
     # (a, s, |a|, root component, resumed walk state); add child goes first
     stack = [(0, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
     while stack:
@@ -232,7 +234,7 @@ def _walk(dual: DualDigraph, prune: bool = False):
         found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
         if found is None:
             if not prune:
-                _check_type_two(arcs, component, s)
+                _check_type_two(masks, component, s)
             yield a, s, None, "II"
             continue
         delta, r, i, steps = found
@@ -289,14 +291,28 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     return False
 
 
-def _check_type_two(arcs, component: int, s: int):
-    """Raise unless every edge leaving ``component`` is in ``s``."""
-    for c, (t, h) in enumerate(arcs):
-        if component >> t & 1 and not (component >> h | s >> c) & 1:
-            raise InvariantError(
-                f"type II leaf has unskipped escaping edge {c}: "
-                "contradicts the leaf classification"
-            )
+def _edge_masks(dual: DualDigraph) -> tuple[list[int], list[int]]:
+    """Per dual vertex, the mask of the edges out of it and of those into it."""
+    out_masks, in_masks = [0] * dual.n_vertices, [0] * dual.n_vertices
+    for c, (t, h) in enumerate(dual.arcs()):
+        out_masks[t] |= 1 << c
+        in_masks[h] |= 1 << c
+    return out_masks, in_masks
+
+
+def _check_type_two(masks: tuple[list[int], list[int]], component: int, s: int):
+    """Raise unless every edge leaving ``component`` is in ``s``, naming the
+    lowest that is not; ``masks`` are the dual's ``_edge_masks``."""
+    out = inward = 0
+    for v in _bit_positions(component):
+        out |= masks[0][v]
+        inward |= masks[1][v]
+    escaping = out & ~inward & ~s
+    if escaping:
+        raise InvariantError(
+            f"type II leaf has unskipped escaping edge {_bit_positions(escaping)[0]}: "
+            "contradicts the leaf classification"
+        )
 
 
 def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[int]:

@@ -108,6 +108,26 @@ def reference_type_one_only_tree(dual):
     return ArbTree(dual, root, leaves)
 
 
+def reference_check_type_two(arcs, component, s):
+    """Raise unless every edge leaving ``component`` is in ``s``: one scan
+    of every arc, the reference for the audit on per-vertex edge masks."""
+    for c, (t, h) in enumerate(arcs):
+        if component >> t & 1 and not (component >> h | s >> c) & 1:
+            raise InvariantError(
+                f"type II leaf has unskipped escaping edge {c}: "
+                "contradicts the leaf classification"
+            )
+
+
+def audit_message(check, *args):
+    """The message ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
 def edge_mask(edges):
     return sum(1 << c for c in edges)
 
@@ -201,6 +221,41 @@ class TestResumedWalk:
         first = next(c for c, (t, h) in enumerate(dual.arcs()) if t == dual.r0 != h)
         with pytest.raises(InvariantError, match=f"unskipped escaping edge {first}:"):
             build_arb_tree(dual)
+
+    def test_mask_audit_names_the_edge_the_arc_scan_names(
+        self, graph_corpus, grid_subgraphs
+    ):
+        # every type-II leaf passes both audits; unskipping some of its
+        # escaping edges whose tail is not r0 makes both name the same edge
+        rng = random.Random(26)
+        leaves = planted = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                arcs, masks = rooted.arcs(), arborescence._edge_masks(rooted)
+                for leaf in build_arb_tree(rooted).type_two_leaves():
+                    component = arborescence._root_component(rooted, leaf.a)
+                    for check, tables in (
+                        (reference_check_type_two, arcs),
+                        (arborescence._check_type_two, masks),
+                    ):
+                        assert audit_message(check, tables, component, leaf.s) is None
+                    leaves += 1
+                    off_root = [
+                        c for c, (t, h) in enumerate(arcs)
+                        if t != r0 and component >> t & 1 and not component >> h & 1
+                    ]
+                    if not off_root:
+                        continue
+                    unskipped = rng.sample(off_root, rng.randint(1, len(off_root)))
+                    s = leaf.s & ~edge_mask(unskipped)
+                    expected = audit_message(reference_check_type_two, arcs, component, s)
+                    assert f"edge {min(unskipped)}:" in expected
+                    found = audit_message(arborescence._check_type_two, masks, component, s)
+                    assert found == expected
+                    planted += 1
+        assert leaves > 10_000 and planted > 10_000
 
     @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
     def test_walk_that_never_closes_up_is_stopped(self, build):
