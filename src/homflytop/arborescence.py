@@ -24,7 +24,8 @@ node from scratch, as the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import product
 
 from .planegraph import DualDigraph, InvariantError
@@ -138,11 +139,18 @@ class ArbNode:
 
 @dataclass
 class ArbTree:
-    """Materialized binary tree with leaves in right-to-left order."""
+    """Materialized binary tree with leaves in right-to-left order.
+
+    ``burns`` is the dual's Dhar burning test, built by the first
+    ``arborescence_from_parking`` call on the tree and kept for the rest.
+    """
 
     dual: DualDigraph
     root: ArbNode
     leaves: list[ArbNode]
+    burns: Callable[[list[int]], bool] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def type_one_leaves(self) -> list[tuple[int, int]]:
         """(edge mask of a, k) per type-I leaf, rightmost first."""

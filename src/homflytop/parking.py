@@ -59,10 +59,15 @@ def is_parking_function(values: dict[int, int], n_vertices: int, arcs, r0: int) 
     ``values`` must be defined exactly on the non-root vertices.  Decided by
     Dhar's burning algorithm (``_burning_test``).
     """
+    return _burning_test(n_vertices, arcs, r0)(_listed(values, n_vertices, r0))
+
+
+def _listed(values: dict[int, int], n_vertices: int, r0: int) -> list[int]:
+    """The values as a list over the vertices, once they are checked to be
+    defined exactly on the non-root vertices."""
     if set(values) != {r for r in range(n_vertices) if r != r0}:
         raise ValueError("function must be defined exactly on the non-root vertices")
-    listed = [values.get(r, 0) for r in range(n_vertices)]
-    return _burning_test(n_vertices, arcs, r0)(listed)
+    return [values.get(r, 0) for r in range(n_vertices)]
 
 
 def enumerate_parking(n_vertices: int, arcs, r0: int) -> list[dict[int, int]]:
@@ -138,10 +143,13 @@ def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
     At a node whose augmenting edge delta points into r: go left (skip
     delta) while the function value at r exceeds the number of edges into r
     skipped so far, else go right (add delta).  Parking functions always
-    end at a type-I leaf.
+    end at a type-I leaf.  The burning test is built once per tree.
     """
     dual = tree.dual
-    if not is_parking_function(values, dual.n_vertices, dual.arcs(), dual.r0):
+    listed = _listed(values, dual.n_vertices, dual.r0)
+    if tree.burns is None:
+        tree.burns = _burning_test(dual.n_vertices, dual.arcs(), dual.r0)
+    if not tree.burns(listed):
         raise ValueError("not a parking function of this rooted digraph")
     skipped_into = {r: 0 for r in values}
     node = tree.root

@@ -106,3 +106,31 @@ class TestStrictAuditOncePerSubgraph:
                 if held:
                     assert check["detail"] == "planted strict-bound failure"
             assert not report.ok
+
+
+class TestBurningTestOncePerTree:
+    def test_inverse_builds_one_burning_test_per_tree(self, monkeypatch, grid_graph):
+        from homflytop import parking
+
+        built, inverses = [], []
+        make, inverse = parking._burning_test, verify.arborescence_from_parking
+
+        def counting_make(*args):
+            built.append(args)
+            return make(*args)
+
+        def counting_inverse(tree, values):
+            inverses.append(values)
+            return inverse(tree, values)
+
+        monkeypatch.setattr(parking, "_burning_test", counting_make)
+        monkeypatch.setattr(verify, "arborescence_from_parking", counting_inverse)
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
+            dual = build_dual(g, kappa_edge=0)
+            pairs = dual.admissible_pairs()
+            built.clear()
+            inverses.clear()
+            assert verify_graph(g, dual).ok
+            assert len(inverses) > len(pairs)
+            # one for enumerate_parking per root, one for the inverse per tree
+            assert len(built) == len({r0 for r0, _ in pairs}) + len(pairs)
