@@ -200,7 +200,7 @@ class ArbTree:
 def _walk(dual: DualDigraph, prune: bool = False):
     """The nodes of the binary arborescence tree in preorder, as (a, s,
     delta, leaf_type): edge masks (arborescence, skipped), the augmenting
-    edge (None at a leaf) and "I" or "II" at a leaf (None inside).
+    edge (None at a leaf) and "I" or "II" at a leaf (None elsewhere).
 
     The add (right) child of a node adds delta to a and comes first, the
     skip (left) child adds it to s; so the leaves come rightmost first, the
