@@ -299,22 +299,23 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     return False
 
 
-def _edge_masks(dual: DualDigraph) -> tuple[list[int], list[int]]:
-    """Per dual vertex, the mask of the edges out of it and of those into it."""
-    out_masks, in_masks = [0] * dual.n_vertices, [0] * dual.n_vertices
+def _edge_masks(dual: DualDigraph) -> list[list[int]]:
+    """Per dual vertex, [mask of the edges out of it, mask of those into it]."""
+    masks = [[0, 0] for _ in range(dual.n_vertices)]
     for c, (t, h) in enumerate(dual.arcs()):
-        out_masks[t] |= 1 << c
-        in_masks[h] |= 1 << c
-    return out_masks, in_masks
+        masks[t][0] |= 1 << c
+        masks[h][1] |= 1 << c
+    return masks
 
 
-def _check_type_two(masks: tuple[list[int], list[int]], component: int, s: int):
+def _check_type_two(masks: list[list[int]], component: int, s: int):
     """Raise unless every edge leaving ``component`` is in ``s``, naming the
     lowest that is not; ``masks`` are the dual's ``_edge_masks``."""
     out = inward = 0
-    for v in _bit_positions(component):
-        out |= masks[0][v]
-        inward |= masks[1][v]
+    for v, (out_v, in_v) in enumerate(masks):
+        if component >> v & 1:
+            out |= out_v
+            inward |= in_v
     escaping = out & ~inward & ~s
     if escaping:
         raise InvariantError(
