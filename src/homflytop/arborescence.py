@@ -25,7 +25,7 @@ node from scratch, as the tests' reference.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .planegraph import DualDigraph, InvariantError
@@ -148,9 +148,7 @@ class ArbTree:
     dual: DualDigraph
     root: ArbNode
     leaves: list[ArbNode]
-    burns: Callable[[list[int]], bool] | None = field(
-        default=None, repr=False, compare=False
-    )
+    burns: Callable[[list[int]], bool] | None = None
 
     def type_one_leaves(self) -> list[tuple[int, int]]:
         """(edge mask of a, k) per type-I leaf, rightmost first."""

@@ -250,10 +250,11 @@ class TestResumedWalk:
                         continue
                     unskipped = rng.sample(off_root, rng.randint(1, len(off_root)))
                     s = leaf.s & ~edge_mask(unskipped)
-                    expected = audit_message(reference_check_type_two, arcs, component, s)
-                    assert f"edge {min(unskipped)}:" in expected
-                    found = audit_message(arborescence._check_type_two, masks, component, s)
-                    assert found == expected
+                    scan = audit_message(reference_check_type_two, arcs, component, s)
+                    assert f"edge {min(unskipped)}:" in scan
+                    assert audit_message(
+                        arborescence._check_type_two, masks, component, s
+                    ) == scan
                     planted += 1
         assert leaves > 10_000 and planted > 10_000
 
