@@ -229,7 +229,7 @@ def _walk(dual: DualDigraph, prune: bool = False):
         for c, (t, h) in enumerate(dual.arcs()):
             in_arcs[h].append((c, t))
     else:
-        masks = _edge_masks(dual)
+        masks = dual.graph.edge_masks
     # (a, s, |a|, root component, resumed walk state); add child goes first
     stack = [(0, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
     while stack:
@@ -297,18 +297,9 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     return False
 
 
-def _edge_masks(dual: DualDigraph) -> list[list[int]]:
-    """Per dual vertex, [mask of the edges out of it, mask of those into it]."""
-    masks = [[0, 0] for _ in range(dual.n_vertices)]
-    for c, (t, h) in enumerate(dual.arcs()):
-        masks[t][0] |= 1 << c
-        masks[h][1] |= 1 << c
-    return masks
-
-
-def _check_type_two(masks: list[list[int]], component: int, s: int):
+def _check_type_two(masks, component: int, s: int):
     """Raise unless every edge leaving ``component`` is in ``s``, naming the
-    lowest that is not; ``masks`` are the dual's ``_edge_masks``."""
+    lowest that is not; ``masks`` are the graph's ``edge_masks``."""
     out = inward = 0
     for v, (out_v, in_v) in enumerate(masks):
         if component >> v & 1:

@@ -24,29 +24,49 @@ an entry made for one diagram is correct for every other.  A code costs a
 pass that hashes its piece's profile, which reads no labels, and walks the
 piece only when the memo holds a code of the same hash.
 
-Before it splits a diagram into pieces, the oracle removes every curl: a
-crossing c with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on
-one strand comes straight back to c on the other.  Removing it is smoothing
-c with one fewer free loop.  The skein relation normalises the unknot to 1,
-so P is an invariant of ambient isotopy (Freyd, Yetter, Hoste, Lickorish,
+Before it splits a diagram into pieces, the oracle removes every curl and
+every reducible bigon (``LinkDiagram.unbigon``).  A curl is a crossing c
+with succ[2c] == 2c+1 or succ[2c+1] == 2c, where leaving c on one strand
+comes straight back to c on the other.  Removing it is smoothing c with
+one fewer free loop.  The skein relation normalises the unknot to 1, so P
+is an invariant of ambient isotopy (Freyd, Yetter, Hoste, Lickorish,
 Millett and Ocneanu, Bull. AMS 1985), and at a positive curl P+ = v^2 P(D')
 + vz P(D') (1/v - v)/z = P(D'), the negative case being its mirror.  Every
 curl qualifies: no strand crosses the loop, so on S^2 it bounds a disk that
 holds nothing but split pieces, and the Reidemeister I move undoes it.
-Removing one curl can make another, so removal goes on until none is
-left.  It is one pass in O(n + k) for n passes and k curls: it splices
-each curl out of the strands and does not call ``smooth``.
-A switch leaves ``succ`` as it is, so the switched diagram of a connected
-piece without curls is again one: it goes straight to the connected case,
-past curl removal and splitting.  Smoothings take the full path.
-Surgery on a valid diagram (switch, smooth, split_parts and curl removal)
-builds its result without validating it again.
+
+A reducible bigon is two crossings c1 != c2 joined by two arcs, parallel
+or antiparallel, with the same strand over at both; a clasp, where the
+over strand changes, is kept.  Every reducible bigon qualifies for the
+Reidemeister II move.  The two arcs make a closed curve that no strand
+crosses, and at each crossing the two free arms are neighbours, so they
+lie on one side of it.  When the arms of c1 and c2 lie on the same side,
+the other side holds nothing but split pieces, which move away; lifting
+the over arc above everything then undoes the move.  Otherwise (only for
+antiparallel arcs, as each side takes in as many strands as it sends out)
+the curve cuts the link into a connected sum along the bigon's strand,
+and the diagram without c1 and c2 presents the same sum.  Removing a curl
+or a bigon splices its passes out of the strands, and a component left
+with no pass becomes a free loop.  One removal can make another curl or
+bigon, so removal goes on until none is left.
+
+A switch changes only the over bit of its crossing, so the switched
+diagram of a connected piece without curls or reducible bigons is again
+one unless a bigon through that crossing became reducible; checking its
+at most four arcs decides it.  Without such a bigon it goes straight to
+the connected case, past removal and splitting.  A smoothing reroutes the
+two arcs into its crossing, so only the passes whose checks read them are
+tried for curls and bigons; then it takes the full path.
+Surgery on a valid diagram (switch, smooth, split_parts, curl and bigon
+removal) builds its result without validating it again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
@@ -219,6 +239,107 @@ class LinkDiagram:
             tuple(self.over[c] for c in kept),
             free,
         )
+
+    def unbigon(self) -> "LinkDiagram":
+        """The diagram with every curl and every reducible bigon removed.
+
+        A reducible bigon is two crossings c1 != c2 joined by two arcs, p ->
+        q and either p ^ 1 -> q ^ 1 (parallel) or q ^ 1 -> p ^ 1
+        (antiparallel), for a pass p of c1 and q of c2, with the same strand
+        over at both: p is an over pass exactly when q is one.  A clasp,
+        where the over strand changes, is kept.  Removing the pair is a
+        Reidemeister II move and removing a curl (see ``untwist``) one of
+        type I; either can make another curl or bigon.  Each is spliced out
+        of the strands, and a component left with no pass becomes a free
+        loop.  They go in the order of a rescan from pass 0: at each step
+        the one found at the least pass p (a curl when p leads to p ^ 1,
+        else a bigon p -> q) goes first, and the surviving crossings keep
+        their order.  Returns the diagram itself when there is neither.
+        """
+        return self._unbigon(_starts(self.succ, self.over, range(len(self.succ))))
+
+    def _bigons_at(self, c: int) -> list[int]:
+        """The passes, least first, that start a reducible bigon through
+        crossing c: after a switch of c, the only curls or bigons of a
+        diagram that had none."""
+        succ = self.succ
+        near = (2 * c, 2 * c + 1, succ.index(2 * c), succ.index(2 * c + 1))
+        return _starts(succ, self.over, near)
+
+    def _smooth_unbigon(self, c: int) -> "LinkDiagram":
+        """``smooth(c).unbigon()`` for a diagram with no curl and no
+        reducible bigon, renumbered once."""
+        u = 2 * c
+        if self.succ[u] >> 1 == c or self.succ[u + 1] >> 1 == c:
+            return self.smooth(c).unbigon()  # a pass that returns to itself
+        return self._unbigon([], c)
+
+    def _unbigon(
+        self, found: list[int], smoothed: int | None = None
+    ) -> "LinkDiagram":
+        """``unbigon`` given, least first, every pass that starts a curl or
+        a reducible bigon.  With ``smoothed`` and no ``found``, that of
+        ``smooth(smoothed)`` instead, for a diagram with neither and no
+        pass of that crossing leading back to it."""
+        if not found and smoothed is None:
+            return self
+        succ, over = list(self.succ), self.over
+        pred = [0] * len(succ)
+        for p, q in enumerate(succ):
+            pred[q] = p
+        removed = [False] * len(over)
+        free = self.free_loops
+        if smoothed is not None:
+            # the strand into each pass of the crossing leaves along the
+            # other's exit: a curl or bigon this makes reads a rerouted arc
+            u = 2 * smoothed
+            a, b = pred[u], pred[u + 1]
+            succ[a], succ[b] = succ[u + 1], succ[u]
+            pred[succ[a]], pred[succ[b]] = a, b
+            removed[smoothed] = True
+            near = [y for x in (a, b) for y in (x, x ^ 1, pred[x ^ 1])]
+            found = _starts(succ, over, near)
+        # ``found`` stays a heap holding every pass that starts one: a
+        # removal changes that only where a check reads a spliced arc
+        while found:
+            p = heappop(found)
+            if removed[p >> 1]:
+                continue
+            q = succ[p]
+            if q == p ^ 1:
+                passes = (p, q)
+            elif _starts_bigon(succ, over, p):
+                passes = (p, p ^ 1, q, q ^ 1)
+            else:
+                continue
+            for x in passes:
+                removed[x >> 1] = True
+                # a component made only of removed passes becomes a free
+                # loop, counted at its least pass
+                y = succ[x]
+                while y in passes and y > x:
+                    y = succ[y]
+                free += y == x
+            spliced = []
+            for x in passes:
+                before = pred[x]
+                if not removed[before >> 1]:
+                    after = succ[x]
+                    while removed[after >> 1]:
+                        after = succ[after]
+                    succ[before] = after
+                    pred[after] = before
+                    spliced.append(before)
+            near = [y for b in spliced for y in (b, b ^ 1, pred[b ^ 1])]
+            for y in _starts(succ, over, near):
+                heappush(found, y)
+        signs, over = list(self.signs), list(over)
+        for c in reversed([c for c, gone in enumerate(removed) if gone]):
+            del succ[2 * c : 2 * c + 2], signs[c], over[c]
+        # renumber: a surviving pass drops by two per removed crossing below
+        shift = list(accumulate(removed))
+        succ = tuple([q - 2 * shift[q >> 1] for q in succ])
+        return LinkDiagram._unchecked(tuple(signs), succ, tuple(over), free)
 
     # -- structure --------------------------------------------------------
 
@@ -498,6 +619,27 @@ class LinkDiagram:
         )
 
 
+def _starts(succ, over, passes) -> list[int]:
+    """Those of the passes, least first and once each, that start a curl or
+    a reducible bigon."""
+    return sorted(
+        {p for p in passes if succ[p] == p ^ 1 or _starts_bigon(succ, over, p)}
+    )
+
+
+def _starts_bigon(succ, over, p: int) -> bool:
+    """Whether the arc from pass p starts a reducible bigon: it leads to
+    another crossing, which the arc from p ^ 1 reaches too (parallel) or
+    from which an arc leads back to p ^ 1 (antiparallel), and the same
+    strand is over at both crossings."""
+    q = succ[p]
+    return (
+        q >> 1 != p >> 1
+        and (succ[p ^ 1] == q ^ 1 or succ[q ^ 1] == p ^ 1)
+        and not (p ^ q ^ over[p >> 1] ^ over[q >> 1]) & 1
+    )
+
+
 class CanonicalCode:
     """A piece's canonical code: it hashes as the piece's profile, equals a
     code of equal walk code, and walks when first compared with a code of
@@ -607,27 +749,27 @@ def homfly_skein(
 
     Descending-diagram recursion: P+ = v^2 P- + vz P0 applied at the first
     crossing violating descending order, with unlinks as the base case.
-    Every diagram of the recursion first has its curls removed (see
-    ``LinkDiagram.untwist``): at a positive curl P+ = v^2 P(D') + vz P(D')
-    (1/v - v)/z = P(D'), the negative case is the mirror identity, and on
-    S^2 the loop of every curl bounds a disk that no strand crosses.
-    Raises CrossingCapExceeded when the input diagram has more than ``cap``
-    crossings, curls included.
+    Every diagram of the recursion first has its curls and reducible
+    bigons removed (see ``LinkDiagram.unbigon`` and the module docstring):
+    Reidemeister I and II moves, which leave P as it is.  Raises
+    CrossingCapExceeded when the input diagram has more than ``cap``
+    crossings, curls and bigons included.
 
-    ``memo`` maps connected pieces, curls removed, and their canonical
-    codes to their values; the code is computed only for a piece that is
-    not yet a key, and walked only when its hash is one of the memo's.
-    Pass one dict to several calls to share it across diagrams (default: a
-    fresh dict).  The switched diagram at a skein step skips curl removal
-    and splitting, since a switch keeps the strands of a connected,
-    curl-free piece.  Every run is audited against the degree bound
+    ``memo`` maps connected pieces, curls and reducible bigons removed,
+    and their canonical codes to their values; the code is computed only
+    for a piece that is not yet a key, and walked only when its hash is
+    one of the memo's.  Pass one dict to several calls to share it across
+    diagrams (default: a fresh dict).  The switched diagram at a skein step
+    skips removal and splitting unless the switch made a reducible bigon
+    through its crossing, since a switch keeps the strands of a connected
+    piece.  Every run is audited against the degree bound
     maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
         raise CrossingCapExceeded(
             f"{d.n_crossings} crossings exceeds the cap of {cap}"
         )
-    value = _homfly(d, {} if memo is None else memo)
+    value = _homfly(d.unbigon(), {} if memo is None else memo)
     maxdeg = value.max_degree_second()
     bound = d.n_crossings - d.seifert_circle_count() + 1
     if maxdeg is not None and maxdeg > bound:
@@ -638,7 +780,7 @@ def homfly_skein(
 
 
 def _homfly(d: LinkDiagram, memo) -> Laurent2:
-    d = d.untwist()
+    """Value of a diagram with no curl and no reducible bigon."""
     free = d.free_loops
     if d.n_crossings == 0:
         return _unlink_power(free - 1) if free else Laurent2.const(1)
@@ -652,7 +794,8 @@ def _homfly(d: LinkDiagram, memo) -> Laurent2:
 
 
 def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
-    """Value of a connected piece with no curl and no free loop."""
+    """Value of a connected piece with no curl, no reducible bigon and no
+    free loop."""
     value = memo.get(d)
     if value is not None:
         return value
@@ -664,9 +807,15 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
         if bad is None:
             value = _unlink_power(len(d.components()) - 1)
         else:
-            # a switch keeps succ, so the switched piece is again one of these
-            switched = _homfly_connected(d.switch(bad), memo)
-            smoothed = _homfly(d.smooth(bad), memo)
+            # a switch keeps succ, so the switched piece is again one of
+            # these unless it made a bigon, which passes through bad
+            switched = d.switch(bad)
+            found = switched._bigons_at(bad)
+            if found:
+                switched = _homfly(switched._unbigon(found), memo)
+            else:
+                switched = _homfly_connected(switched, memo)
+            smoothed = _homfly(d._smooth_unbigon(bad), memo)
             value = _skein_step(d.signs[bad], switched, smoothed)
         memo[code] = value
     memo[d] = value

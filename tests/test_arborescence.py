@@ -233,7 +233,7 @@ class TestResumedWalk:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
-                arcs, masks = rooted.arcs(), arborescence._edge_masks(rooted)
+                arcs, masks = rooted.arcs(), g.edge_masks
                 for leaf in build_arb_tree(rooted).type_two_leaves():
                     component = arborescence._root_component(rooted, leaf.a)
                     for check, tables in (

@@ -159,7 +159,8 @@ _MINUS_VINVZ = Laurent2({(-1, 1): -1})
 
 
 def reference_homfly(d: LinkDiagram, memo: dict | None = None) -> Laurent2:
-    """The skein recursion without curl removal (reference for homfly_skein).
+    """The skein recursion without curl or bigon removal (reference for
+    homfly_skein).
 
     It memoizes on the tests' ``reference_code`` of connected pieces in its
     own memo, which homfly_skein never sees.
@@ -231,6 +232,57 @@ def reference_untwist(d: LinkDiagram) -> LinkDiagram:
             return d
         s = d.smooth(c)
         d = LinkDiagram(s.signs, s.succ, s.over, s.free_loops - 1)
+
+
+def without_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
+    """d with the crossings removed: each strand skips their passes, and a
+    component made only of their passes becomes a free loop."""
+    removed = {p for c in crossings for p in (2 * c, 2 * c + 1)}
+    kept = [c for c in range(d.n_crossings) if c not in crossings]
+    label = {}
+    for i, c in enumerate(kept):
+        label[2 * c], label[2 * c + 1] = 2 * i, 2 * i + 1
+    succ = []
+    for c in kept:
+        for p in (2 * c, 2 * c + 1):
+            q = d.succ[p]
+            while q in removed:
+                q = d.succ[q]
+            succ.append(label[q])
+    free = sum(set(comp) <= removed for comp in d.components())
+    return LinkDiagram(
+        tuple(d.signs[c] for c in kept),
+        tuple(succ),
+        tuple(d.over[c] for c in kept),
+        d.free_loops + free,
+    )
+
+
+def reducible_bigon(d: LinkDiagram, p: int) -> bool:
+    """Whether the arc from pass p starts a bigon with the same strand over
+    at both of its crossings."""
+    q = d.succ[p]
+    c1, c2 = p // 2, q // 2
+    return (
+        c1 != c2
+        and (d.succ[p ^ 1] == q ^ 1 or d.succ[q ^ 1] == p ^ 1)
+        and (p == d.over_pass(c1)) == (q == d.over_pass(c2))
+    )
+
+
+def reference_unbigon(d: LinkDiagram) -> LinkDiagram:
+    """Curl and bigon removal by explicit surgery on the first one found,
+    scanning the passes from 0, then a rescan (reference for unbigon)."""
+    while True:
+        for p, q in enumerate(d.succ):
+            if q == p ^ 1:
+                d = without_crossings(d, {p // 2})
+                break
+            if reducible_bigon(d, p):
+                d = without_crossings(d, {p // 2, q // 2})
+                break
+        else:
+            return d
 
 
 def reference_split_parts(d: LinkDiagram) -> list[LinkDiagram]:
@@ -312,6 +364,76 @@ def kink_chain(k: int) -> LinkDiagram:
     for c in range(k):
         succ += [2 * c + 1, (2 * c + 2) % (2 * k)]
     return LinkDiagram((1,) * k, tuple(succ), (0,) * k)
+
+
+def with_bigon(d: LinkDiagram, c: int, parallel: bool, a_over=False) -> LinkDiagram:
+    """d with a finger of strand B, the one leaving pass 2c+1, pushed across
+    strand A beside crossing c: across the arc leaving pass 2c when
+    ``parallel``, else across the arc entering it.  Those arcs are
+    neighbours at c, so the move is drawable.  B is over at both new
+    crossings, or A when ``a_over``.
+
+    The new crossing n lies nearer c and n+1 farther; B meets n first.  B
+    crosses A at n the other way from c and back at n+1, so with e the
+    sign c would have with A over, n gets e and n+1 gets -e when B is
+    over, and the opposite signs when A is (``is_drawable`` agrees).
+    """
+    n = d.n_crossings
+    e = d.signs[c] if d.over[c] == 0 else -d.signs[c]
+    if a_over:
+        e = -e
+    if parallel:
+        walks = [(2 * c, 2 * n, 2 * n + 2, d.succ[2 * c])]
+    else:
+        walks = [(d.succ.index(2 * c), 2 * n + 2, 2 * n, 2 * c)]
+    walks.append((2 * c + 1, 2 * n + 1, 2 * n + 3, d.succ[2 * c + 1]))
+    succ = list(d.succ) + [0] * 4
+    for walk in walks:
+        for a, b in zip(walk, walk[1:]):
+            succ[a] = b
+    over = 0 if a_over else 1
+    return LinkDiagram(
+        d.signs + (e, -e), tuple(succ), d.over + (over, over), d.free_loops
+    )
+
+
+def is_drawable(d: LinkDiagram) -> bool:
+    """Whether the diagram embeds in the plane with each crossing turned as
+    its sign and over bit say: Euler's formula, n + 2 faces per piece.
+
+    Arm (p, 1) leaves pass p and (p, 0) enters it.  Counterclockwise, the
+    arms of crossing c run: out of 2c, then out of 2c+1 when strand 2c+1
+    crosses strand 2c leftwards, else into it, into 2c, and the fourth.
+    Mirroring every crossing keeps the face count, so the sign convention
+    does not matter.
+    """
+    turn, mate = {}, {}
+    for c in range(d.n_crossings):
+        left = (d.signs[c] > 0) == (d.over[c] == 0)
+        arms = [(2 * c, 1), (2 * c + 1, left), (2 * c, 0), (2 * c + 1, not left)]
+        for i, arm in enumerate(arms):
+            turn[arm] = arms[(i + 1) % 4]
+    for p, q in enumerate(d.succ):
+        mate[p, 1], mate[q, 0] = (q, 0), (p, 1)
+    faces, seen = 0, set()
+    for arm in turn:
+        faces += arm not in seen
+        while arm not in seen:
+            seen.add(arm)
+            arm = turn[mate[arm]]
+    pieces = len(d.split_parts()) if d.n_crossings else 0
+    return faces == d.n_crossings + 2 * pieces
+
+
+def bigon_chain(k: int, parallel=True) -> LinkDiagram:
+    """Two circles crossing k times (k even), with the first, through the
+    even passes, over at every crossing: a two-component unlink whose every
+    pair of consecutive crossings is a reducible bigon."""
+    succ = []
+    for c in range(k):
+        back = 2 * ((c + 1) % k if parallel else (c - 1) % k) + 1
+        succ += [2 * ((c + 1) % k), back]
+    return LinkDiagram((1, -1) * (k // 2), tuple(succ), (0,) * k)
 
 
 def reference_median_diagram(g, subgraph=None) -> LinkDiagram:
@@ -637,6 +759,103 @@ class TestCurlRemoval:
         assert homfly_skein(d, cap=15) == 1
 
 
+def planted_bigon_bases() -> list[LinkDiagram]:
+    """Connected diagrams without a curl or a reducible bigon to plant
+    bigons in: the Hopf, trefoil and K_{3,2} medians, the trefoil's mirror
+    and a K_{3,2} sign pattern that is not alternating."""
+    g = theta()[0]
+    trefoil = median_diagram(g)
+    mirror = median_diagram(g, DecoratedSubgraph(7, 7))
+    k32 = median_diagram(k32_three_strand()[0])
+    hopf = median_diagram(bigon()[0])
+    return [hopf, trefoil, mirror, k32, k32.switch(0).switch(1)]
+
+
+def planted_bigon_diagrams() -> list[LinkDiagram]:
+    """The bigon fixtures: a finger move beside each crossing of each base,
+    both ways and with each strand over, then the same with the far new
+    crossing switched, or with a curl after each pass of the trefoil's;
+    the two-crossing unlink and the Hopf clasp."""
+    out = []
+    for base in planted_bigon_bases():
+        n = base.n_crossings
+        for c, parallel, a_over in product(range(n), (True, False), (False, True)):
+            d = with_bigon(base, c, parallel, a_over)
+            out += [d, d.switch(n + 1)]
+            if n == 3 and base.signs == (1, 1, 1):
+                out += [with_curls(d, p, flipped=True) for p in range(2 * n + 4)]
+    hopf = median_diagram(bigon()[0])
+    return out + [hopf.switch(0), hopf]
+
+
+class TestBigonRemoval:
+    """homfly_skein, which removes reducible bigons as well as curls,
+    against the recursion that removes neither, on planted bigons."""
+
+    def test_planted_bigons_are_drawable(self):
+        assert all(is_drawable(d) for d in planted_bigon_diagrams())
+        # and only with the signs with_bigon gives them
+        for base in planted_bigon_bases():
+            assert base.unbigon() is base
+            for c, parallel, a_over in product(
+                range(base.n_crossings), (True, False), (False, True)
+            ):
+                d = with_bigon(base, c, parallel, a_over)
+                swapped = d.signs[:-2] + d.signs[-2:][::-1]
+                assert not is_drawable(LinkDiagram(swapped, d.succ, d.over))
+
+    def test_each_finger_move_is_undone(self):
+        # the bigon at the new crossings, or the one they make with c when
+        # the same strand is over at c, goes; either way the base is left
+        # up to the numbering of its crossings
+        for base in planted_bigon_bases():
+            value = homfly_skein(base)
+            for c, parallel, a_over in product(
+                range(base.n_crossings), (True, False), (False, True)
+            ):
+                d = with_bigon(base, c, parallel, a_over)
+                reduced = d.unbigon()
+                assert reduced.n_crossings == base.n_crossings
+                assert reduced.canonical_code() == base.canonical_code()
+                assert homfly_skein(d) == reference_homfly(d) == value
+
+    def test_matches_reference_on_planted_bigons(self):
+        for d in planted_bigon_diagrams():
+            assert d.unbigon() == reference_unbigon(d)
+            assert homfly_skein(d) == reference_homfly(d)
+
+    def test_two_crossing_unlink_becomes_two_free_loops(self):
+        unlink = median_diagram(bigon()[0]).switch(0)
+        assert unlink.unbigon() == LinkDiagram((), (), (), 2)
+        assert homfly_skein(unlink) == reference_homfly(unlink) == UNLINK_FACTOR
+
+    def test_hopf_clasp_stays(self):
+        hopf = median_diagram(bigon()[0])
+        assert hopf.unbigon() is hopf
+        assert homfly_skein(hopf) == HOPF
+
+    def test_removing_a_curl_can_make_a_bigon(self):
+        # a curl inside the planted bigon, on the arc from n to n+1 of either
+        # strand: the bigon is met only once the curl is gone
+        trefoil = median_diagram(theta()[0])
+        for c, p in product(range(3), (6, 7)):
+            d = with_curls(with_bigon(trefoil, c, True), p, flipped=True)
+            assert not reducible_bigon(d, p)
+            assert reducible_bigon(d.untwist(), p)
+            assert d.unbigon() == reference_unbigon(d)
+            assert d.unbigon().canonical_code() == trefoil.canonical_code()
+            assert homfly_skein(d) == reference_homfly(d) == TREFOIL
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_chain_of_forty_bigons(self, parallel):
+        d = bigon_chain(40, parallel)
+        assert is_drawable(d)
+        with pytest.raises(CrossingCapExceeded):
+            homfly_skein(d)
+        assert d.unbigon() == reference_unbigon(d) == LinkDiagram((), (), (), 2)
+        assert homfly_skein(d, cap=40) == reference_homfly(d) == UNLINK_FACTOR
+
+
 def planted_curl_diagrams() -> list[LinkDiagram]:
     """The curl fixtures: single and nested curls, figure-eight curves and
     one-crossing loops beside other pieces and free loops."""
@@ -663,29 +882,37 @@ def planted_curl_diagrams() -> list[LinkDiagram]:
 
 
 def skein_diagrams(diagrams, cap) -> list[LinkDiagram]:
-    """The diagrams, every diagram the skein runs on them smooth, and the
-    pieces the recursion splits those into, each once."""
+    """The diagrams, every diagram the skein runs on them smooth or send
+    back to curl and bigon removal, those with their curls or with their
+    curls and bigons removed, and the pieces of either, each once."""
     made = []
-    smooth = LinkDiagram.smooth
+    smooth, unbigon = LinkDiagram.smooth, LinkDiagram._unbigon
 
     def recording_smooth(d, c):
         made.append(smooth(d, c))
         return made[-1]
 
+    def recording_unbigon(d, found, smoothed=None):
+        made.append(d if smoothed is None else smooth(d, smoothed))
+        return unbigon(d, found, smoothed)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LinkDiagram, "smooth", recording_smooth)
+        patch.setattr(LinkDiagram, "_unbigon", recording_unbigon)
         for d in diagrams:
             homfly_skein(d, cap=cap)
     out = []
     for d in list(diagrams) + made:
-        out += [d, d.untwist()] + d.untwist().split_parts()
+        untwisted, reduced = d.untwist(), d.unbigon()
+        out += [d, untwisted, reduced] + untwisted.split_parts() + reduced.split_parts()
     return list(dict.fromkeys(out))
 
 
 class TestSurgeryAgainstReference:
-    """untwist, split_parts and first_bad_crossing against the code they
-    replaced, diagram by diagram: equal results, and the diagram itself
-    wherever the reference returns it."""
+    """untwist, unbigon, split_parts and first_bad_crossing against the
+    code they replaced or a rescan after each removal, diagram by diagram:
+    equal results, and the diagram itself wherever the reference returns
+    it."""
 
     @staticmethod
     def assert_same_surgery(diagrams):
@@ -695,6 +922,11 @@ class TestSurgeryAgainstReference:
             assert untwisted == expected
             if expected is d:
                 assert untwisted is d
+            expected = reference_unbigon(d)
+            reduced = d.unbigon()
+            assert reduced == expected
+            if expected is d:
+                assert reduced is d
             expected = reference_split_parts(d)
             parts = d.split_parts()
             assert parts == expected
@@ -704,21 +936,31 @@ class TestSurgeryAgainstReference:
 
     @staticmethod
     def medians_and_leaves(graphs) -> list[LinkDiagram]:
-        """Each graph's median and its type-II leaf diagrams at one root."""
+        """Each graph's median and its type-II leaf diagrams at up to three
+        roots."""
         out = []
         for g in graphs:
             out.append(median_diagram(g))
-            out += type_two_leaf_diagrams(g, build_dual(g, kappa_edge=0))
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs()[:3]:
+                out += type_two_leaf_diagrams(g, dual.with_root(r0, kappa))
         return out
 
     def test_on_corpus_skein_runs(self, graph_corpus):
         diagrams = skein_diagrams(self.medians_and_leaves(graph_corpus), 14)
         assert len(diagrams) > 800
+        assert sum(d.unbigon() != d.untwist() for d in diagrams) > 800
         self.assert_same_surgery(diagrams)
 
     def test_on_grid_subgraph_skein_runs(self, grid_subgraphs):
         diagrams = skein_diagrams(self.medians_and_leaves(grid_subgraphs), 17)
         assert len(diagrams) > 2000
+        assert sum(d.unbigon() != d.untwist() for d in diagrams) > 1500
+        self.assert_same_surgery(diagrams)
+
+    def test_on_planted_bigon_skein_runs(self):
+        diagrams = skein_diagrams(planted_bigon_diagrams(), 15)
+        assert sum(d.unbigon() != d.untwist() for d in diagrams) > 200
         self.assert_same_surgery(diagrams)
 
     def test_on_planted_curl_skein_runs(self):
@@ -870,19 +1112,20 @@ class TestCanonicalCode:
 
 class TestPieceMemo:
     """The memo's two keys per piece (the piece itself, then its canonical
-    code), and switches sent straight to the connected case, against the
-    canonical-code recursion."""
+    code), and switches sent straight to the connected case unless they
+    make a bigon, against the canonical-code recursion."""
 
     def test_switches_of_reached_pieces_need_no_untwist_or_split(
         self, graph_corpus, grid_graph
     ):
         diagrams = [median_diagram(g) for g in graph_corpus] + [
-            median_diagram(grid_graph(3, 4))
+            median_diagram(grid_graph(3, 4)),
+            median_diagram(grid_graph(4, 4)),
         ]
-        reached = 0
+        reached = bigons = 0
         for d in diagrams:
             memo: dict = {}
-            homfly_skein(d, cap=17, memo=memo)
+            homfly_skein(d, cap=24, memo=memo)
             # every piece reached is a memo key, next to its canonical code
             pieces = [key for key in memo if isinstance(key, LinkDiagram)]
             assert {piece.canonical_code() for piece in pieces} == (
@@ -891,13 +1134,21 @@ class TestPieceMemo:
             for piece in pieces:
                 assert memo[piece] == memo[piece.canonical_code()]
                 assert piece.untwist() is piece
+                assert piece.unbigon() is piece
                 assert piece.split_parts() == [piece]
                 for c in range(piece.n_crossings):
                     switched = piece.switch(c)
                     assert switched.untwist() is switched
                     assert switched.split_parts() == [switched]
+                    # a switch can make a bigon through c and nowhere else
+                    found = switched._bigons_at(c)
+                    reduced = switched.unbigon()
+                    assert bool(found) == (reduced is not switched)
+                    bigons += bool(found)
+                    assert switched._unbigon(found) == reduced
+                    assert piece._smooth_unbigon(c) == piece.smooth(c).unbigon()
             reached += len(pieces)
-        assert reached > 1000
+        assert reached > 1000 and bigons > 1000
 
     def test_relabelled_piece_is_found_by_its_code(self, grid_graph):
         d = median_diagram(grid_graph(3, 3))
@@ -925,7 +1176,8 @@ class TestLazyCode:
 
     def test_piece_with_a_new_profile_makes_no_walk(self, grid_graph, monkeypatch):
         memo: dict = {}
-        homfly_skein(median_diagram(grid_graph(3, 4)), cap=17, memo=memo)
+        for a, b in ((3, 4), (3, 5)):
+            homfly_skein(median_diagram(grid_graph(a, b)), cap=22, memo=memo)
         pieces = [key for key in memo if isinstance(key, LinkDiagram)]
         relabelled = [
             relabel(piece, list(range(piece.n_crossings))[::-1]) for piece in pieces
@@ -959,11 +1211,12 @@ class TestLazyCode:
             assert piece.canonical_code().walk == reference_code(piece)
 
     def test_same_hits_as_the_eager_walk_code(self, grid_graph, monkeypatch):
-        # one memo across the full 3x4 grid and the K_{3,2} type-II leaf
-        # diagrams, with the lazy code and then with its walk tuple as key
-        diagrams = [median_diagram(grid_graph(3, 4))] + type_two_leaf_diagrams(
-            *k32_three_strand()
-        )
+        # one memo across the full 3x4 and 4x4 grids and the K_{3,2} type-II
+        # leaf diagrams, with the lazy code and then with its walk tuple as key
+        diagrams = [
+            median_diagram(grid_graph(3, 4)),
+            median_diagram(grid_graph(4, 4)),
+        ] + type_two_leaf_diagrams(*k32_three_strand())
         canonical_code = LinkDiagram.canonical_code
         first_bad_crossing = LinkDiagram.first_bad_crossing
 
@@ -982,7 +1235,7 @@ class TestLazyCode:
             monkeypatch.setattr(LinkDiagram, "canonical_code", code)
             monkeypatch.setattr(LinkDiagram, "first_bad_crossing", bad)
             memo: dict = {}
-            values = [homfly_skein(d, cap=17, memo=memo) for d in diagrams]
+            values = [homfly_skein(d, cap=24, memo=memo) for d in diagrams]
             monkeypatch.undo()
             # a code lookup hits unless the miss of the same piece follows it
             events.append(("end", None))

@@ -181,6 +181,17 @@ class TestDual:
         with pytest.raises(GraphInputError):
             dual.with_root((dual.head[0] + 1) % dual.n_vertices, 0)
 
+    def test_edge_masks_are_the_dual_arcs(self, graph_corpus, grid_subgraphs):
+        # per face, the edges whose dual leaves it and those whose dual
+        # enters it, the same for every root
+        for g in graph_corpus + grid_subgraphs + [single_edge()[0]]:
+            dual = build_dual(g)
+            masks = [[0, 0] for _ in range(dual.n_vertices)]
+            for c, (t, h) in enumerate(dual.arcs()):
+                masks[t][0] |= 1 << c
+                masks[h][1] |= 1 << c
+            assert [list(pair) for pair in g.edge_masks] == masks
+
 
 class TestSubgraphDuality:
     def test_complement_involution(self):
