@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import accumulate
 
 from .laurent import Laurent1, Laurent2
@@ -299,19 +298,13 @@ class LinkDiagram:
             removed[smoothed] = True
             near = [y for x in (a, b) for y in (x, x ^ 1, pred[x ^ 1])]
             found = _starts(succ, over, near)
-        # ``found`` stays a heap holding every pass that starts one: a
-        # removal changes that only where a check reads a spliced arc
+        # ``found`` holds every pass that starts one: a removal changes that
+        # only where a check reads a spliced arc, so only there and at the
+        # passes left are the checks made again
         while found:
-            p = heappop(found)
-            if removed[p >> 1]:
-                continue
+            p = found[0]
             q = succ[p]
-            if q == p ^ 1:
-                passes = (p, q)
-            elif _starts_bigon(succ, over, p):
-                passes = (p, p ^ 1, q, q ^ 1)
-            else:
-                continue
+            passes = (p, q) if q == p ^ 1 else (p, p ^ 1, q, q ^ 1)
             for x in passes:
                 removed[x >> 1] = True
                 # a component made only of removed passes becomes a free
@@ -331,8 +324,9 @@ class LinkDiagram:
                     pred[after] = before
                     spliced.append(before)
             near = [y for b in spliced for y in (b, b ^ 1, pred[b ^ 1])]
-            for y in _starts(succ, over, near):
-                heappush(found, y)
+            found = _starts(
+                succ, over, [x for x in found if not removed[x >> 1]] + near
+            )
         signs, over = list(self.signs), list(over)
         for c in reversed([c for c, gone in enumerate(removed) if gone]):
             del succ[2 * c : 2 * c + 2], signs[c], over[c]
@@ -620,23 +614,20 @@ class LinkDiagram:
 
 
 def _starts(succ, over, passes) -> list[int]:
-    """Those of the passes, least first and once each, that start a curl or
-    a reducible bigon."""
+    """Those of the passes, least first and once each, that start a curl
+    (p leads to p ^ 1) or a reducible bigon: the arc from p leads to another
+    crossing, which the arc from p ^ 1 reaches too (parallel) or from which
+    an arc leads back to p ^ 1 (antiparallel), and the same strand is over
+    at both crossings."""
     return sorted(
-        {p for p in passes if succ[p] == p ^ 1 or _starts_bigon(succ, over, p)}
-    )
-
-
-def _starts_bigon(succ, over, p: int) -> bool:
-    """Whether the arc from pass p starts a reducible bigon: it leads to
-    another crossing, which the arc from p ^ 1 reaches too (parallel) or
-    from which an arc leads back to p ^ 1 (antiparallel), and the same
-    strand is over at both crossings."""
-    q = succ[p]
-    return (
-        q >> 1 != p >> 1
-        and (succ[p ^ 1] == q ^ 1 or succ[q ^ 1] == p ^ 1)
-        and not (p ^ q ^ over[p >> 1] ^ over[q >> 1]) & 1
+        {
+            p
+            for p in passes
+            if (q := succ[p]) == p ^ 1
+            or q >> 1 != p >> 1
+            and (succ[p ^ 1] == q ^ 1 or succ[q ^ 1] == p ^ 1)
+            and not (p ^ q ^ over[p >> 1] ^ over[q >> 1]) & 1
+        }
     )
 
 
