@@ -846,6 +846,21 @@ class TestBigonRemoval:
             assert d.unbigon().canonical_code() == trefoil.canonical_code()
             assert homfly_skein(d) == reference_homfly(d) == TREFOIL
 
+    def test_pass_returning_to_itself_is_smoothed_as_before(self):
+        # not drawable, but a PD code can hold one: when its crossing is the
+        # one a skein step resolves, the smoothing goes through ``smooth``
+        diagrams = [
+            LinkDiagram((sign,), (0, 1), (over,), free)
+            for sign, over, free in product((1, -1), (0, 1), (0, 2))
+        ]
+        # passes 0 and 3 return to themselves; crossing 0 is resolved first
+        diagrams += [
+            LinkDiagram(signs, (0, 2, 1, 3), (1, 0)) for signs in ((1, 1), (-1, 1))
+        ]
+        for d in diagrams:
+            assert d._smooth_unbigon(0) == d.smooth(0).unbigon()
+            assert homfly_skein(d) == reference_homfly(d)
+
     @pytest.mark.parametrize("parallel", [True, False])
     def test_chain_of_forty_bigons(self, parallel):
         d = bigon_chain(40, parallel)
