@@ -782,8 +782,10 @@ def planted_bigon_diagrams() -> list[LinkDiagram]:
         for c, parallel, a_over in product(range(n), (True, False), (False, True)):
             d = with_bigon(base, c, parallel, a_over)
             out += [d, d.switch(n + 1)]
-            if n == 3 and base.signs == (1, 1, 1):
-                out += [with_curls(d, p, flipped=True) for p in range(2 * n + 4)]
+    trefoil = median_diagram(theta()[0])
+    for c, parallel, a_over in product(range(3), (True, False), (False, True)):
+        d = with_bigon(trefoil, c, parallel, a_over)
+        out += [with_curls(d, p, flipped=True) for p in range(10)]
     hopf = median_diagram(bigon()[0])
     return out + [hopf.switch(0), hopf]
 
