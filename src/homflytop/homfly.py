@@ -54,9 +54,8 @@ A switch changes only the over bit of its crossing, so the switched
 diagram of a connected piece without curls or reducible bigons is again
 one unless a bigon through that crossing became reducible; checking its
 at most four arcs decides it.  Without such a bigon it goes straight to
-the connected case, past removal and splitting.  A smoothing reroutes the
-two arcs into its crossing, so only the passes whose checks read them are
-tried for curls and bigons; then it takes the full path.
+the connected case, past removal and splitting.  A smoothing takes the
+full path: ``smooth``, then removal, then splitting.
 Surgery on a valid diagram (switch, smooth, split_parts, curl and bigon
 removal) builds its result without validating it again.
 """
@@ -265,22 +264,10 @@ class LinkDiagram:
         near = (2 * c, 2 * c + 1, succ.index(2 * c), succ.index(2 * c + 1))
         return _starts(succ, self.over, near)
 
-    def _smooth_unbigon(self, c: int) -> "LinkDiagram":
-        """``smooth(c).unbigon()`` for a diagram with no curl and no
-        reducible bigon, renumbered once."""
-        u = 2 * c
-        if self.succ[u] >> 1 == c or self.succ[u + 1] >> 1 == c:
-            return self.smooth(c).unbigon()  # a pass that returns to itself
-        return self._unbigon([], c)
-
-    def _unbigon(
-        self, found: list[int], smoothed: int | None = None
-    ) -> "LinkDiagram":
+    def _unbigon(self, found: list[int]) -> "LinkDiagram":
         """``unbigon`` given, least first, every pass that starts a curl or
-        a reducible bigon.  With ``smoothed`` and no ``found``, that of
-        ``smooth(smoothed)`` instead, for a diagram with neither and no
-        pass of that crossing leading back to it."""
-        if not found and smoothed is None:
+        a reducible bigon."""
+        if not found:
             return self
         succ, over = list(self.succ), self.over
         pred = [0] * len(succ)
@@ -288,16 +275,6 @@ class LinkDiagram:
             pred[q] = p
         removed = [False] * len(over)
         free = self.free_loops
-        if smoothed is not None:
-            # the strand into each pass of the crossing leaves along the
-            # other's exit: a curl or bigon this makes reads a rerouted arc
-            u = 2 * smoothed
-            a, b = pred[u], pred[u + 1]
-            succ[a], succ[b] = succ[u + 1], succ[u]
-            pred[succ[a]], pred[succ[b]] = a, b
-            removed[smoothed] = True
-            near = [y for x in (a, b) for y in (x, x ^ 1, pred[x ^ 1])]
-            found = _starts(succ, over, near)
         # ``found`` holds every pass that starts one: a removal changes that
         # only where a check reads a spliced arc, so only there and at the
         # passes left are the checks made again
@@ -806,7 +783,7 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
                 switched = _homfly(switched._unbigon(found), memo)
             else:
                 switched = _homfly_connected(switched, memo)
-            smoothed = _homfly(d._smooth_unbigon(bad), memo)
+            smoothed = _homfly(d.smooth(bad).unbigon(), memo)
             value = _skein_step(d.signs[bad], switched, smoothed)
         memo[code] = value
     memo[d] = value
