@@ -56,15 +56,15 @@ one unless a bigon through that crossing became reducible; checking its
 at most four arcs decides it.  Without such a bigon it goes straight to
 the connected case, past removal and splitting.  A smoothing takes the
 full path: ``smooth``, then removal, then splitting.
-Surgery on a valid diagram (switch, smooth, split_parts, curl and bigon
-removal) builds its result without validating it again.
+Surgery on a valid diagram (switch, smooth, curl and bigon removal,
+split_parts) builds its result without validating it again; the last two
+drop crossings and renumber the rest through one helper, ``_keep``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
@@ -189,70 +189,22 @@ class LinkDiagram:
         over = self.over[:c] + self.over[c + 1 :]
         return LinkDiagram._unchecked(signs, succ, over, free)
 
-    def untwist(self) -> "LinkDiagram":
-        """The diagram with every curl removed, until none is left.
-
-        A curl is a crossing c whose pass p (2c or 2c+1) leads straight to
-        its partner p ^ 1; removing it is a Reidemeister I move and can make
-        another curl.  Removal is one pass in O(n + k) for n passes and k
-        curls and does not call ``smooth``: each curl is spliced out of the
-        strands, or becomes a free loop when it is a whole component, and
-        the surviving crossings keep their order.  The result is that of
-        smoothing one curl at a time with one fewer free loop.  Returns the
-        diagram itself when it has no curl.
-        """
-        succ = self.succ
-        curls = [p for p, q in enumerate(succ) if q == p ^ 1]
-        if not curls:
-            return self
-        succ = list(succ)
-        pred = [0] * len(succ)
-        for p, q in enumerate(succ):
-            pred[q] = p
-        removed = [False] * len(self.signs)
-        free = self.free_loops
-        while curls:
-            p = curls.pop()
-            if removed[p >> 1]:
-                continue
-            removed[p >> 1] = True
-            after = succ[p ^ 1]
-            if after == p:  # p and p ^ 1 make up a whole component
-                free += 1
-                continue
-            # splice p and p ^ 1 out of their strand
-            before = pred[p]
-            succ[before] = after
-            pred[after] = before
-            if after == before ^ 1:
-                curls.append(before)
-        kept = [c for c, gone in enumerate(removed) if not gone]
-        label = [0] * len(succ)  # surviving pass -> its pass after renumbering
-        for i, c in enumerate(kept):
-            label[2 * c] = 2 * i
-            label[2 * c + 1] = 2 * i + 1
-        return LinkDiagram._unchecked(
-            tuple(self.signs[c] for c in kept),
-            tuple(label[succ[p]] for c in kept for p in (2 * c, 2 * c + 1)),
-            tuple(self.over[c] for c in kept),
-            free,
-        )
-
     def unbigon(self) -> "LinkDiagram":
         """The diagram with every curl and every reducible bigon removed.
 
-        A reducible bigon is two crossings c1 != c2 joined by two arcs, p ->
-        q and either p ^ 1 -> q ^ 1 (parallel) or q ^ 1 -> p ^ 1
-        (antiparallel), for a pass p of c1 and q of c2, with the same strand
-        over at both: p is an over pass exactly when q is one.  A clasp,
-        where the over strand changes, is kept.  Removing the pair is a
-        Reidemeister II move and removing a curl (see ``untwist``) one of
-        type I; either can make another curl or bigon.  Each is spliced out
-        of the strands, and a component left with no pass becomes a free
-        loop.  They go in the order of a rescan from pass 0: at each step
-        the one found at the least pass p (a curl when p leads to p ^ 1,
-        else a bigon p -> q) goes first, and the surviving crossings keep
-        their order.  Returns the diagram itself when there is neither.
+        A curl is a crossing c whose pass p (2c or 2c+1) leads straight to
+        its partner p ^ 1.  A reducible bigon is two crossings c1 != c2
+        joined by two arcs, p -> q and either p ^ 1 -> q ^ 1 (parallel) or
+        q ^ 1 -> p ^ 1 (antiparallel), for a pass p of c1 and q of c2, with
+        the same strand over at both: p is an over pass exactly when q is
+        one.  A clasp, where the over strand changes, is kept.  Removing a
+        curl is a Reidemeister I move and removing the pair one of type II;
+        either can make another curl or bigon.  Each is spliced out of the
+        strands, and a component left with no pass becomes a free loop.
+        They go in the order of a rescan from pass 0: at each step the one
+        found at the least pass p (a curl when p leads to p ^ 1, else a
+        bigon p -> q) goes first, and the surviving crossings keep their
+        order.  Returns the diagram itself when there is neither.
         """
         return self._unbigon(_starts(self.succ, self.over, range(len(self.succ))))
 
@@ -304,13 +256,25 @@ class LinkDiagram:
             found = _starts(
                 succ, over, [x for x in found if not removed[x >> 1]] + near
             )
-        signs, over = list(self.signs), list(over)
-        for c in reversed([c for c, gone in enumerate(removed) if gone]):
-            del succ[2 * c : 2 * c + 2], signs[c], over[c]
-        # renumber: a surviving pass drops by two per removed crossing below
-        shift = list(accumulate(removed))
-        succ = tuple([q - 2 * shift[q >> 1] for q in succ])
-        return LinkDiagram._unchecked(tuple(signs), succ, tuple(over), free)
+        return self._keep([c for c, gone in enumerate(removed) if not gone], succ, free)
+
+    def _keep(self, crossings, succ, free_loops) -> "LinkDiagram":
+        """The diagram on the listed crossings, numbered in list order; ``succ``
+        leads each of their passes (numbered as here) to another of theirs."""
+        label = [0] * len(succ)  # kept pass -> its pass after renumbering
+        passes = []  # the kept passes in their new order
+        for c in crossings:
+            p = 2 * c
+            label[p] = len(passes)
+            label[p + 1] = len(passes) + 1
+            passes += (p, p + 1)
+        signs, over = self.signs, self.over
+        return LinkDiagram._unchecked(
+            tuple([signs[c] for c in crossings]),
+            tuple([label[succ[p]] for p in passes]),
+            tuple([over[c] for c in crossings]),
+            free_loops,
+        )
 
     # -- structure --------------------------------------------------------
 
@@ -336,44 +300,27 @@ class LinkDiagram:
                     component[p] = k
                     p = succ[p]
                 k += 1
-        if k == 1 and not self.free_loops:
-            return [self]
-        parent = list(range(k))
+        if k != 1:  # else the one component is the one piece
+            parent = list(range(k))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
 
-        for c in range(n):
-            a, b = find(component[2 * c]), find(component[2 * c + 1])
-            if a != b:
-                parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for c in range(n):
-            groups.setdefault(find(component[2 * c]), []).append(c)
-        if len(groups) == 1 and not self.free_loops:
-            return [self]
-        index = [0] * n  # crossing -> its number in its piece
-        parts = []
-        for crossings in groups.values():
-            for i, c in enumerate(crossings):
-                index[c] = i
-            part_succ = []
-            for c in crossings:
-                for p in (2 * c, 2 * c + 1):
-                    q = succ[p]
-                    part_succ.append(2 * index[q >> 1] + (q & 1))
-            parts.append(
-                LinkDiagram._unchecked(
-                    tuple(self.signs[c] for c in crossings),
-                    tuple(part_succ),
-                    tuple(self.over[c] for c in crossings),
-                    0,
-                )
-            )
-        return parts
+            for c in range(n):
+                a, b = find(component[2 * c]), find(component[2 * c + 1])
+                if a != b:
+                    parent[a] = b
+            groups: dict[int, list[int]] = {}
+            for c in range(n):
+                groups.setdefault(find(component[2 * c]), []).append(c)
+            if len(groups) != 1:
+                return [self._keep(crossings, succ, 0) for crossings in groups.values()]
+        if self.free_loops:
+            return [LinkDiagram._unchecked(self.signs, succ, self.over, 0)]
+        return [self]
 
     def first_bad_crossing(self) -> int | None:
         """First crossing reached on its under-strand in basepoint order.

@@ -133,9 +133,6 @@ class _Laurent:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self):
         return str(self)
 

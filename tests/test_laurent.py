@@ -44,7 +44,7 @@ class TestArithmetic:
 
     def test_zero_coefficients_dropped(self):
         assert L1({3: 0, 1: 2}).coeffs == {1: 2}
-        assert (L1({1: 1}) - L1({1: 1})).is_zero()
+        assert not L1({1: 1}) - L1({1: 1})
 
     def test_int_coercion(self):
         assert L1({1: 2}) + 1 == L1({0: 1, 1: 2})
@@ -246,7 +246,7 @@ class TestConwayAlexander:
     def test_split_link_has_zero_conway(self):
         delta = L2({(-1, -1): 1, (1, -1): -1})
         conway, alexander, half = conway_and_alexander(delta)
-        assert conway.is_zero() and alexander.is_zero() and not half
+        assert not conway and not alexander and not half
 
     def test_mixed_parity_rejected(self):
         with pytest.raises(ValueError):
