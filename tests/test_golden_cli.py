@@ -7,8 +7,8 @@ for ``MORE_LINES``, keyed by input name and command line: the bigon-theta
 block sum with its theta block negative, and the 3x3 grid without edge 4,
 whose shelling attaches simplices along up to three facets, the full 4x4
 grid, whose triangulation has 384 simplices and whose f-vector ``hvector``
-prints and whose 24 crossings make the largest pinned oracle run, the full
-3x4 grid, whose 17 crossings run the skein oracle of ``homfly`` and
+prints, the full 4x5 grid, whose 31 crossings make the largest pinned
+oracle run, the full 3x4 grid, whose 17 crossings run the skein oracle of ``homfly`` and
 ``top`` and whose arborescence tree, 56 type-I and 207 type-II leaves,
 pins ``arbtree`` and ``verify`` beyond K_{3,2}, and corpus graph 139,
 whose degree-1 vertices put curls in its median.  Regenerate both only
@@ -56,6 +56,7 @@ MORE_LINES = [
     ("grid-4x4", "triangulate --format json"),
     ("grid-4x4", "hvector --format json"),
     ("grid-4x4", "homfly --cap 24 --format json"),
+    ("grid-4x5", "homfly --cap 31 --format json"),
     ("grid-3x4", "homfly --cap 17 --format json"),
     ("grid-3x4", "top --cap 17 --format json"),
     ("grid-3x4", "hvector --format json"),
@@ -75,6 +76,7 @@ def documents() -> dict:
         "bigon-theta": {**block_sum.to_document(), "signs": [1, 1, -1, -1, -1]},
         "grid-3x3-4": _grid_graph(3, 3, (4,)).to_document(),
         "grid-4x4": _grid_graph(4, 4).to_document(),
+        "grid-4x5": _grid_graph(4, 5).to_document(),
         "grid-3x4": _grid_graph(3, 4).to_document(),
         "corpus-139": corpus(
             seed=CORPUS_SEED, count=CORPUS_SIZE, max_edges=CORPUS_MAX_EDGES
