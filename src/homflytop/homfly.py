@@ -22,7 +22,8 @@ renumbering of the crossings; the HOMFLY value depends on nothing else.
 So the memo may be shared across diagrams (``homfly_skein(d, memo=m)``):
 an entry made for one diagram is correct for every other.  A code costs a
 pass that hashes its piece's profile, which reads no labels, and walks the
-piece only when the memo holds a code of the same hash.
+piece in full from a few start passes only when the memo holds a code of
+the same hash.
 
 Before it splits a diagram into pieces, the oracle removes every curl and
 every reducible bigon (``LinkDiagram.unbigon``).  A curl is a crossing c
@@ -56,9 +57,10 @@ one unless a bigon through that crossing became reducible; checking its
 at most four arcs decides it.  Without such a bigon it goes straight to
 the connected case, past removal and splitting.  A smoothing takes the
 full path: ``smooth``, then removal, then splitting.
-Surgery on a valid diagram (switch, smooth, curl and bigon removal,
-split_parts) builds its result without validating it again; the last two
-drop crossings and renumber the rest through one helper, ``_keep``.
+Surgery on a valid diagram (switch, smooth, curl and bigon removal, and
+split_parts, one search over the crossings along the arcs) builds its
+result without validating it again; the last two renumber the crossings
+they keep through one helper, ``_keep``.
 """
 
 from __future__ import annotations
@@ -281,43 +283,32 @@ class LinkDiagram:
     def split_parts(self) -> list["LinkDiagram"]:
         """Connected pieces of the crossing-interaction structure.
 
-        A piece is a class of crossings under the relation joining the
-        crossings of consecutive passes, so each component lies in one
-        piece and a crossing joins the components through it.  Pieces come
-        in order of their least crossing, each with its crossings in order.
+        A piece is a class of crossings under the relation joining the two
+        crossings of each arc p -> succ[p], so each component lies in one
+        piece and a crossing joins the components through it; one search
+        over the crossings, along arcs forward, finds each.  Pieces come in
+        order of their least crossing, each with its crossings in order.
         Free loops are dropped; the caller accounts for them.  The diagram
         itself is returned exactly when it is one piece with no free loops.
         """
         succ = self.succ
-        n = len(self.signs)
-        # a union-find over the components, joined at each crossing
-        component = [-1] * (2 * n)
-        k = 0
-        for start in range(2 * n):
-            if component[start] < 0:
-                p = start
-                while component[p] < 0:
-                    component[p] = k
-                    p = succ[p]
-                k += 1
-        if k != 1:  # else the one component is the one piece
-            parent = list(range(k))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for c in range(n):
-                a, b = find(component[2 * c]), find(component[2 * c + 1])
-                if a != b:
-                    parent[a] = b
-            groups: dict[int, list[int]] = {}
-            for c in range(n):
-                groups.setdefault(find(component[2 * c]), []).append(c)
-            if len(groups) != 1:
-                return [self._keep(crossings, succ, 0) for crossings in groups.values()]
+        piece = [-1] * len(self.signs)  # per crossing, the number of its piece
+        groups: list[list[int]] = []
+        for start in range(len(piece)):
+            if piece[start] < 0:
+                # arcs followed forward go round every component they meet
+                piece[start] = len(groups)
+                stack = [start]
+                while stack:
+                    c = stack.pop()
+                    for q in (succ[2 * c], succ[2 * c + 1]):
+                        if piece[q >> 1] < 0:
+                            piece[q >> 1] = len(groups)
+                            stack.append(q >> 1)
+                groups.append([])
+            groups[piece[start]].append(start)
+        if len(groups) != 1:
+            return [self._keep(crossings, succ, 0) for crossings in groups]
         if self.free_loops:
             return [LinkDiagram._unchecked(self.signs, succ, self.over, 0)]
         return [self]
@@ -352,7 +343,8 @@ class LinkDiagram:
         its component closes; it goes on from the unvisited pass of the
         lowest-numbered crossing that has one.  The crossing signs in
         number order follow.  The walk code is the least walk code over the
-        start passes below; the returned code's ``walk`` gives it.
+        start passes below, each walked in full; the returned code's
+        ``walk`` gives it.
 
         A walk from an under pass opens with (0, 0) and one from an over
         pass with (0, 1), so only under passes are tried, and of those only
@@ -369,14 +361,14 @@ class LinkDiagram:
         component lengths and keys and walks when compared (``CanonicalCode``).
         A diagram that is not one piece with crossings raises InvariantError.
         """
-        keys, lengths, _, joined = self._start_keys()
+        keys, lengths, joined = self._start_keys()
         if not joined:
             raise InvariantError("canonical code requires a connected diagram")
         return CanonicalCode(self, hash((tuple(sorted(lengths)), tuple(sorted(keys)))))
 
     def _start_keys(self):
-        """Start keys (2 * steps, + 1 if positive), component lengths, over
-        bits, and whether the crossings join the components (one piece)."""
+        """Start keys (2 * steps, + 1 if positive), component lengths, and
+        whether the crossings join the components (one piece)."""
         n = len(self.signs)
         succ, over, signs = self.succ, self.over, self.signs
         # each pass's component and its position there, from the least pass
@@ -394,11 +386,10 @@ class LinkDiagram:
                     i += 1
                     p = succ[p]
                 lengths.append(i)
-        over_bit, keys = [0] * (2 * n), []
+        keys = []
         joined = list(range(len(lengths)))  # per component, its class so far
         for c, b in enumerate(over):
             o = 2 * c + b
-            over_bit[o] = 1
             k, j = component[o ^ 1], component[o]
             if k == j:
                 steps = (position[o] - position[o ^ 1]) % lengths[k]
@@ -407,25 +398,19 @@ class LinkDiagram:
                 if joined[k] != joined[j]:
                     joined = [joined[k] if x == joined[j] else x for x in joined]
             keys.append(2 * steps + (signs[c] > 0))
-        return keys, lengths, over_bit, len(set(joined)) == 1
+        return keys, lengths, len(set(joined)) == 1
 
-    def _walk_code(self, start: int, n: int, over_bit: list[int], best):
-        """Walk code from ``start`` as (entries, crossing order); None unless
-        below ``best``.
+    def _walk_code(self, start: int):
+        """Walk code in full from ``start``: (entries, signs in number order).
 
         An entry is 2 * number + over bit, or -1 where a component closes;
-        the integers order the same way as the (number, bit) pairs.  The
-        crossing order lists the crossings by number, so the code's signs
-        are their signs in that order.
+        the integers order the same way as the (number, bit) pairs.
         """
-        succ = self.succ
-        number = [-1] * n
-        order: list[int] = []
-        visited = [False] * (2 * n)
+        succ, over = self.succ, self.over
+        number = [-1] * len(over)
+        order: list[int] = []  # the crossings by number
+        visited = [False] * len(succ)
         entries: list[int] = []
-        bound = None if best is None else best[0]  # None once strictly below
-        i = 0  # len(entries)
-        m = 0  # len(order)
         next_crossing = 0  # order[:next_crossing] have both passes visited
         p = start
         while True:
@@ -434,40 +419,19 @@ class LinkDiagram:
                 c = p >> 1
                 k = number[c]
                 if k < 0:
-                    k = number[c] = m
-                    m += 1
+                    k = number[c] = len(order)
                     order.append(c)
-                entry = 2 * k + over_bit[p]
-                if bound is not None:
-                    b = bound[i]
-                    if entry > b:
-                        return None
-                    if entry < b:
-                        bound = None
-                entries.append(entry)
-                i += 1
+                entries.append(2 * k + (p & 1 == over[c]))
                 p = succ[p]
-            if bound is not None and bound[i] != -1:
-                bound = None
             entries.append(-1)
-            i += 1
-            while next_crossing < m:
+            while next_crossing < len(order):
                 c = order[next_crossing]
-                if not visited[2 * c]:
-                    p = 2 * c
-                    break
-                if not visited[2 * c + 1]:
-                    p = 2 * c + 1
+                p = 2 * c + visited[2 * c]  # 2c unless already walked
+                if not visited[p]:
                     break
                 next_crossing += 1
             else:
-                break
-        if bound is not None:
-            # the same entries as ``best``: the signs in number order decide
-            signs = self.signs
-            if [signs[c] for c in order] >= [signs[c] for c in best[1]]:
-                return None
-        return entries, order
+                return tuple(entries), tuple(map(self.signs.__getitem__, order))
 
     # -- PD interchange -----------------------------------------------------
 
@@ -577,14 +541,11 @@ class CanonicalCode:
         """The walk code as (entries, signs in number order), made once."""
         if self._walk is None:
             d = self.piece
-            keys, _, over_bit, _ = d._start_keys()
-            least, best = min(keys), None
-            for c, key in enumerate(keys):
-                if key == least:
-                    u = 2 * c + 1 - d.over[c]
-                    best = d._walk_code(u, len(keys), over_bit, best) or best
-            entries, order = best
-            self._walk = tuple(entries), tuple(map(d.signs.__getitem__, order))
+            keys = d._start_keys()[0]
+            least = min(keys)
+            self._walk = min(
+                d._walk_code(d.under_pass(c)) for c, k in enumerate(keys) if k == least
+            )
         return self._walk
 
     @property

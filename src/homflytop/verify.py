@@ -11,12 +11,13 @@ decorated subgraph: pairs whose trees share a leaf subgraph reuse its
 outcome, a failure message included.  All oracle runs on one graph share
 one skein memo.
 
-An InvariantError from the oracle, the arborescence tree, the
-triangulation, the shelling or the parking bijection, or a leaf whose image
-is not a parking function, is recorded as a FAIL check carrying its
-message; only the checks that need the failed result are skipped.  A
-failed tree skips every other check of its pair, and when no pair has a
-tree, ``top-choice-independent`` is left out and ``summary.top`` is null.
+An InvariantError from the oracle, the arborescence tree, the clocked
+search, the triangulation, the shelling or the parking bijection, a tree
+with no type-I leaf, or a leaf whose image is not a parking function, is
+recorded as a FAIL check carrying its message; only the checks that need
+the failed result are skipped.  A failed tree skips every other check of
+its pair, and when no pair has a tree, ``top-choice-independent`` is left
+out and ``summary.top`` is null.
 """
 
 from __future__ import annotations
@@ -173,10 +174,13 @@ def verify_graph(
             {a for a, _ in leaves} == brute and len(leaves) == len(brute),
             f"{len(leaves)} type-I leaves",
         )
-        report.record(
-            f"clocked-is-first-leaf [{tag}]",
-            leaves[0][0] == clocked_arborescence(rooted) and leaves[0][1] == 0,
-        )
+        clocked = f"clocked-is-first-leaf [{tag}]"
+        try:
+            if not leaves:
+                raise InvariantError("the tree has no type-I leaf")
+            report.record(clocked, leaves[0] == (clocked_arborescence(rooted), 0))
+        except InvariantError as exc:
+            report.record(clocked, False, str(exc))
 
         h = _check_triangulation(report, tree, leaves, tag)
         if h is not None:

@@ -8,11 +8,11 @@ block sum with its theta block negative, and the 3x3 grid without edge 4,
 whose shelling attaches simplices along up to three facets, the full 4x4
 grid, whose triangulation has 384 simplices and whose f-vector ``hvector``
 prints, the full 4x5 grid, whose 31 crossings make the largest pinned
-oracle run, the full 3x4 grid, whose 17 crossings run the skein oracle of ``homfly`` and
-``top`` and whose arborescence tree, 56 type-I and 207 type-II leaves,
-pins ``arbtree`` and ``verify`` beyond K_{3,2}, and corpus graph 139,
-whose degree-1 vertices put curls in its median.  Regenerate both only
-when an output change is intended:
+oracle run, the full 3x4 grid, whose 17 crossings run the skein oracle of
+``homfly`` and ``top`` and whose arborescence tree, 56 type-I and 207
+type-II leaves, pins ``arbtree`` and ``verify`` beyond K_{3,2}, and corpus
+graph 139, whose degree-1 vertices put curls in its median.  Regenerate
+both only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """

@@ -1029,6 +1029,38 @@ class TestSurgery:
                 assert parts == reference_split_parts(d) == [base]
                 assert parts[0].succ is d.succ
 
+    def test_split_of_disjoint_unions_with_interleaved_crossings(
+        self, graph_corpus, grid_graph
+    ):
+        # 2-4 pieces side by side, their crossings renumbered so that the
+        # numbers of different pieces interleave, each piece's in its order
+        pool = grid_pieces(grid_graph) + [
+            piece for g in graph_corpus[:60] for piece in median_diagram(g).split_parts()
+        ]
+        rng = random.Random(7)
+        interleaved = 0
+        for trial in range(300):
+            pieces = rng.sample(pool, rng.randint(2, 4))
+            signs, succ, over = (), (), ()
+            for piece in pieces:
+                succ += tuple(q + len(succ) for q in piece.succ)
+                signs += piece.signs
+                over += piece.over
+            labels = rng.sample(range(len(signs)), len(signs))
+            perm, numbers = [], []
+            for piece in pieces:
+                mine = sorted(labels[len(perm) : len(perm) + piece.n_crossings])
+                perm += mine
+                numbers.append(mine)
+            interleaved += any(ns[-1] - ns[0] >= len(ns) for ns in numbers)
+            union = relabel(LinkDiagram(signs, succ, over), perm)
+            order = sorted(range(len(pieces)), key=lambda i: numbers[i][0])
+            expected = [pieces[i] for i in order]
+            for free in (0, trial % 3 + 1):
+                d = LinkDiagram(union.signs, union.succ, union.over, free)
+                assert d.split_parts() == reference_split_parts(d) == expected
+        assert interleaved > 250
+
     def test_surgery_builds_valid_diagrams(self, graph_corpus, grid_graph):
         # switch, smooth, split_parts and unbigon skip validation; their
         # results must still pass it
@@ -1063,6 +1095,23 @@ class TestCanonicalCode:
     def test_matches_reference_on_grid_subgraphs(self, grid_graph):
         for piece in grid_pieces(grid_graph):
             assert piece.canonical_code().walk == reference_code(piece)
+
+    def test_walk_from_every_under_pass_matches_reference(
+        self, graph_corpus, grid_graph
+    ):
+        # every walk the least is taken from, not only the least one
+        pieces = grid_pieces(grid_graph) + [
+            piece for g in graph_corpus for piece in median_diagram(g).split_parts()
+        ]
+        walks = 0
+        for piece in pieces:
+            for c in range(piece.n_crossings):
+                u = piece.under_pass(c)
+                pairs, signs = _reference_code_from(piece, u)
+                entries = tuple(2 * k + b if k >= 0 else -1 for k, b in pairs)
+                assert piece._walk_code(u) == (entries, signs)
+                walks += 1
+        assert walks > 1000
 
     def test_matches_reference_on_every_sign_pattern(self):
         # symmetric shadows give equal walks from several starts; the signs

@@ -2,13 +2,14 @@
 against a loop that audits every type-II leaf of every pair afresh."""
 
 from homflytop import verify
-from homflytop.arborescence import build_arb_tree
+from homflytop.arborescence import ArbTree, build_arb_tree
 from homflytop.fixtures import k32_three_strand
 from homflytop.homfly import decorated_subgraph_at, median_diagram
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.verify import verify_graph
 
 STRICT = "type-two-morton-strict"
+CLOCKED = "clocked-is-first-leaf"
 
 
 def reference_strict_checks(g, dual, cap=14) -> list[dict]:
@@ -134,3 +135,48 @@ class TestBurningTestOncePerTree:
             assert len(inverses) > len(pairs)
             # one for enumerate_parking per root, one for the inverse per tree
             assert len(built) == len({r0 for r0, _ in pairs}) + len(pairs)
+
+
+class TestClockedCheckFailures:
+    """A tree with no type-I leaf and a failed clocked search are FAIL
+    checks of clocked-is-first-leaf carrying their messages."""
+
+    @staticmethod
+    def split_checks(report):
+        clocked = [c for c in report.checks if c["invariant"].startswith(CLOCKED)]
+        rest = [c for c in report.checks if not c["invariant"].startswith(CLOCKED)]
+        return clocked, rest
+
+    def test_tree_with_no_type_one_leaf(self, monkeypatch):
+        g, dual = k32_three_strand()
+        monkeypatch.setattr(ArbTree, "type_one_leaves", lambda self: [])
+        report = verify_graph(g, dual)
+        clocked, _ = self.split_checks(report)
+        assert [c["invariant"] for c in clocked] == [
+            f"{CLOCKED} [r0={r0} kappa={kappa}]"
+            for r0, kappa in dual.admissible_pairs()
+        ]
+        for check in clocked:
+            assert not check["ok"]
+            assert check["detail"] == "the tree has no type-I leaf"
+        assert not report.ok
+
+    def test_failed_clocked_search(self, monkeypatch):
+        g, dual = k32_three_strand()
+        expected_clocked, expected_rest = self.split_checks(verify_graph(g, dual))
+
+        def fail(rooted):
+            raise InvariantError("planted clocked-search failure")
+
+        monkeypatch.setattr(verify, "clocked_arborescence", fail)
+        report = verify_graph(g, dual)
+        clocked, rest = self.split_checks(report)
+        # every other check is as without the failure
+        assert rest == expected_rest
+        assert [c["invariant"] for c in clocked] == [
+            c["invariant"] for c in expected_clocked
+        ]
+        for check in clocked:
+            assert not check["ok"]
+            assert check["detail"] == "planted clocked-search failure"
+        assert not report.ok
