@@ -50,6 +50,7 @@ from .homfly import (
     top_via_p,
     homogeneous_top,
     DecoratedSubgraph,
+    shared_memo,
 )
 from .laurent import conway_and_alexander
 from .verify import verify_graph
@@ -293,7 +294,7 @@ def cmd_top(args) -> int:
         "routes": {"tree": str(t_tree.poly), "h": str(t_h.poly), "p": str(t_p.poly)},
     }
     if n <= args.cap:
-        P = homfly_skein(median_diagram(g), cap=args.cap)
+        P = homfly_skein(median_diagram(g), cap=args.cap, memo=shared_memo())
         oracle = top_coefficient(P, n, s)
         payload["oracle"] = str(oracle.poly)
         if oracle.poly != t_tree.poly:
@@ -308,7 +309,7 @@ def cmd_top(args) -> int:
 def cmd_homfly(args) -> int:
     g, dual = _load(args)
     d = median_diagram(g)
-    P = homfly_skein(d, cap=args.cap)
+    P = homfly_skein(d, cap=args.cap, memo=shared_memo())
     nabla, alex, half = conway_and_alexander(P)
     payload = {
         "homfly": str(P),
@@ -356,7 +357,7 @@ def cmd_homogeneous(args) -> int:
     if g.n_edges <= args.cap:
         dotted = sum(1 << c for c, s in enumerate(signs) if s < 0)
         d = median_diagram(g, DecoratedSubgraph((1 << g.n_edges) - 1, dotted))
-        P = homfly_skein(d, cap=args.cap)
+        P = homfly_skein(d, cap=args.cap, memo=shared_memo())
         slice_ = top_coefficient(P, d.n_crossings, d.seifert_circle_count())
         payload["oracle"] = str(slice_.poly)
         if slice_.poly != formula:

@@ -18,12 +18,15 @@ holds each connected piece's value under two keys: the piece itself,
 looked up first, and its canonical code, computed only when the piece is
 not a key.  ``LinkDiagram`` is a frozen dataclass, so equal pieces have
 equal signs, strands and over bits, and a code fixes its piece up to
-renumbering of the crossings; the HOMFLY value depends on nothing else.
-So the memo may be shared across diagrams (``homfly_skein(d, memo=m)``):
-an entry made for one diagram is correct for every other.  A code costs a
-pass that hashes its piece's profile, which reads no labels, and walks the
-piece in full from a few start passes only when the memo holds a code of
-the same hash.
+renumbering of the crossings; for a diagram drawn in the plane the HOMFLY
+value depends on nothing else.  So the memo may be shared across planar
+diagrams (``homfly_skein(d, memo=m)``): an entry made for one is correct
+for every other, and ``shared_memo()`` is one such memo for the whole
+process.  A non-planar diagram is not: ``LinkDiagram((1,), (0, 1), (1,))``
+and its relabelling ``LinkDiagram((1,), (0, 1), (0,))`` have one code but
+different values under the recursion.  A code costs a pass that hashes
+its piece's profile, which reads no labels, and walks the piece in full
+from a few start passes only when the memo holds a code of the same hash.
 
 Before it splits a diagram into pieces, the oracle removes every curl and
 every reducible bigon (``LinkDiagram.unbigon``).  A curl is a crossing c
@@ -634,11 +637,12 @@ def homfly_skein(
     ``memo`` maps connected pieces, curls and reducible bigons removed,
     and their canonical codes to their values; the code is computed only
     for a piece that is not yet a key, and walked only when its hash is
-    one of the memo's.  Pass one dict to several calls to share it across
-    diagrams (default: a fresh dict).  The switched diagram at a skein step
-    skips removal and splitting unless the switch made a reducible bigon
-    through its crossing, since a switch keeps the strands of a connected
-    piece.  Every run is audited against the degree bound
+    one of the memo's.  Pass one dict, such as ``shared_memo()``, to
+    several calls to share it across planar diagrams (default: a fresh
+    dict; a non-planar diagram needs its own).  The switched diagram at a
+    skein step skips removal and splitting unless the switch made a
+    reducible bigon through its crossing, since a switch keeps the strands
+    of a connected piece.  Every run is audited against the degree bound
     maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
     """
     if d.n_crossings > cap:
@@ -653,6 +657,19 @@ def homfly_skein(
             f"z-degree {maxdeg} exceeds the bound {bound} on an oracle run"
         )
     return value
+
+
+# entries; the oracle run on the full 4x5 grid makes 8,579, 10.3 MB in all
+_SHARED_MEMO_BOUND = 2**14
+_SHARED_MEMO: dict = {}
+
+
+def shared_memo() -> dict:
+    """The process's skein memo, for diagrams drawn in the plane only; it
+    is emptied only here, when it holds too many entries, never mid-run."""
+    if len(_SHARED_MEMO) > _SHARED_MEMO_BOUND:
+        _SHARED_MEMO.clear()
+    return _SHARED_MEMO
 
 
 def _homfly(d: LinkDiagram, memo) -> Laurent2:

@@ -8,8 +8,9 @@ compared with each other and (under the crossing cap) with the skein
 oracle's z-slice.  The oracle audits the Morton bound on the full diagram,
 and the strict bound is audited on every type-II leaf diagram, once per
 decorated subgraph: pairs whose trees share a leaf subgraph reuse its
-outcome, a failure message included.  All oracle runs on one graph share
-one skein memo.
+outcome, a failure message included.  Every oracle run uses the process
+skein memo, ``shared_memo()``: each diagram here is a median, drawn in the
+plane, so its entries hold for every later graph too.
 
 An InvariantError from the oracle, the arborescence tree, the clocked
 search, the triangulation, the shelling or the parking bijection, a tree
@@ -58,6 +59,7 @@ from .homfly import (
     top_via_p,
     decorated_subgraph_at,
     morton_audit,
+    shared_memo,
 )
 
 
@@ -125,8 +127,8 @@ def verify_graph(
     )
     report.record("dual-strongly-connected", check_strong_connectivity(dual))
 
-    # one skein memo for the full diagram and every type-II leaf diagram
-    memo: dict = {}
+    # the process memo for the full diagram and every type-II leaf diagram
+    memo = shared_memo()
     # DecoratedSubgraph of a type-II leaf -> None, or its strict audit's failure
     audited: dict = {}
     oracle_top = None

@@ -3,11 +3,19 @@ import random
 import pytest
 
 from homflytop.gen import corpus
+from homflytop.homfly import shared_memo
 from homflytop.planegraph import GraphInputError, PlaneBipartiteGraph
 
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 220
 CORPUS_MAX_EDGES = 8
+
+
+@pytest.fixture(autouse=True)
+def empty_shared_memo():
+    """Each test starts with an empty process skein memo, so no value an
+    earlier test made, or planted through patched oracle internals, is read."""
+    shared_memo().clear()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from homflytop import cli
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge
 from homflytop.gen import corpus_documents
-from homflytop.laurent import Laurent1
+from homflytop.homfly import LinkDiagram, median_diagram, shared_memo
+from homflytop.laurent import Laurent1, Laurent2
 from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
 from homflytop.rootpolytope import Triangulation
 
@@ -851,6 +852,66 @@ class TestContract:
             main(["-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: homflytop")
+
+
+class TestProcessMemo:
+    """``top``, ``homfly``, ``homogeneous`` and ``verify`` run the skein
+    oracle on the process memo, ``shared_memo()``."""
+
+    @pytest.mark.parametrize("command", ["homfly", "top", "homogeneous", "verify"])
+    def test_planted_value_is_read_and_audited(self, capsys, k32_path, command):
+        d = median_diagram(k32_three_strand()[0])
+        assert d.unbigon() is d and d.split_parts() == [d]
+        # z-degree 3 past Morton's bound n - s + 1 = 2, under the code alone,
+        # so only a lookup of a relabelled copy finds it
+        shared_memo()[d.canonical_code()] = Laurent2({(0, 3): 1})
+        code, out, err = run(capsys, command, "--input", k32_path, "--format", "json")
+        message = "z-degree 3 exceeds the bound 2 on an oracle run"
+        assert code == 1
+        if command == "verify":
+            checks = {c["invariant"]: c for c in json.loads(out)["checks"]}
+            assert checks["homfly-oracle"] == {
+                "invariant": "homfly-oracle", "ok": False, "detail": message
+            }
+        else:
+            assert json.loads(err) == {"error": "invariant", "message": message}
+
+    def test_warm_outputs_equal_cold_ones(
+        self, monkeypatch, tmp_path, graph_corpus, grid_subgraphs
+    ):
+        paths = []
+        for i, g in enumerate(graph_corpus + grid_subgraphs):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(g.to_document()))
+            paths.append(str(path))
+        lines = ["homfly --cap 17", "top --cap 17", "homogeneous", "verify"]
+        misses = []
+        first_bad_crossing = LinkDiagram.first_bad_crossing
+
+        def counted(self):
+            misses.append(self)
+            return first_bad_crossing(self)
+
+        monkeypatch.setattr(LinkDiagram, "first_bad_crossing", counted)
+
+        def outputs(cold: bool) -> list:
+            found = []
+            for line in lines:
+                for path in paths:
+                    if cold:
+                        shared_memo().clear()
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        code = main([*line.split(), "--format=json", f"--input={path}"])
+                    found.append((line, path, code, out.getvalue(), err.getvalue()))
+            return found
+
+        cold = outputs(cold=True)
+        cold_misses = len(misses)
+        # each run starts from every entry the runs before it made
+        assert outputs(cold=False) == cold
+        assert 0 < len(misses) - cold_misses < cold_misses / 10
+        assert {code for _, _, code, _, _ in cold} == {0}
 
 
 class TestPackageSurface:

@@ -11,8 +11,10 @@ prints, the full 4x5 grid, whose 31 crossings make the largest pinned
 oracle run, the full 3x4 grid, whose 17 crossings run the skein oracle of
 ``homfly`` and ``top`` and whose arborescence tree, 56 type-I and 207
 type-II leaves, pins ``arbtree`` and ``verify`` beyond K_{3,2}, and corpus
-graph 139, whose degree-1 vertices put curls in its median.  Regenerate
-both only when an output change is intended:
+graph 139, whose degree-1 vertices put curls in its median.  Every line
+also runs twice more in one sequence, with the process skein memo kept
+from the lines before.  Regenerate both only when an output change is
+intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -29,6 +31,7 @@ from conftest import CORPUS_MAX_EDGES, CORPUS_SEED, CORPUS_SIZE, _grid_graph
 from homflytop.cli import main
 from homflytop.gen import corpus
 from homflytop.fixtures import block_sum_bigon_theta, k32_three_strand
+from homflytop.homfly import shared_memo
 
 GOLDEN = Path(__file__).parent / "data" / "cli_k32.json"
 GOLDEN_MORE = Path(__file__).parent / "data" / "cli_blocks_grid.json"
@@ -123,6 +126,16 @@ def test_output_is_golden(line, golden, doc_paths):
 @pytest.mark.parametrize("name, line", MORE_LINES)
 def test_more_outputs_are_golden(name, line, golden_more, doc_paths):
     assert run_line(line, doc_paths[name]) == golden_more[f"{name}: {line}"]
+
+
+def test_outputs_stay_golden_with_a_warm_memo(golden, golden_more, doc_paths):
+    runs = [("k32", line, golden[line]) for line in COMMAND_LINES] + [
+        (name, line, golden_more[f"{name}: {line}"]) for name, line in MORE_LINES
+    ]
+    for _ in range(2):
+        for name, line, expected in runs:
+            assert run_line(line, doc_paths[name]) == expected, f"{name}: {line}"
+    assert shared_memo()
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from homflytop.homfly import (
     top_via_p,
     homogeneous_top,
     morton_audit,
+    shared_memo,
     UNLINK_FACTOR,
 )
 from homflytop.planegraph import biconnected_blocks, block_subgraph
@@ -1360,6 +1361,42 @@ class TestSharedMemo:
             memo[key] = Laurent2({(0, 3): 1})
             with pytest.raises(InvariantError):
                 homfly_skein(d, memo=memo)
+
+    def test_non_planar_relabellings_need_their_own_memo(self):
+        # one crossing where two loops meet: not drawable, and a relabelling
+        # of its crossing (passes swapped) is descending where it is not
+        d = LinkDiagram((1,), (0, 1), (1,))
+        relabelled = LinkDiagram((1,), (0, 1), (0,))
+        assert relabelled == with_passes_swapped(d, [0])
+        assert not is_drawable(d) and not is_drawable(relabelled)
+        assert d.canonical_code() == relabelled.canonical_code()
+        assert homfly_skein(d) == HOPF
+        assert homfly_skein(relabelled) == UNLINK_FACTOR
+        # a memo shared between them hands the second the first one's value
+        memo: dict = {}
+        assert homfly_skein(d, memo=memo) == homfly_skein(d)
+        assert homfly_skein(relabelled, memo=memo) == homfly_skein(d)
+
+    def test_fresh_memo_leaves_the_process_memo_alone(self, grid_graph):
+        memo = shared_memo()
+        homfly_skein(median_diagram(grid_graph(3, 3)), memo=memo)
+        before = list(memo.items())
+        assert before
+        value = homfly_skein(median_diagram(grid_graph(3, 4)), cap=17)
+        assert shared_memo() is memo and list(memo.items()) == before
+        assert value == homfly_skein(
+            median_diagram(grid_graph(3, 4)), cap=17, memo=memo
+        )
+
+    def test_emptied_when_fetched_past_its_bound(self, monkeypatch, grid_graph):
+        monkeypatch.setattr(homfly, "_SHARED_MEMO_BOUND", 6)
+        memo = shared_memo()
+        memo.update((k, UNLINK_FACTOR) for k in range(6))
+        assert shared_memo() is memo and len(memo) == 6
+        # a run keeps every entry it makes; the next fetch empties the memo
+        homfly_skein(median_diagram(grid_graph(3, 3)), memo=memo)
+        assert len(memo) > 6 + 2
+        assert shared_memo() is memo and not memo
 
 
 class TestConwayAlexander:
