@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .planegraph import (
@@ -118,9 +119,29 @@ def _load(args, with_document=False):
     return g, dual
 
 
+def _to_json(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)``, ``indent`` deep.  Below Python
+    3.13 an indent runs json's pure-Python encoder; only rarer values go there."""
+    kind = type(x)
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is bool or x is None:
+        return "null" if x is None else "true" if x else "false"
+    inner = indent + "  "
+    if kind is dict and all(type(k) is str for k in x):
+        items = [f"{inner}{_quote(k)}: {_to_json(x[k], inner)}" for k in sorted(x)]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [inner + _to_json(v, inner) for v in x]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(payload, args, as_text):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_to_json(payload))
     else:
         print(as_text(payload))
 

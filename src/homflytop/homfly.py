@@ -807,3 +807,49 @@ def morton_audit(
             f"Morton bound violated: maxdeg_z={maxdeg}, n={n}, s={s}, strict=True"
         )
     return maxdeg
+
+
+def strict_bound_certified(g: PlaneBipartiteGraph, sub: DecoratedSubgraph) -> bool:
+    """Whether Reidemeister I and II moves on the signed plane graph prove
+    ``morton_audit``'s bound for ``median_diagram(g, sub)``; False: undecided.
+    The median's regions are the present edges' vertices and faces, its
+    crossings and Seifert circles their edges and vertices.  So a pendant
+    vertex is a curl, and goes with its edge (n - 1, s - 1); a degree-2 vertex
+    or a 2-face is a bigon, reducible when its edges have opposite signs, as
+    the median is alternating when all are solid.  A degree-2 vertex x with
+    c1 -> y1, c2 -> y2 goes, and y2 merges into y1, whose rotation runs from
+    after c1 round to before c1, then through y2's from after c2 round to
+    before c2 (n - 2, s - 2).  If y1 == y2, or at a 2-face x-y with c2 after
+    c1 at x and c1 after c2 at y, the move keeps s: n' - s' <= n - s - 2.  P
+    is an isotopy invariant, so Morton's bound n' - s' + 1 on the reduced
+    median ("Seifert circles and knot polynomials", 1986) proves n - s - 1.
+    """
+    present, dotted = sub.present, sub.dotted
+    number = {x: i for i, x in enumerate(g.rotations)}
+    ends = [number[e] ^ number[v] for e, v in g.edges]  # edge c: x -> ends[c] ^ x
+    rot = [[c for c in r if present >> c & 1] for r in g.rotations.values()]
+    todo = list(range(len(rot)))
+    while todo:
+        x = todo.pop()
+        r = rot[x]
+        if len(r) == 1:
+            rot[x] = ()
+            rot[ends[r[0]] ^ x].remove(r[0])
+            todo.append(ends[r[0]] ^ x)
+        elif len(r) == 2 and (dotted >> r[0] ^ dotted >> r[1]) & 1:
+            (c1, c2), y1, y2 = r, ends[r[0]] ^ x, ends[r[1]] ^ x
+            if y1 == y2:
+                return True
+            i, j = rot[y1].index(c1), rot[y2].index(c2)
+            rot[y1] = rot[y1][i + 1 :] + rot[y1][:i] + rot[y2][j + 1 :] + rot[y2][:j]
+            for c in rot[y2]:
+                ends[c] ^= y1 ^ y2
+            rot[x] = rot[y2] = ()
+            todo.append(y1)
+        else:  # a 2-face: c2 after c1 at x, both to y, and c1 after c2 at y
+            for c1, c2 in zip(r, r[1:] + r[:1]):
+                if (dotted >> c1 ^ dotted >> c2) & 1 and ends[c1] == ends[c2]:
+                    ry = rot[ends[c1] ^ x]
+                    if (ry * 2)[ry.index(c2) + 1] == c1:
+                        return True
+    return False

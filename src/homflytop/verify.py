@@ -5,10 +5,10 @@ and checked against the brute-force enumeration, the triangulation is
 validated and shelled, the two h-vector routes are compared, the parking
 bijection is round-tripped on the same tree, and the three top formulas are
 compared with each other and (under the crossing cap) with the skein
-oracle's z-slice.  The oracle audits the Morton bound on the full diagram,
-and the strict bound is audited on every type-II leaf diagram, once per
-decorated subgraph: pairs whose trees share a leaf subgraph reuse its
-outcome, a failure message included.  Every oracle run uses the process
+oracle's z-slice.  The oracle audits the Morton bound on the full diagram;
+a type-II leaf's strict bound is certified on the signed graph or audited,
+once per decorated subgraph: pairs whose trees share a leaf subgraph reuse
+its outcome, a failure message included.  Every oracle run uses the process
 skein memo, ``shared_memo()``: each diagram here is a median, drawn in the
 plane, so its entries hold for every later graph too.
 
@@ -60,6 +60,7 @@ from .homfly import (
     decorated_subgraph_at,
     morton_audit,
     shared_memo,
+    strict_bound_certified,
 )
 
 
@@ -110,7 +111,8 @@ def _check_triangulation(report, tree, leaves, tag) -> Laurent1 | None:
 def _strict_morton_failure(g, sub, cap, memo) -> str | None:
     """Strict Morton audit of one type-II leaf diagram: None, or its failure."""
     try:
-        morton_audit(median_diagram(g, sub), cap=cap, memo=memo)
+        if not strict_bound_certified(g, sub):  # a certified leaf builds no diagram
+            morton_audit(median_diagram(g, sub), cap=cap, memo=memo)
     except InvariantError as exc:
         return str(exc)
     return None

@@ -854,6 +854,49 @@ class TestContract:
         assert capsys.readouterr().out.startswith("usage: homflytop")
 
 
+# JSON values of every kind the writer meets or hands on to json.dumps:
+# non-ASCII text, tuples, empty containers, and dicts keyed by ints
+json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, 0.5, float("inf"), float("nan")])
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_documents)
+    def test_equals_json_dumps(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            "",
+            "é\u2603\U0001f600\n\"",
+            {"a": [], "b": {}, "c": [[], {}]},
+            {"\u00e9": {"z": 1, "a": [True, False, None]}},
+        ],
+        ids=[
+            "dict", "list", "tuple", "empty-text", "escapes", "nested-empty",
+            "non-ascii-key",
+        ],
+    )
+    def test_equals_json_dumps_on_edge_cases(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 class TestProcessMemo:
     """``top``, ``homfly``, ``homogeneous`` and ``verify`` run the skein
     oracle on the process memo, ``shared_memo()``."""

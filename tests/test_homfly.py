@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homflytop import homfly
-from homflytop.planegraph import InvariantError, build_dual
+from homflytop.planegraph import InvariantError, PlaneBipartiteGraph, build_dual
 from homflytop.arborescence import build_arb_tree
 from homflytop.laurent import Laurent1, Laurent2, conway_and_alexander
 from homflytop.parking import parking_for_dual
@@ -29,8 +29,10 @@ from homflytop.homfly import (
     homogeneous_top,
     morton_audit,
     shared_memo,
+    strict_bound_certified,
     UNLINK_FACTOR,
 )
+from homflytop.gen import corpus
 from homflytop.planegraph import biconnected_blocks, block_subgraph
 from homflytop.fixtures import (
     single_edge,
@@ -1588,6 +1590,153 @@ class TestMorton:
         for g in graph_corpus[:40]:
             d = median_diagram(g)
             assert homfly_skein(d).max_degree_second() == self.bound(d)
+
+
+def signed_graph(rotations) -> PlaneBipartiteGraph:
+    """The plane graph of CCW rotations keyed by vertex names, E-vertices
+    named e*, V-vertices v*; each edge id is listed at its two ends."""
+    ends: dict[int, dict[str, str]] = {}
+    for x, rotation in rotations.items():
+        for c in rotation:
+            ends.setdefault(c, {})[x[0]] = x
+    return PlaneBipartiteGraph(
+        [x for x in rotations if x[0] == "e"],
+        [x for x in rotations if x[0] == "v"],
+        [(ends[c]["e"], ends[c]["v"]) for c in range(len(ends))],
+        rotations,
+    )
+
+
+# the square e0 v1 e1 v0 with edge 1 doubling edge 0 between e0 and v0,
+# the two bounding a 2-face: edge 1 follows 0 at e0 and 0 follows 1 at v0
+SQUARE_WITH_2FACE = {"e0": [0, 1, 2], "v0": [1, 0, 3], "e1": [3, 4], "v1": [2, 4]}
+
+# one planted graph per rule, with its dotted edges; in each only that rule
+# can fire first, and the certificate follows from it
+PLANTED = {
+    "2-face": (SQUARE_WITH_2FACE, [1]),
+    # a pendant edge 5 between edges 0 and 1 at e0: its removal makes the 2-face
+    "pendant vertex": (
+        {"e0": [0, 5, 1, 2], "v0": [1, 0, 3], "e1": [3, 4], "v1": [2, 4], "v2": [5]},
+        [1],
+    ),
+    # edge 1 subdivided into e0 -1- v2 -5- e2 -6- v0: merging e2 into e0
+    # through v2 makes edges 0 and 6 a 2-face
+    "degree-2 merge": (
+        {
+            "e0": [0, 1, 2], "v2": [1, 5], "e2": [5, 6], "v0": [6, 0, 3],
+            "e1": [3, 4], "v1": [2, 4],
+        },
+        [0, 1],
+    ),
+    # v0 joined twice to e0, with clasps on both sides of the two edges
+    "degree-2, one neighbour": (
+        {"e0": [0, 2, 3, 1, 4, 5], "v0": [1, 0], "v1": [3, 2], "v2": [5, 4]},
+        [1],
+    ),
+}
+
+
+def removal_lowers_n_minus_s(g, sub) -> bool:
+    """Whether the oracle's curl and bigon removal (``unbigon``) on the leaf
+    diagram lowers n - s by 2 or more."""
+    d = median_diagram(g, sub)
+    u = d.unbigon()
+    before = d.n_crossings - d.seifert_circle_count()
+    return u.n_crossings - u.seifert_circle_count() <= before - 2
+
+
+def strict_slice_holds(g, sub, memo=None) -> bool:
+    """Whether the oracle's z-degree of the leaf diagram is at most n - s - 1."""
+    d = median_diagram(g, sub)
+    maxdeg = homfly_skein(d, cap=g.n_edges, memo=memo).max_degree_second()
+    return maxdeg is None or maxdeg <= d.n_crossings - d.seifert_circle_count() - 1
+
+
+class TestStrictCertificate:
+    @pytest.mark.parametrize("rule", PLANTED)
+    def test_planted_rule_certifies(self, rule):
+        rotations, dotted = PLANTED[rule]
+        g = signed_graph(rotations)
+        full = (1 << g.n_edges) - 1
+        sub = DecoratedSubgraph(full, sum(1 << c for c in dotted))
+        assert strict_bound_certified(g, sub)
+        assert strict_slice_holds(g, sub)
+        # every edge solid: every bigon is a clasp, and Morton's bound is tight
+        solid = DecoratedSubgraph(full, 0)
+        assert not strict_bound_certified(g, solid)
+        d = median_diagram(g, solid)
+        bound = d.n_crossings - d.seifert_circle_count() + 1
+        assert homfly_skein(d).max_degree_second() == bound
+
+    @pytest.mark.parametrize("dotted", [[0], [1]])
+    def test_edges_consecutive_at_one_end_only_bound_no_2_face(self, dotted):
+        # edges 0 and 1 join e0 to v0 and are consecutive at e0, but the
+        # clasp of e1 sits between them at v0: they make no bigon, and the
+        # strict bound holds with equality, so no move can show it
+        g = signed_graph(
+            {
+                "e0": [0, 1, 2, 7], "v1": [7, 2], "v0": [0, 5, 6, 1, 3, 4],
+                "e1": [4, 3], "e2": [6, 5],
+            }
+        )
+        sub = DecoratedSubgraph((1 << g.n_edges) - 1, sum(1 << c for c in dotted))
+        assert not strict_bound_certified(g, sub)
+        assert not removal_lowers_n_minus_s(g, sub)
+        d = median_diagram(g, sub)
+        bound = d.n_crossings - d.seifert_circle_count() - 1
+        assert homfly_skein(d).max_degree_second() == bound
+
+    @pytest.mark.parametrize(
+        "index, absent, dotted",
+        [(65, [], [6]), (175, [], [1, 4]), (177, [4], [0, 1, 5, 6, 8])],
+    )
+    def test_counterexamples_to_unmerged_rule_are_not_certified(
+        self, index, absent, dotted
+    ):
+        # an opposite-signed degree-2 vertex alone proves nothing: these
+        # leaves have a nonzero slice at z^(n - s + 1) or z^(n - s)
+        g = corpus(0, 220, max_edges=10)[index]
+        present = ((1 << g.n_edges) - 1) & ~sum(1 << c for c in absent)
+        sub = DecoratedSubgraph(present, sum(1 << c for c in dotted))
+        assert not strict_bound_certified(g, sub)
+        assert not strict_slice_holds(g, sub)
+
+    # the certificate reads off the graph the moves that ``unbigon`` makes on
+    # the diagram, so on these inputs it certifies exactly where removal
+    # lowers n - s; every certified leaf's oracle value is audited too
+    def test_certified_leaves_have_a_zero_slice(self, graph_corpus, grid_subgraphs):
+        memo: dict = {}
+        certified = 0
+        for g in list(graph_corpus) + [g for g in grid_subgraphs if g.n_edges <= 14]:
+            dual = build_dual(g, kappa_edge=0)
+            subs = {
+                decorated_subgraph_at(g, leaf)
+                for r0, kappa in dual.admissible_pairs()
+                for leaf in build_arb_tree(dual.with_root(r0, kappa)).type_two_leaves()
+            }
+            for sub in subs:
+                lowers = removal_lowers_n_minus_s(g, sub)
+                assert strict_bound_certified(g, sub) == lowers
+                if lowers:
+                    certified += 1
+                    assert strict_slice_holds(g, sub, memo), (g.to_document(), sub)
+        assert certified > 1000
+
+    def test_certified_random_subgraphs_have_a_zero_slice(self):
+        rng = random.Random(31)
+        graphs = corpus(0, 220, max_edges=10)
+        memo: dict = {}
+        certified = 0
+        for _ in range(10000):
+            g = rng.choice(graphs)
+            present = rng.getrandbits(g.n_edges)
+            sub = DecoratedSubgraph(present, present & rng.getrandbits(g.n_edges))
+            assert strict_bound_certified(g, sub) == removal_lowers_n_minus_s(g, sub)
+            if strict_bound_certified(g, sub):
+                certified += 1
+                assert strict_slice_holds(g, sub, memo), (g.to_document(), sub)
+        assert certified > 1000
 
 
 class TestPDCode:

@@ -4,7 +4,11 @@ against a loop that audits every type-II leaf of every pair afresh."""
 from homflytop import verify
 from homflytop.arborescence import ArbTree, build_arb_tree
 from homflytop.fixtures import k32_three_strand
-from homflytop.homfly import decorated_subgraph_at, median_diagram
+from homflytop.homfly import (
+    decorated_subgraph_at,
+    median_diagram,
+    strict_bound_certified,
+)
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.verify import verify_graph
 
@@ -69,6 +73,8 @@ class TestStrictAuditOncePerSubgraph:
             return real(d, **kwargs)
 
         monkeypatch.setattr(verify, "morton_audit", counting)
+        # with no leaf certified, every distinct leaf diagram is audited once
+        monkeypatch.setattr(verify, "strict_bound_certified", lambda g, sub: False)
         for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
             dual = build_dual(g, kappa_edge=0)
             calls.clear()
@@ -78,10 +84,34 @@ class TestStrictAuditOncePerSubgraph:
             assert sum(map(len, by_pair)) > len(distinct)
             assert len(calls) == len(distinct)
 
+        # with the certificate, once each distinct leaf diagram it leaves open
+        monkeypatch.setattr(verify, "strict_bound_certified", strict_bound_certified)
+        undecided_total = 0
+        for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8)), grid_graph(2, 4)):
+            dual = build_dual(g, kappa_edge=0)
+            calls.clear()
+            assert verify_graph(g, dual).ok
+            subs = {
+                decorated_subgraph_at(g, leaf)
+                for r0, kappa in dual.admissible_pairs()
+                for leaf in build_arb_tree(dual.with_root(r0, kappa)).type_two_leaves()
+            }
+            undecided = {
+                median_diagram(g, sub)
+                for sub in subs
+                if not strict_bound_certified(g, sub)
+            }
+            assert len(calls) == len(undecided) == len(set(calls))
+            assert set(calls) == undecided
+            undecided_total += len(undecided)
+        assert undecided_total > 0
+
     def test_planted_failure_fails_every_pair_holding_it(
         self, monkeypatch, grid_graph
     ):
         real = verify.morton_audit
+        # certified leaves skip the audit, so none is certified here
+        monkeypatch.setattr(verify, "strict_bound_certified", lambda g, sub: False)
         for g in (k32_three_strand()[0], grid_graph(3, 3, (3, 8))):
             dual = build_dual(g, kappa_edge=0)
             by_pair = leaf_diagrams_by_pair(g, dual)
