@@ -5,7 +5,8 @@ the current root component.  That boundary is realized combinatorially as
 the contour walk around the tree in the embedded dual: each tree edge is
 traversed twice, and at every dual vertex the incident edge ends are scanned
 in the inherited rotation order.  The walk starts at the end of kappa's dual
-edge at the root face and runs counterclockwise.
+edge at the root face, 2 * kappa + 1, and runs counterclockwise: from int
+dart d the next slot is ``next_dart[d]``, and d ^ 1 crosses d's edge.
 
 Going down the tree, the arborescence and the skipped set only grow, so a
 slot the walk has passed over stays passed over, and the walk never enters
@@ -36,47 +37,38 @@ def _bit_positions(mask: int) -> list[int]:
     return [j for j, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
-def _root_component(dual: DualDigraph, a: int) -> int:
-    seen = 1 << dual.r0
-    grew = True
-    while grew:
-        grew = False
-        for c in _bit_positions(a):
-            if seen >> dual.tail[c] & 1 and not seen >> dual.head[c] & 1:
-                seen |= 1 << dual.head[c]
-                grew = True
-    return seen
+def _root_component(dual: DualDigraph, a: int) -> int:  # r0 and the heads of a
+    return 1 << dual.r0 | sum(1 << dual.head[c] for c in _bit_positions(a))
 
 
 def _walk_to_augmenting(
-    dual: DualDigraph, a: int, s: int, component: int, r: int, i: int, steps: int
+    dual: DualDigraph, a: int, s: int, component: int, d: int, steps: int
 ):
-    """Continue the contour walk of ``a`` from slot i at dual vertex r.
+    """Continue the contour walk of ``a`` from the slot after dart d.
 
-    A slot is the primal dart (c, 0) or (c, 1): the tail end or head end of
+    A slot is the primal dart 2c or 2c + 1: the tail end or head end of
     dual edge c at the current vertex.  At a tree edge end the walk crosses
-    to the other end and keeps scanning there.  Returns (delta, r, i, steps)
-    at the first tail end of an edge that leaves ``component``, the root
-    component of ``a``, and is not in ``s`` (all three bitmasks); None when
-    the walk closes up at kappa's end.  ``steps`` counts the slots visited
-    since kappa's end.
+    to the other end and keeps scanning there.  Returns (delta, d, steps)
+    at the first tail end d = 2 * delta of an edge that leaves ``component``,
+    the root component of ``a``, and is not in ``s`` (all three bitmasks);
+    None when the walk closes up at kappa's end.  ``steps`` counts the slots
+    visited since kappa's end.
     """
-    faces, slot_of, head = dual.graph.faces, dual.graph.slot_of, dual.head
-    start = slot_of[(dual.kappa, 1)]
+    succ, head = dual.graph.next_dart, dual.head
+    start = 2 * dual.kappa + 1
     limit = 4 * dual.n_edges + 4
     while True:
         steps += 1
         if steps > limit:
             raise InvariantError("contour walk failed to close up")
-        walk = faces[r]
-        i = (i + 1) % len(walk)
-        if (r, i) == start:
+        d = succ[d]
+        if d == start:
             return None
-        c, end = walk[i]
+        c = d >> 1
         if a >> c & 1:
-            r, i = slot_of[(c, 1 - end)]
-        elif end == 0 and not component >> head[c] & 1 and not s >> c & 1:
-            return c, r, i, steps
+            d ^= 1
+        elif not d & 1 and not component >> head[c] & 1 and not s >> c & 1:
+            return c, d, steps
 
 
 def augmenting_edge(dual: DualDigraph, a: int, s: int) -> int | None:
@@ -87,8 +79,8 @@ def augmenting_edge(dual: DualDigraph, a: int, s: int) -> int | None:
     vertex and must not have been skipped.  Ends pointing into the root
     component and edges internal to it are passed over silently.
     """
-    start = dual.graph.slot_of[(dual.kappa, 1)]
-    found = _walk_to_augmenting(dual, a, s, _root_component(dual, a), *start, 0)
+    start = 2 * dual.kappa + 1
+    found = _walk_to_augmenting(dual, a, s, _root_component(dual, a), start, 0)
     return None if found is None else found[0]
 
 
@@ -99,23 +91,19 @@ def clocked_arborescence(dual: DualDigraph) -> int:
     selected edge immediately and resuming the scan on return.  Independent
     of the arborescence-tree machinery; equals the tree's rightmost leaf.
     """
+    succ, head = dual.graph.next_dart, dual.head
     visited = {dual.r0}
 
-    def scan(r: int, start_i: int) -> int:  # the edges chosen from r on
-        walk = dual.graph.faces[r]
-        i, chosen = start_i, 0
-        for _ in range(len(walk)):
-            i = (i + 1) % len(walk)
-            c, end = walk[i]
-            if end != 0 or dual.head[c] in visited:
-                continue
-            visited.add(dual.head[c])
-            _, j = dual.graph.slot_of[(c, 1)]
-            chosen |= 1 << c | scan(dual.head[c], j)
+    def scan(entry: int) -> int:  # the edges chosen round entry's face after it
+        chosen, d = 0, succ[entry]
+        while d != entry:  # entry is a head end, never chosen
+            if not d & 1 and head[d >> 1] not in visited:
+                visited.add(head[d >> 1])
+                chosen |= 1 << (d >> 1) | scan(d ^ 1)
+            d = succ[d]
         return chosen
 
-    _, start = dual.graph.slot_of[(dual.kappa, 1)]
-    chosen = scan(dual.r0, start)
+    chosen = scan(2 * dual.kappa + 1)
     if len(visited) != dual.n_vertices:
         raise InvariantError("clocked search did not reach every dual vertex")
     return chosen
@@ -222,8 +210,7 @@ def _walk(dual: DualDigraph, prune: bool = False):
     (``_reached_without``).  So the type-I leaves, their order and their
     skipped sets are the full tree's, and a type-II leaf means a fault.
     """
-    spanning_size = dual.n_vertices - 1
-    slot_of, head = dual.graph.slot_of, dual.head
+    spanning_size, head = dual.n_vertices - 1, dual.head
     if prune:
         in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
         for c, (t, h) in enumerate(dual.arcs()):
@@ -231,25 +218,25 @@ def _walk(dual: DualDigraph, prune: bool = False):
     else:
         masks = dual.graph.edge_masks
     # (a, s, |a|, root component, resumed walk state); add child goes first
-    stack = [(0, 0, 0, 1 << dual.r0, *slot_of[(dual.kappa, 1)], 0)]
+    stack = [(0, 0, 0, 1 << dual.r0, 2 * dual.kappa + 1, 0)]
     while stack:
-        a, s, size, component, r, i, steps = stack.pop()
+        a, s, size, component, d, steps = stack.pop()
         if size == spanning_size:
             yield a, s, None, "I"
             continue
-        found = _walk_to_augmenting(dual, a, s, component, r, i, steps)
+        found = _walk_to_augmenting(dual, a, s, component, d, steps)
         if found is None:
             if not prune:
                 _check_type_two(masks, component, s)
             yield a, s, None, "II"
             continue
-        delta, r, i, steps = found
+        delta, d, steps = found
         yield a, s, delta, None
         bit = 1 << delta
         if not prune or _reached_without(in_arcs, component, s | bit, head[delta]):
-            stack.append((a, s | bit, size, component, r, i, steps))
+            stack.append((a, s | bit, size, component, d, steps))
         grown = component | 1 << head[delta]
-        stack.append((a | bit, s, size + 1, grown, *slot_of[(delta, 1)], steps))
+        stack.append((a | bit, s, size + 1, grown, d ^ 1, steps))
 
 
 def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:

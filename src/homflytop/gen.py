@@ -20,11 +20,9 @@ def _corners(g: PlaneBipartiteGraph):
     rotation sector just after d's edge; inserting a new edge id right
     after that edge id puts the new dart inside this face.
     """
-    out = []
-    for fi, walk in enumerate(g.faces):
-        for dart in walk:
-            out.append((fi, g.dart_tail(dart), dart[0]))
-    return out
+    return [
+        (fi, g.edges[c][end], c) for fi, walk in enumerate(g.faces) for c, end in walk
+    ]
 
 
 def _insert_after(rotation: list[int], anchor: int, new_id: int) -> list[int]:

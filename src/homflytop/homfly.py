@@ -809,6 +809,12 @@ def morton_audit(
     return maxdeg
 
 
+def _certificate_ends(g: PlaneBipartiteGraph) -> list[int]:
+    """Per edge the XOR of its ends' numbers, the vertices in rotation order."""
+    number = {x: i for i, x in enumerate(g.rotations)}
+    return [number[e] ^ number[v] for e, v in g.edges]
+
+
 def strict_bound_certified(g: PlaneBipartiteGraph, sub: DecoratedSubgraph) -> bool:
     """Whether Reidemeister I and II moves on the signed plane graph prove
     ``morton_audit``'s bound for ``median_diagram(g, sub)``; False: undecided.
@@ -825,8 +831,7 @@ def strict_bound_certified(g: PlaneBipartiteGraph, sub: DecoratedSubgraph) -> bo
     median ("Seifert circles and knot polynomials", 1986) proves n - s - 1.
     """
     present, dotted = sub.present, sub.dotted
-    number = {x: i for i, x in enumerate(g.rotations)}
-    ends = [number[e] ^ number[v] for e, v in g.edges]  # edge c: x -> ends[c] ^ x
+    ends = g.table(_certificate_ends)[:]  # edge c: x -> ends[c] ^ x
     rot = [[c for c in r if present >> c & 1] for r in g.rotations.values()]
     todo = list(range(len(rot)))
     while todo:

@@ -2,9 +2,11 @@
 
 A graph is stored dart-based: every edge joins an E-vertex to a V-vertex and
 carries two darts, ``(edge_id, 0)`` pointing E -> V and ``(edge_id, 1)``
-pointing V -> E.  Rotations list, for each vertex, the incident edge ids in
-counterclockwise order.  Faces are traced keeping the face on the left of
-each dart, so the face permutation is rotation^(-1) composed with reversal.
+pointing V -> E; as ints they are d = 2 * edge_id + direction.  Rotations
+list, for each vertex, the incident edge ids in counterclockwise order.
+Faces are traced keeping the face on the left of each dart, so the face
+permutation is rotation^(-1) composed with reversal, kept as int lists over
+the darts.  Tables of the graph alone are built once per graph (``table``).
 
 The planar dual is directed by the frozen convention: the dual edge of a
 primal edge runs from the face left of the E -> V dart to the face left of
@@ -37,7 +39,7 @@ class PlaneBipartiteGraph:
         rotations: vertex name -> tuple of incident edge ids, CCW.
         faces: tuple of faces, each a tuple of darts walked with the face on
             the left; faces are ordered by their minimal dart.
-        slot_of: dart -> (face, position of the dart in that face's walk).
+        next_dart, dart_face: per int dart, the next along its face, and that face.
     """
 
     def __init__(self, e_vertices, v_vertices, edges, rotations):
@@ -46,10 +48,8 @@ class PlaneBipartiteGraph:
         self.edges = tuple((e, v) for e, v in edges)
         self.rotations = {x: tuple(r) for x, r in rotations.items()}
         self._validate_structure()
-        self.faces = self._trace_faces()
-        self.slot_of = {
-            d: (r, i) for r, walk in enumerate(self.faces) for i, d in enumerate(walk)
-        }
+        self.next_dart, self.dart_face, self.faces = self._trace_faces()
+        self._tables: dict = {}
         self._check_euler()
 
     # -- basic accessors -------------------------------------------------
@@ -79,12 +79,14 @@ class PlaneBipartiteGraph:
             for walk in self.faces
         )
 
-    def dart_tail(self, dart: Dart) -> str:
-        c, direction = dart
-        return self.edges[c][direction]
+    def table(self, build):
+        """``build(self)``, made once per graph and shared by every root."""
+        if build not in self._tables:
+            self._tables[build] = build(self)
+        return self._tables[build]
 
     def face_of(self, dart: Dart) -> int:
-        return self.slot_of[dart][0]
+        return self.dart_face[2 * dart[0] + dart[1]]
 
     def is_e_vertex(self, x: str) -> bool:
         return x in self._e_set
@@ -135,19 +137,22 @@ class PlaneBipartiteGraph:
     def _trace_faces(self):
         # face on the left: a walk into x along edge c goes on out of x along
         # the edge before c in x's rotation (bipartite edges are never loops)
-        succ = {}
+        succ = [0] * (2 * self.n_edges)
         for x, rot in self.rotations.items():
             out = 0 if x in self._e_set else 1
             for i, c in enumerate(rot):
-                succ[(c, 1 - out)] = (rot[i - 1], out)
+                succ[2 * c + 1 - out] = 2 * rot[i - 1] + out
+        face = [-1] * len(succ)
         faces = []
-        for start in sorted(succ):  # each new walk starts at its least dart
-            if start in succ:
-                walk = [start]
-                while (d := succ.pop(walk[-1])) != start:
-                    walk.append(d)
+        for d in range(len(succ)):  # each new walk starts at its least dart
+            walk = []
+            while face[d] < 0:
+                face[d] = len(faces)
+                walk.append(divmod(d, 2))
+                d = succ[d]
+            if walk:
                 faces.append(tuple(walk))
-        return tuple(faces)
+        return succ, face, tuple(faces)
 
     def _check_euler(self):
         euler = self.n_vertices - self.n_edges + self.n_faces
@@ -189,8 +194,8 @@ class DualDigraph:
 
     Dual edges are indexed by the primal edge ids, dual vertices by the
     faces of ``graph``.  The rotation at a dual vertex is its face walk:
-    crossing the primal dart (c, 0) is the tail end of dual edge c, crossing
-    (c, 1) is its head end, and ``graph.slot_of`` finds either end.
+    crossing the primal dart 2c is the tail end of dual edge c, crossing
+    2c + 1 its head end, and ``graph.next_dart`` steps to the next end.
     """
 
     graph: PlaneBipartiteGraph
@@ -236,8 +241,7 @@ def build_dual(
     face_of((c, 1)).  If kappa is given and r0 is not, the root is derived;
     if both are given they must be compatible.
     """
-    tail = tuple(g.face_of((c, 0)) for c in range(g.n_edges))
-    head = tuple(g.face_of((c, 1)) for c in range(g.n_edges))
+    tail, head = tuple(g.dart_face[0::2]), tuple(g.dart_face[1::2])
     if kappa_edge is None:
         kappa_edge = 0 if r0_face is None else min(
             (c for c in range(g.n_edges) if head[c] == r0_face), default=None

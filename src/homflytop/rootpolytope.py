@@ -12,7 +12,7 @@ interior facet lies in exactly one other simplex, on the opposite side.
 Each audit is exact and enumerates no faces or spanning trees:
 
 - the hypertree count, as the number of spanning arborescences of the dual
-  (Kalman 2013), a determinant (``arborescence_count``);
+  (Kalman 2013), a determinant taken once per graph (``_hypertree_count``);
 - facets and shelling, in one pass over a map from each facet seen to what
   its first simplex left there (``_facet_pass``).  A few mask operations
   per facet audit it, and the facets already in the map give R, the
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .laurent import Laurent1
-from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
 from .arborescence import _bit_positions, arborescence_count
 
 
@@ -41,16 +41,21 @@ from .arborescence import _bit_positions, arborescence_count
 
 
 def _pair_ids(g: PlaneBipartiteGraph):
-    """Edge id -> pair id (parallel edges share one), pair id -> (E id, V id)
-    and vertex id -> mask of its neighbours, E-vertices numbered first."""
+    """Edge id -> pair id (parallel edges share one), pair id -> (E id, V id),
+    and per vertex id, E-vertices numbered first, the masks of its
+    neighbours, of the pair ids at it and of its class."""
     pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
     pairs: dict[tuple[int, int], int] = {}
     of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
-    nbrs = [0] * g.n_vertices
-    for e, v in pairs:
+    n, k = g.n_vertices, len(g.e_vertices)
+    nbrs, incident = [0] * n, [0] * n
+    for p, (e, v) in enumerate(pairs):
         nbrs[e] |= 1 << v
         nbrs[v] |= 1 << e
-    return of_edge, list(pairs), nbrs
+        incident[e] |= 1 << p
+        incident[v] |= 1 << p
+    classes = [(1 << k) - 1] * k + [(1 << n) - (1 << k)] * (n - k)
+    return of_edge, list(pairs), nbrs, incident, classes
 
 
 # -- compatibility -----------------------------------------------------------
@@ -142,22 +147,21 @@ class Triangulation:
     """Ordered maximal simplices of the root polytope, with face data.
 
     Simplices are edge bitmasks of spanning trees of the graph.  Made with
-    them: ``pair_ids`` (see ``_pair_ids``) and ``masks``, the simplices over
-    pair ids (parallel edges share one), which are the edge ids when no two
-    edges are parallel.  ``_facet_pass`` sets ``shelled``: the attach counts
-    and the first simplex that breaks the shelling, or None.
+    them: ``masks``, the simplices over the graph's pair ids (``_pair_ids``;
+    parallel edges share one), which are the edge ids when no two edges are
+    parallel.  ``_facet_pass`` sets ``shelled``: the attach counts and the
+    first simplex that breaks the shelling, or None.
     """
 
     graph: PlaneBipartiteGraph
     simplices: list[int]
     dimension: int = field(init=False)
-    pair_ids: tuple = field(init=False, repr=False)
     masks: list[int] = field(init=False, repr=False)
     shelled: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = self.graph.n_vertices - 2
-        self.pair_ids = of_edge, ends, _ = _pair_ids(self.graph)
+        of_edge, ends, *_ = self.graph.table(_pair_ids)
         bits = [1 << p for p in of_edge]
         self.masks = self.simplices if len(ends) == len(of_edge) else [
             sum({bits[c] for c in _bit_positions(s)}) for s in self.simplices
@@ -170,18 +174,24 @@ class Triangulation:
         }
 
 
+def _hypertree_count(g: PlaneBipartiteGraph) -> int:
+    """The hypertrees of G, as the dual's arborescence count (Kalman 2013):
+    the dual is balanced, so its count is the same at every root."""
+    return arborescence_count(build_dual(g))
+
+
 def triangulation_from_arbtree(dual: DualDigraph, leaves) -> Triangulation:
     """Simplices dual to the type-I leaves, (edge mask of a, k) each as
     ``type_one_leaves`` gives them, in that order: the complements of a.
 
-    Validates the hypertree count, as the dual's arborescence count (Kalman
-    2013), distinct vertex sets and the facets (see ``_facet_pass``, which
-    also shells the order); these always hold for trees built from a valid
-    dual, so a failure means a bug.
+    Validates the hypertree count (``_hypertree_count``), distinct vertex
+    sets and the facets (see ``_facet_pass``, which also shells the order);
+    these always hold for trees built from a valid dual, so a failure means
+    a bug.
     """
     all_edges = (1 << dual.n_edges) - 1
     simplices = [all_edges ^ a for a, _ in leaves]
-    expected = arborescence_count(dual)
+    expected = dual.graph.table(_hypertree_count)
     if len(simplices) != expected:
         raise InvariantError(f"{len(simplices)} simplices but {expected} hypertrees")
     tri = Triangulation(dual.graph, simplices)
@@ -221,19 +231,11 @@ def _facet_pass(tri: Triangulation) -> str | None:
         tri.shelled = [0] * len(tri.masks), None
         return None
     g = tri.graph
-    _, ends, nbrs = tri.pair_ids
-    n = g.n_vertices
-    k = len(g.e_vertices)
-    e_class = (1 << k) - 1
-    # per vertex: its class, and (pair id, other end) per pair at it
-    same_class = [e_class if x < k else ((1 << n) - 1) ^ e_class for x in range(n)]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, (e, v) in enumerate(ends):
-        incident[e].append((p, v))
-        incident[v].append((p, e))
-    singletons = [1 << x for x in range(n)]
+    _, ends, nbrs, incident, same_class = g.table(_pair_ids)
+    singletons = [1 << x for x in range(g.n_vertices)]
     bits = [1 << p for p in range(len(ends))]
     e_end = [e for e, _ in ends]
+    other_end = [e ^ v for e, v in ends]  # x ^ other_end[p]: p's end other than x
     # an int hashes as its value mod 2^61 - 1, so wider facet masks that
     # differ in bits p and p + 61 would collide; their bytes are the keys
     width = (len(ends) + 7) // 8 if len(ends) > 60 else 0
@@ -253,16 +255,17 @@ def _facet_pass(tri: Triangulation) -> str | None:
 
     for i, (simplex, mask) in enumerate(zip(tri.simplices, tri.masks)):
         byte, bit = i >> 3, 1 << (i & 7)
-        # breadth-first from vertex 0: (vertex, its parent, the pair between)
-        placed = [False] * n
-        placed[0] = True
-        order = [(0, 0, 0)]
+        # breadth-first from vertex 0 over the tree's pairs: (vertex, parent, pair)
+        left, order = mask, [(0, 0, 0)]
         for x, _, _ in order:
-            for p, y in incident[x]:
-                if mask >> p & 1 and not placed[y]:
-                    placed[y] = True
-                    order.append((y, x, p))
-                    rows[p][byte] |= bit
+            at = left & incident[x]
+            left ^= at
+            while at:
+                low = at & -at
+                at ^= low
+                p = low.bit_length() - 1
+                order.append((x ^ other_end[p], x, p))
+                rows[p][byte] |= bit
         below = singletons[:]  # subtree vertices
         reach = nbrs[:]  # their neighbours in G
         restriction = 0

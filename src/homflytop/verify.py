@@ -131,8 +131,8 @@ def verify_graph(
 
     # the process memo for the full diagram and every type-II leaf diagram
     memo = shared_memo()
-    # DecoratedSubgraph of a type-II leaf -> None, or its strict audit's failure
-    audited: dict = {}
+    # a type-II leaf's a << n | s -> None, or its strict audit's failure
+    audited: dict[int, str | None] = {}
     oracle_top = None
     oracle_note = "skipped (over crossing cap)"
     if n <= cap:
@@ -226,10 +226,11 @@ def verify_graph(
         if n <= cap:
             failure = None
             for leaf in tree.type_two_leaves():
-                sub = decorated_subgraph_at(g, leaf)
-                if sub not in audited:
-                    audited[sub] = _strict_morton_failure(g, sub, cap, memo)
-                failure = audited[sub]
+                key = leaf.a << n | leaf.s
+                if key not in audited:
+                    sub = decorated_subgraph_at(g, leaf)
+                    audited[key] = _strict_morton_failure(g, sub, cap, memo)
+                failure = audited[key]
                 if failure is not None:
                     break
             report.record(

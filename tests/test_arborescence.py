@@ -39,10 +39,17 @@ def reference_build_arb_tree(dual):
     return ArbTree(dual, grow(0, 0), leaves)
 
 
-def reference_walk_to_augmenting(dual, a, s, component, r, i, steps):
-    """The resumed contour walk on frozensets and a set, the reference for
-    the bitmask walk."""
-    faces, slot_of = dual.graph.faces, dual.graph.slot_of
+def slots(g):
+    """Dart (c, end) -> (face, position of the dart in that face's walk),
+    read off the face walks alone."""
+    return {d: (r, i) for r, walk in enumerate(g.faces) for i, d in enumerate(walk)}
+
+
+def reference_walk_to_augmenting(dual, slot_of, a, s, component, r, i, steps):
+    """The resumed contour walk on (face, position) slots (``slots``),
+    frozensets and a set, the reference for the walk on int darts and
+    bitmasks."""
+    faces = dual.graph.faces
     start = slot_of[(dual.kappa, 1)]
     limit = 4 * dual.n_edges + 4
     while True:
@@ -58,6 +65,47 @@ def reference_walk_to_augmenting(dual, a, s, component, r, i, steps):
             r, i = slot_of[(c, 1 - end)]
         elif end == 0 and dual.head[c] not in component and c not in s:
             return c, r, i, steps
+
+
+def reference_tree_fields(dual, slot_of):
+    """(a, s, augmenting, leaf_type) of every node of the full tree in the
+    order of ``node_fields``, each node's edge found by a walk on slots
+    from kappa's end; the root component of an arborescence a is r0 and the
+    heads of a."""
+    spanning_size = dual.n_vertices - 1
+    out = []
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        a, s = stack.pop()
+        component = {dual.r0} | {dual.head[c] for c in a}
+        start = slot_of[(dual.kappa, 1)]
+        found = reference_walk_to_augmenting(dual, slot_of, a, s, component, *start, 0)
+        if found is None:
+            leaf_type = "I" if len(a) == spanning_size else "II"
+            out.append((edge_mask(a), edge_mask(s), None, leaf_type))
+            continue
+        delta = found[0]
+        out.append((edge_mask(a), edge_mask(s), delta, None))
+        stack += [(a, s | {delta}), (a | {delta}, s)]
+    return out
+
+
+def reference_clocked_arborescence(dual, slot_of):
+    """The clocked search on slots and a set, as an edge mask."""
+    visited = {dual.r0}
+
+    def scan(r, i):  # the edges chosen round r after slot i
+        walk = dual.graph.faces[r]
+        chosen = 0
+        for _ in range(len(walk)):
+            i = (i + 1) % len(walk)
+            c, end = walk[i]
+            if end == 0 and dual.head[c] not in visited:
+                visited.add(dual.head[c])
+                chosen |= 1 << c | scan(*slot_of[(c, 1)])
+        return chosen
+
+    return scan(*slot_of[(dual.kappa, 1)])
 
 
 def reference_reached_without(in_arcs, component, skipped, r):
@@ -79,7 +127,7 @@ def reference_type_one_only_tree(dual):
     skip child is grown only while the unskipped edges still reach its
     augmenting edge's head.  It walks on frozensets; its nodes hold masks."""
     spanning_size = dual.n_vertices - 1
-    slot_of = dual.graph.slot_of
+    slot_of = slots(dual.graph)
     in_arcs = [[] for _ in range(dual.n_vertices)]
     for c, (t, h) in enumerate(dual.arcs()):
         in_arcs[h].append((c, t))
@@ -93,7 +141,9 @@ def reference_type_one_only_tree(dual):
             node.leaf_type = "I"
             leaves.append(node)
             continue
-        found = reference_walk_to_augmenting(dual, a, s, component, r, i, steps)
+        found = reference_walk_to_augmenting(
+            dual, slot_of, a, s, component, r, i, steps
+        )
         if found is None:
             raise InvariantError("type-I-only tree reached a type II leaf")
         delta, r, i, steps = found
@@ -192,6 +242,23 @@ class TestResumedWalk:
                 nodes += len(found)
         assert nodes > 30_000
 
+    def test_dart_walks_match_the_slot_walks(self, graph_corpus, grid_subgraphs):
+        # the tree's and the clocked search's walks on int darts against the
+        # same walks on (face, position) slots read off the face walks
+        pairs = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            slot_of = slots(g)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                assert node_fields(build_arb_tree(rooted).root) == (
+                    reference_tree_fields(rooted, slot_of)
+                )
+                expected = reference_clocked_arborescence(rooted, slot_of)
+                assert clocked_arborescence(rooted) == expected
+                pairs += 1
+        assert pairs > 1_000
+
     def test_walks_run_at_internal_nodes_and_type_two_leaves_only(
         self, monkeypatch, graph_corpus, grid_subgraphs
     ):
@@ -261,9 +328,10 @@ class TestResumedWalk:
     @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
     def test_walk_that_never_closes_up_is_stopped(self, build):
         g, dual = k32_three_strand()
-        r, _ = g.slot_of[(dual.kappa, 1)]
-        # a start slot the walk never reaches
-        g.slot_of[(dual.kappa, 1)] = (r, len(g.faces[r]))
+        start = 2 * dual.kappa + 1
+        before = g.next_dart.index(start)
+        # a start dart the walk never reaches: its face skips over it
+        g.next_dart[before] = g.next_dart[start]
         with pytest.raises(InvariantError, match="contour walk failed to close up"):
             build(dual)
 

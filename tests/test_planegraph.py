@@ -12,8 +12,10 @@ from homflytop.planegraph import (
     build_dual,
     check_strong_connectivity,
     biconnected_blocks,
+    block_subgraph,
     SignedBlock,
 )
+from homflytop.rootpolytope import _hypertree_count, _pair_ids
 from homflytop.fixtures import (
     single_edge,
     bigon,
@@ -191,6 +193,29 @@ class TestDual:
                 masks[t][0] |= 1 << c
                 masks[h][1] |= 1 << c
             assert [list(pair) for pair in g.edge_masks] == masks
+
+
+    def test_block_subgraph_gets_its_own_tables(self):
+        g, _ = block_sum_of_bigons()
+        names = list(g.e_vertices) + list(g.v_vertices)
+        blocks = biconnected_blocks(names, list(g.edges), [1] * g.n_edges)
+        assert len(blocks) > 1
+        whole = g.table(_pair_ids)
+        for block in blocks:
+            sub = block_subgraph(g, block.edge_ids)
+            assert sub.table(_pair_ids) == _pair_ids(sub) != whole
+            assert sub.table(_pair_ids) is sub.table(_pair_ids)
+            assert sub.table(_hypertree_count) == _hypertree_count(sub)
+        assert g.table(_pair_ids) is whole
+
+    def test_dart_lists_follow_the_face_walks(self, graph_corpus, grid_subgraphs):
+        # the next dart along each face and each dart's face, d = 2c + end
+        for g in graph_corpus + grid_subgraphs + [single_edge()[0]]:
+            for r, walk in enumerate(g.faces):
+                darts = [2 * c + end for c, end in walk]
+                assert [g.next_dart[d] for d in darts] == darts[1:] + darts[:1]
+                assert {g.dart_face[d] for d in darts} == {r}
+                assert all(g.face_of(d) == r for d in walk)
 
 
 class TestSubgraphDuality:

@@ -62,7 +62,7 @@ def reference_check_facets(tri: ReferenceTriangulation):
     mask and mapped to the C1 side of its first simplex.
     """
     g = tri.graph
-    of_edge, ends, nbrs = tri.pair_ids
+    of_edge, ends, nbrs, *_ = tri.pair_ids
     other_end = [e ^ v for e, v in ends]  # x ^ other_end[p] is p's other end
     n = g.n_vertices
     k = len(g.e_vertices)
@@ -420,6 +420,16 @@ class TestHypertrees:
     def test_count_is_the_dual_arborescence_count(self, graph_corpus, grid_subgraphs):
         for g in list(graph_corpus) + grid_subgraphs:
             count = len(hypertrees(g))
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                assert arborescence_count(dual.with_root(r0, kappa)) == count
+
+    def test_per_graph_count_is_the_count_at_every_root(
+        self, graph_corpus, grid_subgraphs
+    ):
+        # the dual is balanced, so one root's count serves for every root
+        for g in list(graph_corpus) + grid_subgraphs:
+            count = g.table(rootpolytope._hypertree_count)
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
                 assert arborescence_count(dual.with_root(r0, kappa)) == count

@@ -1,7 +1,9 @@
 """verify_graph's strict Morton audits, run once per type-II leaf subgraph,
 against a loop that audits every type-II leaf of every pair afresh."""
 
-from homflytop import verify
+from collections import Counter
+
+from homflytop import homfly, rootpolytope, verify
 from homflytop.arborescence import ArbTree, build_arb_tree
 from homflytop.fixtures import k32_three_strand
 from homflytop.homfly import (
@@ -210,3 +212,34 @@ class TestClockedCheckFailures:
             assert not check["ok"]
             assert check["detail"] == "planted clocked-search failure"
         assert not report.ok
+
+
+class TestTablesOncePerGraph:
+    """Tables that depend on the graph alone are built once per graph and
+    read by every (r0, kappa) pair of ``verify_graph``."""
+
+    TABLES = (
+        (rootpolytope, "_pair_ids"),
+        (rootpolytope, "_hypertree_count"),
+        (homfly, "_certificate_ends"),
+    )
+
+    def test_every_pair_reuses_the_tables(self, monkeypatch, grid_graph):
+        builds = Counter()
+        for module, name in self.TABLES:
+
+            def counting(g, real=getattr(module, name), name=name):
+                builds[name] += 1
+                return real(g)
+
+            monkeypatch.setattr(module, name, counting)
+        for g in (grid_graph(3, 3, (3, 8)), grid_graph(2, 4)):
+            dual = build_dual(g, kappa_edge=0)
+            builds.clear()
+            assert verify_graph(g, dual).ok
+            assert len(dual.admissible_pairs()) > 5
+            assert builds == {name: 1 for _, name in self.TABLES}
+            # a second run on the same graph builds none
+            builds.clear()
+            assert verify_graph(g, dual).ok
+            assert not builds
