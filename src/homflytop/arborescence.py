@@ -25,11 +25,10 @@ node from scratch, as the tests' reference.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
-from .planegraph import DualDigraph, InvariantError
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -127,16 +126,11 @@ class ArbNode:
 
 @dataclass
 class ArbTree:
-    """Materialized binary tree with leaves in right-to-left order.
-
-    ``burns`` is the dual's Dhar burning test, built by the first
-    ``arborescence_from_parking`` call on the tree and kept for the rest.
-    """
+    """Materialized binary tree with leaves in right-to-left order."""
 
     dual: DualDigraph
     root: ArbNode
     leaves: list[ArbNode]
-    burns: Callable[[list[int]], bool] | None = None
 
     def type_one_leaves(self) -> list[tuple[int, int]]:
         """(edge mask of a, k) per type-I leaf, rightmost first."""
@@ -211,12 +205,7 @@ def _walk(dual: DualDigraph, prune: bool = False):
     skipped sets are the full tree's, and a type-II leaf means a fault.
     """
     spanning_size, head = dual.n_vertices - 1, dual.head
-    if prune:
-        in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(dual.n_vertices)]
-        for c, (t, h) in enumerate(dual.arcs()):
-            in_arcs[h].append((c, t))
-    else:
-        masks = dual.graph.edge_masks
+    arcs = dual.graph.table(_dual_arcs)
     # (a, s, |a|, root component, resumed walk state); add child goes first
     stack = [(0, 0, 0, 1 << dual.r0, 2 * dual.kappa + 1, 0)]
     while stack:
@@ -227,13 +216,13 @@ def _walk(dual: DualDigraph, prune: bool = False):
         found = _walk_to_augmenting(dual, a, s, component, d, steps)
         if found is None:
             if not prune:
-                _check_type_two(masks, component, s)
+                _check_type_two(arcs, component, s)
             yield a, s, None, "II"
             continue
         delta, d, steps = found
         yield a, s, delta, None
         bit = 1 << delta
-        if not prune or _reached_without(in_arcs, component, s | bit, head[delta]):
+        if not prune or _reached_without(arcs[0], component, s | bit, head[delta]):
             stack.append((a, s | bit, size, component, d, steps))
         grown = component | 1 << head[delta]
         stack.append((a | bit, s, size + 1, grown, d ^ 1, steps))
@@ -270,6 +259,20 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
     return ArbTree(dual, above.right, leaves)
 
 
+def _dual_arcs(g: PlaneBipartiteGraph):
+    """Three lists over the faces, read off ``dart_face``: the (edge, tail)
+    pairs of the dual edges into each face, and the masks of the dual edges
+    out of it and into it; the same for every root."""
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_faces)]
+    out, into = [0] * g.n_faces, [0] * g.n_faces
+    for c in range(g.n_edges):
+        t, h = g.dart_face[2 * c], g.dart_face[2 * c + 1]
+        in_arcs[h].append((c, t))
+        out[t] |= 1 << c
+        into[h] |= 1 << c
+    return in_arcs, out, into
+
+
 def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     """Whether the edges outside ``skipped`` reach r from the component."""
     seen = 1 << r
@@ -284,11 +287,12 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
     return False
 
 
-def _check_type_two(masks, component: int, s: int):
+def _check_type_two(arcs, component: int, s: int):
     """Raise unless every edge leaving ``component`` is in ``s``, naming the
-    lowest that is not; ``masks`` are the graph's ``edge_masks``."""
+    lowest that is not; ``arcs`` is the graph's ``_dual_arcs``, whose out and
+    in edge masks per face it reads."""
     out = inward = 0
-    for v, (out_v, in_v) in enumerate(masks):
+    for v, (out_v, in_v) in enumerate(zip(arcs[1], arcs[2])):
         if component >> v & 1:
             out |= out_v
             inward |= in_v

@@ -3,16 +3,18 @@ bijection with type-I leaves of the arborescence tree.
 
 The parking test decides the subset definition exactly with Dhar's burning
 algorithm (Dhar, "Self-organized critical state of sandpile automaton
-models", 1990), in time linear in the digraph.  The enumerator searches the
-down-set of parking functions depth first, one burning test per child, so
-its cost follows the number of functions found.  The bijection reads a
-leaf's edge masks; its inverse descends the built tree.
+models", 1990), in time linear in the digraph.  The test takes the root as
+data, -1 in its value list, so one test of a dual serves every root.  The
+enumerator searches the down-set of parking functions depth first, one
+burning test per child, so its cost follows the number of functions found.
+The bijection reads a leaf's edge masks; its inverse descends the built
+tree, checked first by the dual's one burning test.
 """
 
 from __future__ import annotations
 
 from .laurent import Laurent1
-from .planegraph import DualDigraph, InvariantError
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
 from .arborescence import ArbTree, _bit_positions
 
 
@@ -21,35 +23,40 @@ from .arborescence import ArbTree, _bit_positions
 # pairs over vertices 0..n-1.  DualDigraph supplies this via .arcs().
 
 
-def _burning_test(n_vertices: int, arcs, r0: int):
-    """Dhar's burning test for one rooted digraph, its adjacency built once.
+def _burning_test(n_vertices: int, arcs):
+    """Dhar's burning test for one digraph, its adjacency built once.
 
-    Returns a predicate on values given as a list over the vertices (the
-    root's entry is not read): start with the root burnt, and burn any
-    vertex whose value is below its in-degree from the burnt set.  The
+    Returns a predicate on values given as a list over the vertices, with
+    -1 at the root: start with every vertex of negative value burnt, and burn
+    any vertex whose value is below its in-degree from the burnt set.  The
     predicate holds iff every vertex burns; the unburnt rest would be a
     subset with no vertex below its relative in-degree, and the first vertex
-    of any subset to burn is one.
+    of any subset to burn is one.  The root is data, so one test serves every
+    root of a digraph.
     """
     heads: list[list[int]] = [[] for _ in range(n_vertices)]
     for tail, head in arcs:
-        if head != r0 and head != tail:
+        if head != tail:
             heads[tail].append(head)
-    others = [r for r in range(n_vertices) if r != r0]
 
     def burns(values) -> bool:
         fed = [0] * n_vertices  # in-degree from the burnt set
-        burning = [r0] + [r for r in others if values[r] < 0]
+        burning = [r for r in range(n_vertices) if values[r] < 0]
         burnt = len(burning)
         while burning:
             for r in heads[burning.pop()]:
                 fed[r] += 1
-                if fed[r] == values[r] + 1:  # only once, as fed only grows
+                if fed[r] == values[r] + 1:  # only once, as fed only grows past 0
                     burnt += 1
                     burning.append(r)
         return burnt == n_vertices
 
     return burns
+
+
+def _dual_burning_test(g: PlaneBipartiteGraph):
+    """The burning test of ``g``'s directed dual, shared by every root."""
+    return _burning_test(g.n_faces, zip(g.dart_face[0::2], g.dart_face[1::2]))
 
 
 def is_parking_function(values: dict[int, int], n_vertices: int, arcs, r0: int) -> bool:
@@ -59,15 +66,15 @@ def is_parking_function(values: dict[int, int], n_vertices: int, arcs, r0: int) 
     ``values`` must be defined exactly on the non-root vertices.  Decided by
     Dhar's burning algorithm (``_burning_test``).
     """
-    return _burning_test(n_vertices, arcs, r0)(_listed(values, n_vertices, r0))
+    return _burning_test(n_vertices, arcs)(_listed(values, n_vertices, r0))
 
 
 def _listed(values: dict[int, int], n_vertices: int, r0: int) -> list[int]:
-    """The values as a list over the vertices, once they are checked to be
-    defined exactly on the non-root vertices."""
+    """The values as a list over the vertices, -1 at the root, once they are
+    checked to be defined exactly on the non-root vertices."""
     if set(values) != {r for r in range(n_vertices) if r != r0}:
         raise ValueError("function must be defined exactly on the non-root vertices")
-    return [values.get(r, 0) for r in range(n_vertices)]
+    return [values.get(r, -1) for r in range(n_vertices)]
 
 
 def enumerate_parking(n_vertices: int, arcs, r0: int) -> list[dict[int, int]]:
@@ -87,8 +94,9 @@ def enumerate_parking(n_vertices: int, arcs, r0: int) -> list[dict[int, int]]:
     for tail, head in arcs:
         if tail != head:
             bound[head] += 1
-    burns = _burning_test(n_vertices, arcs, r0)
+    burns = _burning_test(n_vertices, arcs)
     zero = [0] * n_vertices
+    zero[r0] = -1
     stack = [(zero, 0)] if burns(zero) else []
     found = []
     while stack:
@@ -101,7 +109,7 @@ def enumerate_parking(n_vertices: int, arcs, r0: int) -> list[dict[int, int]]:
                 child[r] += 1
                 if burns(child):
                     stack.append((child, j))
-    found.sort()  # the root's entry is 0 throughout
+    found.sort()  # the root's entry is -1 throughout
     return [{r: values[r] for r in others} for values in found]
 
 
@@ -143,13 +151,11 @@ def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
     At a node whose augmenting edge delta points into r: go left (skip
     delta) while the function value at r exceeds the number of edges into r
     skipped so far, else go right (add delta).  Parking functions always
-    end at a type-I leaf.  The burning test is built once per tree.
+    end at a type-I leaf.  The burning test is the graph's, built once.
     """
     dual = tree.dual
-    listed = _listed(values, dual.n_vertices, dual.r0)
-    if tree.burns is None:
-        tree.burns = _burning_test(dual.n_vertices, dual.arcs(), dual.r0)
-    if not tree.burns(listed):
+    burns = dual.graph.table(_dual_burning_test)
+    if not burns(_listed(values, dual.n_vertices, dual.r0)):
         raise ValueError("not a parking function of this rooted digraph")
     skipped_into = {r: 0 for r in values}
     node = tree.root

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 Dart = tuple[int, int]  # (edge id, direction); 0 = E->V, 1 = V->E
 
@@ -65,19 +64,6 @@ class PlaneBipartiteGraph:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-    @cached_property
-    def edge_masks(self) -> tuple[tuple[int, int], ...]:
-        """Per face, (mask of the edges whose dart (c, 0) it holds, mask of
-        those whose dart (c, 1) it holds): the dual edges out of and into
-        it, the same for every root."""
-        return tuple(
-            (
-                sum(1 << c for c, end in walk if end == 0),
-                sum(1 << c for c, end in walk if end == 1),
-            )
-            for walk in self.faces
-        )
 
     def table(self, build):
         """``build(self)``, made once per graph and shared by every root."""

@@ -300,12 +300,12 @@ class TestResumedWalk:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
-                arcs, masks = rooted.arcs(), g.edge_masks
+                arcs, table = rooted.arcs(), g.table(arborescence._dual_arcs)
                 for leaf in build_arb_tree(rooted).type_two_leaves():
                     component = arborescence._root_component(rooted, leaf.a)
                     for check, tables in (
                         (reference_check_type_two, arcs),
-                        (arborescence._check_type_two, masks),
+                        (arborescence._check_type_two, table),
                     ):
                         assert audit_message(check, tables, component, leaf.s) is None
                     leaves += 1
@@ -320,7 +320,7 @@ class TestResumedWalk:
                     scan = audit_message(reference_check_type_two, arcs, component, s)
                     assert f"edge {min(unskipped)}:" in scan
                     assert audit_message(
-                        arborescence._check_type_two, masks, component, s
+                        arborescence._check_type_two, table, component, s
                     ) == scan
                     planted += 1
         assert leaves > 10_000 and planted > 10_000

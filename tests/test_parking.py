@@ -110,6 +110,8 @@ class TestBurningMatchesSubsetDefinition:
 
     @staticmethod
     def agree_on_value_box(dual):
+        # the dual's shared test reads the same values with -1 at the root
+        shared = dual.graph.table(parking._dual_burning_test)
         checked = accepted = 0
         for r0 in sorted(set(dual.head))[:3]:
             kappa = dual.head.index(r0)
@@ -123,9 +125,11 @@ class TestBurningMatchesSubsetDefinition:
             for combo in product(*boxes):
                 values = dict(zip(others, combo))
                 fast = is_parking_function(values, rooted.n_vertices, arcs, r0)
-                assert fast == reference_is_parking_function(
+                expected = reference_is_parking_function(
                     values, rooted.n_vertices, arcs, r0
                 )
+                listed = [values.get(r, -1) for r in range(rooted.n_vertices)]
+                assert fast == shared(listed) == expected
                 checked += 1
                 accepted += fast
         return checked, accepted

@@ -15,6 +15,8 @@ from homflytop.planegraph import (
     block_subgraph,
     SignedBlock,
 )
+from homflytop.arborescence import _dual_arcs
+from homflytop.parking import _dual_burning_test
 from homflytop.rootpolytope import _hypertree_count, _pair_ids
 from homflytop.fixtures import (
     single_edge,
@@ -184,15 +186,17 @@ class TestDual:
             dual.with_root((dual.head[0] + 1) % dual.n_vertices, 0)
 
     def test_edge_masks_are_the_dual_arcs(self, graph_corpus, grid_subgraphs):
-        # per face, the edges whose dual leaves it and those whose dual
-        # enters it, the same for every root
+        # per face, the (edge, tail) pairs of the dual edges entering it and
+        # the masks of the edges whose dual leaves it and enters it, read off
+        # the face walks: the face holding dart (c, 0) is the tail of edge c
         for g in graph_corpus + grid_subgraphs + [single_edge()[0]]:
-            dual = build_dual(g)
-            masks = [[0, 0] for _ in range(dual.n_vertices)]
-            for c, (t, h) in enumerate(dual.arcs()):
-                masks[t][0] |= 1 << c
-                masks[h][1] |= 1 << c
-            assert [list(pair) for pair in g.edge_masks] == masks
+            face = {dart: r for r, walk in enumerate(g.faces) for dart in walk}
+            into = [sorted(c for c, end in walk if end == 1) for walk in g.faces]
+            assert g.table(_dual_arcs) == (
+                [[(c, face[(c, 0)]) for c in edges] for edges in into],
+                [sum(1 << c for c, end in walk if end == 0) for walk in g.faces],
+                [sum(1 << c for c in edges) for edges in into],
+            )
 
 
     def test_block_subgraph_gets_its_own_tables(self):
@@ -206,6 +210,10 @@ class TestDual:
             assert sub.table(_pair_ids) == _pair_ids(sub) != whole
             assert sub.table(_pair_ids) is sub.table(_pair_ids)
             assert sub.table(_hypertree_count) == _hypertree_count(sub)
+            assert sub.table(_dual_arcs) == _dual_arcs(sub) != g.table(_dual_arcs)
+            burns = sub.table(_dual_burning_test)
+            assert burns is sub.table(_dual_burning_test)
+            assert burns is not g.table(_dual_burning_test)
         assert g.table(_pair_ids) is whole
 
     def test_dart_lists_follow_the_face_walks(self, graph_corpus, grid_subgraphs):

@@ -3,7 +3,7 @@ against a loop that audits every type-II leaf of every pair afresh."""
 
 from collections import Counter
 
-from homflytop import homfly, rootpolytope, verify
+from homflytop import arborescence, homfly, parking, rootpolytope, verify
 from homflytop.arborescence import ArbTree, build_arb_tree
 from homflytop.fixtures import k32_three_strand
 from homflytop.homfly import (
@@ -141,10 +141,8 @@ class TestStrictAuditOncePerSubgraph:
             assert not report.ok
 
 
-class TestBurningTestOncePerTree:
-    def test_inverse_builds_one_burning_test_per_tree(self, monkeypatch, grid_graph):
-        from homflytop import parking
-
+class TestBurningTestOncePerGraph:
+    def test_inverse_builds_one_burning_test_per_graph(self, monkeypatch, grid_graph):
         built, inverses = [], []
         make, inverse = parking._burning_test, verify.arborescence_from_parking
 
@@ -165,8 +163,8 @@ class TestBurningTestOncePerTree:
             inverses.clear()
             assert verify_graph(g, dual).ok
             assert len(inverses) > len(pairs)
-            # one for enumerate_parking per root, one for the inverse per tree
-            assert len(built) == len({r0 for r0, _ in pairs}) + len(pairs)
+            # one for enumerate_parking per root, one for the inverse per graph
+            assert len(built) == len({r0 for r0, _ in pairs}) + 1
 
 
 class TestClockedCheckFailures:
@@ -222,6 +220,8 @@ class TestTablesOncePerGraph:
         (rootpolytope, "_pair_ids"),
         (rootpolytope, "_hypertree_count"),
         (homfly, "_certificate_ends"),
+        (arborescence, "_dual_arcs"),
+        (parking, "_dual_burning_test"),
     )
 
     def test_every_pair_reuses_the_tables(self, monkeypatch, grid_graph):
