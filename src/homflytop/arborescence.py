@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -260,13 +260,12 @@ def build_arb_tree(dual: DualDigraph) -> ArbTree:
 
 
 def _dual_arcs(g: PlaneBipartiteGraph):
-    """Three lists over the faces, read off ``dart_face``: the (edge, tail)
-    pairs of the dual edges into each face, and the masks of the dual edges
-    out of it and into it; the same for every root."""
+    """Three lists over the faces, read off the arcs of ``build_dual(g)``:
+    the (edge, tail) pairs of the dual edges into each face, and the masks
+    of the dual edges out of it and into it; the same for every root."""
     in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_faces)]
     out, into = [0] * g.n_faces, [0] * g.n_faces
-    for c in range(g.n_edges):
-        t, h = g.dart_face[2 * c], g.dart_face[2 * c + 1]
+    for c, (t, h) in enumerate(build_dual(g).arcs()):
         in_arcs[h].append((c, t))
         out[t] |= 1 << c
         into[h] |= 1 << c

@@ -92,7 +92,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, with_document=False):
+# commands whose output reads no root ignore --r0, --kappa and the r0 and kappa fields
+ROOT_FREE = ("homfly", "homogeneous", "verify")
+
+
+def _load(args):
     if not args.input:
         raise GraphInputError("--input is required for this command")
     try:
@@ -102,10 +106,13 @@ def _load(args, with_document=False):
     except OSError as exc:  # a missing or unreadable file
         raise GraphInputError(str(exc)) from exc
     doc = decode_document(text)
-    if args.kappa is not None:
+    if args.command in ROOT_FREE:
+        doc.pop("r0", None)
+        doc.pop("kappa", None)
+    elif args.kappa is not None:
         doc["kappa"] = args.kappa
         doc.pop("r0", None)
-    if args.r0 is not None:
+    if args.r0 is not None and args.command not in ROOT_FREE:
         try:
             edge, direction = args.r0.split(",")
             doc["r0"] = [int(edge), direction.strip()]
@@ -113,10 +120,7 @@ def _load(args, with_document=False):
             raise GraphInputError(f"--r0 must look like '3,ve': {exc}") from exc
         if args.kappa is None:
             doc.pop("kappa", None)
-    g, dual = parse_plane_graph(doc)
-    if with_document:
-        return g, dual, doc
-    return g, dual
+    return (*parse_plane_graph(doc), doc)
 
 
 def _to_json(x, indent: str = "") -> str:
@@ -147,7 +151,7 @@ def _emit(payload, args, as_text):
 
 
 def cmd_faces(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     if args.format == "dot":
         print(g.to_dot())
         return 0
@@ -168,7 +172,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     if args.format == "dot":
         print(overlay_dot(g, dual))
         return 0
@@ -188,7 +192,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_arbtree(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     tree = build_arb_tree(dual)
     if args.format == "dot":
         print(tree.to_dot())
@@ -207,7 +211,7 @@ def cmd_arbtree(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     tri = triangulation_from_arbtree(dual, type_one_leaves(dual))
     counts = verify_shelling(tri)
     payload = tri.to_json()
@@ -223,7 +227,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_hvector(args) -> int:
-    _, dual = _load(args)
+    _, dual, _ = _load(args)
     pairs = dual.admissible_pairs() if args.all_roots else [(dual.r0, dual.kappa)]
     results = []
     for r0, kappa in pairs:
@@ -258,7 +262,7 @@ def cmd_hvector(args) -> int:
 
 
 def cmd_parking(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     roots = (
         sorted({r for r, _ in dual.admissible_pairs()})
         if args.all_roots
@@ -299,7 +303,7 @@ def cmd_parking(args) -> int:
 
 
 def cmd_top(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     n, s = g.n_edges, g.n_vertices
     leaves = type_one_leaves(dual)
     h = h_from_f(f_vector(triangulation_from_arbtree(dual, leaves)))
@@ -328,7 +332,7 @@ def cmd_top(args) -> int:
 
 
 def cmd_homfly(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     d = median_diagram(g)
     P = homfly_skein(d, cap=args.cap, memo=shared_memo())
     nabla, alex, half = conway_and_alexander(P)
@@ -355,7 +359,7 @@ def cmd_homfly(args) -> int:
 
 
 def cmd_homogeneous(args) -> int:
-    g, dual, doc = _load(args, with_document=True)
+    g, _, doc = _load(args)
     signs = doc.get("signs", [1] * g.n_edges)
     if not isinstance(signs, list) or any(type(s) is not int for s in signs):
         raise GraphInputError("malformed signs: expected a list of integers")
@@ -363,8 +367,7 @@ def cmd_homogeneous(args) -> int:
         raise GraphInputError("signs list must cover every edge")
     if any(s not in (1, -1) for s in signs):
         raise GraphInputError("every sign must be 1 or -1")
-    names = list(g.e_vertices) + list(g.v_vertices)
-    blocks = biconnected_blocks(names, list(g.edges), signs)
+    blocks = biconnected_blocks(range(g.n_vertices), g.ends, signs)
     enumerators = [
         parking_for_dual(build_dual(block_subgraph(g, b.edge_ids), kappa_edge=0))[1]
         for b in blocks
@@ -388,7 +391,7 @@ def cmd_homogeneous(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, dual = _load(args)
+    g, dual, _ = _load(args)
     report = verify_graph(g, dual, cap=args.cap)
     _emit(
         report.to_json(), args,

@@ -14,7 +14,7 @@ tree, checked first by the dual's one burning test.
 from __future__ import annotations
 
 from .laurent import Laurent1
-from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph
+from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
 from .arborescence import ArbTree, _bit_positions
 
 
@@ -56,7 +56,7 @@ def _burning_test(n_vertices: int, arcs):
 
 def _dual_burning_test(g: PlaneBipartiteGraph):
     """The burning test of ``g``'s directed dual, shared by every root."""
-    return _burning_test(g.n_faces, zip(g.dart_face[0::2], g.dart_face[1::2]))
+    return _burning_test(g.n_faces, build_dual(g).arcs())
 
 
 def is_parking_function(values: dict[int, int], n_vertices: int, arcs, r0: int) -> bool:

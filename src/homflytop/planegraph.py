@@ -35,7 +35,10 @@ class PlaneBipartiteGraph:
     Attributes:
         e_vertices, v_vertices: vertex names of the two color classes.
         edges: tuple of (e_name, v_name) pairs; the index is the edge id.
-        rotations: vertex name -> tuple of incident edge ids, CCW.
+        ends: per edge the vertex ids (e, v) of its ends.  A vertex's id is
+            its index in ``e_vertices + v_vertices``, E-vertices first.
+        rotations: vertex name -> tuple of incident edge ids, CCW, listed
+            in vertex id order whatever order the input used.
         faces: tuple of faces, each a tuple of darts walked with the face on
             the left; faces are ordered by their minimal dart.
         next_dart, dart_face: per int dart, the next along its face, and that face.
@@ -45,8 +48,7 @@ class PlaneBipartiteGraph:
         self.e_vertices = tuple(e_vertices)
         self.v_vertices = tuple(v_vertices)
         self.edges = tuple((e, v) for e, v in edges)
-        self.rotations = {x: tuple(r) for x, r in rotations.items()}
-        self._validate_structure()
+        self.ends, self.rotations = self._validate_structure(rotations)
         self.next_dart, self.dart_face, self.faces = self._trace_faces()
         self._tables: dict = {}
         self._check_euler()
@@ -85,47 +87,47 @@ class PlaneBipartiteGraph:
 
     # -- construction checks ---------------------------------------------
 
-    def _validate_structure(self):
+    def _validate_structure(self, rotations):
+        """``ends`` and ``rotations`` in vertex id order, once the input
+        is checked to be a connected bipartite rotation system."""
+        names, k = self.e_vertices + self.v_vertices, len(self.e_vertices)
+        number = {x: i for i, x in enumerate(names)}
         self._e_set = set(self.e_vertices)
-        self._v_set = set(self.v_vertices)
-        if len(self._e_set) != len(self.e_vertices) or len(self._v_set) != len(
-            self.v_vertices
-        ):
+        if len(self._e_set) < k or len(set(self.v_vertices)) < len(names) - k:
             raise GraphInputError("duplicate vertex names")
-        if self._e_set & self._v_set:
+        if len(number) < len(names):
             raise GraphInputError("color classes are not disjoint")
         if not self.edges:
             raise GraphInputError("graph has no edges")
-        for c, (e, v) in enumerate(self.edges):
-            if e not in self._e_set or v not in self._v_set:
+        ends = [(number.get(e, -1), number.get(v, -1)) for e, v in self.edges]
+        incident: list[list[int]] = [[] for _ in names]
+        for c, (i, j) in enumerate(ends):
+            if not 0 <= i < k <= j:
                 raise GraphInputError(
                     f"edge {c} does not join the E class to the V class"
                 )
-        expected = {x: [] for x in self.e_vertices + self.v_vertices}
-        for c, (e, v) in enumerate(self.edges):
-            expected[e].append(c)
-            expected[v].append(c)
-        unknown = set(self.rotations) - set(expected)
+            incident[i].append(c)
+            incident[j].append(c)
+        unknown = set(rotations) - set(number)
         if unknown:
             raise GraphInputError(f"rotation given for unknown vertices {unknown}")
-        for x, incident in expected.items():
-            rot = self.rotations.get(x)
-            if rot is None:
+        for x, edge_ids in zip(names, incident):
+            if x not in rotations:
                 raise GraphInputError(f"missing rotation for vertex {x!r}")
-            if sorted(rot) != sorted(incident):
+            if sorted(rotations[x]) != edge_ids:
                 raise GraphInputError(
                     f"rotation at {x!r} is not a permutation of its incident edges"
                 )
-        tree = bfs_tree(self.e_vertices + self.v_vertices, self.edges)
-        if len(tree) != self.n_vertices:
+        if len(bfs_tree(range(len(names)), ends)) != len(names):
             raise GraphInputError("graph is not connected")
+        return tuple(ends), {x: tuple(rotations[x]) for x in names}
 
     def _trace_faces(self):
         # face on the left: a walk into x along edge c goes on out of x along
         # the edge before c in x's rotation (bipartite edges are never loops)
-        succ = [0] * (2 * self.n_edges)
-        for x, rot in self.rotations.items():
-            out = 0 if x in self._e_set else 1
+        succ, k = [0] * (2 * self.n_edges), len(self.e_vertices)
+        for x, rot in enumerate(self.rotations.values()):
+            out = 0 if x < k else 1
             for i, c in enumerate(rot):
                 succ[2 * c + 1 - out] = 2 * rot[i - 1] + out
         face = [-1] * len(succ)
@@ -423,7 +425,7 @@ def biconnected_blocks(vertices, edges, signs) -> list[SignedBlock]:
     no edge, one group's sum would be a proper nonempty even subgraph of it.
 
     Args:
-        vertices: iterable of vertex names.
+        vertices: iterable of vertices, such as names or a graph's ids.
         edges: list of loopless (u, w) pairs; the index is the edge id.
         signs: per-edge +1/-1 labels; each block must be sign-homogeneous.
 

@@ -42,11 +42,10 @@ from .arborescence import _bit_positions, arborescence_count
 
 def _pair_ids(g: PlaneBipartiteGraph):
     """Edge id -> pair id (parallel edges share one), pair id -> (E id, V id),
-    and per vertex id, E-vertices numbered first, the masks of its
+    and per vertex id (the graph's, E-vertices first) the masks of its
     neighbours, of the pair ids at it and of its class."""
-    pos = {x: i for i, x in enumerate(g.e_vertices + g.v_vertices)}
     pairs: dict[tuple[int, int], int] = {}
-    of_edge = [pairs.setdefault((pos[e], pos[v]), len(pairs)) for e, v in g.edges]
+    of_edge = [pairs.setdefault(ends, len(pairs)) for ends in g.ends]
     n, k = g.n_vertices, len(g.e_vertices)
     nbrs, incident = [0] * n, [0] * n
     for p, (e, v) in enumerate(pairs):
@@ -395,16 +394,9 @@ def h_from_shelling(counts, dimension: int) -> Laurent1:
 def coordinate_matrix(g: PlaneBipartiteGraph):
     """0/1 coordinate rows of the polytope vertices, one per edge.
 
-    Columns follow the E-vertices then the V-vertices; each row has exactly
+    Columns follow the vertex ids, E-vertices first; each row has exactly
     two ones.  Intended for export to external polytope tools.
     """
     names = list(g.e_vertices) + list(g.v_vertices)
-    pos = {x: i for i, x in enumerate(names)}
-    rows = []
-    for c in range(g.n_edges):
-        row = [0] * len(names)
-        e, v = g.edges[c]
-        row[pos[e]] = 1
-        row[pos[v]] = 1
-        rows.append(row)
+    rows = [[int(x in ends) for x in range(len(names))] for ends in g.ends]
     return {"columns": names, "rows": rows}

@@ -464,6 +464,30 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["top"] == "1*v^2 + 2*v^4"
 
+    def test_root_free_commands_read_no_root(self, capsys, tmp_path, k32_path):
+        # homfly, homogeneous and verify print the same without root flags as
+        # with flags naming an inadmissible or malformed root, or a document
+        # whose r0 is out of range; every rooted command rejects all three
+        g, _ = k32_three_strand()
+        far = tmp_path / "far_r0.json"
+        far.write_text(json.dumps(g.to_document(r0_dart=(99, 0), kappa=0)))
+        variants = [
+            ("--input", k32_path, "--kappa", "1", "--r0", "0,ve"),
+            ("--input", k32_path, "--r0", "nonsense"),
+            ("--input", str(far)),
+        ]
+        for command in cli.ROOT_FREE:
+            plain = run(capsys, command, "--input", k32_path)
+            assert plain[0] == 0
+            for variant in variants:
+                assert run(capsys, command, *variant) == plain
+        rooted = set(cli.HANDLERS) - set(cli.ROOT_FREE) - {"gen"}
+        assert len(rooted) == 7
+        for command in rooted:
+            for variant in variants:
+                code, out, err = run(capsys, command, *variant)
+                assert (code, out, json.loads(err)["error"]) == (2, "", "input")
+
     def test_consecutive_calls_match_fresh_parsers(self, capsys, monkeypatch, k32_path):
         # main reuses one parser; no option of a call may reach the next
         lines = [

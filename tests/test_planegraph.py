@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,7 +16,8 @@ from homflytop.planegraph import (
     block_subgraph,
     SignedBlock,
 )
-from homflytop.arborescence import _dual_arcs
+from homflytop.arborescence import _dual_arcs, build_arb_tree
+from homflytop.homfly import decorated_subgraph_at, strict_bound_certified
 from homflytop.parking import _dual_burning_test
 from homflytop.rootpolytope import _hypertree_count, _pair_ids
 from homflytop.fixtures import (
@@ -224,6 +226,57 @@ class TestDual:
                 assert [g.next_dart[d] for d in darts] == darts[1:] + darts[:1]
                 assert {g.dart_face[d] for d in darts} == {r}
                 assert all(g.face_of(d) == r for d in walk)
+
+
+class TestVertexNumbering:
+    """Each graph numbers its vertices once, E-vertices first, and every
+    per-graph table reads those ids; the numbering changes no face, dual
+    arc or certificate verdict."""
+
+    def test_ends_and_rotations_follow_the_ids(self, graph_corpus, grid_subgraphs):
+        for g in graph_corpus + grid_subgraphs:
+            names = list(g.e_vertices) + list(g.v_vertices)
+            assert g.ends == tuple(
+                (names.index(e), names.index(v)) for e, v in g.edges
+            )
+            assert list(g.rotations) == names
+            backwards = dict(reversed(list(g.rotations.items())))
+            rebuilt = PlaneBipartiteGraph(
+                g.e_vertices, g.v_vertices, g.edges, backwards
+            )
+            assert list(rebuilt.rotations) == names
+            assert rebuilt.rotations == g.rotations
+
+    def test_shuffled_documents_give_the_same_graph(
+        self, graph_corpus, grid_subgraphs
+    ):
+        rng = random.Random(34)
+        renumbered, verdicts = 0, Counter()
+        for g in graph_corpus + grid_subgraphs:
+            doc = g.to_document()
+            for key in ("E", "V"):
+                rng.shuffle(doc[key])
+            rotation = list(doc["rotation"].items())
+            rng.shuffle(rotation)
+            doc["rotation"] = dict(rotation)
+            h, _ = parse_plane_graph(doc)
+            assert (h.faces, h.dart_face) == (g.faces, g.dart_face)
+            assert build_dual(h).arcs() == build_dual(g).arcs()
+            assert h.table(_dual_arcs) == g.table(_dual_arcs)
+            renumbered += h.ends != g.ends
+            dual = build_dual(g)
+            subs = {
+                decorated_subgraph_at(g, leaf)
+                for r0, kappa in dual.admissible_pairs()
+                for leaf in build_arb_tree(dual.with_root(r0, kappa)).type_two_leaves()
+            }
+            for sub in subs:
+                verdict = strict_bound_certified(g, sub)
+                assert strict_bound_certified(h, sub) == verdict
+                verdicts[verdict] += 1
+        # the shuffles renumber most graphs, and both verdicts occur
+        assert renumbered > 100
+        assert verdicts[True] > 1000 and verdicts[False] > 50
 
 
 class TestSubgraphDuality:
