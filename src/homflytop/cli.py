@@ -42,6 +42,7 @@ from .rootpolytope import (
 )
 from .parking import parking_for_dual
 from .homfly import (
+    DEFAULT_CAP,
     CrossingCapExceeded,
     median_diagram,
     homfly_skein,
@@ -75,7 +76,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="graph document path ('-' for stdin)")
     parser.add_argument("--r0", help="root face as 'EDGE,ev' or 'EDGE,ve' dart")
     parser.add_argument("--kappa", type=int, help="distinguished edge id")
-    parser.add_argument("--cap", type=int, default=14, help="oracle crossing cap")
+    parser.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help="oracle crossing cap"
+    )
     parser.add_argument(
         "--format", choices=("json", "text", "dot", "csv"), default="text"
     )

@@ -14,14 +14,14 @@ from .planegraph import PlaneBipartiteGraph
 
 
 def _corners(g: PlaneBipartiteGraph):
-    """(face index, vertex, edge id to insert after) per face-walk corner.
+    """(face index, vertex id, edge id to insert after) per face-walk corner.
 
     The corner before dart d of a face walk sits at the tail of d, in the
     rotation sector just after d's edge; inserting a new edge id right
     after that edge id puts the new dart inside this face.
     """
     return [
-        (fi, g.edges[c][end], c) for fi, walk in enumerate(g.faces) for c, end in walk
+        (fi, g.ends[c][end], c) for fi, walk in enumerate(g.faces) for c, end in walk
     ]
 
 
@@ -35,31 +35,33 @@ def grow_once(g: PlaneBipartiteGraph, rng: random.Random) -> PlaneBipartiteGraph
     e_vertices = list(g.e_vertices)
     v_vertices = list(g.v_vertices)
     edges = [list(p) for p in g.edges]
-    rotations = {x: list(r) for x, r in g.rotations.items()}
+    names, k = g.e_vertices + g.v_vertices, len(g.e_vertices)
+    rotations = {x: list(r) for x, r in zip(names, g.rotations)}
     new_id = len(edges)
     corners = _corners(g)
 
     chord_options = []
     for i, (fi, x, _) in enumerate(corners):
         for j, (fj, y, _) in enumerate(corners):
-            if fi == fj and g.is_e_vertex(x) and not g.is_e_vertex(y):
+            if fi == fj and x < k <= y:
                 chord_options.append((i, j))
 
     if chord_options and rng.random() < 0.55:
         i, j = rng.choice(chord_options)
         _, x, anchor_x = corners[i]
         _, y, anchor_y = corners[j]
+        x, y = names[x], names[y]
         edges.append([x, y])
         rotations[x] = _insert_after(rotations[x], anchor_x, new_id)
         rotations[y] = _insert_after(rotations[y], anchor_y, new_id)
     else:
         _, x, anchor = rng.choice(corners)
-        if g.is_e_vertex(x):
-            y = f"v{len(v_vertices)}"
+        if x < k:
+            x, y = names[x], f"v{len(v_vertices)}"
             v_vertices.append(y)
             edges.append([x, y])
         else:
-            y = f"e{len(e_vertices)}"
+            x, y = names[x], f"e{len(e_vertices)}"
             e_vertices.append(y)
             edges.append([y, x])
         rotations[x] = _insert_after(rotations[x], anchor, new_id)

@@ -81,6 +81,7 @@ class CrossingCapExceeded(ValueError):
     """Input diagram exceeds the configured crossing cap of the oracle."""
 
 
+DEFAULT_CAP = 14  # the oracle's crossing cap wherever no other is given
 UNLINK_FACTOR = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/v - v)/z
 # UNLINK_FACTOR ** k for the small k of split pieces, free loops and unlinks
 _UNLINK_POWERS = [UNLINK_FACTOR**k for k in range(8)]
@@ -605,14 +606,14 @@ def median_diagram(
     # to the pass entering along it at the next crossing j: 2i + 1 -> 2j on
     # an E-circle and 2i -> 2j + 1 on a V-circle
     succ = [0] * (2 * len(present))
-    free = 0
-    for vertices, step, leaving in ((g.e_vertices, 1, 1), (g.v_vertices, -1, 0)):
-        for x in vertices:
-            ring = [index[c] for c in g.rotations[x][::step] if c in index]
-            if not ring:
-                free += 1
-            for i, j in zip(ring, ring[1:] + ring[:1]):
-                succ[2 * i + leaving] = 2 * j + 1 - leaving
+    free, k = 0, len(g.e_vertices)
+    for x, rot in enumerate(g.rotations):
+        step, leaving = (1, 1) if x < k else (-1, 0)
+        ring = [index[c] for c in rot[::step] if c in index]
+        if not ring:
+            free += 1
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            succ[2 * i + leaving] = 2 * j + 1 - leaving
     signs = tuple(-1 if dotted >> c & 1 else 1 for c in present)
     over = tuple(dotted >> c & 1 for c in present)
     return LinkDiagram(signs, tuple(succ), over, free)
@@ -622,7 +623,7 @@ def median_diagram(
 
 
 def homfly_skein(
-    d: LinkDiagram, cap: int = 14, memo: dict | None = None
+    d: LinkDiagram, cap: int = DEFAULT_CAP, memo: dict | None = None
 ) -> Laurent2:
     """HOMFLY polynomial of the link presented by the diagram.
 
@@ -789,7 +790,7 @@ def homogeneous_top(blocks, enumerators) -> Laurent1:
 
 
 def morton_audit(
-    d: LinkDiagram, cap: int = 14, memo: dict | None = None
+    d: LinkDiagram, cap: int = DEFAULT_CAP, memo: dict | None = None
 ) -> int | None:
     """Check the z-degree of the diagram's HOMFLY value against n - s - 1.
 
@@ -810,7 +811,7 @@ def morton_audit(
 
 
 def _certificate_ends(g: PlaneBipartiteGraph) -> list[int]:
-    """Per edge the XOR of its ends' vertex ids, the order of ``g.rotations``."""
+    """Per edge the XOR of its ends' vertex ids, which index ``g.rotations``."""
     return [e ^ v for e, v in g.ends]
 
 
@@ -831,7 +832,7 @@ def strict_bound_certified(g: PlaneBipartiteGraph, sub: DecoratedSubgraph) -> bo
     """
     present, dotted = sub.present, sub.dotted
     ends = g.table(_certificate_ends)[:]  # edge c: x -> ends[c] ^ x
-    rot = [[c for c in r if present >> c & 1] for r in g.rotations.values()]
+    rot = [[c for c in r if present >> c & 1] for r in g.rotations]
     todo = list(range(len(rot)))
     while todo:
         x = todo.pop()

@@ -37,8 +37,8 @@ class PlaneBipartiteGraph:
         edges: tuple of (e_name, v_name) pairs; the index is the edge id.
         ends: per edge the vertex ids (e, v) of its ends.  A vertex's id is
             its index in ``e_vertices + v_vertices``, E-vertices first.
-        rotations: vertex name -> tuple of incident edge ids, CCW, listed
-            in vertex id order whatever order the input used.
+        rotations: per vertex id the tuple of its incident edge ids, CCW,
+            whatever order the input listed the vertices in.
         faces: tuple of faces, each a tuple of darts walked with the face on
             the left; faces are ordered by their minimal dart.
         next_dart, dart_face: per int dart, the next along its face, and that face.
@@ -57,7 +57,7 @@ class PlaneBipartiteGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def n_vertices(self) -> int:
@@ -76,15 +76,6 @@ class PlaneBipartiteGraph:
     def face_of(self, dart: Dart) -> int:
         return self.dart_face[2 * dart[0] + dart[1]]
 
-    def is_e_vertex(self, x: str) -> bool:
-        return x in self._e_set
-
-    def incident_vertices(self, edge_ids) -> set[str]:
-        out = set()
-        for c in edge_ids:
-            out.update(self.edges[c])
-        return out
-
     # -- construction checks ---------------------------------------------
 
     def _validate_structure(self, rotations):
@@ -92,8 +83,7 @@ class PlaneBipartiteGraph:
         is checked to be a connected bipartite rotation system."""
         names, k = self.e_vertices + self.v_vertices, len(self.e_vertices)
         number = {x: i for i, x in enumerate(names)}
-        self._e_set = set(self.e_vertices)
-        if len(self._e_set) < k or len(set(self.v_vertices)) < len(names) - k:
+        if len(set(self.e_vertices)) < k or len(set(self.v_vertices)) < len(names) - k:
             raise GraphInputError("duplicate vertex names")
         if len(number) < len(names):
             raise GraphInputError("color classes are not disjoint")
@@ -120,13 +110,13 @@ class PlaneBipartiteGraph:
                 )
         if len(bfs_tree(range(len(names)), ends)) != len(names):
             raise GraphInputError("graph is not connected")
-        return tuple(ends), {x: tuple(rotations[x]) for x in names}
+        return tuple(ends), tuple(tuple(rotations[x]) for x in names)
 
     def _trace_faces(self):
         # face on the left: a walk into x along edge c goes on out of x along
         # the edge before c in x's rotation (bipartite edges are never loops)
         succ, k = [0] * (2 * self.n_edges), len(self.e_vertices)
-        for x, rot in enumerate(self.rotations.values()):
+        for x, rot in enumerate(self.rotations):
             out = 0 if x < k else 1
             for i, c in enumerate(rot):
                 succ[2 * c + 1 - out] = 2 * rot[i - 1] + out
@@ -152,11 +142,12 @@ class PlaneBipartiteGraph:
     # -- exports ----------------------------------------------------------
 
     def to_document(self, r0_dart: Dart | None = None, kappa: int | None = None):
+        names = self.e_vertices + self.v_vertices
         doc = {
             "E": list(self.e_vertices),
             "V": list(self.v_vertices),
             "edges": [list(p) for p in self.edges],
-            "rotation": {x: list(r) for x, r in self.rotations.items()},
+            "rotation": {x: list(r) for x, r in zip(names, self.rotations)},
         }
         if kappa is not None:
             doc["kappa"] = kappa
@@ -341,20 +332,17 @@ def block_subgraph(g: PlaneBipartiteGraph, edge_ids) -> PlaneBipartiteGraph:
     edges; vertices no kept edge touches are dropped.  The kept edges must
     form a connected subgraph, such as a block.
     """
-    keep = set(edge_ids)
-    edge_map = {c: i for i, c in enumerate(sorted(keep))}
-    touched = g.incident_vertices(keep)
-    edges = [g.edges[c] for c in sorted(keep)]
-    rotations = {
-        x: [edge_map[c] for c in g.rotations[x] if c in keep]
-        for x in g.rotations
-        if x in touched
-    }
+    edge_map = {c: i for i, c in enumerate(sorted(set(edge_ids)))}
+    touched = sorted({x for c in edge_map for x in g.ends[c]})
+    names, k = g.e_vertices + g.v_vertices, len(g.e_vertices)
     return PlaneBipartiteGraph(
-        [e for e in g.e_vertices if e in touched],
-        [v for v in g.v_vertices if v in touched],
-        edges,
-        rotations,
+        [names[x] for x in touched if x < k],
+        [names[x] for x in touched if x >= k],
+        [g.edges[c] for c in edge_map],
+        {
+            names[x]: [edge_map[c] for c in g.rotations[x] if c in edge_map]
+            for x in touched
+        },
     )
 
 

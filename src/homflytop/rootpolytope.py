@@ -71,13 +71,13 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
     simple paths from each E-vertex decides it; exponential in the worst
     case, it serves as a test reference only.
     """
-    forward: dict[str, set[str]] = {}
-    backward: dict[str, set[str]] = {}
+    forward: dict[int, set[int]] = {}
+    backward: dict[int, set[int]] = {}
     for c in t1:
-        e, v = g.edges[c]
+        e, v = g.ends[c]
         forward.setdefault(e, set()).add(v)
     for c in t2:
-        e, v = g.edges[c]
+        e, v = g.ends[c]
         backward.setdefault(v, set()).add(e)
 
     def long_cycle_from(start) -> bool:
@@ -91,14 +91,14 @@ def compatible(g: PlaneBipartiteGraph, t1, t2) -> bool:
                     stack.append((y, path | {y}, not from_e))
         return False
 
-    return not any(long_cycle_from(e) for e in g.e_vertices)
+    return not any(long_cycle_from(e) for e in range(len(g.e_vertices)))
 
 
 # -- spanning trees and hypertrees ------------------------------------------
 
 
 def _is_forest(g: PlaneBipartiteGraph, edge_ids) -> bool:
-    parent: dict[str, str] = {}
+    parent: dict[int, int] = {}
 
     def find(x):
         parent.setdefault(x, x)
@@ -108,7 +108,7 @@ def _is_forest(g: PlaneBipartiteGraph, edge_ids) -> bool:
         return x
 
     for c in edge_ids:
-        e, v = g.edges[c]
+        e, v = g.ends[c]
         re, rv = find(e), find(v)
         if re == rv:
             return False
@@ -132,8 +132,9 @@ def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
     (Postnikov 2009, section 12) and the dual's arborescence count at any
     root (Kalman 2013), which ``arborescence_count`` computes directly.
     """
+    k = len(g.e_vertices)
     return {
-        tuple(sum(g.edges[c][0] == e for c in tree) - 1 for e in g.e_vertices)
+        tuple(sum(g.ends[c][0] == e for c in tree) - 1 for e in range(k))
         for tree in spanning_trees(g)
     }
 

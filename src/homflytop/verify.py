@@ -51,6 +51,7 @@ from .parking import (
     leaf_enumerator,
 )
 from .homfly import (
+    DEFAULT_CAP,
     median_diagram,
     homfly_skein,
     top_coefficient,
@@ -119,7 +120,7 @@ def _strict_morton_failure(g, sub, cap, memo) -> str | None:
 
 
 def verify_graph(
-    g: PlaneBipartiteGraph, dual: DualDigraph, cap: int = 14
+    g: PlaneBipartiteGraph, dual: DualDigraph, cap: int = DEFAULT_CAP
 ) -> VerifyReport:
     report = VerifyReport(ok=True)
     n, s = g.n_edges, g.n_vertices

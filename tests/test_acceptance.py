@@ -339,14 +339,15 @@ def _sign_patterns(bands):
 def _subgraph(g, edge_ids):
     keep = set(edge_ids)
     edge_map = {c: i for i, c in enumerate(sorted(keep))}
-    touched = g.incident_vertices(keep)
+    touched = {x for c in keep for x in g.ends[c]}
+    names, k = g.e_vertices + g.v_vertices, len(g.e_vertices)
     return PlaneBipartiteGraph(
-        [e for e in g.e_vertices if e in touched],
-        [v for v in g.v_vertices if v in touched],
+        [names[x] for x in range(k) if x in touched],
+        [names[x] for x in range(k, g.n_vertices) if x in touched],
         [g.edges[c] for c in sorted(keep)],
         {
-            x: [edge_map[c] for c in g.rotations[x] if c in keep]
-            for x in g.rotations
+            names[x]: [edge_map[c] for c in g.rotations[x] if c in keep]
+            for x in range(g.n_vertices)
             if x in touched
         },
     )

@@ -17,8 +17,11 @@ from the lines before.  Regenerate both only when an output change is
 intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+A last test pins the test corpus's documents, as ``gen`` draws them.
 """
 
+import hashlib
 import io
 import json
 import tempfile
@@ -29,7 +32,7 @@ import pytest
 
 from conftest import CORPUS_MAX_EDGES, CORPUS_SEED, CORPUS_SIZE, _grid_graph
 from homflytop.cli import main
-from homflytop.gen import corpus
+from homflytop.gen import corpus, corpus_documents
 from homflytop.fixtures import block_sum_bigon_theta, k32_three_strand
 from homflytop.homfly import shared_memo
 
@@ -136,6 +139,16 @@ def test_outputs_stay_golden_with_a_warm_memo(golden, golden_more, doc_paths):
         for name, line, expected in runs:
             assert run_line(line, doc_paths[name]) == expected, f"{name}: {line}"
     assert shared_memo()
+
+
+def test_generated_corpus_is_pinned():
+    # the test corpus, the benchmark inputs and their stored answers all
+    # depend on every random draw of ``gen``
+    docs = corpus_documents(CORPUS_SEED, CORPUS_SIZE, CORPUS_MAX_EDGES)
+    text = "\n".join(json.dumps(d, sort_keys=True) for d in docs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "795752d7b9939b042441d56b5f9e6b04356b8b5e2f2e2779847f941b1da3017c"
+    )
 
 
 if __name__ == "__main__":

@@ -448,10 +448,11 @@ def reference_median_diagram(g, subgraph=None) -> LinkDiagram:
     dotted = [c for c in present if subgraph.dotted >> c & 1]
     index = {c: i for i, c in enumerate(present)}
 
-    circles: dict[str, list[int]] = {}
-    for x in g.e_vertices:
+    k = len(g.e_vertices)
+    circles: dict[int, list[int]] = {}
+    for x in range(k):
         circles[x] = [c for c in g.rotations[x] if c in index]
-    for x in g.v_vertices:
+    for x in range(k, g.n_vertices):
         circles[x] = [c for c in reversed(g.rotations[x]) if c in index]
 
     def into_v(c):  # pass entering along the E-circle, leaving along the V-circle
@@ -462,7 +463,7 @@ def reference_median_diagram(g, subgraph=None) -> LinkDiagram:
 
     succ = [0] * (2 * len(present))
     for c in present:
-        e, v = g.edges[c]
+        e, v = g.ends[c]
         ring_v = circles[v]
         ring_e = circles[e]
         next_on_v = ring_v[(ring_v.index(c) + 1) % len(ring_v)]

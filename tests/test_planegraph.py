@@ -239,13 +239,36 @@ class TestVertexNumbering:
             assert g.ends == tuple(
                 (names.index(e), names.index(v)) for e, v in g.edges
             )
-            assert list(g.rotations) == names
-            backwards = dict(reversed(list(g.rotations.items())))
+            incident = [
+                [c for c, ends in enumerate(g.ends) if x in ends]
+                for x in range(len(names))
+            ]
+            assert [sorted(r) for r in g.rotations] == incident
+            backwards = dict(reversed(list(zip(names, g.rotations))))
             rebuilt = PlaneBipartiteGraph(
                 g.e_vertices, g.v_vertices, g.edges, backwards
             )
-            assert list(rebuilt.rotations) == names
+            assert [sorted(r) for r in rebuilt.rotations] == incident
             assert rebuilt.rotations == g.rotations
+
+    def test_block_subgraph_restricts_the_rotations(
+        self, graph_corpus, grid_subgraphs
+    ):
+        blocks_seen = 0
+        for g in graph_corpus + grid_subgraphs:
+            names = g.e_vertices + g.v_vertices
+            for block in biconnected_blocks(
+                range(g.n_vertices), list(g.ends), [1] * g.n_edges
+            ):
+                sub = block_subgraph(g, block.edge_ids)
+                kept = sorted(block.edge_ids)
+                ids = [names.index(x) for x in sub.e_vertices + sub.v_vertices]
+                assert set(ids) == block.vertices
+                assert [
+                    [kept[c] for c in rotation] for rotation in sub.rotations
+                ] == [[c for c in g.rotations[x] if c in kept] for x in ids]
+                blocks_seen += 1
+        assert blocks_seen > len(graph_corpus + grid_subgraphs)
 
     def test_shuffled_documents_give_the_same_graph(
         self, graph_corpus, grid_subgraphs
@@ -254,12 +277,17 @@ class TestVertexNumbering:
         renumbered, verdicts = 0, Counter()
         for g in graph_corpus + grid_subgraphs:
             doc = g.to_document()
+            assert parse_plane_graph(doc)[0].rotations == g.rotations
             for key in ("E", "V"):
                 rng.shuffle(doc[key])
             rotation = list(doc["rotation"].items())
             rng.shuffle(rotation)
             doc["rotation"] = dict(rotation)
             h, _ = parse_plane_graph(doc)
+            # rotations[x] is the document's rotation of the vertex with id x
+            assert h.rotations == tuple(
+                tuple(doc["rotation"][x]) for x in h.e_vertices + h.v_vertices
+            )
             assert (h.faces, h.dart_face) == (g.faces, g.dart_face)
             assert build_dual(h).arcs() == build_dual(g).arcs()
             assert h.table(_dual_arcs) == g.table(_dual_arcs)
