@@ -192,7 +192,9 @@ def _walk(dual: DualDigraph, prune: bool = False):
     one, the component only grows and so does s.  So each node finds the
     edge ``augmenting_edge`` would, after as many steps.  A spanning node is
     a type-I leaf and ends without a walk, so the close-up guard covers the
-    other nodes.  Each type-II leaf is audited as it is made.
+    other nodes.  Each type-II leaf is audited as it is made, on the masks
+    of the edges out of and into the root component that the stack carries;
+    ``_check_type_two`` runs only to name an escaping edge.
 
     With ``prune``, a skip child is kept only when the unskipped edges still
     reach every dual vertex from the root component, and nothing is audited.
@@ -204,28 +206,29 @@ def _walk(dual: DualDigraph, prune: bool = False):
     (``_reached_without``).  So the type-I leaves, their order and their
     skipped sets are the full tree's, and a type-II leaf means a fault.
     """
-    spanning_size, head = dual.n_vertices - 1, dual.head
+    spanning_size, head, r0 = dual.n_vertices - 1, dual.head, dual.r0
     arcs = dual.graph.table(_dual_arcs)
-    # (a, s, |a|, root component, resumed walk state); add child goes first
-    stack = [(0, 0, 0, 1 << dual.r0, 2 * dual.kappa + 1, 0)]
+    in_arcs, out_of, into = arcs
+    # (a, s, |a|, root component, its out and in edge masks, resumed walk state)
+    stack = [(0, 0, 0, 1 << r0, out_of[r0], into[r0], 2 * dual.kappa + 1, 0)]
     while stack:
-        a, s, size, component, d, steps = stack.pop()
+        a, s, size, component, out, inward, d, steps = stack.pop()
         if size == spanning_size:
             yield a, s, None, "I"
             continue
         found = _walk_to_augmenting(dual, a, s, component, d, steps)
         if found is None:
-            if not prune:
+            if not prune and out & ~inward & ~s:  # an unskipped escaping edge
                 _check_type_two(arcs, component, s)
             yield a, s, None, "II"
             continue
         delta, d, steps = found
         yield a, s, delta, None
-        bit = 1 << delta
-        if not prune or _reached_without(arcs[0], component, s | bit, head[delta]):
-            stack.append((a, s | bit, size, component, d, steps))
-        grown = component | 1 << head[delta]
-        stack.append((a | bit, s, size + 1, grown, d ^ 1, steps))
+        bit, h = 1 << delta, head[delta]
+        if not prune or _reached_without(in_arcs, component, s | bit, h):
+            stack.append((a, s | bit, size, component, out, inward, d, steps))
+        stack.append((a | bit, s, size + 1, component | 1 << h, out | out_of[h],
+                      inward | into[h], d ^ 1, steps))
 
 
 def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:

@@ -126,19 +126,30 @@ def _load(args):
     return (*parse_plane_graph(doc), doc)
 
 
+# the JSON text of a scalar, by its exact type
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
 def _to_json(x, indent: str = "") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)``, ``indent`` deep.  Below Python
-    3.13 an indent runs json's pure-Python encoder; only rarer values go there."""
+    3.13 an indent runs json's pure-Python encoder; only rarer values go there.
+    A dict's scalar values are written inline."""
     kind = type(x)
-    if kind is str:
-        return _quote(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is bool or x is None:
-        return "null" if x is None else "true" if x else "false"
+    if kind in _SCALARS:
+        return _SCALARS[kind](x)
     inner = indent + "  "
-    if kind is dict and all(type(k) is str for k in x):
-        items = [f"{inner}{_quote(k)}: {_to_json(x[k], inner)}" for k in sorted(x)]
+    if kind is dict and set(map(type, x)) <= {str}:
+        items = []
+        for k in sorted(x):
+            v = x[k]
+            write = _SCALARS.get(type(v))
+            text = write(v) if write else _to_json(v, inner)
+            items.append(f"{inner}{_quote(k)}: {text}")
         return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
     if kind is list or kind is tuple:
         items = [inner + _to_json(v, inner) for v in x]

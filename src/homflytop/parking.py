@@ -135,13 +135,12 @@ def parking_from_leaf(dual: DualDigraph, a: int, s: int) -> dict[int, int]:
     pointing to it; ``a`` is the leaf's arborescence mask."""
     if a.bit_count() != dual.n_vertices - 1:
         raise ValueError("leaf is not type I: arborescence is not spanning")
-    values = {r: 0 for r in range(dual.n_vertices) if r != dual.r0}
+    counts, head, r0 = [0] * dual.n_vertices, dual.head, dual.r0
     for c in _bit_positions(s):
-        head = dual.head[c]
-        if head == dual.r0:
-            raise InvariantError("skipped edge points at the root")
-        values[head] += 1
-    return values
+        counts[head[c]] += 1
+    if counts[r0]:
+        raise InvariantError("skipped edge points at the root")
+    return {r: k for r, k in enumerate(counts) if r != r0}
 
 
 def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
@@ -155,14 +154,14 @@ def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
     """
     dual = tree.dual
     burns = dual.graph.table(_dual_burning_test)
-    if not burns(_listed(values, dual.n_vertices, dual.r0)):
+    unskipped = _listed(values, dual.n_vertices, dual.r0)  # value minus skips so far
+    if not burns(unskipped):
         raise ValueError("not a parking function of this rooted digraph")
-    skipped_into = {r: 0 for r in values}
-    node = tree.root
+    head, node = dual.head, tree.root
     while not node.is_leaf:
-        r = dual.head[node.augmenting]
-        if values[r] > skipped_into[r]:
-            skipped_into[r] += 1
+        r = head[node.augmenting]
+        if unskipped[r] > 0:
+            unskipped[r] -= 1
             node = node.left
         else:
             node = node.right

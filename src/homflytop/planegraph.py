@@ -16,7 +16,7 @@ the V -> E dart, which puts the E-endpoint on the traveller's right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 Dart = tuple[int, int]  # (edge id, direction); 0 = E->V, 1 = V->E
 
@@ -202,7 +202,7 @@ class DualDigraph:
         return list(zip(self.tail, self.head))
 
     def with_root(self, r0: int, kappa: int) -> "DualDigraph":
-        return replace(self, r0=r0, kappa=kappa)
+        return DualDigraph(self.graph, self.tail, self.head, r0, kappa)
 
     def admissible_pairs(self) -> list[tuple[int, int]]:
         """All (r0, kappa) pairs: every edge points at exactly one root."""

@@ -162,9 +162,8 @@ class Triangulation:
     def __post_init__(self):
         self.dimension = self.graph.n_vertices - 2
         of_edge, ends, *_ = self.graph.table(_pair_ids)
-        bits = [1 << p for p in of_edge]
         self.masks = self.simplices if len(ends) == len(of_edge) else [
-            sum({bits[c] for c in _bit_positions(s)}) for s in self.simplices
+            sum({1 << of_edge[c] for c in _bit_positions(s)}) for s in self.simplices
         ]
 
     def to_json(self):
@@ -203,6 +202,16 @@ def triangulation_from_arbtree(dual: DualDigraph, leaves) -> Triangulation:
     return tri
 
 
+def _facet_lists(g: PlaneBipartiteGraph):
+    """``_facet_pass``'s graph-only lists beside ``_pair_ids``: per vertex id
+    its singleton mask; per pair id its bit, its E-end and the XOR of its
+    ends (x ^ other_end[p] is p's end other than x)."""
+    ends = g.table(_pair_ids)[1]
+    singletons = [1 << x for x in range(g.n_vertices)]
+    bits = [1 << p for p in range(len(ends))]
+    return singletons, bits, [e for e, _ in ends], [e ^ v for e, v in ends]
+
+
 def _facet_pass(tri: Triangulation) -> str | None:
     """Audit the facets and shell the order in one pass over the facets;
     store ``tri.shelled`` and return the audit's first fault, or None.
@@ -230,12 +239,8 @@ def _facet_pass(tri: Triangulation) -> str | None:
     if len(tri.masks) < 2:  # a lone simplex shares no facet and is shelled
         tri.shelled = [0] * len(tri.masks), None
         return None
-    g = tri.graph
-    _, ends, nbrs, incident, same_class = g.table(_pair_ids)
-    singletons = [1 << x for x in range(g.n_vertices)]
-    bits = [1 << p for p in range(len(ends))]
-    e_end = [e for e, _ in ends]
-    other_end = [e ^ v for e, v in ends]  # x ^ other_end[p]: p's end other than x
+    _, ends, nbrs, incident, same_class = tri.graph.table(_pair_ids)
+    singletons, bits, e_end, other_end = tri.graph.table(_facet_lists)
     # an int hashes as its value mod 2^61 - 1, so wider facet masks that
     # differ in bits p and p + 61 would collide; their bytes are the keys
     width = (len(ends) + 7) // 8 if len(ends) > 60 else 0

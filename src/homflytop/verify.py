@@ -12,6 +12,13 @@ its outcome, a failure message included.  Every oracle run uses the process
 skein memo, ``shared_memo()``: each diagram here is a median, drawn in the
 plane, so its entries hold for every later graph too.
 
+Every check is recorded for every pair, but each value is made once for
+what it depends on: the oracle run and the graph's tables (``table``) per
+graph; the brute-force arborescences, the parking functions, p and its top
+per root; h, its two routes' agreement, h(1) and its top per sorted tuple
+of attach counts; the leaf enumerator, its top and that top's text per
+sorted tuple of the type-I leaves' k.
+
 An InvariantError from the oracle, the arborescence tree, the clocked
 search, the triangulation, the shelling or the parking bijection, a tree
 with no type-I leaf, or a leaf whose image is not a parking function, is
@@ -55,7 +62,6 @@ from .homfly import (
     median_diagram,
     homfly_skein,
     top_coefficient,
-    top_via_tree,
     top_via_h,
     top_via_p,
     decorated_subgraph_at,
@@ -80,11 +86,11 @@ class VerifyReport:
         return {"ok": self.ok, "summary": self.summary, "checks": self.checks}
 
 
-def _check_triangulation(report, tree, leaves, tag) -> Laurent1 | None:
+def _check_triangulation(report, tree, leaves, skipped, by_counts, tag):
     """Triangulation, shelling and h-vector checks of one (r0, kappa) pair.
 
-    Returns h, or None when the triangulation or its shelling failed its
-    own audit.
+    Returns the top read off h (``top_via_h``), or None when the
+    triangulation or its shelling failed its own audit.
     """
     try:
         tri = triangulation_from_arbtree(tree.dual, leaves)
@@ -92,21 +98,20 @@ def _check_triangulation(report, tree, leaves, tag) -> Laurent1 | None:
         report.record(f"triangulation [{tag}]", False, str(exc))
         return None
     try:
-        counts = verify_shelling(tri)
+        counts = tuple(sorted(verify_shelling(tri)))
     except InvariantError as exc:
         report.record(f"shelling [{tag}]", False, str(exc))
         return None
-    h = h_from_f(f_from_attach_counts(counts, tri.dimension))
-    report.record(
-        f"h-from-f-equals-h-from-shelling [{tag}]",
-        h == h_from_shelling(counts, tri.dimension),
-    )
-    report.record(
-        f"attach-counts-match-skipped [{tag}]",
-        sorted(counts) == sorted(k for _, k in leaves),
-    )
-    report.record(f"h-count [{tag}]", h.eval_int(1) == len(tri.simplices))
-    return h
+    if counts not in by_counts:
+        g, d = tri.graph, tri.dimension
+        h = h_from_f(f_from_attach_counts(counts, d))
+        t_h = top_via_h(h, g.n_edges, g.n_vertices)
+        by_counts[counts] = h, h == h_from_shelling(counts, d), h.eval_int(1), t_h
+    _, same, size, t_h = by_counts[counts]
+    report.record(f"h-from-f-equals-h-from-shelling [{tag}]", same)
+    report.record(f"attach-counts-match-skipped [{tag}]", counts == skipped)
+    report.record(f"h-count [{tag}]", size == len(tri.simplices))
+    return t_h
 
 
 def _strict_morton_failure(g, sub, cap, memo) -> str | None:
@@ -154,17 +159,18 @@ def verify_graph(
             oracle_note = str(oracle_top)
             report.summary["homfly"] = str(P)
 
-    tops: set[Laurent1] = set()
-    h_values: set[Laurent1] = set()
-    # per root: (arborescences, parking functions, p), none of which depend on kappa
-    by_root: dict[int, tuple[set, set, Laurent1]] = {}
+    # per root: (arborescences, parking functions, p, top_via_p(p)); per sorted
+    # attach-count tuple: (h, h from f equals h from shelling, h(1), top_via_h(h));
+    # per sorted k tuple: (leaf enumerator, its top_via_p, that top's text)
+    by_root, by_counts, by_skipped = {}, {}, {}
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
         if r0 not in by_root:
             parkings, p = parking_for_dual(rooted)
             expected = {tuple(sorted(pi.items())) for pi in parkings}
-            by_root[r0] = (spanning_arborescences_bruteforce(rooted), expected, p)
-        brute, expected, p = by_root[r0]
+            brute = spanning_arborescences_bruteforce(rooted)
+            by_root[r0] = brute, expected, p, top_via_p(p, n, s)
+        brute, expected, p, t_p = by_root[r0]
         tag = f"r0={r0} kappa={kappa}"
         try:
             tree = build_arb_tree(rooted)
@@ -173,6 +179,12 @@ def verify_graph(
             report.record(f"arbtree [{tag}]", False, str(exc))
             continue
         leaves = tree.type_one_leaves()
+        skipped = tuple(sorted(k for _, k in leaves))
+        if skipped not in by_skipped:
+            enumerator = leaf_enumerator(leaves)
+            t_tree = top_via_p(enumerator, n, s)
+            by_skipped[skipped] = enumerator, t_tree, str(t_tree.poly)
+        enumerator, t_tree, tree_text = by_skipped[skipped]
 
         report.record(
             f"leaves-match-bruteforce [{tag}]",
@@ -187,11 +199,9 @@ def verify_graph(
         except InvariantError as exc:
             report.record(clocked, False, str(exc))
 
-        h = _check_triangulation(report, tree, leaves, tag)
-        if h is not None:
-            h_values.add(h)
+        t_h = _check_triangulation(report, tree, leaves, skipped, by_counts, tag)
 
-        report.record(f"leaf-enumerator-equals-p [{tag}]", leaf_enumerator(leaves) == p)
+        report.record(f"leaf-enumerator-equals-p [{tag}]", enumerator == p)
         round_trips = True
         images = set()
         try:
@@ -211,18 +221,14 @@ def verify_graph(
                 f"parking-bijection [{tag}]", round_trips and images == expected
             )
 
-        t_tree = top_via_tree(leaves, n, s)
-        if h is not None:
-            t_h = top_via_h(h, n, s)
-            t_p = top_via_p(p, n, s)
+        if t_h is not None:
             agree = t_tree == t_h == t_p
             if oracle_top is not None:
                 agree = agree and t_tree.poly == oracle_top
             report.record(
                 f"top-three-ways [{tag}]", agree,
-                f"tree={t_tree.poly} oracle={oracle_note}",
+                f"tree={tree_text} oracle={oracle_note}",
             )
-        tops.add(t_tree.poly)
 
         if n <= cap:
             failure = None
@@ -238,8 +244,10 @@ def verify_graph(
                 f"type-two-morton-strict [{tag}]", failure is None, failure or ""
             )
 
+    h_values = {h for h, *_ in by_counts.values()}
+    tops = {t.poly for _, t, _ in by_skipped.values()}
     report.record(
-        "p-root-independent", len({p for _, _, p in by_root.values()}) == 1
+        "p-root-independent", len({p for _, _, p, _ in by_root.values()}) == 1
     )
     if h_values:
         report.record("h-choice-independent", len(h_values) == 1)
@@ -250,9 +258,9 @@ def verify_graph(
             "edges": n,
             "vertices": s,
             "faces": g.n_faces,
-            "arborescences": {str(r): len(b) for r, (b, _, _) in sorted(by_root.items())},
+            "arborescences": {str(r): len(v[0]) for r, v in sorted(by_root.items())},
             "h": str(next(iter(h_values))) if h_values else None,
-            "p_by_root": {str(r): str(p) for r, (_, _, p) in sorted(by_root.items())},
+            "p_by_root": {str(r): str(v[2]) for r, v in sorted(by_root.items())},
             "top": str(next(iter(tops))) if tops else None,
         }
     )

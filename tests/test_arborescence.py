@@ -289,6 +289,58 @@ class TestResumedWalk:
         with pytest.raises(InvariantError, match=f"unskipped escaping edge {first}:"):
             build_arb_tree(dual)
 
+    def test_type_two_audit_below_the_root(
+        self, monkeypatch, graph_corpus, grid_subgraphs
+    ):
+        # the walk closes up early at one internal node below the root per
+        # pair, so that node becomes a type-II leaf whose augmenting edge
+        # escapes unskipped; the audit on the masks carried down to it names
+        # the edge the arc scan names.  Where no escaping edge leaves r0,
+        # only the masks of the heads added on the way down show the escape.
+        # The arc-mask audit, which only names the edge, runs at no sound leaf
+        rng = random.Random(36)
+        walk, check = arborescence._walk_to_augmenting, arborescence._check_type_two
+        target, scans = [], []
+
+        def closing(dual, a, s, *rest):
+            return None if [(a, s)] == target else walk(dual, a, s, *rest)
+
+        def scanning(*args):
+            scans.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", closing)
+        monkeypatch.setattr(arborescence, "_check_type_two", scanning)
+        planted = off_root = sound = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                target.clear()
+                tree = build_arb_tree(rooted)
+                sound += len(tree.type_two_leaves())
+                below = [
+                    (a, s)
+                    for a, s, delta, _ in node_fields(tree.root)
+                    if delta is not None and (a or s)
+                ]
+                if not below:
+                    continue
+                a, s = rng.choice(below)
+                target.append((a, s))
+                arcs = rooted.arcs()
+                component = arborescence._root_component(rooted, a)
+                expected = audit_message(reference_check_type_two, arcs, component, s)
+                assert expected is not None
+                assert audit_message(build_arb_tree, rooted) == expected
+                planted += 1
+                off_root += not any(
+                    t == r0 != h and not component >> h & 1 and not s >> c & 1
+                    for c, (t, h) in enumerate(arcs)
+                )
+        assert planted > 1_000 and off_root > 500 and sound > 10_000
+        assert len(scans) == planted
+
     def test_mask_audit_names_the_edge_the_arc_scan_names(
         self, graph_corpus, grid_subgraphs
     ):

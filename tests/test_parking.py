@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from homflytop import parking
-from homflytop.planegraph import build_dual
+from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
+    _bit_positions,
     arborescence_count,
     build_arb_tree,
     clocked_arborescence,
@@ -50,6 +51,28 @@ def reference_enumerate_parking(n_vertices, arcs, r0):
         if is_parking_function(values, n_vertices, arcs, r0):
             out.append(values)
     return out
+
+
+def reference_parking_from_leaf(dual, a, s):
+    """The leaf's image filled into a dict edge by edge, the reference for
+    the count over a list of the faces."""
+    if a.bit_count() != dual.n_vertices - 1:
+        raise ValueError("leaf is not type I: arborescence is not spanning")
+    values = {r: 0 for r in range(dual.n_vertices) if r != dual.r0}
+    for c in _bit_positions(s):
+        head = dual.head[c]
+        if head == dual.r0:
+            raise InvariantError("skipped edge points at the root")
+        values[head] += 1
+    return values
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of its exception."""
+    try:
+        return f(*args)
+    except (InvariantError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def k32_rooted():
@@ -294,6 +317,33 @@ class TestBijection:
                 assert parking_from_leaf(dual, leaf.a, leaf.s) == pi
             assert len(parkings) == len(leaf_set)
             assert leaf_enumerator(tree) == p
+
+    def test_leaf_images_match_the_reference(self, graph_corpus, grid_subgraphs):
+        # the same dict, keys in the same order, at every type-I leaf of every
+        # pair; with kappa skipped, an edge points at the root, and without
+        # its lowest edge, a leaf's a does not span
+        leaves = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                for leaf in build_arb_tree(rooted).leaves:
+                    if leaf.leaf_type != "I":
+                        continue
+                    image = parking_from_leaf(rooted, leaf.a, leaf.s)
+                    expected = reference_parking_from_leaf(rooted, leaf.a, leaf.s)
+                    assert list(image.items()) == list(expected.items())
+                    planted = {
+                        (leaf.a, leaf.s | 1 << kappa): InvariantError,
+                        (leaf.a & (leaf.a - 1), leaf.s): ValueError,
+                    }
+                    for (a, s), error in planted.items():
+                        if (a, s) != (leaf.a, leaf.s):  # a single face keeps a = 0
+                            found = outcome(parking_from_leaf, rooted, a, s)
+                            assert found[0] is error
+                            assert found == outcome(reference_parking_from_leaf, rooted, a, s)
+                    leaves += 1
+        assert leaves > 5_000
 
     def test_edge_sets_are_int_masks(self, grid_graph):
         # the tree, the bijection and the two audit routes share one format

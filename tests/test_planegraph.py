@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from homflytop.planegraph import (
+    DualDigraph,
     GraphInputError,
     PlaneBipartiteGraph,
     parse_plane_graph,
@@ -19,7 +20,7 @@ from homflytop.planegraph import (
 from homflytop.arborescence import _dual_arcs, build_arb_tree
 from homflytop.homfly import decorated_subgraph_at, strict_bound_certified
 from homflytop.parking import _dual_burning_test
-from homflytop.rootpolytope import _hypertree_count, _pair_ids
+from homflytop.rootpolytope import _facet_lists, _hypertree_count, _pair_ids
 from homflytop.fixtures import (
     single_edge,
     bigon,
@@ -187,6 +188,26 @@ class TestDual:
         with pytest.raises(GraphInputError):
             dual.with_root((dual.head[0] + 1) % dual.n_vertices, 0)
 
+    def test_rooting_is_a_replace_of_the_root(self, graph_corpus, grid_subgraphs):
+        # the same dual at every admissible pair, and at a wrong root the same
+        # error, as dataclasses.replace gives
+        wrong = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                assert type(rooted) is DualDigraph
+                assert rooted == replace(dual, r0=r0, kappa=kappa)
+                if dual.n_vertices > 1:
+                    bad = (r0 + 1) % dual.n_vertices
+                    with pytest.raises(GraphInputError) as found:
+                        dual.with_root(bad, kappa)
+                    with pytest.raises(GraphInputError) as expected:
+                        replace(dual, r0=bad, kappa=kappa)
+                    assert str(found.value) == str(expected.value)
+                    wrong += 1
+        assert wrong > 1_000
+
     def test_edge_masks_are_the_dual_arcs(self, graph_corpus, grid_subgraphs):
         # per face, the (edge, tail) pairs of the dual edges entering it and
         # the masks of the edges whose dual leaves it and enters it, read off
@@ -212,6 +233,7 @@ class TestDual:
             assert sub.table(_pair_ids) == _pair_ids(sub) != whole
             assert sub.table(_pair_ids) is sub.table(_pair_ids)
             assert sub.table(_hypertree_count) == _hypertree_count(sub)
+            assert sub.table(_facet_lists) == _facet_lists(sub)
             assert sub.table(_dual_arcs) == _dual_arcs(sub) != g.table(_dual_arcs)
             burns = sub.table(_dual_burning_test)
             assert burns is sub.table(_dual_burning_test)

@@ -1,5 +1,6 @@
 """verify_graph's strict Morton audits, run once per type-II leaf subgraph,
-against a loop that audits every type-II leaf of every pair afresh."""
+against a loop that audits every type-II leaf of every pair afresh; and its
+values kept once per graph, root or count list."""
 
 from collections import Counter
 
@@ -12,6 +13,7 @@ from homflytop.homfly import (
     strict_bound_certified,
 )
 from homflytop.planegraph import InvariantError, build_dual
+from homflytop.rootpolytope import triangulation_from_arbtree
 from homflytop.verify import verify_graph
 
 STRICT = "type-two-morton-strict"
@@ -219,6 +221,7 @@ class TestTablesOncePerGraph:
     TABLES = (
         (rootpolytope, "_pair_ids"),
         (rootpolytope, "_hypertree_count"),
+        (rootpolytope, "_facet_lists"),
         (homfly, "_certificate_ends"),
         (arborescence, "_dual_arcs"),
         (parking, "_dual_burning_test"),
@@ -243,3 +246,76 @@ class TestTablesOncePerGraph:
             builds.clear()
             assert verify_graph(g, dual).ok
             assert not builds
+
+
+class TestValuesOncePerCountList:
+    """h and its top are made once per sorted attach-count tuple, the leaf
+    enumerator's top once per sorted k tuple and p's once per root; a pair
+    whose counts differ gets its own h."""
+
+    @staticmethod
+    def count_lists(dual):
+        """Per admissible pair: the sorted attach counts and the sorted k."""
+        out = []
+        for r0, kappa in dual.admissible_pairs():
+            leaves = build_arb_tree(dual.with_root(r0, kappa)).type_one_leaves()
+            tri = triangulation_from_arbtree(dual.with_root(r0, kappa), leaves)
+            counts = verify.verify_shelling(tri)
+            out.append((tuple(sorted(counts)), tuple(sorted(k for _, k in leaves))))
+        return out
+
+    @staticmethod
+    def counting(monkeypatch, name, calls):
+        real = getattr(verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    def test_each_value_is_made_once(self, monkeypatch, grid_graph):
+        g = grid_graph(3, 3)
+        dual = build_dual(g, kappa_edge=0)
+        lists = self.count_lists(dual)
+        counts, skipped = {c for c, _ in lists}, {k for _, k in lists}
+        roots = {r0 for r0, _ in dual.admissible_pairs()}
+        assert len(lists) > len(counts) and len(lists) > len(roots) + len(skipped)
+        calls = Counter()
+        for name in ("h_from_f", "top_via_p"):
+            self.counting(monkeypatch, name, calls)
+        report = verify_graph(g, dual)
+        assert report.ok
+        assert calls == {
+            "h_from_f": len(counts), "top_via_p": len(roots) + len(skipped)
+        }
+
+    def test_a_differing_count_list_gets_its_own_h(self, monkeypatch, grid_graph):
+        g = grid_graph(3, 3)
+        dual = build_dual(g, kappa_edge=0)
+        distinct = len({c for c, _ in self.count_lists(dual)})
+        pairs = dual.admissible_pairs()
+        planted = len(pairs) // 2
+        shellings = []
+        real = verify.verify_shelling
+
+        def shelling(tri):
+            counts = real(tri)
+            shellings.append(counts)
+            if len(shellings) - 1 == planted:
+                counts = [1] + counts[1:]  # the first simplex's count is 0
+            return counts
+
+        calls = Counter()
+        self.counting(monkeypatch, "h_from_f", calls)
+        monkeypatch.setattr(verify, "verify_shelling", shelling)
+        report = verify_graph(g, dual)
+        assert calls["h_from_f"] == distinct + 1
+        failed = [c["invariant"] for c in report.checks if not c["ok"]]
+        tag = "r0={} kappa={}".format(*pairs[planted])
+        assert failed == [
+            f"attach-counts-match-skipped [{tag}]",
+            f"top-three-ways [{tag}]",
+            "h-choice-independent",
+        ]
+        assert not report.ok
