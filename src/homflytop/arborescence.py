@@ -17,10 +17,12 @@ be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
 without a walk.  Edge sets (a, s) and vertex sets (the root component)
 are int bitmasks throughout; ``_bit_positions`` lists one for output and
 for the crossings of a median diagram.
-``_walk`` is the one walk of the tree, a preorder stream of its nodes:
-``type_one_leaves`` reads its pruned form and keeps the type-I leaves,
-``build_arb_tree`` links every node from it; ``augmenting_edge`` walks one
-node from scratch, as the tests' reference.
+``_walk`` is the one walk of the tree, a preorder stream of its nodes, and
+the only form the tree takes: ``type_one_leaves`` reads its pruned form
+and keeps the type-I leaves, ``build_arb_tree`` keeps every leaf (the
+benchmark reads it), ``arbtree_dot`` writes the whole stream as DOT, and
+the parking inverse resumes the same walk down one path.
+``augmenting_edge`` walks one node from scratch, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -110,26 +112,25 @@ def clocked_arborescence(dual: DualDigraph) -> int:
 
 @dataclass
 class ArbNode:
-    """Node of the binary arborescence tree: edge masks (arborescence, skipped)."""
+    """Leaf of the binary arborescence tree: edge masks (arborescence,
+    skipped) and its type, "I" or "II"."""
 
     a: int
     s: int
-    augmenting: int | None = None
-    right: "ArbNode | None" = None
-    left: "ArbNode | None" = None
-    leaf_type: str | None = None  # "I" or "II" for leaves
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.augmenting is None
+    leaf_type: str
 
 
 @dataclass
 class ArbTree:
-    """Materialized binary tree with leaves in right-to-left order."""
+    """The leaves of the binary arborescence tree, rightmost first.
+
+    Only the leaves are kept: the walk (``_walk``) is the tree, and DOT
+    output (``arbtree_dot``) and the parking inverse read it directly.
+    ``build_arb_tree`` and this class remain because the benchmark reads
+    them.
+    """
 
     dual: DualDigraph
-    root: ArbNode
     leaves: list[ArbNode]
 
     def type_one_leaves(self) -> list[tuple[int, int]]:
@@ -153,28 +154,6 @@ class ArbTree:
                 for leaf in self.leaves
             ],
         }
-
-    def to_dot(self) -> str:
-        lines = ["digraph ArbTree {", "  ordering=out;"]
-        names: dict[int, str] = {}
-        # preorder, right subtree first; a node's arcs follow both subtrees
-        stack: list[tuple[ArbNode, bool]] = [(self.root, False)]
-        while stack:
-            node, subtrees_done = stack.pop()
-            if subtrees_done:
-                name = names[id(node)]
-                lines.append(f"  {name} -> {names[id(node.right)]} [label=R];")
-                lines.append(f"  {name} -> {names[id(node.left)]} [label=L];")
-                continue
-            name = names[id(node)] = f"n{len(names)}"
-            label = f"A={_bit_positions(node.a)} S={_bit_positions(node.s)}"
-            if node.leaf_type:
-                label += f" type {node.leaf_type}"
-            lines.append(f'  {name} [label="{label}"];')
-            if not node.is_leaf:
-                stack += [(node, True), (node.left, False), (node.right, False)]
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _walk(dual: DualDigraph, prune: bool = False):
@@ -244,22 +223,35 @@ def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
 
 
 def build_arb_tree(dual: DualDigraph) -> ArbTree:
-    """The whole tree of (arborescence, skipped set) nodes, linked from the
-    preorder walk; the right child adds the augmenting edge, the left skips it."""
-    above = ArbNode(0, 0)  # holds the root as its right child
-    missing = [above]  # internal nodes still missing a child, innermost last
-    leaves: list[ArbNode] = []
-    for a, s, delta, leaf_type in _walk(dual):
-        node = ArbNode(a, s, delta, leaf_type=leaf_type)
-        if missing[-1].right is None:
-            missing[-1].right = node
-        else:
-            missing.pop().left = node
+    """The leaves of the whole tree, type-II leaves included, read from the
+    walk, which audits each type-II leaf."""
+    return ArbTree(dual, [ArbNode(a, s, t) for a, s, _, t in _walk(dual) if t])
+
+
+def arbtree_dot(dual: DualDigraph) -> str:
+    """The whole tree in DOT, written from the walk: nodes n0, n1, ... in
+    preorder, add (R) child first, and a node's two arcs after both of its
+    subtrees."""
+    lines = ["digraph ArbTree {", "  ordering=out;"]
+    unfinished: list[list[str]] = []  # [name, child names so far] per internal node
+    for i, (a, s, delta, leaf_type) in enumerate(_walk(dual)):
+        name = f"n{i}"
+        label = f"A={_bit_positions(a)} S={_bit_positions(s)}"
         if leaf_type:
-            leaves.append(node)
-        else:
-            missing.append(node)
-    return ArbTree(dual, above.right, leaves)
+            label += f" type {leaf_type}"
+        lines.append(f'  {name} [label="{label}"];')
+        if unfinished:
+            unfinished[-1].append(name)
+        if delta is not None:
+            unfinished.append([name])
+            continue
+        # a finished skip (L) child finishes its parent
+        while unfinished and len(unfinished[-1]) == 3:
+            parent, right, left = unfinished.pop()
+            lines.append(f"  {parent} -> {right} [label=R];")
+            lines.append(f"  {parent} -> {left} [label=L];")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def _dual_arcs(g: PlaneBipartiteGraph):

@@ -27,6 +27,7 @@ from .planegraph import (
 )
 from .arborescence import (
     _bit_positions,
+    arbtree_dot,
     build_arb_tree,
     clocked_arborescence,
     type_one_leaves,
@@ -207,11 +208,10 @@ def cmd_dual(args) -> int:
 
 def cmd_arbtree(args) -> int:
     g, dual, _ = _load(args)
-    tree = build_arb_tree(dual)
     if args.format == "dot":
-        print(tree.to_dot())
+        print(arbtree_dot(dual))
         return 0
-    payload = tree.to_json()
+    payload = build_arb_tree(dual).to_json()
     payload["clocked"] = _bit_positions(clocked_arborescence(dual))
     _emit(
         payload, args,

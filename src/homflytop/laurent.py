@@ -255,12 +255,6 @@ class Laurent2(_Laurent):
             out[b] = out.get(b, 0) + c
         return Laurent1(out, self._names[1])
 
-    def mirror_first(self) -> "Laurent2":
-        """Substitute -1/v for the first variable (mirror-image rule)."""
-        return Laurent2(
-            {(-a, b): c * (-1) ** a for (a, b), c in self.coeffs.items()}, self._names
-        )
-
     def eval_int(self, x: int, y: int) -> int:
         """Exact evaluation at integers, as ``Laurent1.eval_int``."""
         low_a = min([0] + [a for a, _ in self.coeffs])

@@ -7,15 +7,16 @@ models", 1990), in time linear in the digraph.  The test takes the root as
 data, -1 in its value list, so one test of a dual serves every root.  The
 enumerator searches the down-set of parking functions depth first, one
 burning test per child, so its cost follows the number of functions found.
-The bijection reads a leaf's edge masks; its inverse descends the built
-tree, checked first by the dual's one burning test.
+The bijection reads a leaf's edge masks.  Its inverse builds no tree: it
+resumes the tree's contour walk down the one path the function picks,
+checked first by the dual's one burning test.
 """
 
 from __future__ import annotations
 
 from .laurent import Laurent1
 from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
-from .arborescence import ArbTree, _bit_positions
+from .arborescence import ArbTree, _bit_positions, _walk_to_augmenting
 
 
 # -- definitions on a generic rooted digraph --------------------------------
@@ -143,36 +144,43 @@ def parking_from_leaf(dual: DualDigraph, a: int, s: int) -> dict[int, int]:
     return {r: k for r, k in enumerate(counts) if r != r0}
 
 
-def arborescence_from_parking(tree: ArbTree, values: dict[int, int]) -> int:
-    """Descend the arborescence tree guided by the function to the edge mask
+def arborescence_from_parking(dual: DualDigraph, values: dict[int, int]) -> int:
+    """Walk the arborescence tree guided by the function to the edge mask
     of a type-I leaf's arborescence.
 
-    At a node whose augmenting edge delta points into r: go left (skip
-    delta) while the function value at r exceeds the number of edges into r
-    skipped so far, else go right (add delta).  Parking functions always
-    end at a type-I leaf.  The burning test is the graph's, built once.
+    At a node whose augmenting edge delta points into r: skip delta while
+    the function value at r exceeds the number of edges into r skipped so
+    far, else add delta.  One contour walk, resumed at each node as the
+    tree's walk resumes it, finds the edges.  Parking functions always end
+    at a type-I leaf.  The burning test is the graph's, built once.
     """
-    dual = tree.dual
     burns = dual.graph.table(_dual_burning_test)
     unskipped = _listed(values, dual.n_vertices, dual.r0)  # value minus skips so far
     if not burns(unskipped):
         raise ValueError("not a parking function of this rooted digraph")
-    head, node = dual.head, tree.root
-    while not node.is_leaf:
-        r = head[node.augmenting]
+    head, spanning_size = dual.head, dual.n_vertices - 1
+    a = s = size = steps = 0
+    component, d = 1 << dual.r0, 2 * dual.kappa + 1
+    while size < spanning_size:
+        found = _walk_to_augmenting(dual, a, s, component, d, steps)
+        if found is None:
+            raise InvariantError("parking-guided walk reached a type II leaf")
+        delta, d, steps = found
+        r = head[delta]
         if unskipped[r] > 0:
             unskipped[r] -= 1
-            node = node.left
+            s |= 1 << delta
         else:
-            node = node.right
-    if node.leaf_type != "I":
-        raise InvariantError("parking-guided walk reached a type II leaf")
-    return node.a
+            a |= 1 << delta
+            component |= 1 << r
+            size += 1
+            d ^= 1
+    return a
 
 
 def leaf_enumerator(leaves) -> Laurent1:
     """Enumerator of k over the type-I leaves' (edge mask of a, k), or an
-    ArbTree's."""
+    ArbTree's, which the benchmark passes."""
     if isinstance(leaves, ArbTree):
         leaves = leaves.type_one_leaves()
     out: dict[int, int] = {}

@@ -212,7 +212,7 @@ def verify_graph(
                 images.add(tuple(sorted(pi.items())))
                 if sum(pi.values()) != leaf.s.bit_count():
                     round_trips = False
-                if arborescence_from_parking(tree, pi) != leaf.a:
+                if arborescence_from_parking(rooted, pi) != leaf.a:
                     round_trips = False
         except (InvariantError, ValueError) as exc:  # ValueError: a non-parking image
             report.record(f"parking-bijection [{tag}]", False, str(exc))

@@ -42,7 +42,11 @@ from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand
 
 from crosschecks import (
-    _connected, affine_independence_check, tutte_doubled_identity, tutte_dual_identity
+    _connected,
+    affine_independence_check,
+    mirror_first,
+    tutte_doubled_identity,
+    tutte_dual_identity,
 )
 
 
@@ -147,7 +151,7 @@ def test_criterion_4_bijection_suite(graph_corpus):
             seen = set()
             for leaf in type_one:
                 pi = parking_from_leaf(rooted, leaf.a, leaf.s)
-                assert arborescence_from_parking(tree, pi) == leaf.a
+                assert arborescence_from_parking(rooted, pi) == leaf.a
                 seen.add(tuple(sorted(pi.items())))
             assert seen == {tuple(sorted(pi.items())) for pi in parkings}
     _passed(4, "parking bijection suite")
@@ -291,7 +295,7 @@ def test_criterion_8_mirror_and_block_sums(graph_corpus):
         dotted = homfly_skein(
             median_diagram(g, DecoratedSubgraph(edges, edges)), cap=CAP
         )
-        assert dotted == solid.mirror_first()
+        assert dotted == mirror_first(solid)
 
     cases = 0
     for bands in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 3), (2, 2, 2, 2)]:

@@ -7,9 +7,8 @@ import pytest
 from homflytop import arborescence
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
-    ArbNode,
-    ArbTree,
     arborescence_count,
+    arbtree_dot,
     augmenting_edge,
     build_arb_tree,
     clocked_arborescence,
@@ -18,53 +17,14 @@ from homflytop.arborescence import (
 )
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand, k_m2
 
-
-def reference_build_arb_tree(dual):
-    """The tree grown with one ``augmenting_edge`` walk, from kappa's end,
-    at every node (without the type-II leaf audit)."""
-    spanning_size = dual.n_vertices - 1
-    leaves = []
-
-    def grow(a, s):
-        delta = augmenting_edge(dual, a, s)
-        node = ArbNode(a, s, augmenting=delta)
-        if delta is None:
-            node.leaf_type = "I" if a.bit_count() == spanning_size else "II"
-            leaves.append(node)
-            return node
-        node.right = grow(a | 1 << delta, s)
-        node.left = grow(a, s | 1 << delta)
-        return node
-
-    return ArbTree(dual, grow(0, 0), leaves)
-
-
-def slots(g):
-    """Dart (c, end) -> (face, position of the dart in that face's walk),
-    read off the face walks alone."""
-    return {d: (r, i) for r, walk in enumerate(g.faces) for i, d in enumerate(walk)}
-
-
-def reference_walk_to_augmenting(dual, slot_of, a, s, component, r, i, steps):
-    """The resumed contour walk on (face, position) slots (``slots``),
-    frozensets and a set, the reference for the walk on int darts and
-    bitmasks."""
-    faces = dual.graph.faces
-    start = slot_of[(dual.kappa, 1)]
-    limit = 4 * dual.n_edges + 4
-    while True:
-        steps += 1
-        if steps > limit:
-            raise InvariantError("contour walk failed to close up")
-        walk = faces[r]
-        i = (i + 1) % len(walk)
-        if (r, i) == start:
-            return None
-        c, end = walk[i]
-        if c in a:
-            r, i = slot_of[(c, 1 - end)]
-        elif end == 0 and dual.head[c] not in component and c not in s:
-            return c, r, i, steps
+from crosschecks import (
+    edge_mask,
+    node_fields,
+    reference_build_arb_tree,
+    reference_type_one_only_tree,
+    reference_walk_to_augmenting,
+    slots,
+)
 
 
 def reference_tree_fields(dual, slot_of):
@@ -108,56 +68,6 @@ def reference_clocked_arborescence(dual, slot_of):
     return scan(*slot_of[(dual.kappa, 1)])
 
 
-def reference_reached_without(in_arcs, component, skipped, r):
-    """Whether the edges outside ``skipped`` reach r from the component."""
-    seen = {r}
-    stack = [r]
-    while stack:
-        for c, t in in_arcs[stack.pop()]:
-            if t not in seen and c not in skipped:
-                if t in component:
-                    return True
-                seen.add(t)
-                stack.append(t)
-    return False
-
-
-def reference_type_one_only_tree(dual):
-    """The tree pruned to the subtrees holding a type-I leaf, with nodes: a
-    skip child is grown only while the unskipped edges still reach its
-    augmenting edge's head.  It walks on frozensets; its nodes hold masks."""
-    spanning_size = dual.n_vertices - 1
-    slot_of = slots(dual.graph)
-    in_arcs = [[] for _ in range(dual.n_vertices)]
-    for c, (t, h) in enumerate(dual.arcs()):
-        in_arcs[h].append((c, t))
-    leaves = []
-    root = ArbNode(0, 0)
-    empty = frozenset()
-    stack = [(root, empty, empty, frozenset({dual.r0}), *slot_of[(dual.kappa, 1)], 0)]
-    while stack:
-        node, a, s, component, r, i, steps = stack.pop()
-        if len(a) == spanning_size:
-            node.leaf_type = "I"
-            leaves.append(node)
-            continue
-        found = reference_walk_to_augmenting(
-            dual, slot_of, a, s, component, r, i, steps
-        )
-        if found is None:
-            raise InvariantError("type-I-only tree reached a type II leaf")
-        delta, r, i, steps = found
-        node.augmenting = delta
-        node.right = ArbNode(edge_mask(a | {delta}), node.s)
-        skipped = s | {delta}
-        if reference_reached_without(in_arcs, component, skipped, dual.head[delta]):
-            node.left = ArbNode(node.a, edge_mask(skipped))
-            stack.append((node.left, a, skipped, component, r, i, steps))
-        grown = component | {dual.head[delta]}
-        stack.append((node.right, a | {delta}, s, grown, *slot_of[(delta, 1)], steps))
-    return ArbTree(dual, root, leaves)
-
-
 def reference_check_type_two(arcs, component, s):
     """Raise unless every edge leaving ``component`` is in ``s``: one scan
     of every arc, the reference for the audit on per-vertex edge masks."""
@@ -178,29 +88,12 @@ def audit_message(check, *args):
     return None
 
 
-def edge_mask(edges):
-    return sum(1 << c for c in edges)
-
-
 def edge_list(mask):
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 def proper_superset(mask, sub):
     return mask & sub == sub and mask != sub
-
-
-def node_fields(node):
-    """(a, s, augmenting, leaf_type) of every node, in preorder; a pruned
-    skip child is left out."""
-    out = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        out.append((node.a, node.s, node.augmenting, node.leaf_type))
-        if not node.is_leaf:
-            stack += [x for x in (node.left, node.right) if x is not None]
-    return out
 
 
 class TestAugmentingEdge:
@@ -234,7 +127,7 @@ class TestResumedWalk:
                 rooted = dual.with_root(r0, kappa)
                 tree = build_arb_tree(rooted)
                 expected = reference_build_arb_tree(rooted)
-                found = node_fields(tree.root)
+                found = list(arborescence._walk(rooted))
                 assert found == node_fields(expected.root)
                 assert [(x.a, x.s, x.leaf_type) for x in tree.leaves] == [
                     (x.a, x.s, x.leaf_type) for x in expected.leaves
@@ -251,7 +144,7 @@ class TestResumedWalk:
             slot_of = slots(g)
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
-                assert node_fields(build_arb_tree(rooted).root) == (
+                assert list(arborescence._walk(rooted)) == (
                     reference_tree_fields(rooted, slot_of)
                 )
                 expected = reference_clocked_arborescence(rooted, slot_of)
@@ -273,11 +166,13 @@ class TestResumedWalk:
         for g in graph_corpus + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
-                calls.clear()
-                tree = build_arb_tree(dual.with_root(r0, kappa))
+                rooted = dual.with_root(r0, kappa)
                 internal = sum(
-                    delta is not None for _, _, delta, _ in node_fields(tree.root)
+                    delta is not None
+                    for _, _, delta, _ in node_fields(reference_build_arb_tree(rooted).root)
                 )
+                calls.clear()
+                tree = build_arb_tree(rooted)
                 assert len(calls) == internal + len(tree.type_two_leaves())
 
     def test_type_two_audit_catches_an_unskipped_escape(self, monkeypatch):
@@ -317,13 +212,9 @@ class TestResumedWalk:
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
                 target.clear()
-                tree = build_arb_tree(rooted)
-                sound += len(tree.type_two_leaves())
-                below = [
-                    (a, s)
-                    for a, s, delta, _ in node_fields(tree.root)
-                    if delta is not None and (a or s)
-                ]
+                nodes = list(arborescence._walk(rooted))
+                sound += sum(leaf_type == "II" for *_, leaf_type in nodes)
+                below = [(a, s) for a, s, delta, _ in nodes if delta is not None and (a or s)]
                 if not below:
                     continue
                 a, s = rng.choice(below)
@@ -388,6 +279,27 @@ class TestResumedWalk:
             build(dual)
 
 
+class TestDot:
+    def test_stream_writer_matches_the_linked_tree(self, graph_corpus, grid_subgraphs):
+        # byte for byte at every admissible pair, against the DOT written by
+        # walking the linked reference tree's children
+        nodes = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                dot = arbtree_dot(rooted)
+                assert dot == reference_build_arb_tree(rooted).to_dot()
+                nodes += dot.count('[label="')
+        assert nodes > 30_000
+
+    def test_type_two_audit_raises_before_any_output(self, monkeypatch):
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", lambda *args: None)
+        _, dual = k32_three_strand()
+        with pytest.raises(InvariantError, match="unskipped escaping edge"):
+            arbtree_dot(dual)
+
+
 class TestTypeOneOnly:
     """``type_one_leaves``, the leaf stream, against the full tree and the
     pruned tree with nodes it replaces."""
@@ -406,8 +318,10 @@ class TestTypeOneOnly:
                 assert pruned.type_one_leaves() == full.type_one_leaves()
                 assert full.type_one_leaves() == type_one_leaves(rooted)
                 assert all(x.leaf_type == "I" for x in pruned.leaves)
-                pruned_nodes += len(node_fields(pruned.root))
-                full_nodes += len(node_fields(full.root))
+                pruned_walk = list(arborescence._walk(rooted, prune=True))
+                assert pruned_walk == node_fields(pruned.root)
+                pruned_nodes += len(pruned_walk)
+                full_nodes += len(list(arborescence._walk(rooted)))
         assert pruned_nodes < full_nodes
 
     def test_stream_matches_the_pruned_tree(self, graph_corpus, grid_subgraphs):
@@ -523,8 +437,10 @@ class TestTree:
             )
 
     def test_nodes_grow_monotonically(self):
+        # on the linked reference tree, whose nodes the walk yields
         _, dual = k32_three_strand()
-        tree = build_arb_tree(dual)
+        tree = reference_build_arb_tree(dual)
+        assert node_fields(tree.root) == list(arborescence._walk(dual))
 
         def visit(node):
             if node.is_leaf:

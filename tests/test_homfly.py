@@ -43,7 +43,7 @@ from homflytop.fixtures import (
     block_sum_bigon_theta,
 )
 
-from crosschecks import component_count, relabel
+from crosschecks import component_count, mirror_first, relabel
 
 
 def triangulate(tree):
@@ -600,7 +600,7 @@ class TestSkeinOracle:
             edges = (1 << g.n_edges) - 1
             solid = homfly_skein(median_diagram(g))
             dotted = homfly_skein(median_diagram(g, DecoratedSubgraph(edges, edges)))
-            assert dotted == solid.mirror_first()
+            assert dotted == mirror_first(solid)
 
     def test_relabel_invariance(self, graph_corpus):
         rng = random.Random(7)
@@ -1517,7 +1517,7 @@ class TestHomogeneous:
         g, _ = k32_three_strand()
         blocks, enumerators = self._block_enumerators(g, [-1] * 6)
         formula = homogeneous_top(blocks, enumerators)
-        mirrored = K32_HOMFLY.mirror_first()
+        mirrored = mirror_first(K32_HOMFLY)
         assert formula == top_coefficient(mirrored, 6, 5).poly
         assert formula == Laurent1({-2: 1, -4: 2}, "v")
 

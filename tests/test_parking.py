@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from homflytop import parking
+from homflytop import arborescence, parking
 from homflytop.planegraph import InvariantError, build_dual
 from homflytop.arborescence import (
     _bit_positions,
@@ -24,7 +25,14 @@ from homflytop.parking import (
 from homflytop.fixtures import single_edge, bigon, theta, k32_three_strand, k_m2
 
 from crosschecks import (
-    doubled_digraph, relative_indegree, tutte, tutte_doubled_identity, tutte_dual_identity
+    doubled_digraph,
+    node_fields,
+    reference_arborescence_from_parking,
+    reference_build_arb_tree,
+    relative_indegree,
+    tutte,
+    tutte_doubled_identity,
+    tutte_dual_identity,
 )
 
 
@@ -306,12 +314,12 @@ class TestBijection:
                 if leaf.leaf_type != "I":
                     continue
                 pi = parking_from_leaf(dual, leaf.a, leaf.s)
-                assert arborescence_from_parking(tree, pi) == leaf.a
+                assert arborescence_from_parking(dual, pi) == leaf.a
                 assert sum(pi.values()) == leaf.s.bit_count()
                 leaf_set.add(leaf.a)
             parkings, p = parking_for_dual(dual)
             for pi in parkings:
-                a = arborescence_from_parking(tree, pi)
+                a = arborescence_from_parking(dual, pi)
                 assert a in leaf_set
                 leaf = next(l for l in tree.leaves if l.leaf_type == "I" and l.a == a)
                 assert parking_from_leaf(dual, leaf.a, leaf.s) == pi
@@ -350,12 +358,14 @@ class TestBijection:
         dual = build_dual(grid_graph(3, 3, (4,)), kappa_edge=0)
         tree = build_arb_tree(dual)
         assert tree.type_two_leaves()
-        for node in [tree.root] + tree.leaves:
-            assert type(node.a) is int and type(node.s) is int
+        for a, s, _, _ in arborescence._walk(dual):
+            assert type(a) is int and type(s) is int
+        for leaf in tree.leaves:
+            assert type(leaf.a) is int and type(leaf.s) is int
         leaves = tree.type_one_leaves()
         assert all(type(a) is int and type(k) is int for a, k in leaves)
         parkings, _ = parking_for_dual(dual)
-        found = [arborescence_from_parking(tree, pi) for pi in parkings]
+        found = [arborescence_from_parking(dual, pi) for pi in parkings]
         assert all(type(a) is int for a in found)
         assert sorted(found) == sorted(a for a, _ in leaves)
         assert type(clocked_arborescence(dual)) is int
@@ -366,9 +376,104 @@ class TestBijection:
         dual = k32_rooted()
         others = sorted(r for r in range(3) if r != dual.r0)
         with pytest.raises(ValueError):
-            arborescence_from_parking(
-                build_arb_tree(dual), {others[0]: 1, others[1]: 1}
-            )
+            arborescence_from_parking(dual, {others[0]: 1, others[1]: 1})
+
+
+class TestInverse:
+    """The inverse's resumed walk against the descent of the linked tree."""
+
+    def test_matches_the_tree_descent(self, graph_corpus, grid_subgraphs):
+        functions = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                tree = reference_build_arb_tree(rooted)
+                parkings, _ = parking_for_dual(rooted)
+                for pi in parkings:
+                    assert arborescence_from_parking(rooted, pi) == (
+                        reference_arborescence_from_parking(tree, pi)
+                    )
+                functions += len(parkings)
+        assert functions > 5_000
+
+    def test_walk_closing_up_early_raises_as_the_descent_does(
+        self, monkeypatch, graph_corpus, grid_subgraphs
+    ):
+        # the walk closes up at one random internal node per pair, in the
+        # inverse and in the reference tree alike: every function whose path
+        # meets that node raises, and every other one still finds its leaf
+        rng = random.Random(37)
+        walk = arborescence._walk_to_augmenting
+        target = []
+
+        def closing(dual, a, s, *rest):
+            return None if [(a, s)] == target else walk(dual, a, s, *rest)
+
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", closing)
+        monkeypatch.setattr(parking, "_walk_to_augmenting", closing)
+        raised = found = 0
+        for g in graph_corpus + grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            for r0, kappa in dual.admissible_pairs():
+                rooted = dual.with_root(r0, kappa)
+                target.clear()
+                internal = [
+                    (a, s)
+                    for a, s, delta, _ in node_fields(reference_build_arb_tree(rooted).root)
+                    if delta is not None
+                ]
+                if not internal:
+                    continue
+                target.append(rng.choice(internal))
+                tree = reference_build_arb_tree(rooted)
+                parkings, _ = parking_for_dual(rooted)
+                for pi in parkings:
+                    result = outcome(arborescence_from_parking, rooted, pi)
+                    assert result == outcome(reference_arborescence_from_parking, tree, pi)
+                    if result == (InvariantError, "parking-guided walk reached a type II leaf"):
+                        raised += 1
+                    else:
+                        assert type(result) is int
+                        found += 1
+        assert raised > 1_000 and found > 1_000
+
+    def test_walk_that_finds_nothing_raises(self, monkeypatch):
+        monkeypatch.setattr(parking, "_walk_to_augmenting", lambda *args: None)
+        dual = k32_rooted()
+        parkings, _ = parking_for_dual(dual)
+        for pi in parkings:
+            with pytest.raises(
+                InvariantError, match="parking-guided walk reached a type II leaf"
+            ):
+                arborescence_from_parking(dual, pi)
+
+    def test_non_parking_functions_raise_as_the_descent_does(self, grid_subgraphs):
+        # every function up to the in-degrees that does not park, and one
+        # missing a vertex, on the grid subgraphs' default roots
+        rejected = 0
+        for g in grid_subgraphs:
+            dual = build_dual(g, kappa_edge=0)
+            tree = reference_build_arb_tree(dual)
+            others = [r for r in range(dual.n_vertices) if r != dual.r0]
+            bound = [0] * dual.n_vertices
+            for t, h in dual.arcs():
+                bound[h] += t != h
+            parked = {tuple(pi[r] for r in others) for pi in parking_for_dual(dual)[0]}
+            for values in product(*(range(bound[r] + 1) for r in others)):
+                if values in parked:
+                    continue
+                pi = dict(zip(others, values))
+                expected = (ValueError, "not a parking function of this rooted digraph")
+                assert outcome(arborescence_from_parking, dual, pi) == expected
+                assert outcome(reference_arborescence_from_parking, tree, pi) == expected
+                rejected += 1
+            if others:  # a tree's dual has the root alone
+                partial = dict.fromkeys(others[1:], 0)
+                expected = outcome(reference_arborescence_from_parking, tree, partial)
+                assert expected[0] is ValueError
+                assert outcome(arborescence_from_parking, dual, partial) == expected
+        assert rejected > 1_000
 
 
 class TestTutte:

@@ -152,9 +152,9 @@ class TestBurningTestOncePerGraph:
             built.append(args)
             return make(*args)
 
-        def counting_inverse(tree, values):
+        def counting_inverse(dual, values):
             inverses.append(values)
-            return inverse(tree, values)
+            return inverse(dual, values)
 
         monkeypatch.setattr(parking, "_burning_test", counting_make)
         monkeypatch.setattr(verify, "arborescence_from_parking", counting_inverse)
