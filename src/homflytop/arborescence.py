@@ -42,26 +42,24 @@ def _root_component(dual: DualDigraph, a: int) -> int:  # r0 and the heads of a
     return 1 << dual.r0 | sum(1 << dual.head[c] for c in _bit_positions(a))
 
 
-def _walk_to_augmenting(
-    dual: DualDigraph, a: int, s: int, component: int, d: int, steps: int
-):
+def _walk_to_augmenting(dual: DualDigraph, a: int, s: int, component: int, d: int):
     """Continue the contour walk of ``a`` from the slot after dart d.
 
     A slot is the primal dart 2c or 2c + 1: the tail end or head end of
     dual edge c at the current vertex.  At a tree edge end the walk crosses
-    to the other end and keeps scanning there.  Returns (delta, d, steps)
-    at the first tail end d = 2 * delta of an edge that leaves ``component``,
-    the root component of ``a``, and is not in ``s`` (all three bitmasks);
-    None when the walk closes up at kappa's end.  ``steps`` counts the slots
-    visited since kappa's end.
+    to the other end and keeps scanning there.  Returns (delta, d) at the
+    first tail end d = 2 * delta of an edge that leaves ``component``, the
+    root component of ``a``, and is not in ``s`` (all three bitmasks); None
+    when the walk closes up at kappa's end.  Raises when one call visits
+    more slots than a contour has.  On a sound contour only the from-scratch
+    ``augmenting_edge`` meets a skipped edge's tail end; on a broken one the
+    ``s`` test stops a resumed walk from returning a skipped edge again.  So
+    no edge of a or s is returned, each child holds one more, and a path
+    down the tree makes at most as many calls as the dual has edges.
     """
     succ, head = dual.graph.next_dart, dual.head
     start = 2 * dual.kappa + 1
-    limit = 4 * dual.n_edges + 4
-    while True:
-        steps += 1
-        if steps > limit:
-            raise InvariantError("contour walk failed to close up")
+    for _ in range(4 * dual.n_edges + 4):
         d = succ[d]
         if d == start:
             return None
@@ -69,7 +67,8 @@ def _walk_to_augmenting(
         if a >> c & 1:
             d ^= 1
         elif not d & 1 and not component >> head[c] & 1 and not s >> c & 1:
-            return c, d, steps
+            return c, d
+    raise InvariantError("contour walk failed to close up")
 
 
 def augmenting_edge(dual: DualDigraph, a: int, s: int) -> int | None:
@@ -81,7 +80,7 @@ def augmenting_edge(dual: DualDigraph, a: int, s: int) -> int | None:
     component and edges internal to it are passed over silently.
     """
     start = 2 * dual.kappa + 1
-    found = _walk_to_augmenting(dual, a, s, _root_component(dual, a), start, 0)
+    found = _walk_to_augmenting(dual, a, s, _root_component(dual, a), start)
     return None if found is None else found[0]
 
 
@@ -89,22 +88,24 @@ def clocked_arborescence(dual: DualDigraph) -> int:
     """Greedy depth-first arborescence from (r0, kappa), as an edge mask.
 
     Turns counterclockwise around each visited vertex, descending along each
-    selected edge immediately and resuming the scan on return.  Independent
-    of the arborescence-tree machinery; equals the tree's rightmost leaf.
+    selected edge immediately and resuming the scan on return, from an
+    explicit stack, as the search can be as deep as the dual has vertices.
+    Independent of the arborescence-tree machinery; equals the tree's
+    rightmost leaf.
     """
     succ, head = dual.graph.next_dart, dual.head
-    visited = {dual.r0}
-
-    def scan(entry: int) -> int:  # the edges chosen round entry's face after it
-        chosen, d = 0, succ[entry]
-        while d != entry:  # entry is a head end, never chosen
-            if not d & 1 and head[d >> 1] not in visited:
-                visited.add(head[d >> 1])
-                chosen |= 1 << (d >> 1) | scan(d ^ 1)
-            d = succ[d]
-        return chosen
-
-    chosen = scan(2 * dual.kappa + 1)
+    visited, chosen = {dual.r0}, 0
+    start = 2 * dual.kappa + 1
+    stack = [(start, succ[start])]  # (entry, next end) per face being scanned
+    while stack:
+        entry, d = stack.pop()
+        if d == entry:  # entry is a head end, never chosen
+            continue
+        stack.append((entry, succ[d]))
+        if not d & 1 and head[d >> 1] not in visited:
+            visited.add(head[d >> 1])
+            chosen |= 1 << (d >> 1)
+            stack.append((d ^ 1, succ[d ^ 1]))  # scanned first, as by recursion
     if len(visited) != dual.n_vertices:
         raise InvariantError("clocked search did not reach every dual vertex")
     return chosen
@@ -169,15 +170,15 @@ def _walk(dual: DualDigraph, prune: bool = False):
     walk is its parent's, since delta's head is outside the parent's root
     component, and slots passed over stay rejected below: a head end stays
     one, the component only grows and so does s.  So each node finds the
-    edge ``augmenting_edge`` would, after as many steps.  A spanning node is
-    a type-I leaf and ends without a walk, so the close-up guard covers the
-    other nodes.  Each type-II leaf is audited as it is made, on the masks
-    of the edges out of and into the root component that the stack carries;
-    ``_check_type_two`` runs only to name an escaping edge.
+    edge ``augmenting_edge`` would.  A spanning node is a type-I leaf and
+    ends without a walk.  Each type-II leaf is audited as it is made, on the
+    masks of the edges out of and into the root component that the stack
+    carries: an edge out of it, not into it and not skipped escapes, and the
+    lowest one is named in the error.
 
     With ``prune``, a skip child is kept only when the unskipped edges still
-    reach every dual vertex from the root component, and nothing is audited.
-    Without that reach no type-I leaf lies below; with it, a spanning
+    reach every dual vertex from the root component, and a type-II leaf
+    raises.  Without that reach no type-I leaf lies below; with it, a spanning
     arborescence that holds a and misses s is reached by following its add
     and skip choices, as it always has an unskipped edge leaving the root
     component.  Adding an edge keeps the reach, and skipping delta keeps it
@@ -186,40 +187,40 @@ def _walk(dual: DualDigraph, prune: bool = False):
     skipped sets are the full tree's, and a type-II leaf means a fault.
     """
     spanning_size, head, r0 = dual.n_vertices - 1, dual.head, dual.r0
-    arcs = dual.graph.table(_dual_arcs)
-    in_arcs, out_of, into = arcs
-    # (a, s, |a|, root component, its out and in edge masks, resumed walk state)
-    stack = [(0, 0, 0, 1 << r0, out_of[r0], into[r0], 2 * dual.kappa + 1, 0)]
+    in_arcs, out_of, into = dual.graph.table(_dual_arcs)
+    # (a, s, |a|, root component, its out and in edge masks, resumed dart)
+    stack = [(0, 0, 0, 1 << r0, out_of[r0], into[r0], 2 * dual.kappa + 1)]
     while stack:
-        a, s, size, component, out, inward, d, steps = stack.pop()
+        a, s, size, component, out, inward, d = stack.pop()
         if size == spanning_size:
             yield a, s, None, "I"
             continue
-        found = _walk_to_augmenting(dual, a, s, component, d, steps)
+        found = _walk_to_augmenting(dual, a, s, component, d)
         if found is None:
-            if not prune and out & ~inward & ~s:  # an unskipped escaping edge
-                _check_type_two(arcs, component, s)
+            if prune:
+                raise InvariantError("type-I-only tree reached a type II leaf")
+            escaping = out & ~inward & ~s
+            if escaping:
+                lowest = _bit_positions(escaping)[0]
+                raise InvariantError(
+                    f"type II leaf has unskipped escaping edge {lowest}: "
+                    "contradicts the leaf classification"
+                )
             yield a, s, None, "II"
             continue
-        delta, d, steps = found
+        delta, d = found
         yield a, s, delta, None
         bit, h = 1 << delta, head[delta]
         if not prune or _reached_without(in_arcs, component, s | bit, h):
-            stack.append((a, s | bit, size, component, out, inward, d, steps))
+            stack.append((a, s | bit, size, component, out, inward, d))
         stack.append((a | bit, s, size + 1, component | 1 << h, out | out_of[h],
-                      inward | into[h], d ^ 1, steps))
+                      inward | into[h], d ^ 1))
 
 
 def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
     """(edge mask of a, k) per type-I leaf, rightmost first, read from the
-    pruned walk without keeping nodes; a type-II leaf raises."""
-    leaves: list[tuple[int, int]] = []
-    for a, s, _, leaf_type in _walk(dual, prune=True):
-        if leaf_type == "II":
-            raise InvariantError("type-I-only tree reached a type II leaf")
-        if leaf_type:
-            leaves.append((a, s.bit_count()))
-    return leaves
+    pruned walk without keeping nodes; the walk raises at a type-II leaf."""
+    return [(a, s.bit_count()) for a, s, _, t in _walk(dual, prune=True) if t]
 
 
 def build_arb_tree(dual: DualDigraph) -> ArbTree:
@@ -279,23 +280,6 @@ def _reached_without(in_arcs, component: int, skipped: int, r: int) -> bool:
                 seen |= 1 << t
                 stack.append(t)
     return False
-
-
-def _check_type_two(arcs, component: int, s: int):
-    """Raise unless every edge leaving ``component`` is in ``s``, naming the
-    lowest that is not; ``arcs`` is the graph's ``_dual_arcs``, whose out and
-    in edge masks per face it reads."""
-    out = inward = 0
-    for v, (out_v, in_v) in enumerate(zip(arcs[1], arcs[2])):
-        if component >> v & 1:
-            out |= out_v
-            inward |= in_v
-    escaping = out & ~inward & ~s
-    if escaping:
-        raise InvariantError(
-            f"type II leaf has unskipped escaping edge {_bit_positions(escaping)[0]}: "
-            "contradicts the leaf classification"
-        )
 
 
 def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[int]:

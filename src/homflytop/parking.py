@@ -159,13 +159,13 @@ def arborescence_from_parking(dual: DualDigraph, values: dict[int, int]) -> int:
     if not burns(unskipped):
         raise ValueError("not a parking function of this rooted digraph")
     head, spanning_size = dual.head, dual.n_vertices - 1
-    a = s = size = steps = 0
+    a = s = size = 0
     component, d = 1 << dual.r0, 2 * dual.kappa + 1
     while size < spanning_size:
-        found = _walk_to_augmenting(dual, a, s, component, d, steps)
+        found = _walk_to_augmenting(dual, a, s, component, d)
         if found is None:
             raise InvariantError("parking-guided walk reached a type II leaf")
-        delta, d, steps = found
+        delta, d = found
         r = head[delta]
         if unskipped[r] > 0:
             unskipped[r] -= 1

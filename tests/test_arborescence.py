@@ -79,6 +79,23 @@ def reference_check_type_two(arcs, component, s):
             )
 
 
+def mask_audit(table, component, s):
+    """The walk's audit, ``out & ~inward & ~s``, on the per-face out and in
+    edge masks of the graph's ``_dual_arcs`` ``table``: raise, naming the
+    lowest escaping edge."""
+    _, out_of, into = table
+    out = inward = 0
+    for v in edge_list(component):
+        out |= out_of[v]
+        inward |= into[v]
+    escaping = edge_list(out & ~inward & ~s)
+    if escaping:
+        raise InvariantError(
+            f"type II leaf has unskipped escaping edge {escaping[0]}: "
+            "contradicts the leaf classification"
+        )
+
+
 def audit_message(check, *args):
     """The message ``check(*args)`` raises, or None."""
     try:
@@ -192,20 +209,15 @@ class TestResumedWalk:
         # escapes unskipped; the audit on the masks carried down to it names
         # the edge the arc scan names.  Where no escaping edge leaves r0,
         # only the masks of the heads added on the way down show the escape.
-        # The arc-mask audit, which only names the edge, runs at no sound leaf
+        # Every sound type-II leaf passes the audit: the unplanted walk ends
         rng = random.Random(36)
-        walk, check = arborescence._walk_to_augmenting, arborescence._check_type_two
-        target, scans = [], []
+        walk = arborescence._walk_to_augmenting
+        target = []
 
         def closing(dual, a, s, *rest):
             return None if [(a, s)] == target else walk(dual, a, s, *rest)
 
-        def scanning(*args):
-            scans.append(args)
-            return check(*args)
-
         monkeypatch.setattr(arborescence, "_walk_to_augmenting", closing)
-        monkeypatch.setattr(arborescence, "_check_type_two", scanning)
         planted = off_root = sound = 0
         for g in graph_corpus + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
@@ -230,13 +242,13 @@ class TestResumedWalk:
                     for c, (t, h) in enumerate(arcs)
                 )
         assert planted > 1_000 and off_root > 500 and sound > 10_000
-        assert len(scans) == planted
 
     def test_mask_audit_names_the_edge_the_arc_scan_names(
         self, graph_corpus, grid_subgraphs
     ):
-        # every type-II leaf passes both audits; unskipping some of its
-        # escaping edges whose tail is not r0 makes both name the same edge
+        # every type-II leaf passes the arc scan and the walk's formula on
+        # the per-face masks; unskipping some of its escaping edges whose
+        # tail is not r0 makes both name the same edge
         rng = random.Random(26)
         leaves = planted = 0
         for g in graph_corpus + grid_subgraphs:
@@ -248,7 +260,7 @@ class TestResumedWalk:
                     component = arborescence._root_component(rooted, leaf.a)
                     for check, tables in (
                         (reference_check_type_two, arcs),
-                        (arborescence._check_type_two, table),
+                        (mask_audit, table),
                     ):
                         assert audit_message(check, tables, component, leaf.s) is None
                     leaves += 1
@@ -262,13 +274,13 @@ class TestResumedWalk:
                     s = leaf.s & ~edge_mask(unskipped)
                     scan = audit_message(reference_check_type_two, arcs, component, s)
                     assert f"edge {min(unskipped)}:" in scan
-                    assert audit_message(
-                        arborescence._check_type_two, table, component, s
-                    ) == scan
+                    assert audit_message(mask_audit, table, component, s) == scan
                     planted += 1
         assert leaves > 10_000 and planted > 10_000
 
-    @pytest.mark.parametrize("build", [build_arb_tree, reference_build_arb_tree])
+    @pytest.mark.parametrize(
+        "build", [build_arb_tree, arbtree_dot, reference_build_arb_tree]
+    )
     def test_walk_that_never_closes_up_is_stopped(self, build):
         g, dual = k32_three_strand()
         start = 2 * dual.kappa + 1

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import homflytop
 from homflytop import cli
 from homflytop.cli import main
-from homflytop.fixtures import k32_three_strand, single_edge
+from homflytop.fixtures import k32_three_strand, single_edge, theta
 from homflytop.gen import corpus_documents
 from homflytop.homfly import LinkDiagram, median_diagram, shared_memo
 from homflytop.laurent import Laurent1, Laurent2
@@ -139,6 +139,20 @@ class TestCommands:
         assert outputs["text"].count("type I:") == 1000
         assert outputs["text"].count("type II:") == 1
         assert outputs["dot"].count("[label=L]") == 1000
+
+    def test_arbtree_on_a_long_clocked_search(self, capsys, tmp_path):
+        # theta(1200)'s dual is a directed 1,200-cycle: the clocked search
+        # descends through every dual vertex, 1,200 levels deep
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta(1200)[0].to_document()))
+        code, out, err = run(capsys, "arbtree", "--input", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        leaves = payload["leaves"]
+        assert len(leaves) == 1200
+        (only,) = [leaf for leaf in leaves if leaf["type"] == "I"]
+        assert payload["clocked"] == only["arborescence"]
+        assert len(only["arborescence"]) == 1199
 
     def test_triangulate(self, capsys, k32_path):
         code, out, _ = run(
