@@ -27,7 +27,6 @@ the parking inverse resumes the same walk down one path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
@@ -111,17 +110,21 @@ def clocked_arborescence(dual: DualDigraph) -> int:
     return chosen
 
 
-@dataclass
 class ArbNode:
     """Leaf of the binary arborescence tree: edge masks (arborescence,
-    skipped) and its type, "I" or "II"."""
+    skipped) and its type, "I" or "II"; equal when all three are."""
 
-    a: int
-    s: int
-    leaf_type: str
+    __slots__ = ("a", "s", "leaf_type")
+
+    def __init__(self, a: int, s: int, leaf_type: str):
+        self.a, self.s, self.leaf_type = a, s, leaf_type
+
+    def __eq__(self, other):
+        if type(other) is not ArbNode:
+            return NotImplemented
+        return (self.a, self.s, self.leaf_type) == (other.a, other.s, other.leaf_type)
 
 
-@dataclass
 class ArbTree:
     """The leaves of the binary arborescence tree, rightmost first.
 
@@ -131,8 +134,8 @@ class ArbTree:
     them.
     """
 
-    dual: DualDigraph
-    leaves: list[ArbNode]
+    def __init__(self, dual: DualDigraph, leaves: list[ArbNode]):
+        self.dual, self.leaves = dual, leaves
 
     def type_one_leaves(self) -> list[tuple[int, int]]:
         """(edge mask of a, k) per type-I leaf, rightmost first."""
@@ -292,12 +295,12 @@ def spanning_arborescences_bruteforce(dual: DualDigraph) -> set[int]:
     product of the in-degrees, at most C(edges, vertices - 1) by AM-GM.
     """
     others = [r for r in range(dual.n_vertices) if r != dual.r0]
-    in_edges = [
-        [c for c in range(dual.n_edges) if dual.head[c] == r and dual.tail[c] != r]
-        for r in others
-    ]
+    in_edges: list[list[int]] = [[] for _ in range(dual.n_vertices)]
+    for c, (t, h) in enumerate(dual.arcs()):
+        if t != h:
+            in_edges[h].append(c)
     found: set[int] = set()
-    for choice in product(*in_edges):
+    for choice in product(*(in_edges[r] for r in others)):
         parent = dict(zip(others, (dual.tail[c] for c in choice)))
 
         def reaches_root(r: int) -> bool:

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from .planegraph import (
     GraphInputError,
@@ -104,7 +103,11 @@ def _load(args):
     if not args.input:
         raise GraphInputError("--input is required for this command")
     try:
-        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"cannot decode input: {exc}") from exc
     except OSError as exc:  # a missing or unreadable file

@@ -16,17 +16,18 @@ relation P+ = v^2 P- + vz P0 and bottoms out on descending diagrams, which
 are unlinks; a skein step is one pass that shifts exponents.  The memo
 holds each connected piece's value under two keys: the piece itself,
 looked up first, and its canonical code, computed only when the piece is
-not a key.  ``LinkDiagram`` is a frozen dataclass, so equal pieces have
-equal signs, strands and over bits, and a code fixes its piece up to
-renumbering of the crossings; for a diagram drawn in the plane the HOMFLY
-value depends on nothing else.  So the memo may be shared across planar
-diagrams (``homfly_skein(d, memo=m)``): an entry made for one is correct
-for every other, and ``shared_memo()`` is one such memo for the whole
-process.  A non-planar diagram is not: ``LinkDiagram((1,), (0, 1), (1,))``
-and its relabelling ``LinkDiagram((1,), (0, 1), (0,))`` have one code but
-different values under the recursion.  A code costs a pass that hashes
-its piece's profile, which reads no labels, and walks the piece in full
-from a few start passes only when the memo holds a code of the same hash.
+not a key.  ``LinkDiagram`` is an immutable value whose equality and hash
+are over its four fields, so equal pieces have equal signs, strands and
+over bits, and a code fixes its piece up to renumbering of the crossings;
+for a diagram drawn in the plane the HOMFLY value depends on nothing else.
+So the memo may be shared across planar diagrams (``homfly_skein(d,
+memo=m)``): an entry made for one is correct for every other, and
+``shared_memo()`` is one such memo for the whole process.  A non-planar
+diagram is not: ``LinkDiagram((1,), (0, 1), (1,))`` and its relabelling
+``LinkDiagram((1,), (0, 1), (0,))`` have one code but different values
+under the recursion.  A code costs a pass that hashes its piece's profile,
+which reads no labels, and walks the piece in full from a few start
+passes only when the memo holds a code of the same hash.
 
 Before it splits a diagram into pieces, the oracle removes every curl and
 every reducible bigon (``LinkDiagram.unbigon``).  A curl is a crossing c
@@ -69,7 +70,7 @@ they keep through one helper, ``_keep``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import Laurent1, Laurent2
 from .planegraph import PlaneBipartiteGraph, InvariantError
@@ -92,31 +93,28 @@ def _unlink_power(k: int) -> Laurent2:
     return _UNLINK_POWERS[k] if 0 <= k < len(_UNLINK_POWERS) else UNLINK_FACTOR**k
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    """Oriented link diagram as a pass permutation with crossing data."""
+class LinkDiagram(namedtuple("LinkDiagram", "signs succ over free_loops")):
+    """Oriented link diagram as a pass permutation with crossing data: an
+    immutable value, equal and hashed over its four fields."""
 
-    signs: tuple[int, ...]
-    succ: tuple[int, ...]
-    over: tuple[int, ...]
-    free_loops: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.succ) != 2 * len(self.signs) or len(self.over) != len(self.signs):
+    def __new__(cls, signs: tuple[int, ...], succ: tuple[int, ...],
+                over: tuple[int, ...], free_loops: int = 0):
+        if len(succ) != 2 * len(signs) or len(over) != len(signs):
             raise ValueError("succ must list both passes of every crossing")
-        if sorted(self.succ) != list(range(len(self.succ))):
+        if sorted(succ) != list(range(len(succ))):
             raise ValueError("succ is not a permutation of the passes")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("crossing signs must be +1 or -1")
-        if any(b not in (0, 1) for b in self.over):
+        if any(b not in (0, 1) for b in over):
             raise ValueError("over bits must be 0 or 1")
+        return tuple.__new__(cls, (signs, succ, over, free_loops))
 
     @classmethod
     def _unchecked(cls, signs, succ, over, free_loops) -> "LinkDiagram":
-        """Diagram made by surgery on a valid one, without ``__post_init__``."""
-        d = object.__new__(cls)
-        d.__dict__.update(signs=signs, succ=succ, over=over, free_loops=free_loops)
-        return d
+        """Diagram made by surgery on a valid one, without validation."""
+        return tuple.__new__(cls, (signs, succ, over, free_loops))
 
     # -- counting ---------------------------------------------------------
 
@@ -562,17 +560,16 @@ class CanonicalCode:
 # -- median construction -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecoratedSubgraph:
+class DecoratedSubgraph(namedtuple("DecoratedSubgraph", "present dotted")):
     """Spanning subgraph with a dotted subset, as produced by tree nodes:
     both are int edge masks."""
 
-    present: int
-    dotted: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dotted & ~self.present:
+    def __new__(cls, present: int, dotted: int):
+        if dotted & ~present:
             raise ValueError("dotted edges must be present")
+        return tuple.__new__(cls, (present, dotted))
 
 
 def decorated_subgraph_at(g: PlaneBipartiteGraph, node: ArbNode) -> DecoratedSubgraph:
@@ -733,12 +730,10 @@ def _skein_step(sign: int, switched: Laurent2, smoothed: Laurent2) -> Laurent2:
 # -- tops ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopPolynomial:
+class TopPolynomial(namedtuple("TopPolynomial", "poly z_exponent")):
     """Coefficient of z^(n - s + 1) in a HOMFLY value, as a polynomial in v."""
 
-    poly: Laurent1
-    z_exponent: int
+    __slots__ = ()
 
 
 def top_coefficient(P: Laurent2, n: int, s: int) -> TopPolynomial:

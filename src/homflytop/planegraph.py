@@ -16,7 +16,7 @@ the V -> E dart, which puts the E-endpoint on the traveller's right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 Dart = tuple[int, int]  # (edge id, direction); 0 = E->V, 1 = V->E
 
@@ -167,7 +167,6 @@ class PlaneBipartiteGraph:
         return "\n".join(lines)
 
 
-@dataclass
 class DualDigraph:
     """Directed planar dual with a root face and distinguished primal edge.
 
@@ -175,20 +174,27 @@ class DualDigraph:
     faces of ``graph``.  The rotation at a dual vertex is its face walk:
     crossing the primal dart 2c is the tail end of dual edge c, crossing
     2c + 1 its head end, and ``graph.next_dart`` steps to the next end.
+    Two duals are equal when their graph, arcs and root data are.
     """
 
-    graph: PlaneBipartiteGraph
-    tail: tuple[int, ...]
-    head: tuple[int, ...]
-    r0: int
-    kappa: int
+    __slots__ = ("graph", "tail", "head", "r0", "kappa")
 
-    def __post_init__(self):
-        if self.head[self.kappa] != self.r0:
+    def __init__(self, graph: PlaneBipartiteGraph, tail: tuple[int, ...],
+                 head: tuple[int, ...], r0: int, kappa: int):
+        if head[kappa] != r0:
             raise GraphInputError(
-                f"kappa {self.kappa} is inadmissible: its dual edge points to face "
-                f"{self.head[self.kappa]}, not {self.r0}"
+                f"kappa {kappa} is inadmissible: its dual edge points to face "
+                f"{head[kappa]}, not {r0}"
             )
+        self.graph, self.tail, self.head = graph, tail, head
+        self.r0, self.kappa = r0, kappa
+
+    def __eq__(self, other):
+        if type(other) is not DualDigraph:
+            return NotImplemented
+        return (self.graph, self.tail, self.head, self.r0, self.kappa) == (
+            other.graph, other.tail, other.head, other.r0, other.kappa
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -374,11 +380,7 @@ def check_strong_connectivity(dual: DualDigraph) -> bool:
 # -- signed block decomposition ------------------------------------------
 
 
-@dataclass
-class SignedBlock:
-    sign: int
-    vertices: frozenset
-    edge_ids: tuple[int, ...]
+SignedBlock = namedtuple("SignedBlock", "sign vertices edge_ids")
 
 
 def bfs_tree(vertices, edges) -> dict:

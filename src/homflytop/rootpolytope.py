@@ -29,7 +29,6 @@ Each audit is exact and enumerates no faces or spanning trees:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .laurent import Laurent1
@@ -142,7 +141,6 @@ def hypertrees(g: PlaneBipartiteGraph) -> set[tuple[int, ...]]:
 # -- triangulation ------------------------------------------------------------
 
 
-@dataclass
 class Triangulation:
     """Ordered maximal simplices of the root polytope, with face data.
 
@@ -153,18 +151,16 @@ class Triangulation:
     first simplex that breaks the shelling, or None.
     """
 
-    graph: PlaneBipartiteGraph
-    simplices: list[int]
-    dimension: int = field(init=False)
-    masks: list[int] = field(init=False, repr=False)
-    shelled: tuple | None = field(default=None, init=False, repr=False)
+    __slots__ = ("graph", "simplices", "dimension", "masks", "shelled")
 
-    def __post_init__(self):
-        self.dimension = self.graph.n_vertices - 2
-        of_edge, ends, *_ = self.graph.table(_pair_ids)
-        self.masks = self.simplices if len(ends) == len(of_edge) else [
-            sum({1 << of_edge[c] for c in _bit_positions(s)}) for s in self.simplices
+    def __init__(self, graph: PlaneBipartiteGraph, simplices: list[int]):
+        self.graph, self.simplices = graph, simplices
+        self.dimension = graph.n_vertices - 2
+        of_edge, ends, *_ = graph.table(_pair_ids)
+        self.masks = simplices if len(ends) == len(of_edge) else [
+            sum({1 << of_edge[c] for c in _bit_positions(s)}) for s in simplices
         ]
+        self.shelled = None
 
     def to_json(self):
         return {

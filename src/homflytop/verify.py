@@ -30,8 +30,6 @@ out and ``summary.top`` is null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .laurent import Laurent1
 from .planegraph import (
     PlaneBipartiteGraph,
@@ -71,11 +69,14 @@ from .homfly import (
 )
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    checks: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    __slots__ = ("ok", "checks", "summary")
+
+    def __init__(self, ok: bool, checks: list[dict] | None = None,
+                 summary: dict | None = None):
+        self.ok = ok
+        self.checks = [] if checks is None else checks
+        self.summary = {} if summary is None else summary
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks.append({"invariant": name, "ok": bool(ok), "detail": detail})

@@ -1040,15 +1040,20 @@ class TestPackageSurface:
         assert missing == []
 
 
-def run_module(*argv, stdin=None):
-    """``python -m homflytop`` in a child process on this checkout's source."""
+def run_python(*args, stdin=None):
+    """A child interpreter on this checkout's source."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "homflytop", *argv],
+        [sys.executable, *args],
         input=stdin, capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_module(*argv, stdin=None):
+    """``python -m homflytop`` in a child process on this checkout's source."""
+    return run_python("-m", "homflytop", *argv, stdin=stdin)
 
 
 class TestModuleEntryPoint:
@@ -1074,6 +1079,19 @@ class TestModuleEntryPoint:
         assert child.wait(timeout=120) == 141
         assert child.stderr.read() == b""
         child.stderr.close()
+
+    def test_cold_start_loads_neither_dataclasses_nor_inspect(self, k32_path):
+        # in a fresh interpreter, as pytest itself has loaded both; each costs
+        # milliseconds of import time on every CLI call
+        script = (
+            "import sys\n"
+            "import homflytop.cli\n"
+            f"rc = homflytop.cli.main(['top', '--format', 'json', '--input', {k32_path!r}])\n"
+            "print(rc, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        done = run_python("-c", script)
+        assert done.stderr == "0 []\n"
+        assert json.loads(done.stdout)["top"] == "1*v^2 + 2*v^4"
 
     def test_malformed_document_exits_2_with_one_json_line(self):
         doc = '{"E": "e", "V": "v", "edges": ["ev"], "rotation": {"e": [0], "v": [0]}}'

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -190,20 +189,20 @@ class TestDual:
 
     def test_rooting_is_a_replace_of_the_root(self, graph_corpus, grid_subgraphs):
         # the same dual at every admissible pair, and at a wrong root the same
-        # error, as dataclasses.replace gives
+        # error, as the constructor gives
         wrong = 0
         for g in graph_corpus + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
                 assert type(rooted) is DualDigraph
-                assert rooted == replace(dual, r0=r0, kappa=kappa)
+                assert rooted == DualDigraph(dual.graph, dual.tail, dual.head, r0, kappa)
                 if dual.n_vertices > 1:
                     bad = (r0 + 1) % dual.n_vertices
                     with pytest.raises(GraphInputError) as found:
                         dual.with_root(bad, kappa)
                     with pytest.raises(GraphInputError) as expected:
-                        replace(dual, r0=bad, kappa=kappa)
+                        DualDigraph(dual.graph, dual.tail, dual.head, bad, kappa)
                     assert str(found.value) == str(expected.value)
                     wrong += 1
         assert wrong > 1_000
@@ -393,12 +392,15 @@ class TestStrongConnectivity:
         assert x not in (0, dual.r0)
         arcs = dual.arcs()
         # the arcs into x, or out of x, become loops at their other end;
-        # ``replace`` rechecks that kappa stays admissible
+        # the constructor rechecks that kappa stays admissible
+        tail, head = dual.tail, dual.head
         if cut == "unreachable from 0":
-            planted = replace(dual, head=tuple(t if h == x else h for t, h in arcs))
+            head = tuple(t if h == x else h for t, h in arcs)
+            planted = DualDigraph(dual.graph, tail, head, dual.r0, dual.kappa)
             assert all(t == x for t, h in planted.arcs() if h == x)
         else:
-            planted = replace(dual, tail=tuple(h if t == x else t for t, h in arcs))
+            tail = tuple(h if t == x else t for t, h in arcs)
+            planted = DualDigraph(dual.graph, tail, head, dual.r0, dual.kappa)
             assert all(h == x for t, h in planted.arcs() if t == x)
         assert not check_strong_connectivity(planted)
 
