@@ -139,24 +139,37 @@ _SCALARS = {
 }
 
 
-def _to_json(x, indent: str = "") -> str:
+def _to_json(x, indent: str = "", layouts=None) -> str:
     """``json.dumps(x, indent=2, sort_keys=True)``, ``indent`` deep.  Below Python
     3.13 an indent runs json's pure-Python encoder; only rarer values go there.
-    A dict's scalar values are written inline."""
+    Scalars are written inline.  ``layouts`` maps a dict's keys and indent to
+    its sorted str keys and their heads, for one document only: a longer-lived
+    map would grow without bound on dicts keyed by data."""
     kind = type(x)
     if kind in _SCALARS:
         return _SCALARS[kind](x)
+    if layouts is None:
+        layouts = {}
     inner = indent + "  "
-    if kind is dict and set(map(type, x)) <= {str}:
+    if kind is dict:
+        key = (tuple(x), indent)
+        layout = layouts.get(key)
+        if layout is None and set(map(type, x)) <= {str}:
+            layout = layouts[key] = [(k, f"{inner}{_quote(k)}: ") for k in sorted(x)]
+        if layout is not None:
+            items = []
+            for k, head in layout:
+                v = x[k]
+                write = _SCALARS.get(type(v))
+                text = write(v) if write else _to_json(v, inner, layouts)
+                items.append(head + text)
+            return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
+    elif kind is list or kind is tuple:
         items = []
-        for k in sorted(x):
-            v = x[k]
+        for v in x:
             write = _SCALARS.get(type(v))
-            text = write(v) if write else _to_json(v, inner)
-            items.append(f"{inner}{_quote(k)}: {text}")
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
-    if kind is list or kind is tuple:
-        items = [inner + _to_json(v, inner) for v in x]
+            text = write(v) if write else _to_json(v, inner, layouts)
+            items.append(inner + text)
         return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
@@ -449,10 +462,15 @@ HANDLERS = {
 # built once: parsing leaves no state in the parser
 _PARSER = make_parser()
 
+# the format a command writes besides json and text (gen writes JSON lines for both)
+EXTRA_FORMAT = {"faces": "dot", "dual": "dot", "arbtree": "dot", "parking": "csv"}
+
 
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if args.format not in ("json", "text", EXTRA_FORMAT.get(args.command)):
+            raise GraphInputError(f"{args.command} has no --format {args.format}")
         return HANDLERS[args.command](args)
     except (GraphInputError, CrossingCapExceeded) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)

@@ -73,7 +73,7 @@ import json
 from collections import namedtuple
 
 from .laurent import Laurent1, Laurent2
-from .planegraph import PlaneBipartiteGraph, InvariantError
+from .planegraph import PlaneBipartiteGraph, InvariantError, _cycles
 from .arborescence import ArbNode, _bit_positions
 from .parking import leaf_enumerator
 
@@ -131,29 +131,13 @@ class LinkDiagram(namedtuple("LinkDiagram", "signs succ over free_loops")):
     def under_pass(self, c: int) -> int:
         return 2 * c + 1 - self.over[c]
 
-    def _cycles(self, step) -> list[list[int]]:
-        """Cycles of the pass sequence ``step``, each from its least pass."""
-        seen = [False] * len(step)
-        cycles = []
-        for start in range(len(step)):
-            if seen[start]:
-                continue
-            cycle = []
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                cycle.append(p)
-                p = step[p]
-            cycles.append(cycle)
-        return cycles
-
     def components(self) -> list[list[int]]:
         """Link components as pass cycles (free loops not included)."""
-        return self._cycles(self.succ)
+        return _cycles(self.succ)
 
     def seifert_circle_count(self) -> int:
         """Circles left by the orientation-preserving smoothing of every crossing."""
-        return len(self._cycles([q ^ 1 for q in self.succ])) + self.free_loops
+        return len(_cycles([q ^ 1 for q in self.succ])) + self.free_loops
 
     # -- surgery ----------------------------------------------------------
 
@@ -446,12 +430,13 @@ class LinkDiagram(namedtuple("LinkDiagram", "signs succ over free_loops")):
         """
         # components are walked from their least passes, in order of those
         passes = [p for comp in self.components() for p in comp]
-        out_arc = {p: label for label, p in enumerate(passes, 1)}
-        in_arc = {self.succ[p]: label for label, p in enumerate(passes, 1)}
+        out_arc, in_arc = [0] * len(passes), [0] * len(passes)
+        for label, p in enumerate(passes, 1):
+            out_arc[p] = in_arc[self.succ[p]] = label
         tuples = []
-        for c in range(self.n_crossings):
-            u, o = self.under_pass(c), self.over_pass(c)
-            if self.signs[c] > 0:
+        for c, (sign, top) in enumerate(zip(self.signs, self.over)):
+            u, o = 2 * c + 1 - top, 2 * c + top
+            if sign > 0:
                 tuples.append([in_arc[u], out_arc[o], out_arc[u], in_arc[o]])
             else:
                 tuples.append([in_arc[u], in_arc[o], out_arc[u], out_arc[o]])

@@ -317,11 +317,13 @@ def conway_and_alexander(P: Laurent2):
     conway = P.set_first_one()
     if min(conway.coeffs, default=0) < 0:
         raise ValueError("Conway polynomial has negative z-exponents")
-    # substitute z = w - 1/w with w = t^(1/2), by Horner's rule
-    half = Laurent1.zero("t^(1/2)")
-    w_minus = Laurent1({1: 1, -1: -1}, "t^(1/2)")
-    for k in range(max(conway.coeffs, default=-1), -1, -1):
-        half = half * w_minus + conway.coeffs.get(k, 0)
+    # z = w - 1/w with w = t^(1/2): c z^k = sum over j of c (-1)^j C(k, j) w^(k - 2j)
+    terms: dict[int, int] = {}
+    for k, c in conway.coeffs.items():
+        for j in range(k + 1):
+            terms[k - 2 * j] = terms.get(k - 2 * j, 0) + c
+            c = -c * (k - j) // (j + 1)
+    half = Laurent1(terms, "t^(1/2)")
     exps = {e % 2 for e in half.coeffs}
     if len(exps) > 1:
         raise ValueError("residual half-integer t-exponents: invalid input")

@@ -29,6 +29,21 @@ class InvariantError(RuntimeError):
     """A theorem-backed internal check failed; indicates an implementation bug."""
 
 
+def _cycles(step) -> list[list[int]]:
+    """Cycles of the permutation ``step``, each from its least element, in order."""
+    seen, cycles = [False] * len(step), []
+    for start in range(len(step)):
+        if seen[start]:
+            continue
+        cycle, p = [], start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(p)
+            p = step[p]
+        cycles.append(cycle)
+    return cycles
+
+
 class PlaneBipartiteGraph:
     """Connected plane bipartite combinatorial map on the sphere.
 
@@ -39,9 +54,10 @@ class PlaneBipartiteGraph:
             its index in ``e_vertices + v_vertices``, E-vertices first.
         rotations: per vertex id the tuple of its incident edge ids, CCW,
             whatever order the input listed the vertices in.
-        faces: tuple of faces, each a tuple of darts walked with the face on
-            the left; faces are ordered by their minimal dart.
-        next_dart, dart_face: per int dart, the next along its face, and that face.
+        next_dart, dart_face: per int dart, the next along its face, and that
+            face; the n_faces faces are numbered in the order of their least darts.
+        faces: per face its walk of (edge, direction) darts from the least,
+            a table built on first read.
     """
 
     def __init__(self, e_vertices, v_vertices, edges, rotations):
@@ -49,7 +65,7 @@ class PlaneBipartiteGraph:
         self.v_vertices = tuple(v_vertices)
         self.edges = tuple((e, v) for e, v in edges)
         self.ends, self.rotations = self._validate_structure(rotations)
-        self.next_dart, self.dart_face, self.faces = self._trace_faces()
+        self.next_dart, self.dart_face, self.n_faces = self._trace_faces()
         self._tables: dict = {}
         self._check_euler()
 
@@ -64,8 +80,8 @@ class PlaneBipartiteGraph:
         return len(self.e_vertices) + len(self.v_vertices)
 
     @property
-    def n_faces(self) -> int:
-        return len(self.faces)
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        return self.table(_face_walks)
 
     def table(self, build):
         """``build(self)``, made once per graph and shared by every root."""
@@ -108,7 +124,14 @@ class PlaneBipartiteGraph:
                 raise GraphInputError(
                     f"rotation at {x!r} is not a permutation of its incident edges"
                 )
-        if len(bfs_tree(range(len(names)), ends)) != len(names):
+        queue, reached = [0], [True] + [False] * (len(names) - 1)
+        for x in queue:  # breadth-first from vertex 0
+            for c in incident[x]:
+                for y in ends[c]:
+                    if not reached[y]:
+                        reached[y] = True
+                        queue.append(y)
+        if len(queue) != len(names):
             raise GraphInputError("graph is not connected")
         return tuple(ends), tuple(tuple(rotations[x]) for x in names)
 
@@ -120,17 +143,14 @@ class PlaneBipartiteGraph:
             out = 0 if x < k else 1
             for i, c in enumerate(rot):
                 succ[2 * c + 1 - out] = 2 * rot[i - 1] + out
-        face = [-1] * len(succ)
-        faces = []
+        face, n = [-1] * len(succ), 0
         for d in range(len(succ)):  # each new walk starts at its least dart
-            walk = []
-            while face[d] < 0:
-                face[d] = len(faces)
-                walk.append(divmod(d, 2))
-                d = succ[d]
-            if walk:
-                faces.append(tuple(walk))
-        return succ, face, tuple(faces)
+            if face[d] < 0:
+                while face[d] < 0:
+                    face[d] = n
+                    d = succ[d]
+                n += 1
+        return succ, face, n
 
     def _check_euler(self):
         euler = self.n_vertices - self.n_edges + self.n_faces
@@ -165,6 +185,11 @@ class PlaneBipartiteGraph:
             lines.append(f'  "{e}" -- "{v}" [label="{c}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _face_walks(g: PlaneBipartiteGraph) -> tuple[tuple[Dart, ...], ...]:
+    """Per face, its darts as (edge id, direction) pairs from its least dart."""
+    return tuple(tuple(divmod(d, 2) for d in walk) for walk in _cycles(g.next_dart))
 
 
 class DualDigraph:

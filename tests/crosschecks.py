@@ -1,6 +1,7 @@
 """Cross-checks that no command runs, kept for the tests: independent routes
 to facts the package computes another way, the linked arborescence tree
-that the package's walk replaces, and two link-diagram helpers."""
+that the package's walk replaces, two link-diagram helpers, and the eager
+face trace and Horner-rule Alexander substitution that the package replaced."""
 
 from dataclasses import dataclass
 
@@ -168,6 +169,51 @@ def component_count(d: LinkDiagram) -> int:
 def mirror_first(P: Laurent2) -> Laurent2:
     """Substitute -1/v for the first variable (mirror-image rule)."""
     return Laurent2({(-a, b): c * (-1) ** a for (a, b), c in P.coeffs.items()}, P._names)
+
+
+def reference_conway_and_alexander(P: Laurent2):
+    """``conway_and_alexander`` by Horner's rule on ``Laurent1`` values: the
+    reference for the package's binomial expansion, with the same errors."""
+    parities = {b % 2 for _, b in P.coeffs}
+    if len(parities) > 1:
+        raise ValueError("mixed z-exponent parity: not a valid HOMFLY value")
+    conway = P.set_first_one()
+    if min(conway.coeffs, default=0) < 0:
+        raise ValueError("Conway polynomial has negative z-exponents")
+    # substitute z = w - 1/w with w = t^(1/2), by Horner's rule
+    half = Laurent1.zero("t^(1/2)")
+    w_minus = Laurent1({1: 1, -1: -1}, "t^(1/2)")
+    for k in range(max(conway.coeffs, default=-1), -1, -1):
+        half = half * w_minus + conway.coeffs.get(k, 0)
+    exps = {e % 2 for e in half.coeffs}
+    if len(exps) > 1:
+        raise ValueError("residual half-integer t-exponents: invalid input")
+    if exps == {1}:
+        return conway, half, True
+    alexander = Laurent1({e // 2: c for e, c in half.coeffs.items()}, "t")
+    return conway, alexander, False
+
+
+def reference_face_walks(g: PlaneBipartiteGraph):
+    """(faces, dart_face) traced eagerly from the rotations alone, as the
+    constructor once did: each face a tuple of (edge, direction) darts from
+    its least dart, faces in the order of those darts."""
+    succ, k = [0] * (2 * g.n_edges), len(g.e_vertices)
+    for x, rot in enumerate(g.rotations):
+        out = 0 if x < k else 1
+        for i, c in enumerate(rot):
+            succ[2 * c + 1 - out] = 2 * rot[i - 1] + out
+    face = [-1] * len(succ)
+    faces = []
+    for d in range(len(succ)):
+        walk = []
+        while face[d] < 0:
+            face[d] = len(faces)
+            walk.append(divmod(d, 2))
+            d = succ[d]
+        if walk:
+            faces.append(tuple(walk))
+    return tuple(faces), face
 
 
 # -- the linked arborescence tree, the reference for the walk ----------------

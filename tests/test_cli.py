@@ -885,6 +885,33 @@ class TestContract:
         assert payload["error"] == "input"
         assert payload["message"].startswith(message)
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "dot", "csv"])
+    @pytest.mark.parametrize("command", list(cli.HANDLERS))
+    def test_a_format_is_written_or_rejected(self, command, fmt):
+        argv = [command, "--format", fmt]
+        if command != "gen":
+            argv += ["--input", "-"]
+        code, out, err = run_on_k32(argv)
+        written = fmt in ("json", "text") or (command, fmt) in {
+            ("faces", "dot"), ("dual", "dot"), ("arbtree", "dot"), ("parking", "csv")
+        }
+        if written:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {
+                "error": "input", "message": f"{command} has no --format {fmt}"
+            }
+
+    def test_gen_writes_json_lines_as_text(self):
+        runs = [
+            run_on_k32(["gen", "--count", "2", "--format", fmt])
+            for fmt in ("json", "text")
+        ]
+        assert runs[0] == runs[1]
+        code, out, _ = runs[0]
+        assert code == 0 and len([json.loads(line) for line in out.splitlines()]) == 2
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["-h"])
@@ -933,6 +960,32 @@ class TestJsonWriter:
     )
     def test_equals_json_dumps_on_edge_cases(self, value):
         assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [{"b": 1, "a": [2, "x"]}, {"a": 3, "b": None}, {"b": {"a": 4, "b": 5}}],
+            {"a": {"a": {"a": 1}}, "b": [{"a": 2}, [{"a": {"a": 3}}]]},
+            [
+                {"1": "s"}, {1: "i"}, {True: "b"}, {1.0: "f"},
+                {"1": {1: [], 2: {"1": 0}}},
+            ],
+        ],
+        ids=["key-orders", "key-depths", "non-str-keys"],
+    )
+    def test_layouts_repeated_in_one_document(self, value):
+        # a key set met again, in another order, at another depth, or equal
+        # as a tuple to another dict's non-str keys (1 == True == 1.0)
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_documents_written_in_turn_are_independent(self):
+        first = [{"b": 1, "a": 2}, {"a": {"b": 3}}]
+        second = {"a": [{"b": 1, "a": 2}], "b": {"a": 0, "b": 1, "c": 2}}
+        alone = cli._to_json(second)
+        assert cli._to_json(first) == json.dumps(first, indent=2, sort_keys=True)
+        assert cli._to_json(second) == alone == json.dumps(
+            second, indent=2, sort_keys=True
+        )
 
 
 class TestProcessMemo:

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from homflytop.homfly import homfly_skein, median_diagram
 from homflytop.laurent import Laurent1, Laurent2, conway_and_alexander
+
+from crosschecks import reference_conway_and_alexander
 
 
 def L1(coeffs, var="x"):
@@ -26,6 +29,28 @@ laurent2s = st.builds(
         max_size=6,
     ),
 )
+
+
+# values whose z-exponents share one parity, negative ones included
+one_parity_laurent2s = st.builds(
+    lambda parity, coeffs: Laurent2(
+        {(a, 2 * b + parity): c for (a, b), c in coeffs.items()}
+    ),
+    st.integers(0, 1),
+    st.dictionaries(
+        st.tuples(st.integers(-4, 4), st.integers(-2, 3)),
+        st.integers(-9, 9),
+        max_size=6,
+    ),
+)
+
+
+def specialized(f, P):
+    """The text of f(P)'s three values, or the message of its ValueError."""
+    try:
+        return tuple(map(str, f(P)))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestArithmetic:
@@ -251,3 +276,39 @@ class TestConwayAlexander:
     def test_mixed_parity_rejected(self):
         with pytest.raises(ValueError):
             conway_and_alexander(L2({(0, 0): 1, (0, 1): 1}))
+
+
+class TestConwayAlexanderAgainstHorner:
+    """The binomial expansion against the Horner-rule reference, values and
+    variable names alike.  The reference's residual half-integer error
+    cannot be reached once the parity check has passed, as every term of
+    c z^k lands on an exponent of k's parity, so only the parity and
+    negative-exponent errors are compared."""
+
+    def test_median_values(self, graph_corpus, grid_subgraphs):
+        memo = {}
+        for g in graph_corpus + grid_subgraphs:
+            P = homfly_skein(median_diagram(g), cap=17, memo=memo)
+            assert specialized(conway_and_alexander, P) == specialized(
+                reference_conway_and_alexander, P
+            )
+
+    @given(one_parity_laurent2s | laurent2s)
+    def test_arbitrary_values(self, P):
+        assert specialized(conway_and_alexander, P) == specialized(
+            reference_conway_and_alexander, P
+        )
+
+    @pytest.mark.parametrize(
+        "P, message",
+        [
+            (L2({(0, 0): 1, (0, 1): 1}), "mixed z-exponent parity"),
+            (L2({(1, -2): 1, (0, 2): 3}), "negative z-exponents"),
+        ],
+        ids=["mixed-parity", "negative-exponent"],
+    )
+    def test_errors(self, P, message):
+        assert message in specialized(conway_and_alexander, P)
+        assert specialized(conway_and_alexander, P) == specialized(
+            reference_conway_and_alexander, P
+        )

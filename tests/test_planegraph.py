@@ -28,7 +28,7 @@ from homflytop.fixtures import (
     block_sum_of_bigons,
 )
 
-from crosschecks import _connected, dual_subgraph
+from crosschecks import _connected, dual_subgraph, reference_face_walks
 
 
 def replace_document(doc, **fields):
@@ -125,6 +125,25 @@ class TestParsingAndFaces:
                 [("e0", "v0"), ("e1", "v1")],
                 {"e0": [0], "v0": [0], "e1": [1], "v1": [1]},
             )
+
+    def test_disconnected_map_that_passes_euler_rejected(self):
+        # one edge (V - E + F = 2 - 1 + 1) beside three bands on a torus
+        # (2 - 3 + 1): 4 - 4 + 2 = 2 in all, so only connectivity rejects it
+        with pytest.raises(GraphInputError, match="graph is not connected"):
+            PlaneBipartiteGraph(
+                ["e0", "e1"],
+                ["v0", "v1"],
+                [("e0", "v0")] + [("e1", "v1")] * 3,
+                {"e0": [0], "v0": [0], "e1": [1, 2, 3], "v1": [1, 2, 3]},
+            )
+
+    def test_faces_equal_the_eager_trace(self, graph_corpus, grid_graph):
+        grids = [grid_graph(a, b) for a in (2, 3, 4) for b in (3, 4) if a <= b]
+        for g in graph_corpus + grids:
+            faces, dart_face = reference_face_walks(g)
+            assert (g.n_faces, g.dart_face) == (len(faces), dart_face)
+            assert g.faces == faces
+            assert g.faces is g.faces  # built once per graph
 
     def test_nonplanar_rotation_rejected(self):
         # parallel bands with equal rotations on both sides close up on a torus
