@@ -18,8 +18,8 @@ without a walk.  Edge sets (a, s) and vertex sets (the root component)
 are int bitmasks throughout; ``_bit_positions`` lists one for output and
 for the crossings of a median diagram.
 ``_walk`` is the one walk of the tree, a preorder stream of its nodes, and
-the only form the tree takes: ``type_one_leaves`` reads its pruned form
-and keeps the type-I leaves, ``build_arb_tree`` keeps every leaf (the
+the only form the tree takes: ``type_one_leaves`` streams the type-I
+leaves of its pruned form, ``build_arb_tree`` keeps every leaf (the
 benchmark reads it), ``arbtree_dot`` writes the whole stream as DOT, and
 the parking inverse resumes the same walk down one path.
 ``augmenting_edge`` walks one node from scratch, as the tests' reference.
@@ -27,6 +27,7 @@ the parking inverse resumes the same walk down one path.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 
 from .planegraph import DualDigraph, InvariantError, PlaneBipartiteGraph, build_dual
@@ -220,10 +221,10 @@ def _walk(dual: DualDigraph, prune: bool = False):
                       inward | into[h], d ^ 1))
 
 
-def type_one_leaves(dual: DualDigraph) -> list[tuple[int, int]]:
-    """(edge mask of a, k) per type-I leaf, rightmost first, read from the
-    pruned walk without keeping nodes; the walk raises at a type-II leaf."""
-    return [(a, s.bit_count()) for a, s, _, t in _walk(dual, prune=True) if t]
+def type_one_leaves(dual: DualDigraph) -> Iterator[tuple[int, int]]:
+    """(edge mask of a, k) per type-I leaf, rightmost first, streamed from
+    the pruned walk, which keeps no nodes and raises at a type-II leaf."""
+    return ((a, s.bit_count()) for a, s, _, t in _walk(dual, prune=True) if t)
 
 
 def build_arb_tree(dual: DualDigraph) -> ArbTree:

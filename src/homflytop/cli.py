@@ -26,6 +26,7 @@ from .planegraph import (
 )
 from .arborescence import (
     _bit_positions,
+    arborescence_count,
     arbtree_dot,
     build_arb_tree,
     clocked_arborescence,
@@ -35,7 +36,6 @@ from .rootpolytope import (
     coordinate_matrix,
     triangulation_from_arbtree,
     verify_shelling,
-    f_vector,
     f_from_attach_counts,
     h_from_f,
     h_from_shelling,
@@ -48,8 +48,6 @@ from .homfly import (
     homfly_skein,
     top_coefficient,
     top_via_tree,
-    top_via_h,
-    top_via_p,
     homogeneous_top,
     DecoratedSubgraph,
     shared_memo,
@@ -333,26 +331,20 @@ def cmd_parking(args) -> int:
 
 
 def cmd_top(args) -> int:
+    """The tree route alone, streamed: the h and parking routes are audits,
+    run by ``hvector``, ``parking`` and ``verify``."""
     g, dual, _ = _load(args)
     n, s = g.n_edges, g.n_vertices
-    leaves = type_one_leaves(dual)
-    h = h_from_f(f_vector(triangulation_from_arbtree(dual, leaves)))
-    _, p = parking_for_dual(dual)
-    t_tree = top_via_tree(leaves, n, s)
-    t_h = top_via_h(h, n, s)
-    t_p = top_via_p(p, n, s)
-    if not (t_tree == t_h == t_p):
-        raise InvariantError("top formulas disagree")
-    payload = {
-        "z_exponent": t_tree.z_exponent,
-        "top": str(t_tree.poly),
-        "routes": {"tree": str(t_tree.poly), "h": str(t_h.poly), "p": str(t_p.poly)},
-    }
+    top = top_via_tree(type_one_leaves(dual), n, s)
+    leaves, expected = sum(top.poly.coeffs.values()), arborescence_count(dual)
+    if leaves != expected:
+        raise InvariantError(f"{leaves} type-I leaves but {expected} arborescences")
+    payload = {"z_exponent": top.z_exponent, "top": str(top.poly)}
     if n <= args.cap:
         P = homfly_skein(median_diagram(g), cap=args.cap, memo=shared_memo())
         oracle = top_coefficient(P, n, s)
         payload["oracle"] = str(oracle.poly)
-        if oracle.poly != t_tree.poly:
+        if oracle.poly != top.poly:
             raise InvariantError("oracle top disagrees with the formulas")
     _emit(
         payload, args,

@@ -309,7 +309,9 @@ def conway_and_alexander(P: Laurent2):
     Returns (conway, alexander, half_integer_graded).
 
     Raises ValueError if the z-exponents of P mix parities, which cannot
-    happen for the HOMFLY polynomial of a link.
+    happen for the HOMFLY polynomial of a link.  Once they share one
+    parity, so do the exponents of t^(1/2): c z^k expands only onto
+    exponents of k's parity, and the flag is set when they are odd.
     """
     parities = {b % 2 for _, b in P.coeffs}
     if len(parities) > 1:
@@ -324,10 +326,7 @@ def conway_and_alexander(P: Laurent2):
             terms[k - 2 * j] = terms.get(k - 2 * j, 0) + c
             c = -c * (k - j) // (j + 1)
     half = Laurent1(terms, "t^(1/2)")
-    exps = {e % 2 for e in half.coeffs}
-    if len(exps) > 1:
-        raise ValueError("residual half-integer t-exponents: invalid input")
-    if exps == {1}:
+    if {e % 2 for e in half.coeffs} == {1}:
         return conway, half, True
     alexander = Laurent1({e // 2: c for e, c in half.coeffs.items()}, "t")
     return conway, alexander, False

@@ -319,14 +319,25 @@ def test_criterion_8_mirror_and_block_sums(graph_corpus):
 
 
 def test_oracle_agrees_at_24_crossings(grid_graph, tmp_path, capsys):
-    # `top` raises unless the oracle's z-slice equals the tree route, which
-    # it has already checked against the h and p routes
+    # `top` raises unless the oracle's z-slice equals the tree route; the h
+    # and p routes are read off `hvector` and `parking` on the same grid
+    g = grid_graph(4, 4)
     path = tmp_path / "grid-4x4.json"
-    path.write_text(json.dumps(grid_graph(4, 4).to_document()))
-    code = main(["top", "--cap", "24", "--format", "json", "--input", str(path)])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["oracle"] == out["top"] == out["routes"]["h"] == out["routes"]["p"]
+    path.write_text(json.dumps(g.to_document()))
+
+    def run(*argv):
+        code = main([*argv, "--format", "json", "--input", str(path)])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    out = run("top", "--cap", "24")
+    (h,) = run("hvector")["results"]
+    (p,) = run("parking")["results"]
+    n, s = g.n_edges, g.n_vertices
+    t_h = top_via_h(Laurent1(dict(h["h_coeffs"])), n, s)
+    t_p = top_via_p(Laurent1(dict(p["p_coeffs"])), n, s)
+    assert out["oracle"] == out["top"] == str(t_h.poly) == str(t_p.poly)
+    assert out["z_exponent"] == t_h.z_exponent == t_p.z_exponent
     print("oracle at 24 crossings (full 4x4 grid): PASS")
 
 

@@ -327,7 +327,7 @@ class TestTypeOneOnly:
                     (x.a, x.s) for x in full.leaves if x.leaf_type == "I"
                 ]
                 assert pruned.type_one_leaves() == full.type_one_leaves()
-                assert full.type_one_leaves() == type_one_leaves(rooted)
+                assert full.type_one_leaves() == list(type_one_leaves(rooted))
                 assert all(x.leaf_type == "I" for x in pruned.leaves)
                 pruned_walk = list(arborescence._walk(rooted, prune=True))
                 assert pruned_walk == node_fields(pruned.root)
@@ -345,7 +345,7 @@ class TestTypeOneOnly:
             for r0, kappa in dual.admissible_pairs():
                 rooted = dual.with_root(r0, kappa)
                 expected = reference_type_one_only_tree(rooted).type_one_leaves()
-                found = type_one_leaves(rooted)
+                found = list(type_one_leaves(rooted))
                 assert found == expected
                 assert all(type(a) is int for a, _ in found)
                 leaves += len(found)
@@ -369,7 +369,7 @@ class TestTypeOneOnly:
             build_arb_tree(dual)
             full = set(starts)
             starts.clear()
-            type_one_leaves(dual)
+            list(type_one_leaves(dual))
             assert set(starts) <= full
             walks += len(starts)
         assert walks > 100
@@ -380,7 +380,7 @@ class TestTypeOneOnly:
         _, dual = k32_three_strand()
         assert build_arb_tree(dual).type_two_leaves()
         with pytest.raises(InvariantError, match="type-I-only tree reached a type II leaf"):
-            type_one_leaves(dual)
+            list(type_one_leaves(dual))
 
 
 class TestClocked:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homflytop
-from homflytop import cli
+from homflytop import arborescence, cli, rootpolytope, verify
 from homflytop.cli import main
 from homflytop.fixtures import k32_three_strand, single_edge, theta
 from homflytop.gen import corpus_documents
@@ -223,6 +224,28 @@ class TestCommands:
         assert payload["top"] == "1*v^2 + 2*v^4"
         assert payload["oracle"] == "1*v^2 + 2*v^4"
 
+    def test_top_runs_the_tree_route_alone(
+        self, capsys, monkeypatch, tmp_path, k32_path, grid_graph
+    ):
+        # the triangulation, the f-vector and the parking functions are
+        # audits of other commands; top's answer needs none of them
+        def unreachable(*args):
+            raise AssertionError("top ran an audit route")
+
+        for name in ("triangulation_from_arbtree", "h_from_f", "parking_for_dual"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(rootpolytope, "f_vector", unreachable)
+        grid = tmp_path / "grid-3x4.json"
+        grid.write_text(json.dumps(grid_graph(3, 4).to_document()))
+        tops = {
+            k32_path: "1*v^2 + 2*v^4",
+            str(grid): "1*v^6 + 6*v^8 + 15*v^10 + 20*v^12 + 13*v^14 + 1*v^16",
+        }
+        for path, top in tops.items():
+            code, out, err = run(capsys, "top", "--input", path, "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["top"] == top
+
     @pytest.mark.parametrize("k", [4, 30])
     def test_top_on_a_path(self, capsys, tmp_path, k):
         # a tree: one simplex, so the volume audit must not cost 2^k
@@ -391,7 +414,7 @@ class TestCommands:
             assert f"top-three-ways {tag}" not in names
         assert payload["ok"] is False
 
-    @pytest.mark.parametrize("command", ["top", "hvector"])
+    @pytest.mark.parametrize("command", ["triangulate", "hvector"])
     def test_rejected_shelling_order_exits_1(
         self, capsys, monkeypatch, k32_path, command
     ):
@@ -613,8 +636,12 @@ class TestErrors:
             ),
             (
                 ("top",),
-                lambda: {"top_via_p": lambda p, n, s: None},
-                "top formulas disagree",
+                lambda: {
+                    "type_one_leaves": lambda dual: islice(
+                        arborescence.type_one_leaves(dual), 1, None
+                    )
+                },
+                "2 type-I leaves but 3 arborescences",
             ),
             (
                 ("top",),
@@ -634,7 +661,7 @@ class TestErrors:
             ),
         ],
         ids=[
-            "h-routes", "h-choice", "parking-root", "top-formulas", "top-oracle",
+            "h-routes", "h-choice", "parking-root", "top-leaf-count", "top-oracle",
             "product-formula",
         ],
     )
@@ -648,6 +675,25 @@ class TestErrors:
         assert err.splitlines() == [
             json.dumps({"error": "invariant", "message": message})
         ]
+
+    def test_differing_oracle_top_fails_top_three_ways(
+        self, capsys, monkeypatch, k32_path
+    ):
+        # verify, not top, compares the tree, h and parking routes with the
+        # oracle: an oracle top unlike theirs fails that check and no other
+        monkeypatch.setattr(
+            verify, "top_coefficient",
+            lambda P, n, s: types.SimpleNamespace(poly=Laurent1.zero()),
+        )
+        code, out, _ = run(capsys, "verify", "--input", k32_path, "--format", "json")
+        checks = json.loads(out)["checks"]
+        failed = [c["invariant"] for c in checks if not c["ok"]]
+        three_ways = [
+            c["invariant"] for c in checks if c["invariant"].startswith("top-three-ways [")
+        ]
+        assert code == 1
+        assert failed == three_ways
+        assert len(failed) == len(k32_three_strand()[1].admissible_pairs())
 
     @staticmethod
     def _k32_with(tmp_path, **fields):
