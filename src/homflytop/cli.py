@@ -336,7 +336,7 @@ def cmd_top(args) -> int:
     g, dual, _ = _load(args)
     n, s = g.n_edges, g.n_vertices
     top = top_via_tree(type_one_leaves(dual), n, s)
-    leaves, expected = sum(top.poly.coeffs.values()), arborescence_count(dual)
+    leaves, expected = top.poly.eval_int(1), arborescence_count(dual)
     if leaves != expected:
         raise InvariantError(f"{leaves} type-I leaves but {expected} arborescences")
     payload = {"z_exponent": top.z_exponent, "top": str(top.poly)}
