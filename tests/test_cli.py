@@ -248,7 +248,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("k", [4, 30])
     def test_top_on_a_path(self, capsys, tmp_path, k):
-        # a tree: one simplex, so the volume audit must not cost 2^k
+        # a tree: one type-I leaf, so no audit of top may cost 2^k
         path = tmp_path / "path.json"
         path.write_text(json.dumps(path_graph(k).to_document()))
         code, out, _ = run(capsys, "top", "--input", str(path), "--format", "json")
