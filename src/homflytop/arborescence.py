@@ -59,7 +59,7 @@ def _walk_to_augmenting(dual: DualDigraph, a: int, s: int, component: int, d: in
     """
     succ, head = dual.graph.next_dart, dual.head
     start = 2 * dual.kappa + 1
-    for _ in range(4 * dual.n_edges + 4):
+    for _ in range(4 * len(head) + 4):
         d = succ[d]
         if d == start:
             return None

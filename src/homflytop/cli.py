@@ -40,14 +40,14 @@ from .rootpolytope import (
     h_from_f,
     h_from_shelling,
 )
-from .parking import parking_for_dual
+from .parking import leaf_enumerator, parking_for_dual
 from .homfly import (
     DEFAULT_CAP,
     CrossingCapExceeded,
     median_diagram,
     homfly_skein,
     top_coefficient,
-    top_via_tree,
+    top_via_p,
     homogeneous_top,
     DecoratedSubgraph,
     shared_memo,
@@ -330,15 +330,21 @@ def cmd_parking(args) -> int:
     return 0
 
 
-def cmd_top(args) -> int:
-    """The tree route alone, streamed: the h and parking routes are audits,
-    run by ``hvector``, ``parking`` and ``verify``."""
-    g, dual, _ = _load(args)
-    n, s = g.n_edges, g.n_vertices
-    top = top_via_tree(type_one_leaves(dual), n, s)
-    leaves, expected = top.poly.eval_int(1), arborescence_count(dual)
+def _tree_enumerator(dual):
+    """Type-I leaf enumerator, streamed; its sum must equal the arborescence count."""
+    p = leaf_enumerator(type_one_leaves(dual))
+    leaves, expected = p.eval_int(1), arborescence_count(dual)
     if leaves != expected:
         raise InvariantError(f"{leaves} type-I leaves but {expected} arborescences")
+    return p
+
+
+def cmd_top(args) -> int:
+    """The tree route alone, ``_tree_enumerator``: the h and parking routes
+    are audits, run by ``hvector``, ``parking`` and ``verify``."""
+    g, dual, _ = _load(args)
+    n, s = g.n_edges, g.n_vertices
+    top = top_via_p(_tree_enumerator(dual), n, s)
     payload = {"z_exponent": top.z_exponent, "top": str(top.poly)}
     if n <= args.cap:
         P = homfly_skein(median_diagram(g), cap=args.cap, memo=shared_memo())
@@ -391,7 +397,7 @@ def cmd_homogeneous(args) -> int:
         raise GraphInputError("every sign must be 1 or -1")
     blocks = biconnected_blocks(range(g.n_vertices), g.ends, signs)
     enumerators = [
-        parking_for_dual(build_dual(block_subgraph(g, b.edge_ids), kappa_edge=0))[1]
+        _tree_enumerator(build_dual(block_subgraph(g, b.edge_ids), kappa_edge=0))
         for b in blocks
     ]
     formula = homogeneous_top(blocks, enumerators)

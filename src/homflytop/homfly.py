@@ -750,10 +750,10 @@ def homogeneous_top(blocks, enumerators) -> Laurent1:
 
     A homogeneous diagram is a Murasugi sum of its sign-homogeneous blocks
     (Cromwell 1989), and the tops multiply.  ``blocks`` are the SignedBlocks
-    of ``biconnected_blocks`` and ``enumerators`` their dual parking
-    enumerators, in block order.  A positive block with n edges and s
-    vertices gives ``top_via_p(p, n, s)``; a negative block gives the mirror
-    image of that, v -> -1/v.
+    of ``biconnected_blocks`` and ``enumerators`` their type-I leaf
+    enumerators, equal to their dual parking ones, in block order.  A
+    positive block with n edges and s vertices gives ``top_via_p(p, n, s)``;
+    a negative block gives the mirror image of that, v -> -1/v.
     """
     if len(enumerators) != len(blocks):
         raise ValueError("one enumerator per block is required")

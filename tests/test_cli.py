@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homflytop
-from homflytop import arborescence, cli, rootpolytope, verify
+from homflytop import arborescence, cli, parking, rootpolytope, verify
 from homflytop.cli import main
-from homflytop.fixtures import k32_three_strand, single_edge, theta
+from homflytop.fixtures import (
+    block_sum_bigon_theta, k32_three_strand, single_edge, theta,
+)
 from homflytop.gen import corpus_documents
 from homflytop.homfly import LinkDiagram, median_diagram, shared_memo
 from homflytop.laurent import Laurent1, Laurent2
@@ -286,6 +289,48 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["top"] == payload["oracle"] == "2*v^-4 + 1*v^-2"
         assert payload["writhe"] == -6
+
+    def test_homogeneous_runs_the_tree_route_alone(
+        self, capsys, monkeypatch, tmp_path, grid_graph
+    ):
+        # each block's top comes from its streamed type-I leaves, as top's
+        # does; the parking functions are audits of parking and verify
+        def unreachable(*args):
+            raise AssertionError("homogeneous listed the parking functions")
+
+        monkeypatch.setattr(cli, "parking_for_dual", unreachable)
+        k32 = k32_three_strand()[0].to_document(r0_dart=(0, 1), kappa=0)
+        bigon_theta = block_sum_bigon_theta()[0].to_document()
+        grid = grid_graph(3, 4).to_document()
+        cases = [
+            (k32, [1] * 6, [[0, 1, 2, 3, 4, 5]], "1*v^2 + 2*v^4", True),
+            (k32, [-1] * 6, [[0, 1, 2, 3, 4, 5]], "2*v^-4 + 1*v^-2", True),
+            (bigon_theta, [1, 1, 1, 1, 1], [[0, 1], [2, 3, 4]], "1*v^3", True),
+            (bigon_theta, [1, 1, -1, -1, -1], [[0, 1], [2, 3, 4]], "1*v^-1", True),
+            (bigon_theta, [-1, -1, 1, 1, 1], [[0, 1], [2, 3, 4]], "-1*v^1", True),
+            (bigon_theta, [-1] * 5, [[0, 1], [2, 3, 4]], "-1*v^-3", True),
+            (
+                grid, [-1] * 17, [list(range(17))],
+                "1*v^-16 + 13*v^-14 + 20*v^-12 + 15*v^-10 + 6*v^-8 + 1*v^-6", False,
+            ),
+        ]
+        path = tmp_path / "signed.json"
+        for doc, signs, blocks, top, oracle in cases:
+            path.write_text(json.dumps({**doc, "signs": signs}))
+            code, out, err = run(
+                capsys, "homogeneous", "--input", str(path), "--format", "json"
+            )
+            assert (code, err) == (0, "")
+            expected = {
+                "blocks": [
+                    {"sign": signs[edges[0]], "edges": edges} for edges in blocks
+                ],
+                "writhe": sum(signs),
+                "top": top,
+            }
+            if oracle:
+                expected["oracle"] = top
+            assert json.loads(out) == expected
 
     def test_homogeneous_bad_signs_rejected(self, capsys, tmp_path):
         g, _ = k32_three_strand()
@@ -644,6 +689,15 @@ class TestErrors:
                 "2 type-I leaves but 3 arborescences",
             ),
             (
+                ("homogeneous",),
+                lambda: {
+                    "type_one_leaves": lambda dual: islice(
+                        arborescence.type_one_leaves(dual), 1, None
+                    )
+                },
+                "2 type-I leaves but 3 arborescences",
+            ),
+            (
                 ("top",),
                 lambda: {
                     "top_coefficient": lambda P, n, s: types.SimpleNamespace(
@@ -661,8 +715,8 @@ class TestErrors:
             ),
         ],
         ids=[
-            "h-routes", "h-choice", "parking-root", "top-leaf-count", "top-oracle",
-            "product-formula",
+            "h-routes", "h-choice", "parking-root", "top-leaf-count",
+            "homogeneous-leaf-count", "top-oracle", "product-formula",
         ],
     )
     def test_invariant_exit(
@@ -694,6 +748,96 @@ class TestErrors:
         assert code == 1
         assert failed == three_ways
         assert len(failed) == len(k32_three_strand()[1].admissible_pairs())
+
+    @staticmethod
+    def _verify_failures(capsys, k32_path):
+        """verify's exit code and, per failed check, the number of failures."""
+        code, out, _ = run(capsys, "verify", "--input", k32_path, "--format", "json")
+        checks = json.loads(out)["checks"]
+        return code, Counter(
+            c["invariant"].split(" [")[0] for c in checks if not c["ok"]
+        )
+
+    def test_repeated_leaf_fails_leaves_match_bruteforce(
+        self, capsys, monkeypatch, k32_path
+    ):
+        # a repeated type-I leaf leaves the set of arborescences whole: only
+        # the leaf count tells it from the brute-force set
+        def repeated(dual):
+            tree = arborescence.build_arb_tree(dual)
+            last = [leaf for leaf in tree.leaves if leaf.leaf_type == "I"][-1]
+            return arborescence.ArbTree(dual, tree.leaves + [last])
+
+        monkeypatch.setattr(verify, "build_arb_tree", repeated)
+        assert self._verify_failures(capsys, k32_path) == (
+            1,
+            {
+                "leaves-match-bruteforce": 6,
+                "triangulation": 6,
+                "leaf-enumerator-equals-p": 6,
+            },
+        )
+
+    def test_missing_parking_function_fails_parking_bijection(
+        self, capsys, monkeypatch, k32_path
+    ):
+        # each leaf's image still round-trips, but the enumeration lacks one
+        def one_dropped(dual):
+            parkings, p = parking.parking_for_dual(dual)
+            return parkings[1:], p
+
+        monkeypatch.setattr(verify, "parking_for_dual", one_dropped)
+        assert self._verify_failures(capsys, k32_path) == (
+            1, {"parking-bijection": 6}
+        )
+
+    def test_image_at_the_wrong_level_fails_parking_bijection(
+        self, capsys, monkeypatch, k32_path
+    ):
+        # the first type-I leaf and the first one at another level swap
+        # images: the set of images is the enumeration and each round trip
+        # holds, but two images' levels are not their leaves' k
+        leaf_of = {}
+
+        def swapped(dual, a, s):
+            tree = arborescence.build_arb_tree(dual)
+            partner = {x.a: x for x in tree.leaves if x.leaf_type == "I"}
+            first, *rest = partner.values()
+            other = next(x for x in rest if x.s.bit_count() != first.s.bit_count())
+            partner[first.a], partner[other.a] = other, first
+            pi = parking.parking_from_leaf(dual, partner[a].a, partner[a].s)
+            leaf_of[dual.r0, dual.kappa, tuple(sorted(pi.items()))] = a
+            return pi
+
+        monkeypatch.setattr(verify, "parking_from_leaf", swapped)
+        monkeypatch.setattr(
+            verify, "arborescence_from_parking",
+            lambda dual, pi: leaf_of[dual.r0, dual.kappa, tuple(sorted(pi.items()))],
+        )
+        assert self._verify_failures(capsys, k32_path) == (
+            1, {"parking-bijection": 6}
+        )
+
+    def test_root_dependent_p_fails_p_root_independent(
+        self, capsys, monkeypatch, k32_path
+    ):
+        # p times u at every root but the least: the pairs at those roots
+        # also fail their p-equality and three-way top checks
+        def root_dependent(dual):
+            parkings, p = parking.parking_for_dual(dual)
+            if dual.r0 != min(r for r, _ in dual.admissible_pairs()):
+                p = p * Laurent1({1: 1}, "u")
+            return parkings, p
+
+        monkeypatch.setattr(verify, "parking_for_dual", root_dependent)
+        assert self._verify_failures(capsys, k32_path) == (
+            1,
+            {
+                "p-root-independent": 1,
+                "leaf-enumerator-equals-p": 4,
+                "top-three-ways": 4,
+            },
+        )
 
     @staticmethod
     def _k32_with(tmp_path, **fields):
