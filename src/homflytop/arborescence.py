@@ -17,11 +17,10 @@ be as deep as the dual has edges.  Spanning nodes, the type-I leaves, end
 without a walk.  Edge sets (a, s) and vertex sets (the root component)
 are int bitmasks throughout; ``_bit_positions`` lists one for output and
 for the crossings of a median diagram.
-``_walk`` is the one walk of the tree, a preorder stream of its nodes, and
-the only form the tree takes: ``type_one_leaves`` streams the type-I
-leaves of its pruned form, ``build_arb_tree`` keeps every leaf (the
-benchmark reads it), ``arbtree_dot`` writes the whole stream as DOT, and
-the parking inverse resumes the same walk down one path.
+``_walk`` streams the whole tree's nodes in preorder: ``build_arb_tree``
+keeps every leaf (the benchmark reads it), ``arbtree_dot`` writes them as
+DOT, and the parking inverse resumes the same walk down one path.
+``type_one_leaves`` walks the pruned tree itself, for its type-I leaves.
 ``augmenting_edge`` walks one node from scratch, as the tests' reference.
 """
 
@@ -161,7 +160,7 @@ class ArbTree:
         }
 
 
-def _walk(dual: DualDigraph, prune: bool = False):
+def _walk(dual: DualDigraph):
     """The nodes of the binary arborescence tree in preorder, as (a, s,
     delta, leaf_type): edge masks (arborescence, skipped), the augmenting
     edge (None at a leaf) and "I" or "II" at a leaf (None elsewhere).
@@ -179,19 +178,9 @@ def _walk(dual: DualDigraph, prune: bool = False):
     masks of the edges out of and into the root component that the stack
     carries: an edge out of it, not into it and not skipped escapes, and the
     lowest one is named in the error.
-
-    With ``prune``, a skip child is kept only when the unskipped edges still
-    reach every dual vertex from the root component, and a type-II leaf
-    raises.  Without that reach no type-I leaf lies below; with it, a spanning
-    arborescence that holds a and misses s is reached by following its add
-    and skip choices, as it always has an unskipped edge leaving the root
-    component.  Adding an edge keeps the reach, and skipping delta keeps it
-    iff a search back from delta's head still meets the component
-    (``_reached_without``).  So the type-I leaves, their order and their
-    skipped sets are the full tree's, and a type-II leaf means a fault.
     """
     spanning_size, head, r0 = dual.n_vertices - 1, dual.head, dual.r0
-    in_arcs, out_of, into = dual.graph.table(_dual_arcs)
+    _, out_of, into = dual.graph.table(_dual_arcs)
     # (a, s, |a|, root component, its out and in edge masks, resumed dart)
     stack = [(0, 0, 0, 1 << r0, out_of[r0], into[r0], 2 * dual.kappa + 1)]
     while stack:
@@ -201,8 +190,6 @@ def _walk(dual: DualDigraph, prune: bool = False):
             continue
         found = _walk_to_augmenting(dual, a, s, component, d)
         if found is None:
-            if prune:
-                raise InvariantError("type-I-only tree reached a type II leaf")
             escaping = out & ~inward & ~s
             if escaping:
                 lowest = _bit_positions(escaping)[0]
@@ -215,16 +202,43 @@ def _walk(dual: DualDigraph, prune: bool = False):
         delta, d = found
         yield a, s, delta, None
         bit, h = 1 << delta, head[delta]
-        if not prune or _reached_without(in_arcs, component, s | bit, h):
-            stack.append((a, s | bit, size, component, out, inward, d))
+        stack.append((a, s | bit, size, component, out, inward, d))
         stack.append((a | bit, s, size + 1, component | 1 << h, out | out_of[h],
                       inward | into[h], d ^ 1))
 
 
 def type_one_leaves(dual: DualDigraph) -> Iterator[tuple[int, int]]:
     """(edge mask of a, k) per type-I leaf, rightmost first, streamed from
-    the pruned walk, which keeps no nodes and raises at a type-II leaf."""
-    return ((a, s.bit_count()) for a, s, _, t in _walk(dual, prune=True) if t)
+    its own walk of the pruned tree, which keeps no nodes.
+
+    It walks as ``_walk`` does, but a skip child is kept only when the
+    unskipped edges still reach every dual vertex from the root component,
+    and a type-II leaf raises.  Without that reach no type-I leaf lies
+    below; with it, a spanning arborescence that holds a and misses s is
+    reached by following its add and skip choices, as it always has an
+    unskipped edge leaving the root component.  Adding an edge keeps the
+    reach, and skipping delta keeps it iff a search back from delta's head
+    still meets the component (``_reached_without``).  So the type-I
+    leaves, their order and their skipped sets are the full tree's, and a
+    type-II leaf means a fault.  Only kept skip children wait on the stack;
+    each add child is followed in place.
+    """
+    spanning_size, head = dual.n_vertices - 1, dual.head
+    in_arcs = dual.graph.table(_dual_arcs)[0]
+    # (a, s, |a|, root component, resumed dart) per kept skip child
+    stack = [(0, 0, 0, 1 << dual.r0, 2 * dual.kappa + 1)]
+    while stack:
+        a, s, size, component, d = stack.pop()
+        while size < spanning_size:
+            found = _walk_to_augmenting(dual, a, s, component, d)
+            if found is None:
+                raise InvariantError("type-I-only tree reached a type II leaf")
+            delta, d = found
+            bit, h = 1 << delta, head[delta]
+            if _reached_without(in_arcs, component, s | bit, h):
+                stack.append((a, s | bit, size, component, d))
+            a, size, component, d = a | bit, size + 1, component | 1 << h, d ^ 1
+        yield a, s.bit_count()
 
 
 def build_arb_tree(dual: DualDigraph) -> ArbTree:

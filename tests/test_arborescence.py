@@ -315,7 +315,19 @@ class TestTypeOneOnly:
     """``type_one_leaves``, the leaf stream, against the full tree and the
     pruned tree with nodes it replaces."""
 
-    def test_same_type_one_leaves_as_full_tree(self, graph_corpus, grid_subgraphs):
+    def test_same_type_one_leaves_as_full_tree(
+        self, monkeypatch, graph_corpus, grid_subgraphs
+    ):
+        # the stream walks once at each internal node of the pruned tree,
+        # in preorder, with that node's (a, s)
+        walked = []
+        walk = arborescence._walk_to_augmenting
+
+        def recording(*args):
+            walked.append(args[1:3])
+            return walk(*args)
+
+        monkeypatch.setattr(arborescence, "_walk_to_augmenting", recording)
         pruned_nodes = full_nodes = 0
         for g in graph_corpus + grid_subgraphs:
             dual = build_dual(g, kappa_edge=0)
@@ -327,11 +339,12 @@ class TestTypeOneOnly:
                     (x.a, x.s) for x in full.leaves if x.leaf_type == "I"
                 ]
                 assert pruned.type_one_leaves() == full.type_one_leaves()
+                walked.clear()
                 assert full.type_one_leaves() == list(type_one_leaves(rooted))
                 assert all(x.leaf_type == "I" for x in pruned.leaves)
-                pruned_walk = list(arborescence._walk(rooted, prune=True))
-                assert pruned_walk == node_fields(pruned.root)
-                pruned_nodes += len(pruned_walk)
+                pruned_fields = node_fields(pruned.root)
+                assert walked == [(a, s) for a, s, _, t in pruned_fields if not t]
+                pruned_nodes += len(pruned_fields)
                 full_nodes += len(list(arborescence._walk(rooted)))
         assert pruned_nodes < full_nodes
 
