@@ -578,11 +578,11 @@ def median_diagram(
     Crossings are numbered by ascending present edge id; pass 2i runs from
     the E-circle to the V-circle and is the over strand of a solid edge.
     """
-    if subgraph is None:
-        subgraph = DecoratedSubgraph((1 << g.n_edges) - 1, 0)
-    present = _bit_positions(subgraph.present)
-    dotted = subgraph.dotted
-    index = {c: i for i, c in enumerate(present)}
+    if subgraph is None:  # crossing i is edge i, so a ring is a rotation
+        present, dotted, index = range(g.n_edges), 0, None
+    else:
+        present, dotted = _bit_positions(subgraph.present), subgraph.dotted
+        index = {c: i for i, c in enumerate(present)}
 
     # walking each circle once, the pass leaving along it at crossing i leads
     # to the pass entering along it at the next crossing j: 2i + 1 -> 2j on
@@ -591,7 +591,9 @@ def median_diagram(
     free, k = 0, len(g.e_vertices)
     for x, rot in enumerate(g.rotations):
         step, leaving = (1, 1) if x < k else (-1, 0)
-        ring = [index[c] for c in rot[::step] if c in index]
+        ring = rot[::step] if index is None else [
+            index[c] for c in rot[::step] if c in index
+        ]
         if not ring:
             free += 1
         for i, j in zip(ring, ring[1:] + ring[:1]):

@@ -17,7 +17,13 @@ what it depends on: the oracle run and the graph's tables (``table``) per
 graph; the brute-force arborescences, the parking functions, p and its top
 per root; h, its two routes' agreement, h(1) and its top per sorted tuple
 of attach counts; the leaf enumerator, its top and that top's text per
-sorted tuple of the type-I leaves' k.
+sorted tuple of the type-I leaves' k; and per root and sequence of type-I
+leaves' (a, s) in tree order, which pairs of one root often share, the
+leaves' match with the brute force, the triangulation with its facet audit
+and shelling, and the parking images' comparison with the parking functions
+and their sums with k.  Each pair still builds its tree, runs the clocked
+search and its type-II strict audits, and maps every type-I leaf to its
+parking function and back, as the inverse walk starts at kappa's dart.
 
 An InvariantError from the oracle, the arborescence tree, the clocked
 search, the triangulation, the shelling or the parking bijection, a tree
@@ -87,32 +93,31 @@ class VerifyReport:
         return {"ok": self.ok, "summary": self.summary, "checks": self.checks}
 
 
-def _check_triangulation(report, tree, leaves, skipped, by_counts, tag):
-    """Triangulation, shelling and h-vector checks of one (r0, kappa) pair.
-
-    Returns the top read off h (``top_via_h``), or None when the
-    triangulation or its shelling failed its own audit.
+def _triangulation_checks(dual, leaves, skipped, by_counts):
+    """Triangulation, shelling and h-vector checks of one type-I leaf
+    sequence, as (name, ok, detail) records, and the top read off h
+    (``top_via_h``), or None when the triangulation or its shelling failed
+    its own audit.
     """
     try:
-        tri = triangulation_from_arbtree(tree.dual, leaves)
+        tri = triangulation_from_arbtree(dual, leaves)
     except InvariantError as exc:
-        report.record(f"triangulation [{tag}]", False, str(exc))
-        return None
+        return [("triangulation", False, str(exc))], None
     try:
         counts = tuple(sorted(verify_shelling(tri)))
     except InvariantError as exc:
-        report.record(f"shelling [{tag}]", False, str(exc))
-        return None
+        return [("shelling", False, str(exc))], None
     if counts not in by_counts:
         g, d = tri.graph, tri.dimension
         h = h_from_f(f_from_attach_counts(counts, d))
         t_h = top_via_h(h, g.n_edges, g.n_vertices)
         by_counts[counts] = h, h == h_from_shelling(counts, d), h.eval_int(1), t_h
     _, same, size, t_h = by_counts[counts]
-    report.record(f"h-from-f-equals-h-from-shelling [{tag}]", same)
-    report.record(f"attach-counts-match-skipped [{tag}]", counts == skipped)
-    report.record(f"h-count [{tag}]", size == len(tri.simplices))
-    return t_h
+    return [
+        ("h-from-f-equals-h-from-shelling", same, ""),
+        ("attach-counts-match-skipped", counts == skipped, ""),
+        ("h-count", size == len(tri.simplices), ""),
+    ], t_h
 
 
 def _strict_morton_failure(g, sub, cap, memo) -> str | None:
@@ -162,8 +167,12 @@ def verify_graph(
 
     # per root: (arborescences, parking functions, p, top_via_p(p)); per sorted
     # attach-count tuple: (h, h from f equals h from shelling, h(1), top_via_h(h));
-    # per sorted k tuple: (leaf enumerator, its top_via_p, that top's text)
-    by_root, by_counts, by_skipped = {}, {}, {}
+    # per sorted k tuple: (leaf enumerator, its top_via_p, that top's text);
+    # per (r0, type-I leaves' a << n | s in tree order, as fixed-width bytes):
+    # [leaf-match verdict, leaf count, first leaf, its by_skipped entry,
+    # triangulation records, top_via_h, parking images' verdict or None]
+    by_root, by_counts, by_skipped, by_sequence = {}, {}, {}, {}
+    width = (2 * n + 7) // 8
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
         if r0 not in by_root:
@@ -179,48 +188,61 @@ def verify_graph(
             # every other check of the pair reads the tree
             report.record(f"arbtree [{tag}]", False, str(exc))
             continue
-        leaves = tree.type_one_leaves()
-        skipped = tuple(sorted(k for _, k in leaves))
-        if skipped not in by_skipped:
-            enumerator = leaf_enumerator(leaves)
-            t_tree = top_via_p(enumerator, n, s)
-            by_skipped[skipped] = enumerator, t_tree, str(t_tree.poly)
-        enumerator, t_tree, tree_text = by_skipped[skipped]
+        type_one = [x for x in tree.leaves if x.leaf_type == "I"]
+        sequence = b"".join(
+            [(x.a << n | x.s).to_bytes(width, "little") for x in type_one]
+        )
+        shared = by_sequence.get((r0, sequence))
+        if shared is None:
+            leaves = tree.type_one_leaves()
+            skipped = tuple(sorted(k for _, k in leaves))
+            if skipped not in by_skipped:
+                enumerator = leaf_enumerator(leaves)
+                t_tree = top_via_p(enumerator, n, s)
+                by_skipped[skipped] = enumerator, t_tree, str(t_tree.poly)
+            shared = by_sequence[r0, sequence] = [
+                {a for a, _ in leaves} == brute and len(leaves) == len(brute),
+                len(leaves),
+                leaves[0] if leaves else None,
+                by_skipped[skipped],
+                *_triangulation_checks(tree.dual, leaves, skipped, by_counts),
+                None,
+            ]
+        matched, found, first, by_k, checks, t_h, _ = shared
+        enumerator, t_tree, tree_text = by_k
 
         report.record(
-            f"leaves-match-bruteforce [{tag}]",
-            {a for a, _ in leaves} == brute and len(leaves) == len(brute),
-            f"{len(leaves)} type-I leaves",
+            f"leaves-match-bruteforce [{tag}]", matched, f"{found} type-I leaves"
         )
         clocked = f"clocked-is-first-leaf [{tag}]"
         try:
-            if not leaves:
+            if first is None:
                 raise InvariantError("the tree has no type-I leaf")
-            report.record(clocked, leaves[0] == (clocked_arborescence(rooted), 0))
+            report.record(clocked, first == (clocked_arborescence(rooted), 0))
         except InvariantError as exc:
             report.record(clocked, False, str(exc))
-
-        t_h = _check_triangulation(report, tree, leaves, skipped, by_counts, tag)
+        for name, ok, detail in checks:
+            report.record(f"{name} [{tag}]", ok, detail)
 
         report.record(f"leaf-enumerator-equals-p [{tag}]", enumerator == p)
-        round_trips = True
-        images = set()
+        # the inverse walk starts at kappa's dart, so it runs for every pair;
+        # the images and their sums are compared once per sequence
+        round_trips, sums_match = True, True
+        images = set() if shared[-1] is None else None
         try:
-            for leaf in tree.leaves:
-                if leaf.leaf_type != "I":
-                    continue
+            for leaf in type_one:
                 pi = parking_from_leaf(rooted, leaf.a, leaf.s)
-                images.add(tuple(sorted(pi.items())))
-                if sum(pi.values()) != leaf.s.bit_count():
-                    round_trips = False
+                if images is not None:
+                    images.add(tuple(sorted(pi.items())))
+                    sums_match &= sum(pi.values()) == leaf.s.bit_count()
                 if arborescence_from_parking(rooted, pi) != leaf.a:
                     round_trips = False
         except (InvariantError, ValueError) as exc:  # ValueError: a non-parking image
             report.record(f"parking-bijection [{tag}]", False, str(exc))
         else:
-            report.record(
-                f"parking-bijection [{tag}]", round_trips and images == expected
-            )
+            if images is not None:
+                shared[-1] = sums_match and images == expected
+            report.record(f"parking-bijection [{tag}]", round_trips and shared[-1])
 
         if t_h is not None:
             agree = t_tree == t_h == t_p

@@ -24,7 +24,9 @@ from homflytop.fixtures import (
 from homflytop.gen import corpus_documents
 from homflytop.homfly import LinkDiagram, median_diagram, shared_memo
 from homflytop.laurent import Laurent1, Laurent2
-from homflytop.planegraph import InvariantError, PlaneBipartiteGraph
+from homflytop.planegraph import (
+    InvariantError, PlaneBipartiteGraph, build_dual, parse_plane_graph,
+)
 from homflytop.rootpolytope import Triangulation
 
 
@@ -34,6 +36,29 @@ def k32_path(tmp_path):
     path = tmp_path / "k32.json"
     path.write_text(json.dumps(g.to_document(r0_dart=(0, 1), kappa=0)))
     return str(path)
+
+
+@pytest.fixture()
+def shared_path(tmp_path, grid_graph):
+    """The 2x3 grid without edge 0, whose three pairs at root 0 list the
+    same type-I leaves in the same order, so verify shares their audits."""
+    g = grid_graph(2, 3, (0,))
+    dual = build_dual(g, kappa_edge=0)
+    sequences = {
+        (r0, tuple((x.a, x.s) for x in tree.leaves if x.leaf_type == "I"))
+        for r0, kappa in dual.admissible_pairs()
+        for tree in [arborescence.build_arb_tree(dual.with_root(r0, kappa))]
+    }
+    assert len(sequences) < len(dual.admissible_pairs())
+    path = tmp_path / "grid_2x3_without_edge_0.json"
+    path.write_text(json.dumps(g.to_document(kappa=0)))
+    return str(path)
+
+
+def pair_tags(path) -> list[str]:
+    """The tag of each (r0, kappa) pair of a document, in verify's order."""
+    _, dual = parse_plane_graph(Path(path).read_text())
+    return [f"r0={r0} kappa={kappa}" for r0, kappa in dual.admissible_pairs()]
 
 
 @pytest.fixture()
@@ -407,7 +432,7 @@ class TestCommands:
         ],
     )
     def test_verify_reports_invariant_failure(
-        self, capsys, monkeypatch, k32_path, stage, failed_check
+        self, capsys, monkeypatch, k32_path, shared_path, stage, failed_check
     ):
         from homflytop import verify
 
@@ -415,22 +440,28 @@ class TestCommands:
             raise InvariantError(f"forced failure in {stage}")
 
         monkeypatch.setattr(verify, stage, fail)
-        code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
-        assert code == 1
-        assert err == ""
-        payload = json.loads(out)
-        assert payload["ok"] is False
-        failed = [c for c in payload["checks"] if not c["ok"]]
-        assert failed
-        for check in failed:
-            assert check["invariant"].startswith(failed_check)
-            assert check["detail"] == f"forced failure in {stage}"
-        # checks that do not need the failed result still run
-        names = [c["invariant"] for c in payload["checks"]]
-        for kept in (
-            "leaves-match-bruteforce", "parking-bijection", "type-two-morton-strict"
-        ):
-            assert any(name.startswith(kept) for name in names)
+        for path in (k32_path, shared_path):
+            code, out, err = run(capsys, "verify", "--input", path, "--format", "json")
+            assert code == 1
+            assert err == ""
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            failed = [c for c in payload["checks"] if not c["ok"]]
+            assert failed
+            for check in failed:
+                assert check["invariant"].startswith(failed_check)
+                assert check["detail"] == f"forced failure in {stage}"
+            if failed_check.endswith("["):
+                # every pair records it, pairs sharing a leaf sequence too
+                assert [c["invariant"] for c in failed] == [
+                    f"{failed_check}{tag}]" for tag in pair_tags(path)
+                ]
+            # checks that do not need the failed result still run
+            names = [c["invariant"] for c in payload["checks"]]
+            for kept in (
+                "leaves-match-bruteforce", "parking-bijection", "type-two-morton-strict"
+            ):
+                assert any(name.startswith(kept) for name in names)
 
     def test_verify_reports_a_rejected_shelling_order(
         self, capsys, monkeypatch, k32_path
@@ -506,7 +537,8 @@ class TestCommands:
         ],
     )
     def test_verify_reports_tree_and_parking_failure(
-        self, capsys, monkeypatch, k32_path, stage, failed_check, kept, error
+        self, capsys, monkeypatch, k32_path, shared_path, stage, failed_check, kept,
+        error,
     ):
         from homflytop import verify
 
@@ -514,23 +546,26 @@ class TestCommands:
             raise error(f"forced failure in {stage}")
 
         monkeypatch.setattr(verify, stage, fail)
-        code, out, err = run(capsys, "verify", "--input", k32_path, "--format", "json")
-        assert code == 1
-        assert err == ""
-        payload = json.loads(out)
-        assert payload["ok"] is False
-        failed = [c for c in payload["checks"] if not c["ok"]]
-        assert failed
-        for check in failed:
-            assert check["invariant"].startswith(failed_check)
-            assert check["detail"] == f"forced failure in {stage}"
-        names = [c["invariant"] for c in payload["checks"]]
-        for name in kept:
-            assert any(n.startswith(name) for n in names)
-        if stage == "build_arb_tree":
-            # no pair has a tree, so nothing that reads one is reported
-            assert payload["summary"]["top"] is None
-            assert not any(n.startswith("top-") for n in names)
+        for path in (k32_path, shared_path):
+            code, out, err = run(capsys, "verify", "--input", path, "--format", "json")
+            assert code == 1
+            assert err == ""
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            failed = [c for c in payload["checks"] if not c["ok"]]
+            # every pair records it, pairs sharing a leaf sequence too
+            assert [c["invariant"] for c in failed] == [
+                f"{failed_check}{tag}]" for tag in pair_tags(path)
+            ]
+            for check in failed:
+                assert check["detail"] == f"forced failure in {stage}"
+            names = [c["invariant"] for c in payload["checks"]]
+            for name in kept:
+                assert any(n.startswith(name) for n in names)
+            if stage == "build_arb_tree":
+                # no pair has a tree, so nothing that reads one is reported
+                assert payload["summary"]["top"] is None
+                assert not any(n.startswith("top-") for n in names)
 
     def test_root_override(self, capsys, k32_path):
         code, out, _ = run(
@@ -1334,6 +1369,19 @@ class TestModuleEntryPoint:
         )
         done = run_python("-c", script)
         assert done.stderr == "0 []\n"
+        assert json.loads(done.stdout)["top"] == "1*v^2 + 2*v^4"
+
+    def test_cold_start_loads_no_random(self, k32_path):
+        # only gen's corpus uses random, about 2 ms of a no-cache import; -S
+        # keeps site out, as a site .pth file may import random itself
+        script = (
+            "import sys\n"
+            "import homflytop.cli\n"
+            f"rc = homflytop.cli.main(['top', '--format', 'json', '--input', {k32_path!r}])\n"
+            "print(rc, 'random' in sys.modules, file=sys.stderr)\n"
+        )
+        done = run_python("-S", "-c", script)
+        assert done.stderr == "0 False\n"
         assert json.loads(done.stdout)["top"] == "1*v^2 + 2*v^4"
 
     def test_malformed_document_exits_2_with_one_json_line(self):

@@ -1,6 +1,6 @@
 """verify_graph's strict Morton audits, run once per type-II leaf subgraph,
 against a loop that audits every type-II leaf of every pair afresh; and its
-values kept once per graph, root or count list."""
+values kept once per graph, root, count list or type-I leaf sequence."""
 
 from collections import Counter
 
@@ -12,7 +12,7 @@ from homflytop.homfly import (
     median_diagram,
     strict_bound_certified,
 )
-from homflytop.planegraph import InvariantError, build_dual
+from homflytop.planegraph import DualDigraph, InvariantError, build_dual
 from homflytop.rootpolytope import triangulation_from_arbtree
 from homflytop.verify import verify_graph
 
@@ -319,3 +319,92 @@ class TestValuesOncePerCountList:
             "h-choice-independent",
         ]
         assert not report.ok
+
+
+class TestValuesOncePerSequence:
+    """The leaf match, the triangulation with its shelling and the parking
+    images' verdict are made once per (r0, type-I leaf sequence); the tree,
+    the clocked search and the parking inverse run for every pair."""
+
+    @staticmethod
+    def sequences(dual):
+        """Per admissible pair: r0 and its type-I leaves' (a, s), in order."""
+        return [
+            (r0, tuple((x.a, x.s) for x in tree.leaves if x.leaf_type == "I"))
+            for r0, kappa in dual.admissible_pairs()
+            for tree in [build_arb_tree(dual.with_root(r0, kappa))]
+        ]
+
+    def test_shared_values_are_made_once(self, monkeypatch, grid_graph):
+        g = grid_graph(2, 4, (0,))
+        dual = build_dual(g, kappa_edge=0)
+        sequences = self.sequences(dual)
+        pairs = dual.admissible_pairs()
+        assert len(set(sequences)) < len(pairs)
+        calls = Counter()
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in (
+            "triangulation_from_arbtree", "build_arb_tree", "clocked_arborescence",
+            "arborescence_from_parking",
+        ):
+            counting(verify, name)
+        counting(DualDigraph, "with_root")
+        assert verify_graph(g, dual).ok
+        assert calls == {
+            "triangulation_from_arbtree": len(set(sequences)),
+            "build_arb_tree": len(pairs),
+            "with_root": len(pairs),
+            "clocked_arborescence": len(pairs),
+            "arborescence_from_parking": sum(len(leaves) for _, leaves in sequences),
+        }
+
+    def test_each_pair_reports_as_if_alone(self, monkeypatch, grid_graph):
+        # a run over one pair shares nothing with another pair
+        for g in (grid_graph(2, 4, (0,)), grid_graph(2, 3, (0,))):
+            dual = build_dual(g, kappa_edge=0)
+            pairs = dual.admissible_pairs()
+            assert len(set(self.sequences(dual))) < len(pairs)
+            shared = verify_graph(g, dual).checks
+            alone = []
+            for pair in pairs:
+                monkeypatch.setattr(DualDigraph, "admissible_pairs", lambda self: [pair])
+                tag = "[r0={} kappa={}]".format(*pair)
+                alone += [c for c in verify_graph(g, dual).checks if tag in c["invariant"]]
+            assert [c for c in shared if "[r0=" in c["invariant"]] == alone
+            monkeypatch.undo()
+
+    def test_a_failed_inverse_leaves_the_images_to_the_next_pair(
+        self, monkeypatch, grid_graph
+    ):
+        g = grid_graph(2, 4, (0,))
+        dual = build_dual(g, kappa_edge=0)
+        sequences = self.sequences(dual)
+        pairs = dual.admissible_pairs()
+        # the first pair whose sequence a later pair repeats
+        planted = next(
+            i for i, seq in enumerate(sequences) if seq in sequences[i + 1:]
+        )
+        real = verify.arborescence_from_parking
+
+        def inverse(rooted, values):
+            if (rooted.r0, rooted.kappa) == pairs[planted]:
+                raise InvariantError("planted inverse failure")
+            return real(rooted, values)
+
+        monkeypatch.setattr(verify, "arborescence_from_parking", inverse)
+        report = verify_graph(g, dual)
+        bijection = [
+            c for c in report.checks if c["invariant"].startswith("parking-bijection")
+        ]
+        assert [c["ok"] for c in bijection] == [i != planted for i in range(len(pairs))]
+        assert bijection[planted]["detail"] == "planted inverse failure"
+        assert [c for c in report.checks if not c["ok"]] == [bijection[planted]]
