@@ -55,12 +55,9 @@ or a bigon splices its passes out of the strands, and a component left
 with no pass becomes a free loop.  One removal can make another curl or
 bigon, so removal goes on until none is left.
 
-A switch changes only the over bit of its crossing, so the switched
-diagram of a connected piece without curls or reducible bigons is again
-one unless a bigon through that crossing became reducible; checking its
-at most four arcs decides it.  Without such a bigon it goes straight to
-the connected case, past removal and splitting.  A smoothing takes the
-full path: ``smooth``, then removal, then splitting.
+At a skein step the switched and the smoothed diagram take one path:
+``switch`` or ``smooth``, then removal, then splitting.
+
 Surgery on a valid diagram (switch, smooth, curl and bigon removal, and
 split_parts, one search over the crossings along the arcs) builds its
 result without validating it again; the last two renumber the crossings
@@ -84,13 +81,6 @@ class CrossingCapExceeded(ValueError):
 
 DEFAULT_CAP = 14  # the oracle's crossing cap wherever no other is given
 UNLINK_FACTOR = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/v - v)/z
-# UNLINK_FACTOR ** k for the small k of split pieces, free loops and unlinks
-_UNLINK_POWERS = [UNLINK_FACTOR**k for k in range(8)]
-
-
-def _unlink_power(k: int) -> Laurent2:
-    """UNLINK_FACTOR ** k, from the table when k is small."""
-    return _UNLINK_POWERS[k] if 0 <= k < len(_UNLINK_POWERS) else UNLINK_FACTOR**k
 
 
 class LinkDiagram(namedtuple("LinkDiagram", "signs succ over free_loops")):
@@ -194,19 +184,7 @@ class LinkDiagram(namedtuple("LinkDiagram", "signs succ over free_loops")):
         bigon p -> q) goes first, and the surviving crossings keep their
         order.  Returns the diagram itself when there is neither.
         """
-        return self._unbigon(_starts(self.succ, self.over, range(len(self.succ))))
-
-    def _bigons_at(self, c: int) -> list[int]:
-        """The passes, least first, that start a reducible bigon through
-        crossing c: after a switch of c, the only curls or bigons of a
-        diagram that had none."""
-        succ = self.succ
-        near = (2 * c, 2 * c + 1, succ.index(2 * c), succ.index(2 * c + 1))
-        return _starts(succ, self.over, near)
-
-    def _unbigon(self, found: list[int]) -> "LinkDiagram":
-        """``unbigon`` given, least first, every pass that starts a curl or
-        a reducible bigon."""
+        found = _starts(self.succ, self.over, range(len(self.succ)))
         if not found:
             return self
         succ, over = list(self.succ), self.over
@@ -624,11 +602,9 @@ def homfly_skein(
     for a piece that is not yet a key, and walked only when its hash is
     one of the memo's.  Pass one dict, such as ``shared_memo()``, to
     several calls to share it across planar diagrams (default: a fresh
-    dict; a non-planar diagram needs its own).  The switched diagram at a
-    skein step skips removal and splitting unless the switch made a
-    reducible bigon through its crossing, since a switch keeps the strands
-    of a connected piece.  Every run is audited against the degree bound
-    maxdeg_z <= n - s + 1; a violation would mean the computation is broken.
+    dict; a non-planar diagram needs its own).  Every run is audited
+    against the degree bound maxdeg_z <= n - s + 1; a violation would mean
+    the computation is broken.
     """
     if d.n_crossings > cap:
         raise CrossingCapExceeded(
@@ -661,11 +637,11 @@ def _homfly(d: LinkDiagram, memo) -> Laurent2:
     """Value of a diagram with no curl and no reducible bigon."""
     free = d.free_loops
     if d.n_crossings == 0:
-        return _unlink_power(free - 1) if free else Laurent2.const(1)
+        return UNLINK_FACTOR ** (free - 1) if free else Laurent2.const(1)
     parts = d.split_parts()  # without the free loops
     if parts == [d]:
         return _homfly_connected(d, memo)
-    result = _unlink_power(len(parts) + free - 1)
+    result = UNLINK_FACTOR ** (len(parts) + free - 1)
     for part in parts:
         result = result * _homfly_connected(part, memo)
     return result
@@ -683,16 +659,9 @@ def _homfly_connected(d: LinkDiagram, memo) -> Laurent2:
     if value is None:
         bad = d.first_bad_crossing()
         if bad is None:
-            value = _unlink_power(len(d.components()) - 1)
+            value = UNLINK_FACTOR ** (len(d.components()) - 1)
         else:
-            # a switch keeps succ, so the switched piece is again one of
-            # these unless it made a bigon, which passes through bad
-            switched = d.switch(bad)
-            found = switched._bigons_at(bad)
-            if found:
-                switched = _homfly(switched._unbigon(found), memo)
-            else:
-                switched = _homfly_connected(switched, memo)
+            switched = _homfly(d.switch(bad).unbigon(), memo)
             smoothed = _homfly(d.smooth(bad).unbigon(), memo)
             value = _skein_step(d.signs[bad], switched, smoothed)
         memo[code] = value

@@ -16,14 +16,14 @@ Every check is recorded for every pair, but each value is made once for
 what it depends on: the oracle run and the graph's tables (``table``) per
 graph; the brute-force arborescences, the parking functions, p and its top
 per root; h, its two routes' agreement, h(1) and its top per sorted tuple
-of attach counts; the leaf enumerator, its top and that top's text per
-sorted tuple of the type-I leaves' k; and per root and sequence of type-I
-leaves' (a, s) in tree order, which pairs of one root often share, the
-leaves' match with the brute force, the triangulation with its facet audit
-and shelling, and the parking images' comparison with the parking functions
-and their sums with k.  Each pair still builds its tree, runs the clocked
-search and its type-II strict audits, and maps every type-I leaf to its
-parking function and back, as the inverse walk starts at kappa's dart.
+of attach counts; and per root and sequence of type-I leaves' (a, s) in
+tree order, which pairs of one root often share, the leaves' match with the
+brute force, the triangulation with its facet audit and shelling, the leaf
+enumerator with its top and their checks against p and the other two tops,
+and the parking images' comparison with the parking functions and their
+sums with k.  Each pair still builds its tree, runs the clocked search and
+its type-II strict audits, and maps every type-I leaf to its parking
+function and back, as the inverse walk starts at kappa's dart.
 
 An InvariantError from the oracle, the arborescence tree, the clocked
 search, the triangulation, the shelling or the parking bijection, a tree
@@ -167,11 +167,11 @@ def verify_graph(
 
     # per root: (arborescences, parking functions, p, top_via_p(p)); per sorted
     # attach-count tuple: (h, h from f equals h from shelling, h(1), top_via_h(h));
-    # per sorted k tuple: (leaf enumerator, its top_via_p, that top's text);
     # per (r0, type-I leaves' a << n | s in tree order, as fixed-width bytes):
-    # [leaf-match verdict, leaf count, first leaf, its by_skipped entry,
-    # triangulation records, top_via_h, parking images' verdict or None]
-    by_root, by_counts, by_skipped, by_sequence = {}, {}, {}, {}
+    # [leaf-match verdict and detail, first leaf, the records from the
+    # triangulation to leaf-enumerator-equals-p, top-three-ways' verdict and
+    # detail or None (no h), the tree's top, parking images' verdict or None]
+    by_root, by_counts, by_sequence = {}, {}, {}
     width = (2 * n + 7) // 8
     for r0, kappa in dual.admissible_pairs():
         rooted = dual.with_root(r0, kappa)
@@ -195,25 +195,29 @@ def verify_graph(
         shared = by_sequence.get((r0, sequence))
         if shared is None:
             leaves = tree.type_one_leaves()
+            matched = {a for a, _ in leaves} == brute and len(leaves) == len(brute)
+            enumerator = leaf_enumerator(leaves)
+            t_tree = top_via_p(enumerator, n, s)
             skipped = tuple(sorted(k for _, k in leaves))
-            if skipped not in by_skipped:
-                enumerator = leaf_enumerator(leaves)
-                t_tree = top_via_p(enumerator, n, s)
-                by_skipped[skipped] = enumerator, t_tree, str(t_tree.poly)
+            checks, t_h = _triangulation_checks(tree.dual, leaves, skipped, by_counts)
+            checks.append(("leaf-enumerator-equals-p", enumerator == p, ""))
+            agreement = None
+            if t_h is not None:
+                agree = t_tree == t_h == t_p
+                if oracle_top is not None:
+                    agree = agree and t_tree.poly == oracle_top
+                agreement = agree, f"tree={t_tree.poly} oracle={oracle_note}"
             shared = by_sequence[r0, sequence] = [
-                {a for a, _ in leaves} == brute and len(leaves) == len(brute),
-                len(leaves),
+                (matched, f"{len(leaves)} type-I leaves"),
                 leaves[0] if leaves else None,
-                by_skipped[skipped],
-                *_triangulation_checks(tree.dual, leaves, skipped, by_counts),
+                checks,
+                agreement,
+                t_tree.poly,
                 None,
             ]
-        matched, found, first, by_k, checks, t_h, _ = shared
-        enumerator, t_tree, tree_text = by_k
+        leaf_match, first, checks, agreement, _, _ = shared
 
-        report.record(
-            f"leaves-match-bruteforce [{tag}]", matched, f"{found} type-I leaves"
-        )
+        report.record(f"leaves-match-bruteforce [{tag}]", *leaf_match)
         clocked = f"clocked-is-first-leaf [{tag}]"
         try:
             if first is None:
@@ -224,7 +228,6 @@ def verify_graph(
         for name, ok, detail in checks:
             report.record(f"{name} [{tag}]", ok, detail)
 
-        report.record(f"leaf-enumerator-equals-p [{tag}]", enumerator == p)
         # the inverse walk starts at kappa's dart, so it runs for every pair;
         # the images and their sums are compared once per sequence
         round_trips, sums_match = True, True
@@ -244,14 +247,8 @@ def verify_graph(
                 shared[-1] = sums_match and images == expected
             report.record(f"parking-bijection [{tag}]", round_trips and shared[-1])
 
-        if t_h is not None:
-            agree = t_tree == t_h == t_p
-            if oracle_top is not None:
-                agree = agree and t_tree.poly == oracle_top
-            report.record(
-                f"top-three-ways [{tag}]", agree,
-                f"tree={tree_text} oracle={oracle_note}",
-            )
+        if agreement is not None:
+            report.record(f"top-three-ways [{tag}]", *agreement)
 
         if n <= cap:
             failure = None
@@ -268,7 +265,7 @@ def verify_graph(
             )
 
     h_values = {h for h, *_ in by_counts.values()}
-    tops = {t.poly for _, t, _ in by_skipped.values()}
+    tops = {record[4] for record in by_sequence.values()}
     report.record(
         "p-root-independent", len({p for _, _, p, _ in by_root.values()}) == 1
     )

@@ -907,19 +907,19 @@ def skein_diagrams(diagrams, cap) -> list[LinkDiagram]:
     back to curl and bigon removal, those with their curls or with their
     curls and bigons removed, and the pieces of either, each once."""
     made = []
-    smooth, unbigon = LinkDiagram.smooth, LinkDiagram._unbigon
+    smooth, unbigon = LinkDiagram.smooth, LinkDiagram.unbigon
 
     def recording_smooth(d, c):
         made.append(smooth(d, c))
         return made[-1]
 
-    def recording_unbigon(d, found):
+    def recording_unbigon(d):
         made.append(d)
-        return unbigon(d, found)
+        return unbigon(d)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LinkDiagram, "smooth", recording_smooth)
-        patch.setattr(LinkDiagram, "_unbigon", recording_unbigon)
+        patch.setattr(LinkDiagram, "unbigon", recording_unbigon)
         for d in diagrams:
             homfly_skein(d, cap=cap)
     out = []
@@ -1186,8 +1186,9 @@ class TestCanonicalCode:
 
 class TestPieceMemo:
     """The memo's two keys per piece (the piece itself, then its canonical
-    code), and switches sent straight to the connected case unless they
-    make a bigon, against the canonical-code recursion."""
+    code), the switches of reached pieces, which stay connected, gain no
+    curl and often gain a reducible bigon, and the memo against the
+    canonical-code recursion."""
 
     def test_switches_of_reached_pieces_need_no_untwist_or_split(
         self, graph_corpus, grid_graph
@@ -1213,12 +1214,7 @@ class TestPieceMemo:
                     switched = piece.switch(c)
                     assert reference_untwist(switched) is switched
                     assert switched.split_parts() == [switched]
-                    # a switch can make a bigon through c and nowhere else
-                    found = switched._bigons_at(c)
-                    reduced = switched.unbigon()
-                    assert bool(found) == (reduced is not switched)
-                    bigons += bool(found)
-                    assert switched._unbigon(found) == reduced
+                    bigons += switched.unbigon() is not switched
             reached += len(pieces)
         assert reached > 1000 and bigons > 1000
 
@@ -1235,6 +1231,29 @@ class TestPieceMemo:
         assert homfly_skein(relabelled, memo=memo) == value
         # one new key, the relabelled piece itself; no new code
         assert len(memo) == size + 1 and memo[relabelled] == value
+
+    @pytest.mark.parametrize(
+        "a, b, cap, entries, pieces, steps",
+        [(4, 4, 24, 1287, 735, 551), (4, 5, 31, 8579, 4978, 3594)],
+    )
+    def test_recursion_on_full_grids_is_pinned(
+        self, grid_graph, monkeypatch, a, b, cap, entries, pieces, steps
+    ):
+        # memo entries, pieces among them, and skein steps (a piece with a
+        # crossing that breaks descending order) of one run on a fresh memo
+        first_bad = LinkDiagram.first_bad_crossing
+        bad = []
+
+        def counted(d):
+            bad.append(first_bad(d))
+            return bad[-1]
+
+        monkeypatch.setattr(LinkDiagram, "first_bad_crossing", counted)
+        memo: dict = {}
+        homfly_skein(median_diagram(grid_graph(a, b)), cap=cap, memo=memo)
+        assert len(memo) == entries
+        assert sum(isinstance(key, LinkDiagram) for key in memo) == pieces
+        assert sum(c is not None for c in bad) == steps
 
     @pytest.mark.parametrize("a, b", [(3, 4), (3, 5)])
     def test_matches_reference_on_full_grids(self, grid_graph, a, b):

@@ -250,8 +250,8 @@ class TestTablesOncePerGraph:
 
 class TestValuesOncePerCountList:
     """h and its top are made once per sorted attach-count tuple, the leaf
-    enumerator's top once per sorted k tuple and p's once per root; a pair
-    whose counts differ gets its own h."""
+    enumerator's top once per (r0, type-I leaf sequence) and p's once per
+    root; a pair whose counts differ gets its own h."""
 
     @staticmethod
     def count_lists(dual):
@@ -281,13 +281,14 @@ class TestValuesOncePerCountList:
         counts, skipped = {c for c, _ in lists}, {k for _, k in lists}
         roots = {r0 for r0, _ in dual.admissible_pairs()}
         assert len(lists) > len(counts) and len(lists) > len(roots) + len(skipped)
+        sequences = set(TestValuesOncePerSequence.sequences(dual))
         calls = Counter()
         for name in ("h_from_f", "top_via_p"):
             self.counting(monkeypatch, name, calls)
         report = verify_graph(g, dual)
         assert report.ok
         assert calls == {
-            "h_from_f": len(counts), "top_via_p": len(roots) + len(skipped)
+            "h_from_f": len(counts), "top_via_p": len(roots) + len(sequences)
         }
 
     def test_a_differing_count_list_gets_its_own_h(self, monkeypatch, grid_graph):
